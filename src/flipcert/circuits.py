@@ -2,9 +2,18 @@
 
 A circuit is a DAG of nodes (input, const, add, sub, mul) with one designated
 output.  Size is the node count; bitsize additionally charges each constant
-its bit length.  Evaluation is exact over Python integers by default and
-works over any ring object exposing from_int/coerce (prime and extension
-fields from .fields qualify).
+its bit length.
+
+Evaluation goes through one kernel.  lower() turns a circuit into a flat
+program, a tuple of (op, a, b) int triples, one per node up to the output,
+so the output is the program's last value.  run() interprets a program at a
+point: exactly over Python integers, or reducing mod q at every step.
+evaluate() lowers and runs in one call, and also works over any ring object
+exposing from_int/coerce whose elements accept integer operands (prime and
+extension fields from .fields qualify).  A caller that evaluates one
+circuit at many points (query suites, hitting sets, decoding) lowers it once
+per call and runs the program at each point.  Programs are never cached: a
+class sweep holds tens of thousands of circuits at once.
 
 The text format, one node per line:
 
@@ -24,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -197,46 +206,87 @@ def serialize_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate(c: Circuit, point: Sequence, ring=ZZ):
-    """Evaluate at `point` over `ring` (exact integers by default)."""
+# ---------------------------------------------------------------------------
+# The evaluation kernel.  Step t of a program computes node t: (op, a, b)
+# reads point[a] (INPUT), pushes the integer a (CONST), or combines the
+# values of steps a and b (ADD, SUB, MUL).
+
+OP_INPUT, OP_CONST, OP_ADD, OP_SUB, OP_MUL = range(5)
+_BINARY_OPS = {Add: OP_ADD, Sub: OP_SUB, Mul: OP_MUL}
+
+Program = tuple  # tuple[tuple[int, int, int], ...]
+
+
+def lower(c: Circuit) -> Program:
+    """Flat program computing c's output; nodes after the output are dead
+    and dropped."""
+    prog = []
+    push = prog.append
+    for node in c.nodes[: c.output + 1]:
+        kind = type(node)
+        if kind is Input:
+            push((OP_INPUT, node.index, 0))
+        elif kind is Const:
+            push((OP_CONST, node.value, 0))
+        else:
+            push((_BINARY_OPS[kind], node.a, node.b))
+    return tuple(prog)
+
+
+def run(prog: Program, point: Sequence, q: int = 0):
+    """Value of a lowered program at `point`.
+
+    With q > 0 every step is reduced mod q and the result is a residue in
+    [0, q).  With q == 0 the arithmetic is exact; the coordinates may then
+    also be ring elements that accept integer operands, and a constant-only
+    result comes back as a plain int.  The point's length is not checked
+    (see check_arity)."""
+    vals: list = []
+    push = vals.append
+    if q:
+        for op, a, b in prog:
+            if op == OP_MUL:
+                push(vals[a] * vals[b] % q)
+            elif op == OP_ADD:
+                push((vals[a] + vals[b]) % q)
+            elif op == OP_SUB:
+                push((vals[a] - vals[b]) % q)
+            elif op == OP_INPUT:
+                push(point[a] % q)
+            else:
+                push(a % q)
+    else:
+        for op, a, b in prog:
+            if op == OP_MUL:
+                push(vals[a] * vals[b])
+            elif op == OP_ADD:
+                push(vals[a] + vals[b])
+            elif op == OP_SUB:
+                push(vals[a] - vals[b])
+            elif op == OP_INPUT:
+                push(point[a])
+            else:
+                push(a)
+    return vals[-1]
+
+
+def check_arity(c: Circuit, point: Sequence) -> None:
     if len(point) != c.num_inputs:
         raise ArityMismatch(
             f"circuit takes {c.num_inputs} inputs, point has {len(point)}"
         )
+
+
+def evaluate(c: Circuit, point: Sequence, ring=ZZ):
+    """Evaluate at `point` over `ring` (exact integers by default).
+
+    Lowers c on every call; to evaluate one circuit at many points, lower it
+    once and call run()."""
+    check_arity(c, point)
     if isinstance(ring, PrimeField):
         flat = [ring.coerce(x).value for x in point]
-        return ring.element(_evaluate_mod(c, flat, ring.q))
-    vals = [ring.coerce(x) for x in point]
-    out: list = [None] * len(c.nodes)
-    for t, node in enumerate(c.nodes):
-        if isinstance(node, Input):
-            out[t] = vals[node.index]
-        elif isinstance(node, Const):
-            out[t] = ring.from_int(node.value)
-        elif isinstance(node, Add):
-            out[t] = out[node.a] + out[node.b]
-        elif isinstance(node, Sub):
-            out[t] = out[node.a] - out[node.b]
-        else:
-            out[t] = out[node.a] * out[node.b]
-    return out[c.output]
-
-
-def _evaluate_mod(c: Circuit, point: Sequence[int], q: int) -> int:
-    # Raw-int hot path; identical results to evaluate() over PrimeField(q).
-    out = [0] * len(c.nodes)
-    for t, node in enumerate(c.nodes):
-        if isinstance(node, Input):
-            out[t] = point[node.index] % q
-        elif isinstance(node, Const):
-            out[t] = node.value % q
-        elif isinstance(node, Add):
-            out[t] = (out[node.a] + out[node.b]) % q
-        elif isinstance(node, Sub):
-            out[t] = (out[node.a] - out[node.b]) % q
-        else:
-            out[t] = out[node.a] * out[node.b] % q
-    return out[c.output]
+        return ring.element(run(lower(c), flat, ring.q))
+    return ring.coerce(run(lower(c), [ring.coerce(x) for x in point]))
 
 
 def evaluate_mod_random_prime(
@@ -245,7 +295,7 @@ def evaluate_mod_random_prime(
     """Evaluate modulo a fresh random prime; returns (residue, prime)."""
     rng = random.Random(derive_seed("modprime", seed, prime_bits))
     p = random_prime(rng, prime_bits)
-    return _evaluate_mod(c, [x % p for x in point], p), p
+    return run(lower(c), point, p), p
 
 
 def specialize(c: Circuit, bindings: Mapping[int, int]) -> Circuit:
@@ -361,16 +411,6 @@ def poly_constant_ratio(p: Poly, q: Poly) -> Fraction | None:
     return lam
 
 
-def poly_to_text(p: Poly) -> str:
-    """Stable rendering: monomials sorted by exponent tuple."""
-    if not p:
-        return "0"
-    parts = []
-    for exps in sorted(p):
-        parts.append(f"{p[exps]}*x^{','.join(str(e) for e in exps)}")
-    return " + ".join(parts)
-
-
 # -- symbolic variable transforms (used by the exact identity checkers) ----
 
 
@@ -452,10 +492,6 @@ def poly_row_add_subst(p: Poly, pairs: Sequence[tuple[int, int]], y: int) -> Pol
     return out
 
 
-def polys_equal(p: Poly, q: Poly) -> bool:
-    return p == q
-
-
 def poly_scaled(p: Poly, factor: int) -> Poly:
     if factor == 0:
         return {}
@@ -470,16 +506,4 @@ def poly_sub(p: Poly, q: Poly) -> Poly:
             out[e] = nv
         else:
             out.pop(e, None)
-    return out
-
-
-def poly_add_many(ps: Iterable[Poly]) -> Poly:
-    out: Poly = {}
-    for p in ps:
-        for e, c in p.items():
-            nv = out.get(e, 0) + c
-            if nv:
-                out[e] = nv
-            else:
-                del out[e]
     return out

@@ -25,9 +25,11 @@ from .circuits import (
     Circuit,
     evaluate,
     expand_to_polynomial,
+    lower,
     poly_eval,
     poly_max_var_degree,
     poly_sub,
+    run,
 )
 from .builders import efun_circuit, perm_circuit
 from .config import config_hash, format_config, parse_bool, parse_config
@@ -53,7 +55,7 @@ from .symtests import (
     canonicalize_queries,
     gen_queries_efun,
     gen_queries_perm,
-    run_queries,
+    query_verdict,
     serialize_query,
 )
 from .util import Stopwatch, derive_seed
@@ -392,16 +394,18 @@ def decode_counterexample(cert: ObstructionCertificate, c: Circuit) -> DecodeRes
     Raises NoFailingQuery when every query passes, which at desk scale means
     the certificate does not obstruct this circuit.
     """
+    # membership pins c's arity to the target's, which every query point has
     _class_membership(cert.config, c)
+    prog = lower(c)
     for idx, q in enumerate(cert.queries):
-        report = run_queries(c, (q,))
-        if report.accept:
+        flats = [P.flatten() for P in q.points]
+        if query_verdict(prog, q, flats)[0]:
             continue
         direct = None
         if cert.config.target == "perm":
             direct = tuple(
-                evaluate(c, P.flatten()) != permanent([list(row) for row in P.entries])
-                for P in q.points
+                run(prog, f) != permanent([list(row) for row in P.entries])
+                for f, P in zip(flats, q.points)
             )
         return DecodeResult(idx, q, q.points, direct)
     raise NoFailingQuery(f"certificate does not obstruct this circuit ({c.size} nodes)")

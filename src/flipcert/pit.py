@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .circuits import (
     Add,
@@ -27,11 +27,13 @@ from .circuits import (
     Mul,
     Node,
     Sub,
-    evaluate,
+    check_arity,
+    evaluate,  # noqa: F401  (perfbench's tracer test expects it bound here)
     expand_to_polynomial,
-    serialize_circuit,
+    lower,
+    run,
 )
-from .errors import BudgetExceeded, ParseError, PoolExhausted, UsageError
+from .errors import ArityMismatch, BudgetExceeded, ParseError, PoolExhausted, UsageError
 from .fields import int_bitlength
 from .util import Stopwatch, derive_seed
 
@@ -206,6 +208,12 @@ class PitResult:
 def pit_error_bound(
     size: int, box: tuple[int, int], trials: int, degree_hint: int | None = None
 ) -> float:
+    """Miss probability bound for `trials` independent sampled identity
+    checks: (deg / |S|)^trials, each factor capped at 1.
+
+    The formal degree bound for a size-s circuit is 2^s; degree_hint
+    substitutes a caller-asserted tighter degree.  The sampled symmetry
+    suites use the same bound per identity, with rounds as trials."""
     span = box[1] - box[0] + 1
     if degree_hint is not None:
         rho = min(1.0, degree_hint / span)
@@ -231,9 +239,10 @@ def pit_random(
     if trials < 1:
         raise UsageError("need at least one trial")
     rng = random.Random(derive_seed("pit", seed, trials, box[0], box[1]))
+    prog = lower(c)
     for t in range(trials):
         point = tuple(rng.randrange(box[0], box[1] + 1) for _ in range(c.num_inputs))
-        v = evaluate(c, point)
+        v = run(prog, point)
         if v != 0:
             return PitResult("nonzero", point, v, 0.0, t + 1)
     return PitResult(
@@ -295,9 +304,11 @@ def verify_hitting_set(
                 continue
             nonzero += 1
             hit = False
+            prog = lower(c)
             for pt in hs.points:
+                check_arity(c, pt)
                 evals += 1
-                if evaluate(c, pt) != 0:
+                if run(prog, pt) != 0:
                     hit = True
                     break
             if not hit and violator is None:
@@ -334,13 +345,18 @@ def build_hitting_set_greedy(
         if pt not in taken:
             taken.add(pt)
             pool.append(pt)
-    hits = []
-    for pt in pool:
-        mask = 0
-        for mi, c in enumerate(members):
-            if evaluate(c, pt) != 0:
-                mask |= 1 << mi
-        hits.append(mask)
+    # bit mi of hits[j] records that member mi is nonzero at pool[j]
+    hits = [0] * len(pool)
+    for mi, c in enumerate(members):
+        if c.num_inputs != cls.num_inputs:
+            raise ArityMismatch(
+                f"member {mi} takes {c.num_inputs} inputs, class has {cls.num_inputs}"
+            )
+        prog = lower(c)
+        bit = 1 << mi
+        for j, pt in enumerate(pool):
+            if run(prog, pt):
+                hits[j] |= bit
     want = (1 << len(members)) - 1
     covered = 0
     chosen: list[tuple[int, ...]] = []
@@ -430,9 +446,12 @@ def parse_hitting_set(text: str) -> HittingSet:
         raise ParseError("missing hitting-set v1 header")
     if len(lines) < 3 or not lines[1].startswith("class enumerated "):
         raise ParseError("missing enumerated class line")
-    fields = dict(
-        tok.split("=", 1) for tok in lines[1][len("class enumerated ") :].split()
-    )
+    fields = {}
+    for tok in lines[1][len("class enumerated ") :].split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ParseError(f"bad class line: token {tok!r} is not key=value")
+        fields[key] = value
     try:
         cls = EnumeratedClass(
             num_inputs=int(fields["n"]),
@@ -445,24 +464,21 @@ def parse_hitting_set(text: str) -> HittingSet:
     head = lines[2].split()
     if len(head) != 2 or head[0] != "points":
         raise ParseError("missing points count line")
-    count = int(head[1])
+    count = _int_token(head[1], "points count")
     body = lines[3:]
     if len(body) != count:
         raise ParseError(f"expected {count} point lines, got {len(body)}")
     pts = []
     for ln in body:
-        pt = tuple(int(tok) for tok in ln.split())
+        pt = tuple(_int_token(tok, "point coordinate") for tok in ln.split())
         if len(pt) != cls.num_inputs:
             raise ParseError(f"point arity {len(pt)} mismatches class {cls.num_inputs}")
         pts.append(pt)
     return HittingSet(tuple(pts), cls)
 
 
-def circuits_digest(circuits: Sequence[Circuit]) -> str:
-    """Stable hex digest of a circuit list (used in reports)."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for c in circuits:
-        h.update(serialize_circuit(c).encode())
-    return h.hexdigest()[:16]
+def _int_token(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"{what} is not an integer: {tok!r}") from None

@@ -35,14 +35,17 @@ from typing import Sequence
 
 from .circuits import (
     Circuit,
-    evaluate,
+    Program,
+    evaluate,  # noqa: F401  (perfbench's tracer test expects it bound here)
     expand_to_polynomial,
+    lower,
     poly_eval,
     poly_remap_vars,
     poly_row_add_subst,
     poly_scale_vars,
     poly_scaled,
     poly_subst_consts,
+    run,
 )
 from .errors import ArityMismatch, UsageError
 from .fields import PrimeField, random_prime
@@ -56,6 +59,7 @@ from .oracles import (
     column_permutation,
     k_generators,
 )
+from .pit import pit_error_bound as sampled_error_bound
 from .util import Stopwatch, derive_seed
 
 # query kinds
@@ -482,38 +486,45 @@ def _primary_vanish_point(rng, m, k, box) -> MatrixAssignment:
 # query execution
 
 
-def _relation_holds(q: Query, vals: Sequence[int]) -> bool:
-    if q.relation == REL_NONZERO:
-        return bool(vals[0])
-    if q.relation == REL_EQUAL:
-        return vals[1] == vals[0]
-    if q.relation == REL_SCALED:
-        return vals[1] == q.coeffs[0] * vals[0]
-    if q.relation == REL_LINEAR:
-        acc = 0
-        for c, v in zip(q.coeffs, vals[1:]):
-            acc += c * v
-        return vals[0] == acc
-    if q.relation == REL_CONST:
-        return vals[0] == q.coeffs[0]
-    raise UsageError(f"unknown relation {q.relation!r}")
+def _relation_holds(q: Query, vals: Sequence[int], p: int = 0) -> bool:
+    """The query's relation on exact values, or on residues mod p if p > 0."""
+    rel = q.relation
+    if rel == REL_NONZERO:
+        diff = vals[0]
+    elif rel == REL_EQUAL:
+        diff = vals[1] - vals[0]
+    elif rel == REL_SCALED:
+        diff = vals[1] - q.coeffs[0] * vals[0]
+    elif rel == REL_LINEAR:
+        diff = vals[0] - sum(c * v for c, v in zip(q.coeffs, vals[1:]))
+    elif rel == REL_CONST:
+        diff = vals[0] - q.coeffs[0]
+    else:
+        raise UsageError(f"unknown relation {q.relation!r}")
+    if p:
+        diff %= p
+    return bool(diff) if rel == REL_NONZERO else not diff
 
 
-def _relation_holds_mod(q: Query, vals: Sequence[int], p: int) -> bool:
-    if q.relation == REL_NONZERO:
-        return vals[0] % p != 0
-    if q.relation == REL_EQUAL:
-        return (vals[1] - vals[0]) % p == 0
-    if q.relation == REL_SCALED:
-        return (vals[1] - q.coeffs[0] * vals[0]) % p == 0
-    if q.relation == REL_LINEAR:
-        acc = 0
-        for c, v in zip(q.coeffs, vals[1:]):
-            acc += c * v
-        return (vals[0] - acc) % p == 0
-    if q.relation == REL_CONST:
-        return (vals[0] - q.coeffs[0]) % p == 0
-    raise UsageError(f"unknown relation {q.relation!r}")
+def query_verdict(
+    prog: Program, q: Query, flats: Sequence[tuple], moduli: Sequence[int] = (0,)
+) -> tuple[bool, list]:
+    """(passed, values) for one query against a lowered circuit.
+
+    `flats` are the query's points flattened, already checked against the
+    circuit's arity.  The modulus 0 compares exact values.  Over primes, the
+    nonzero relation passes at the first prime with a nonzero residue and
+    every other relation must hold at every prime; the values returned are
+    the residues at the prime that settled the verdict (the last one tried).
+    """
+    settles = q.relation == REL_NONZERO  # the verdict that stops the loop
+    ok, vals = not settles, []
+    for p in moduli:
+        vals = [run(prog, f, p) for f in flats]
+        ok = _relation_holds(q, vals, p)
+        if ok == settles:
+            break
+    return ok, vals
 
 
 def run_queries(
@@ -528,14 +539,19 @@ def run_queries(
 
     Exact mode compares BigInt values.  Modular mode draws prime_count fresh
     random primes; equality-style relations must hold at every prime, the
-    nonzero relation is satisfied by a nonzero residue at any prime.
+    nonzero relation is satisfied by a nonzero residue at any prime.  The
+    circuit is lowered once and every point runs through that program.
     """
     if ring not in ("exact", "modular"):
         raise UsageError(f"unknown ring mode {ring!r}")
     primes: tuple[int, ...] = ()
+    moduli: tuple[int, ...] = (0,)
     if ring == "modular":
         rng = random.Random(derive_seed("queryprimes", seed, prime_bits))
         primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
+        # residues stay raw ints; each modulus is checked prime once per call
+        moduli = tuple(PrimeField(p).q for p in primes)
+    prog = lower(c)
     verdicts: list[Verdict] = []
     accept = True
     for idx, q in enumerate(queries):
@@ -545,49 +561,13 @@ def run_queries(
                 raise ArityMismatch(
                     f"query point has {len(f)} entries, circuit takes {c.num_inputs}"
                 )
-        if ring == "exact":
-            vals = [evaluate(c, f) for f in flats]
-            ok = _relation_holds(q, vals)
-        else:
-            if q.relation == REL_NONZERO:
-                ok = False
-                for p in primes:
-                    F = PrimeField(p)
-                    vals = [evaluate(c, f, ring=F).value for f in flats]
-                    if _relation_holds_mod(q, vals, p):
-                        ok = True
-                        break
-            else:
-                ok = True
-                for p in primes:
-                    F = PrimeField(p)
-                    vals = [evaluate(c, f, ring=F).value for f in flats]
-                    if not _relation_holds_mod(q, vals, p):
-                        ok = False
-                        break
+        ok, vals = query_verdict(prog, q, flats, moduli)
         witness: tuple = ()
         if not ok:
             witness = tuple(vals)
             accept = False
         verdicts.append(Verdict(idx, q.kind, ok, witness))
     return RunReport(accept, tuple(verdicts), ring, primes)
-
-
-def sampled_error_bound(
-    size: int, box: tuple[int, int], rounds: int, degree_hint: int | None = None
-) -> float:
-    """Per-identity miss probability bound: (deg / |S|)^rounds, capped at 1.
-
-    The formal degree bound for a size-s circuit is 2^s; degree_hint
-    substitutes a caller-asserted tighter degree."""
-    span = box[1] - box[0] + 1
-    if degree_hint is not None:
-        rho = min(1.0, degree_hint / span)
-    elif size >= span.bit_length():
-        rho = 1.0
-    else:
-        rho = min(1.0, 2.0 ** (size - (span.bit_length() - 1)))
-    return rho**rounds
 
 
 # ---------------------------------------------------------------------------

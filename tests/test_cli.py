@@ -187,6 +187,26 @@ def test_verify_hitting_set_garbage_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+HS_CLASS = "class enumerated n=1 bound=3 regime=size alphabet=-1,1"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"hitting-set v1\n{HS_CLASS}\npoints x\n",
+        f"hitting-set v1\n{HS_CLASS}\npoints 1\n7.5\n",
+        "hitting-set v1\nclass enumerated n=1 bound=3 regime size alphabet=-1,1\npoints 0\n",
+    ],
+    ids=["points-count", "coordinate", "class-token"],
+)
+def test_verify_hitting_set_malformed_field_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "hs.txt"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["verify-hitting-set", "--file", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_build_hitting_set_stdout_has_no_wall_clock(capsys):
     argv = ["build-hitting-set", "--ninputs", "1", "--bound", "3",
             "--alphabet=-1,1"]

@@ -1,0 +1,316 @@
+"""The flat evaluation kernel (lower/run) against independent oracles.
+
+The oracle evaluator is the node-by-node isinstance dispatch the kernel
+replaced, kept here verbatim as the reference, together with the query
+runner that used it.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
+from flipcert.circuits import (
+    Add,
+    Circuit,
+    Const,
+    Input,
+    Mul,
+    Sub,
+    evaluate,
+    expand_to_polynomial,
+    lower,
+    parse_circuit,
+    poly_eval,
+    run,
+)
+from flipcert.errors import ArityMismatch, TermBudgetExceeded, UsageError
+from flipcert.fields import ZZ, ExtField, PrimeField, find_irreducible, random_prime
+from flipcert.pit import EnumeratedClass
+from flipcert.symtests import (
+    REL_CONST,
+    REL_EQUAL,
+    REL_LINEAR,
+    REL_NONZERO,
+    REL_SCALED,
+    RunReport,
+    Verdict,
+    gen_queries_efun,
+    gen_queries_perm,
+    run_queries,
+)
+from flipcert.util import derive_seed
+
+REFERENCE_FILES = sorted((Path(__file__).resolve().parents[1] / "circuits").glob("*.ac"))
+PRIMES = (2, 3, 7, 65537, 2**31 - 1, 2**61 - 1)
+EXT_FIELDS = (
+    ExtField(2, 3, find_irreducible(2, 3)),
+    ExtField(3, 2, find_irreducible(3, 2)),
+    ExtField(5, 2, find_irreducible(5, 2)),
+)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def oracle_evaluate(c: Circuit, point, ring=ZZ):
+    if len(point) != c.num_inputs:
+        raise ArityMismatch(
+            f"circuit takes {c.num_inputs} inputs, point has {len(point)}"
+        )
+    if isinstance(ring, PrimeField):
+        flat = [ring.coerce(x).value for x in point]
+        return ring.element(oracle_evaluate_mod(c, flat, ring.q))
+    vals = [ring.coerce(x) for x in point]
+    out: list = [None] * len(c.nodes)
+    for t, node in enumerate(c.nodes):
+        if isinstance(node, Input):
+            out[t] = vals[node.index]
+        elif isinstance(node, Const):
+            out[t] = ring.from_int(node.value)
+        elif isinstance(node, Add):
+            out[t] = out[node.a] + out[node.b]
+        elif isinstance(node, Sub):
+            out[t] = out[node.a] - out[node.b]
+        else:
+            out[t] = out[node.a] * out[node.b]
+    return out[c.output]
+
+
+def oracle_evaluate_mod(c: Circuit, point, q: int) -> int:
+    out = [0] * len(c.nodes)
+    for t, node in enumerate(c.nodes):
+        if isinstance(node, Input):
+            out[t] = point[node.index] % q
+        elif isinstance(node, Const):
+            out[t] = node.value % q
+        elif isinstance(node, Add):
+            out[t] = (out[node.a] + out[node.b]) % q
+        elif isinstance(node, Sub):
+            out[t] = (out[node.a] - out[node.b]) % q
+        else:
+            out[t] = out[node.a] * out[node.b] % q
+    return out[c.output]
+
+
+def _oracle_relation_holds(q, vals) -> bool:
+    if q.relation == REL_NONZERO:
+        return bool(vals[0])
+    if q.relation == REL_EQUAL:
+        return vals[1] == vals[0]
+    if q.relation == REL_SCALED:
+        return vals[1] == q.coeffs[0] * vals[0]
+    if q.relation == REL_LINEAR:
+        acc = 0
+        for c, v in zip(q.coeffs, vals[1:]):
+            acc += c * v
+        return vals[0] == acc
+    if q.relation == REL_CONST:
+        return vals[0] == q.coeffs[0]
+    raise UsageError(f"unknown relation {q.relation!r}")
+
+
+def _oracle_relation_holds_mod(q, vals, p: int) -> bool:
+    if q.relation == REL_NONZERO:
+        return vals[0] % p != 0
+    if q.relation == REL_EQUAL:
+        return (vals[1] - vals[0]) % p == 0
+    if q.relation == REL_SCALED:
+        return (vals[1] - q.coeffs[0] * vals[0]) % p == 0
+    if q.relation == REL_LINEAR:
+        acc = 0
+        for c, v in zip(q.coeffs, vals[1:]):
+            acc += c * v
+        return (vals[0] - acc) % p == 0
+    if q.relation == REL_CONST:
+        return (vals[0] - q.coeffs[0]) % p == 0
+    raise UsageError(f"unknown relation {q.relation!r}")
+
+
+def oracle_run_queries(c, queries, ring="exact", prime_bits=31, prime_count=3, seed=0):
+    primes: tuple[int, ...] = ()
+    if ring == "modular":
+        rng = random.Random(derive_seed("queryprimes", seed, prime_bits))
+        primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
+    verdicts = []
+    accept = True
+    for idx, q in enumerate(queries):
+        flats = [P.flatten() for P in q.points]
+        if ring == "exact":
+            vals = [oracle_evaluate(c, f) for f in flats]
+            ok = _oracle_relation_holds(q, vals)
+        elif q.relation == REL_NONZERO:
+            ok = False
+            for p in primes:
+                F = PrimeField(p)
+                vals = [oracle_evaluate(c, f, ring=F).value for f in flats]
+                if _oracle_relation_holds_mod(q, vals, p):
+                    ok = True
+                    break
+        else:
+            ok = True
+            for p in primes:
+                F = PrimeField(p)
+                vals = [oracle_evaluate(c, f, ring=F).value for f in flats]
+                if not _oracle_relation_holds_mod(q, vals, p):
+                    ok = False
+                    break
+        witness: tuple = ()
+        if not ok:
+            witness = tuple(vals)
+            accept = False
+        verdicts.append(Verdict(idx, q.kind, ok, witness))
+    return RunReport(accept, tuple(verdicts), ring, primes)
+
+
+# ---------------------------------------------------------------------------
+# circuit sources
+
+
+@st.composite
+def random_dags(draw) -> Circuit:
+    """Arbitrary DAGs: repeated inputs and nodes, big constants, dead code,
+    and an output anywhere in the node list."""
+    num_inputs = draw(st.integers(1, 4))
+    nodes = []
+    for t in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from((Input, Const, Add, Sub, Mul) if t else (Input, Const)))
+        if kind is Input:
+            nodes.append(Input(draw(st.integers(0, num_inputs - 1))))
+        elif kind is Const:
+            nodes.append(Const(draw(st.integers(-(2**70), 2**70))))
+        else:
+            nodes.append(kind(draw(st.integers(0, t - 1)), draw(st.integers(0, t - 1))))
+    return Circuit(num_inputs, tuple(nodes), draw(st.integers(0, len(nodes) - 1)))
+
+
+@lru_cache(maxsize=None)
+def _class_members() -> tuple[Circuit, ...]:
+    return tuple(EnumeratedClass(2, 4, (-1, 0, 1)).members())
+
+
+@st.composite
+def class_members(draw) -> Circuit:
+    members = _class_members()
+    return members[draw(st.integers(0, len(members) - 1))]
+
+
+@lru_cache(maxsize=None)
+def _reference_circuit(path: Path) -> Circuit:
+    return parse_circuit(path.read_text())
+
+
+def points(n: int, bound: int = 2**64):
+    return st.lists(st.integers(-bound, bound), min_size=n, max_size=n).map(tuple)
+
+
+def _check_against_oracles(c: Circuit, pt: tuple) -> None:
+    prog = lower(c)
+    exact = run(prog, pt)
+    assert exact == oracle_evaluate(c, pt) == evaluate(c, pt)
+    try:
+        poly = expand_to_polynomial(c, max_terms=2000)
+    except TermBudgetExceeded:
+        poly = None
+    if poly is not None:
+        assert exact == poly_eval(poly, pt)
+    for q in PRIMES:
+        assert run(prog, pt, q) == exact % q
+        F = PrimeField(q)
+        assert evaluate(c, pt, F) == oracle_evaluate(c, pt, F)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_matches_oracles_on_random_dags(data):
+    c = data.draw(random_dags())
+    _check_against_oracles(c, data.draw(points(c.num_inputs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_matches_oracles_on_class_members(data):
+    c = data.draw(class_members())
+    _check_against_oracles(c, data.draw(points(c.num_inputs)))
+
+
+@pytest.mark.parametrize("path", REFERENCE_FILES, ids=lambda p: p.name)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_oracles_on_reference_files(path, data):
+    c = _reference_circuit(path)
+    _check_against_oracles(c, data.draw(points(c.num_inputs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ring_paths_match_oracle_over_extension_fields(data):
+    c = data.draw(st.one_of(random_dags(), class_members()))
+    F = data.draw(st.sampled_from(EXT_FIELDS))
+    coords = st.lists(st.integers(-50, 50), min_size=F.l, max_size=F.l)
+    # coordinates as field elements and as plain ints, mixed
+    pt = tuple(
+        data.draw(st.one_of(st.integers(-50, 50), coords.map(F.element)))
+        for _ in range(c.num_inputs)
+    )
+    got = evaluate(c, pt, F)
+    assert got == oracle_evaluate(c, pt, F)
+    assert got.field == F
+
+
+def test_lower_drops_nodes_after_the_output():
+    c = Circuit(1, (Input(0), Const(3), Mul(0, 1), Add(2, 2)), 2)
+    assert lower(c) == ((0, 0, 0), (1, 3, 0), (4, 0, 1))
+    assert evaluate(c, (5,)) == 15
+
+
+def test_constant_output_is_a_ring_element():
+    F = EXT_FIELDS[1]
+    c = Circuit(1, (Input(0), Const(7)), 1)
+    assert evaluate(c, (1,), F) == F.from_int(7)
+    assert evaluate(c, (1,), PrimeField(5)) == PrimeField(5).element(2)
+
+
+def test_evaluate_checks_arity():
+    with pytest.raises(ArityMismatch):
+        evaluate(perm_circuit(2), (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# golden: the query runner against the oracle-based one
+
+SAMPLED_TARGETS = (
+    ("perm", (2,), perm_circuit(2)),
+    ("perm", (3,), perm_circuit(3)),
+    ("perm", (4,), perm_circuit(4)),
+    ("efun", (1, 2), efun_circuit(1, 2)),
+    ("efun", (2, 2), efun_circuit(2, 2)),
+    ("efun", (1, 3), efun_circuit(1, 3)),
+    ("perm", (2,), det_circuit(2)),
+    ("perm", (3,), det_circuit(3)),
+    ("perm", (2,), scale_circuit(perm_circuit(2), 2)),
+)
+
+
+@pytest.mark.parametrize("ring", ("exact", "modular"))
+@pytest.mark.parametrize("seed", (0, 1, 977))
+def test_run_queries_matches_oracle_run(ring, seed):
+    rejects = 0
+    for kind, dims, c in SAMPLED_TARGETS:
+        gen = gen_queries_perm if kind == "perm" else gen_queries_efun
+        queries = gen(*dims, seed)
+        got = run_queries(c, queries, ring=ring, seed=seed)
+        assert got == oracle_run_queries(c, queries, ring=ring, seed=seed)
+        rejects += not got.accept
+    assert rejects == 3  # det(2), det(3) and 2*perm(2)
