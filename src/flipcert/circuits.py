@@ -30,7 +30,6 @@ exactly one output line closes the file.  '#' starts a comment.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -44,8 +43,7 @@ from .errors import (
     TermBudgetExceeded,
     UsageError,
 )
-from .fields import PrimeField, ZZ, int_bitlength, random_prime
-from .util import derive_seed
+from .fields import PrimeField, ZZ, int_bitlength
 
 
 @dataclass(frozen=True)
@@ -287,15 +285,6 @@ def evaluate(c: Circuit, point: Sequence, ring=ZZ):
         flat = [ring.coerce(x).value for x in point]
         return ring.element(run(lower(c), flat, ring.q))
     return ring.coerce(run(lower(c), [ring.coerce(x) for x in point]))
-
-
-def evaluate_mod_random_prime(
-    c: Circuit, point: Sequence[int], seed: int, prime_bits: int = 31
-) -> tuple[int, int]:
-    """Evaluate modulo a fresh random prime; returns (residue, prime)."""
-    rng = random.Random(derive_seed("modprime", seed, prime_bits))
-    p = random_prime(rng, prime_bits)
-    return run(lower(c), point, p), p
 
 
 def specialize(c: Circuit, bindings: Mapping[int, int]) -> Circuit:

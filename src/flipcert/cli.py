@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .circuits import evaluate, parse_circuit
+from .config import format_config, parse_config
 from .designs import (
     DesignParams,
     build_design_greedy,
@@ -131,53 +133,20 @@ def _enumerated_class(args) -> EnumeratedClass:
 
 
 def _cert_config_from_file(path: str | None, args, design_r: int) -> CertConfig:
-    """CLI-side config assembly: file pairs override dataclass defaults,
+    """CLI-side config assembly: the dataclass defaults, overridden by the
 
-    flags override the file, and a missing truth table is committed from
-    --table-seed.  Artifact files embedded in certificates stay strict."""
-    from .config import parse_bool, parse_config
-
-    pairs = parse_config(_read(path)) if path else {}
-    base = {
-        "target": args.target,
-        "n": getattr(args, "n", 0) or 0,
-        "m": getattr(args, "m", 0) or 0,
-        "k": getattr(args, "k", 0) or 0,
-        "regime": args.regime,
-        "bound": args.bound,
-        "seed_bits": args.seed_bits,
-        "rounds_per_tape": 1,
-        "nonzero_count": 1,
-        "sample_width": args.width,
-        "band": 0,
-        "normalize": True,
-        "det_factor_mode": "det-corrected",
-        "truth_table": "",
-        "f0_budget_bits": 4096,
-        "f1a_budget_seconds": 60.0,
-        "f3_budget_seconds": 10.0,
-        "f4_budget_seconds": 10.0,
-    }
-    for key, value in pairs.items():
-        if key not in base:
-            raise UsageError(f"unknown config key {key!r}")
-        base[key] = value
-    ints = (
-        "n", "m", "k", "bound", "seed_bits", "rounds_per_tape",
-        "nonzero_count", "sample_width", "band", "f0_budget_bits",
-    )
-    for key in ints:
-        base[key] = int(base[key])
-    for key in ("f1a_budget_seconds", "f3_budget_seconds", "f4_budget_seconds"):
-        base[key] = float(base[key])
-    if isinstance(base["normalize"], str):
-        base["normalize"] = parse_bool(base["normalize"])
-    table_text = str(base.pop("truth_table"))
-    if table_text:
-        table = tuple(int(ch) for ch in table_text)
-    else:
-        table = random_truth_table(design_r, args.table_seed)
-    return CertConfig(truth_table=table, **base)
+    flags named after a config key, overridden in turn by the file's pairs.
+    The merged pairs are decoded as strictly as a certificate's own config
+    block; an empty truth table is then committed from --table-seed."""
+    # every key at its default; derive-cert's flags always set target and n
+    pairs = CertConfig(target="perm", n=1).pairs()
+    pairs.update((key, getattr(args, key)) for key in pairs if hasattr(args, key))
+    if path:
+        pairs.update(parse_config(_read(path)))
+    config = CertConfig.from_pairs(parse_config(format_config(pairs)))
+    if config.truth_table:
+        return config
+    return replace(config, truth_table=random_truth_table(design_r, args.table_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=("size", "bitsize"), default="size")
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--seed-bits", type=int, default=4, dest="seed_bits")
-    p.add_argument("--width", type=int, default=62)
+    p.add_argument("--width", type=int, default=62, dest="sample_width")
     p.add_argument("--table-seed", type=int, default=0, dest="table_seed")
     p.add_argument("--out")
     p.set_defaults(func=cmd_derive_cert)

@@ -18,7 +18,7 @@ table is random, not derived from a hard function.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 from .circuits import (
@@ -56,6 +56,7 @@ from .symtests import (
     gen_queries_efun,
     gen_queries_perm,
     query_verdict,
+    serialize_point,
     serialize_query,
 )
 from .util import Stopwatch, derive_seed
@@ -122,60 +123,36 @@ class CertConfig:
         return (lo, lo + width - 1)
 
     def pairs(self) -> dict[str, object]:
-        return {
-            "target": self.target,
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "regime": self.regime,
-            "bound": self.bound,
-            "seed_bits": self.seed_bits,
-            "rounds_per_tape": self.rounds_per_tape,
-            "nonzero_count": self.nonzero_count,
-            "sample_width": self.sample_width,
-            "band": self.band,
-            "normalize": self.normalize,
-            "det_factor_mode": self.det_factor_mode,
-            "truth_table": "".join(str(b) for b in self.truth_table),
-            "f0_budget_bits": self.f0_budget_bits,
-            "f1a_budget_seconds": self.f1a_budget_seconds,
-            "f3_budget_seconds": self.f3_budget_seconds,
-            "f4_budget_seconds": self.f4_budget_seconds,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["truth_table"] = "".join(str(b) for b in self.truth_table)
+        return out
 
     @staticmethod
     def from_pairs(pairs: dict[str, str]) -> "CertConfig":
-        want = CertConfig(target="perm", n=1).pairs().keys()
-        missing = set(want) - set(pairs)
-        extra = set(pairs) - set(want)
+        """Strict inverse of pairs() on text values: every field, nothing else,
+
+        each decoded by its declared type."""
+        want = {f.name: _DECODERS[f.type] for f in fields(CertConfig)}
+        missing = want.keys() - pairs.keys()
+        extra = pairs.keys() - want.keys()
         if missing or extra:
             raise MalformedEncoding(
                 f"config keys off: missing {sorted(missing)}, extra {sorted(extra)}"
             )
         try:
-            table = tuple(int(ch) for ch in pairs["truth_table"])
-            return CertConfig(
-                target=pairs["target"],
-                n=int(pairs["n"]),
-                m=int(pairs["m"]),
-                k=int(pairs["k"]),
-                regime=pairs["regime"],
-                bound=int(pairs["bound"]),
-                seed_bits=int(pairs["seed_bits"]),
-                rounds_per_tape=int(pairs["rounds_per_tape"]),
-                nonzero_count=int(pairs["nonzero_count"]),
-                sample_width=int(pairs["sample_width"]),
-                band=int(pairs["band"]),
-                normalize=parse_bool(pairs["normalize"]),
-                det_factor_mode=pairs["det_factor_mode"],
-                truth_table=table,
-                f0_budget_bits=int(pairs["f0_budget_bits"]),
-                f1a_budget_seconds=float(pairs["f1a_budget_seconds"]),
-                f3_budget_seconds=float(pairs["f3_budget_seconds"]),
-                f4_budget_seconds=float(pairs["f4_budget_seconds"]),
-            )
+            return CertConfig(**{k: decode(pairs[k]) for k, decode in want.items()})
         except (ValueError, UsageError) as e:
             raise MalformedEncoding(f"bad config value: {e}") from None
+
+
+# field annotations are strings under `from __future__ import annotations`
+_DECODERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": parse_bool,
+    "tuple[int, ...]": lambda text: tuple(int(ch) for ch in text),
+}
 
 
 def random_truth_table(r: int, seed: int = 0) -> tuple[int, ...]:
@@ -297,13 +274,7 @@ def serialize_certificate(cert: ObstructionCertificate) -> str:
     ]
     out.extend(serialize_query(q) for q in cert.queries)
     out.append(f"points {len(cert.points)}")
-    for P in cert.points:
-        tag = (
-            f"s{P.shape[1]}"
-            if P.shape[0] == "square"
-            else f"b{P.shape[1]}x{P.shape[2]}"
-        )
-        out.append(tag + ":" + ",".join(str(v) for v in P.flatten()))
+    out.extend(serialize_point(P) for P in cert.points)
     out.append("end")
     return "".join(line + "\n" for line in out)
 

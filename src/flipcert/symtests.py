@@ -31,6 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import prod
 from typing import Sequence
 
 from .circuits import (
@@ -49,7 +51,7 @@ from .circuits import (
 )
 from .errors import ArityMismatch, UsageError
 from .fields import PrimeField, random_prime
-from .matrices import BLOCK, SQUARE, MatrixAssignment
+from .matrices import SQUARE, MatrixAssignment
 from .oracles import (
     Diagonal,
     ElementaryAdd,
@@ -228,21 +230,20 @@ def canonicalize_queries(queries: Sequence[Query]) -> tuple[Query, ...]:
     return tuple(out)
 
 
+def serialize_point(P: MatrixAssignment) -> str:
+    """`s<n>:` or `b<m>x<k>:` followed by the flattened entries."""
+    tag = f"s{P.shape[1]}" if P.shape[0] == SQUARE else f"b{P.shape[1]}x{P.shape[2]}"
+    return tag + ":" + ",".join(str(v) for v in P.flatten())
+
+
 def serialize_query(q: Query) -> str:
     def render(vals):
         return ",".join(str(v) for v in vals) if vals else "-"
 
-    pts = []
-    for P in q.points:
-        tag = (
-            f"s{P.shape[1]}"
-            if P.shape[0] == SQUARE
-            else f"b{P.shape[1]}x{P.shape[2]}"
-        )
-        pts.append(tag + ":" + ",".join(str(v) for v in P.flatten()))
+    pts = "|".join(serialize_point(P) for P in q.points)
     return (
         f"Q kind={q.kind} rel={q.relation} coeffs={render(q.coeffs)}"
-        f" params={render(q.params)} points={'|'.join(pts)}"
+        f" params={render(q.params)} points={pts}"
     )
 
 
@@ -280,28 +281,22 @@ def gen_queries_perm(
                 )
             )
         mu = tuple(_rand_entry(rng, box) for _ in range(n))
-        prod_mu = 1
-        for v in mu:
-            prod_mu *= v
         queries.append(
             Query(
                 P_DIAG_LEFT,
                 (r,) + mu,
                 REL_SCALED,
-                (prod_mu,),
+                (prod(mu),),
                 (X, apply_group(Diagonal(mu), X, "left")),
             )
         )
         nu = tuple(_rand_entry(rng, box) for _ in range(n))
-        prod_nu = 1
-        for v in nu:
-            prod_nu *= v
         queries.append(
             Query(
                 P_DIAG_RIGHT,
                 (r,) + nu,
                 REL_SCALED,
-                (prod_nu,),
+                (prod(nu),),
                 (X, apply_group(Diagonal(nu), X, "right")),
             )
         )
@@ -392,15 +387,12 @@ def gen_queries_efun(
                 )
         if corrected:
             mu = tuple(_rand_entry(rng, box) for _ in range(m))
-            det = 1
-            for v in mu:
-                det *= v
             queries.append(
                 Query(
                     E_ELEM,
                     ("diag", r) + mu,
                     REL_SCALED,
-                    (det**e,),
+                    (prod(mu) ** e,),
                     (X, apply_group(Diagonal(mu), X, "left")),
                 )
             )
@@ -590,22 +582,29 @@ def _prime_tuple(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _swap(size: int, i: int) -> list[int]:
+    """range(size) with i and i + 1 exchanged."""
+    order = list(range(size))
+    order[i], order[i + 1] = i + 1, i
+    return order
+
+
+def _grid_perm(rowmap: Sequence[int], colmap: Sequence[int]) -> list[int]:
+    """Variable permutation of a row-major grid: entry (r, c) -> (rowmap[r], colmap[c])."""
+    w = len(colmap)
+    return [rowmap[r] * w + colmap[c] for r in range(len(rowmap)) for c in range(w)]
+
+
 def _exhaustive_perm(c: Circuit, n: int, cfg: VerifyConfig) -> tuple[list[Verdict], tuple[str, ...]]:
     poly = expand_to_polynomial(c, max_terms=cfg.max_terms)
     verdicts: list[Verdict] = []
     notes = (f"expansion terms={len(poly)}",)
-
-    def var(r, col):
-        return r * n + col
+    same = list(range(n))
 
     _record(verdicts, P_NONZERO, bool(poly))
     for i in range(n - 1):
-        rowp = list(range(n * n))
-        colp = list(range(n * n))
-        for col in range(n):
-            rowp[var(i, col)], rowp[var(i + 1, col)] = var(i + 1, col), var(i, col)
-        for r in range(n):
-            colp[var(r, i)], colp[var(r, i + 1)] = var(r, i + 1), var(r, i)
+        swap = _swap(n, i)
+        rowp, colp = _grid_perm(swap, same), _grid_perm(same, swap)
         _record(verdicts, P_PERM_LEFT, poly_remap_vars(poly, rowp) == poly)
         _record(verdicts, P_PERM_RIGHT, poly_remap_vars(poly, colp) == poly)
     diags = [_prime_tuple(n)]
@@ -613,21 +612,11 @@ def _exhaustive_perm(c: Circuit, n: int, cfg: VerifyConfig) -> tuple[list[Verdic
     for _ in range(cfg.extra_diag_samples):
         diags.append(tuple(_rand_entry(rng, cfg.box()) for _ in range(n)))
     for mu in diags:
-        prod = 1
-        for v in mu:
-            prod *= v
+        scaled = poly_scaled(poly, prod(mu))
         left = [mu[v // n] for v in range(n * n)]
         right = [mu[v % n] for v in range(n * n)]
-        _record(
-            verdicts,
-            P_DIAG_LEFT,
-            poly_scale_vars(poly, left) == poly_scaled(poly, prod),
-        )
-        _record(
-            verdicts,
-            P_DIAG_RIGHT,
-            poly_scale_vars(poly, right) == poly_scaled(poly, prod),
-        )
+        _record(verdicts, P_DIAG_LEFT, poly_scale_vars(poly, left) == scaled)
+        _record(verdicts, P_DIAG_RIGHT, poly_scale_vars(poly, right) == scaled)
     if cfg.normalize:
         ident = identity_point(n).flatten()
         _record(verdicts, NORMALIZE, poly_eval(poly, ident) == 1)
@@ -665,25 +654,18 @@ def _exhaustive_efun(
     diags = [_prime_tuple(m)]
     for _ in range(cfg.extra_diag_samples):
         diags.append(tuple(_rand_entry(rng, cfg.box()) for _ in range(m)))
+    rows, cols = list(range(m)), list(range(w))
     if corrected:
         for mu in diags:
-            det = 1
-            for v in mu:
-                det *= v
             factors = [mu[v // w] for v in range(m * w)]
             _record(
                 verdicts,
                 E_ELEM,
-                poly_scale_vars(poly, factors) == poly_scaled(poly, det**e),
+                poly_scale_vars(poly, factors) == poly_scaled(poly, prod(mu) ** e),
                 (f"diag {mu}",),
             )
         for i in range(1, m):
-            perm = list(range(m * w))
-            for col in range(w):
-                perm[var(i - 1, col)], perm[var(i, col)] = (
-                    var(i, col),
-                    var(i - 1, col),
-                )
+            perm = _grid_perm(_swap(m, i - 1), cols)
             _record(
                 verdicts,
                 E_ELEM,
@@ -701,12 +683,9 @@ def _exhaustive_efun(
                 ("diag1 -1,-1",),
             )
         for j in range(3, m + 1):
-            perm = list(range(m * w))
-            dest = list(range(m))
+            dest = list(rows)
             dest[0], dest[1], dest[j - 1] = 1, j - 1, 0
-            for r in range(m):
-                for col in range(w):
-                    perm[var(r, col)] = var(dest[r], col)
+            perm = _grid_perm(dest, cols)
             _record(
                 verdicts,
                 E_ELEM,
@@ -714,8 +693,7 @@ def _exhaustive_efun(
                 (f"cycle 1,2,{j}",),
             )
     for g in k_generators(m, k):
-        dest = column_permutation(g, m, k)
-        perm = [var(v // w, dest[v % w]) for v in range(m * w)]
+        perm = _grid_perm(rows, column_permutation(g, m, k))
         _record(
             verdicts,
             E_KGEN,
@@ -750,45 +728,7 @@ def verify_claims_perm(c: Circuit, n: int, cfg: VerifyConfig | None = None) -> V
     permanent, assuming the expansion fits the term budget).
     """
     cfg = cfg or VerifyConfig()
-    if c.num_inputs != n * n:
-        raise ArityMismatch(f"circuit takes {c.num_inputs} inputs, want {n * n}")
-    with Stopwatch() as sw:
-        if cfg.mode == "exhaustive":
-            verdicts, notes = _exhaustive_perm(c, n, cfg)
-            accept = all(v.passed for v in verdicts)
-            return VerifyResult(
-                accept, "perm", "exhaustive", (n,), (), tuple(verdicts), 0.0, sw.seconds, notes
-            )
-        if cfg.mode != "sampled":
-            raise UsageError(f"unknown mode {cfg.mode!r}")
-        queries = gen_queries_perm(
-            n,
-            cfg.seed,
-            rounds=cfg.rounds,
-            box=cfg.box(),
-            nonzero_count=cfg.nonzero_count,
-            normalize=cfg.normalize,
-        )
-        report = run_queries(
-            c,
-            queries,
-            ring=cfg.ring,
-            prime_bits=cfg.prime_bits,
-            prime_count=cfg.prime_count,
-            seed=cfg.seed,
-        )
-    bound = sampled_error_bound(c.size, cfg.box(), cfg.rounds, cfg.degree_hint)
-    return VerifyResult(
-        report.accept,
-        "perm",
-        "sampled",
-        (n,),
-        queries,
-        report.verdicts,
-        bound,
-        sw.seconds,
-        (f"ring={report.mode}",),
-    )
+    return _verify_claims(c, "perm", (n,), cfg, _exhaustive_perm, gen_queries_perm)
 
 
 def verify_claims_efun(
@@ -796,59 +736,50 @@ def verify_claims_efun(
 ) -> VerifyResult:
     """Decide whether c plausibly computes the (m, k) E-function."""
     cfg = cfg or VerifyConfig()
-    if c.num_inputs != m * k * m:
-        raise ArityMismatch(
-            f"circuit takes {c.num_inputs} inputs, want {m * k * m}"
-        )
+    gen = partial(gen_queries_efun, det_factor_mode=cfg.det_factor_mode)
     notes: tuple[str, ...] = ()
     if k < 3:
         notes = ("sub-threshold k (characterization converse needs k >= 3)",)
+    return _verify_claims(c, "efun", (m, k), cfg, _exhaustive_efun, gen, notes)
+
+
+def _verify_claims(
+    c: Circuit, target: str, dims: tuple, cfg: VerifyConfig, exhaustive, gen, notes=()
+) -> VerifyResult:
+    """The body both verifiers share; `exhaustive` and `gen` take *dims first."""
+    want = dims[0] * prod(dims)  # n x n, or m x (k * m)
+    if c.num_inputs != want:
+        raise ArityMismatch(f"circuit takes {c.num_inputs} inputs, want {want}")
+    bound = 0.0
     with Stopwatch() as sw:
         if cfg.mode == "exhaustive":
-            verdicts, xnotes = _exhaustive_efun(c, m, k, cfg)
-            accept = all(v.passed for v in verdicts)
-            return VerifyResult(
-                accept,
-                "efun",
-                "exhaustive",
-                (m, k),
-                (),
-                tuple(verdicts),
-                0.0,
-                sw.seconds,
-                notes + xnotes,
+            verdicts, more = exhaustive(c, *dims, cfg)
+            accept, queries = all(v.passed for v in verdicts), ()
+        elif cfg.mode == "sampled":
+            queries = gen(
+                *dims,
+                cfg.seed,
+                rounds=cfg.rounds,
+                box=cfg.box(),
+                nonzero_count=cfg.nonzero_count,
+                normalize=cfg.normalize,
             )
-        if cfg.mode != "sampled":
+            report = run_queries(
+                c,
+                queries,
+                ring=cfg.ring,
+                prime_bits=cfg.prime_bits,
+                prime_count=cfg.prime_count,
+                seed=cfg.seed,
+            )
+            accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
+        else:
             raise UsageError(f"unknown mode {cfg.mode!r}")
-        queries = gen_queries_efun(
-            m,
-            k,
-            cfg.seed,
-            rounds=cfg.rounds,
-            box=cfg.box(),
-            nonzero_count=cfg.nonzero_count,
-            normalize=cfg.normalize,
-            det_factor_mode=cfg.det_factor_mode,
-        )
-        report = run_queries(
-            c,
-            queries,
-            ring=cfg.ring,
-            prime_bits=cfg.prime_bits,
-            prime_count=cfg.prime_count,
-            seed=cfg.seed,
-        )
-    bound = sampled_error_bound(c.size, cfg.box(), cfg.rounds, cfg.degree_hint)
+    if cfg.mode == "sampled":
+        bound = sampled_error_bound(c.size, cfg.box(), cfg.rounds, cfg.degree_hint)
     return VerifyResult(
-        report.accept,
-        "efun",
-        "sampled",
-        (m, k),
-        queries,
-        report.verdicts,
-        bound,
-        sw.seconds,
-        notes + (f"ring={report.mode}",),
+        accept, target, cfg.mode, dims, queries, tuple(verdicts), bound, sw.seconds,
+        notes + more,
     )
 
 
@@ -926,27 +857,18 @@ def perm_symmetry_nullspace(
     ]
     killed = [False] * len(monomials)
     for mu in diags:
-        prod = 1
-        for v in mu:
-            prod *= v
+        want = prod(mu)
         for i, mono in enumerate(monomials):
             for degs in (row_degrees(mono), col_degrees(mono)):
-                scale = 1
-                for r, d in enumerate(degs):
-                    scale *= mu[r] ** d
-                if scale != prod:
+                if prod(v**d for v, d in zip(mu, degs)) != want:
                     killed[i] = True
 
     # pair rows: swap invariance, c_mono = c_swapped
     pair_rows: list[tuple[int, int]] = []
+    same = list(range(n))
     for i in range(n - 1):
-        rowp = list(range(nvars))
-        colp = list(range(nvars))
-        for c in range(n):
-            rowp[(i) * n + c], rowp[(i + 1) * n + c] = (i + 1) * n + c, i * n + c
-        for r in range(n):
-            colp[r * n + i], colp[r * n + i + 1] = r * n + i + 1, r * n + i
-        for perm in (rowp, colp):
+        swap = _swap(n, i)
+        for perm in (_grid_perm(swap, same), _grid_perm(same, swap)):
             for mi, mono in enumerate(monomials):
                 img = [0] * nvars
                 for v, e in enumerate(mono):

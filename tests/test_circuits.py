@@ -17,7 +17,6 @@ from flipcert.circuits import (
     Mul,
     Sub,
     evaluate,
-    evaluate_mod_random_prime,
     expand_to_polynomial,
     parse_circuit,
     poly_constant_ratio,
@@ -119,13 +118,6 @@ def test_specialize():
     s = specialize(c, {1: 5})
     assert s.num_inputs == 1
     assert evaluate(s, (4,)) == 23
-
-
-def test_evaluate_mod_random_prime_consistent():
-    c = parse_circuit(XY_TEXT)
-    exact = evaluate(c, (1000, 2000))
-    residue, prime = evaluate_mod_random_prime(c, (1000, 2000), seed=3)
-    assert residue == exact % prime
 
 
 def test_poly_helpers():

@@ -247,6 +247,37 @@ def test_derive_cert_report(tmp_path, capsys):
     assert "points 49" in lines
 
 
+@pytest.fixture
+def label_path(tmp_path, capsys):
+    label = tmp_path / "design.hex"
+    assert main(["gen-design", "--l", "6", "--r", "3", "--kcap", "1",
+                 "--rows", "4", "--out", str(label)]) == 0
+    capsys.readouterr()
+    return str(label)
+
+
+@pytest.mark.parametrize("pair", ["bound=x", "truth_table=ab",
+                                  "f1a_budget_seconds=fast"])
+def test_derive_cert_bad_config_value_exits_2(label_path, tmp_path, capsys, pair):
+    config = tmp_path / "cert.cfg"
+    config.write_text(pair + "\n")
+    rc, out, err = run(capsys, ["derive-cert", "--design", label_path,
+                                "--config", str(config)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: bad config value")
+
+
+def test_derive_cert_config_file_overrides_flags(label_path, tmp_path, capsys):
+    config = tmp_path / "cert.cfg"
+    config.write_text("bound=5\n")
+    cert = tmp_path / "cert.txt"
+    rc, _, _ = run(capsys, ["derive-cert", "--design", label_path, "--bound", "8",
+                            "--config", str(config), "--out", str(cert)])
+    assert rc == 0
+    lines = cert.read_text().splitlines()
+    assert "bound=5" in lines and "bound=8" not in lines
+
+
 def test_decode_det2(cert_path, det2_path, capsys):
     rc, out, _ = run(capsys, ["decode", "--cert", cert_path,
                               "--circuit", det2_path])
