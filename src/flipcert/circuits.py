@@ -476,8 +476,8 @@ def poly_row_add_subst(p: Poly, pairs: Sequence[tuple[int, int]], y: int) -> Pol
             nv = out.get(key, 0) + tc
             if nv:
                 out[key] = nv
-            else:
-                del out[key]
+            else:  # tc may be 0 (y = 0), with no term at key yet
+                out.pop(key, None)
     return out
 
 

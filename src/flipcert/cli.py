@@ -132,17 +132,25 @@ def _enumerated_class(args) -> EnumeratedClass:
     )
 
 
+def _default_n(target: str) -> int:
+    """n when --n is omitted: a perm target is 2 x 2, an efun target has none."""
+    return 2 if target == "perm" else 0
+
+
 def _cert_config_from_file(path: str | None, args, design_r: int) -> CertConfig:
     """CLI-side config assembly: the dataclass defaults, overridden by the
 
     flags named after a config key, overridden in turn by the file's pairs.
-    The merged pairs are decoded as strictly as a certificate's own config
-    block; an empty truth table is then committed from --table-seed."""
-    # every key at its default; derive-cert's flags always set target and n
-    pairs = CertConfig(target="perm", n=1).pairs()
-    pairs.update((key, getattr(args, key)) for key in pairs if hasattr(args, key))
+    An n set by neither follows the merged target.  The merged pairs are
+    decoded as strictly as a certificate's own config block; an empty truth
+    table is then committed from --table-seed."""
+    defaults = CertConfig(target="perm", n=1).pairs()
+    pairs = {key: value for key, value in defaults.items() if key != "n"}
+    flags = ((key, getattr(args, key, None)) for key in defaults)
+    pairs.update((key, value) for key, value in flags if value is not None)
     if path:
         pairs.update(parse_config(_read(path)))
+    pairs.setdefault("n", _default_n(pairs["target"]))
     config = CertConfig.from_pairs(parse_config(format_config(pairs)))
     if config.truth_table:
         return config
@@ -284,16 +292,14 @@ def cmd_harness_f(args) -> int:
 
 def cmd_trivial_table(args) -> int:
     cls = _enumerated_class(args)
-    if args.target == "perm":
-        config = CertConfig(
-            target="perm", n=args.n, bound=args.bound, regime=args.regime,
-            truth_table=(0, 0), seed_bits=1,
-        )
+    if args.target == "perm":  # each target ignores the other's dimensions
+        dims = {"n": _default_n(args.target) if args.n is None else args.n}
     else:
-        config = CertConfig(
-            target="efun", m=args.m, k=args.k, bound=args.bound,
-            regime=args.regime, truth_table=(0, 0), seed_bits=1,
-        )
+        dims = {"m": args.m, "k": args.k}
+    config = CertConfig(
+        target=args.target, **dims, bound=args.bound, regime=args.regime,
+        truth_table=(0, 0), seed_bits=1,
+    )
     table = trivial_obstruction_table(cls, config)
     print(f"target {table.target_label}")
     print(f"rows {table.row_count()}")
@@ -346,6 +352,13 @@ def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ring", choices=("exact", "modular"), default="exact")
     p.add_argument("--prime-bits", type=int, default=31)
     p.add_argument("--prime-count", type=int, default=3)
+
+
+def _add_target_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", choices=("perm", "efun"), default="perm")
+    p.add_argument("--n", type=int, default=None)  # see _default_n
+    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--k", type=int, default=0)
 
 
 def _add_class_flags(p: argparse.ArgumentParser) -> None:
@@ -436,10 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive-cert", help="derive an obstruction certificate")
     p.add_argument("--design", required=True, help="hex design label file")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--target", choices=("perm", "efun"), default="perm")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
+    _add_target_flags(p)
     p.add_argument("--regime", choices=("size", "bitsize"), default="size")
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--seed-bits", type=int, default=4, dest="seed_bits")
@@ -462,10 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trivial-table", help="one counterexample row per class circuit")
     _add_class_flags(p)
-    p.add_argument("--target", choices=("perm", "efun"), default="perm")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
+    _add_target_flags(p)
     p.add_argument("--head", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_trivial_table)

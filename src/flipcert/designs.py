@@ -108,6 +108,17 @@ def forced_intersection(params: DesignParams) -> int:
     return max(0, 2 * params.r - params.l)
 
 
+def _all_rows(params: DesignParams) -> list[int]:
+    """Every r-subset of the universe as a bitmask, in combinations order."""
+    combos = combinations(range(params.l), params.r)
+    return [sum(1 << j for j in combo) for combo in combos]
+
+
+def _admissible(cand: int, rows: list[int], k_cap: int) -> bool:
+    """cand meets every chosen row in at most k_cap elements."""
+    return all(bin(cand & prev).count("1") <= k_cap for prev in rows)
+
+
 def build_design_greedy(
     params: DesignParams,
     seed: int = 0,
@@ -133,9 +144,6 @@ def build_design_greedy(
         derive_seed("design", seed, params.m_prime, params.l, params.r, params.k_cap)
     )
 
-    def admissible(cand: int, rows: list[int]) -> bool:
-        return all(bin(cand & prev).count("1") <= params.k_cap for prev in rows)
-
     def finish(rows: list[int]) -> Design:
         d = Design(params, tuple(rows))
         v = verify_design(d)
@@ -152,7 +160,7 @@ def build_design_greedy(
                 cand = 0
                 for j in rng.sample(range(params.l), params.r):
                     cand |= 1 << j
-                if admissible(cand, rows):
+                if _admissible(cand, rows, params.k_cap):
                     found = cand
                     break
             if found is None:
@@ -163,12 +171,7 @@ def build_design_greedy(
             return finish(rows)
 
     if math.comb(params.l, params.r) <= exhaustive_cap:
-        all_rows = []
-        for combo in combinations(range(params.l), params.r):
-            mask = 0
-            for j in combo:
-                mask |= 1 << j
-            all_rows.append(mask)
+        all_rows = _all_rows(params)
         visited = 0
         stack: list[int] = []
 
@@ -181,7 +184,7 @@ def build_design_greedy(
                 if visited >= backtrack_nodes:
                     return False
                 visited += 1
-                if admissible(cand, stack):
+                if _admissible(cand, stack, params.k_cap):
                     stack.append(cand)
                     if extend():
                         return True
@@ -212,13 +215,7 @@ def count_designs_exhaustive(params: DesignParams, budget: int = 5_000_000) -> i
         raise BudgetExceeded(
             f"estimated search space {est} exceeds budget {budget}"
         )
-    all_rows = []
-    for combo in combinations(range(params.l), params.r):
-        mask = 0
-        for j in combo:
-            mask |= 1 << j
-        all_rows.append(mask)
-
+    all_rows = _all_rows(params)
     count = 0
 
     def extend(chosen: list[int]):
@@ -227,9 +224,7 @@ def count_designs_exhaustive(params: DesignParams, budget: int = 5_000_000) -> i
             count += 1
             return
         for cand in all_rows:
-            if all(
-                bin(cand & prev).count("1") <= params.k_cap for prev in chosen
-            ):
+            if _admissible(cand, chosen, params.k_cap):
                 chosen.append(cand)
                 extend(chosen)
                 chosen.pop()

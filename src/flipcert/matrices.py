@@ -38,6 +38,12 @@ class MatrixAssignment:
             raise ShapeMismatch(f"block assignment needs {m} rows of length {k * m}")
         return MatrixAssignment((BLOCK, m, k), tuple(tuple(r) for r in rows))
 
+    @staticmethod
+    def from_flat(shape: tuple, values: Sequence) -> "MatrixAssignment":
+        """Inverse of flatten(): row-major values back into rows of `shape`."""
+        w = shape[1] * (shape[2] if shape[0] == BLOCK else 1)
+        return MatrixAssignment(shape, tuple(zip(*[iter(values)] * w)))  # runs of w
+
     @property
     def nrows(self) -> int:
         return self.shape[1]

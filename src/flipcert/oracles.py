@@ -10,6 +10,11 @@ Group elements are small frozen descriptors.  Left action means row
 operations (square or block, acting by an nrows-sized matrix); right action
 means column operations on squares, and the wreath-style column permutations
 (choice swaps/cycles per position, even position 3-cycles) on blocks.
+`var_map` is the one place that says how an element moves the row-major
+variables of an assignment: a destination permutation, a per-variable
+scale, or row-add pairs with their multiplier.  `apply_group` applies that
+map to a point; the exhaustive checks and the symmetry nullspace in
+`symtests` apply it to polynomials.
 """
 
 from __future__ import annotations
@@ -239,24 +244,6 @@ def det_of(g: GroupElement) -> int:
     raise UsageError(f"{type(g).__name__} does not act by a square matrix")
 
 
-def _row_permutation(g: GroupElement, n: int) -> list[int] | None:
-    """dest[r] = new index of old row r, for permutation-type elements."""
-    if isinstance(g, PermSwap):
-        if not 1 <= g.i < n:
-            raise ShapeMismatch(f"PermSwap({g.i}) needs adjacent pair within {n}")
-        dest = list(range(n))
-        dest[g.i - 1], dest[g.i] = dest[g.i], dest[g.i - 1]
-        return dest
-    if isinstance(g, RowCycle):
-        a, b, c = g.a - 1, g.b - 1, g.c - 1
-        if len({a, b, c}) != 3 or not all(0 <= v < n for v in (a, b, c)):
-            raise ShapeMismatch(f"RowCycle{(g.a, g.b, g.c)} invalid for size {n}")
-        dest = list(range(n))
-        dest[a], dest[b], dest[c] = b, c, a
-        return dest
-    return None
-
-
 def column_permutation(g: GroupElement, m: int, k: int) -> tuple[int, ...]:
     """The permutation of the k*m block columns induced by a wreath element.
 
@@ -293,41 +280,45 @@ def column_permutation(g: GroupElement, m: int, k: int) -> tuple[int, ...]:
     raise ShapeMismatch(f"{type(g).__name__} is not a block column action")
 
 
-def apply_group(g: GroupElement, X: MatrixAssignment, side: str) -> MatrixAssignment:
-    """Act on an assignment; 'left' = rows, 'right' = columns."""
+def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
+    """How g moves the row-major variables x_v of an assignment of `shape`.
+
+    Returns (dest, scale, add), each None unless g uses it.  Acting by g
+    first does x_d += y * x_s for every (d, s) in pairs, where add = (pairs,
+    y); then multiplies each x_v by scale[v]; then moves x_v to index
+    dest[v].  'left' acts on rows, 'right' on columns.
+    """
     if side not in ("left", "right"):
         raise UsageError(f"side must be 'left' or 'right', got {side!r}")
-    rows = [list(r) for r in X.entries]
-    n_rows, n_cols = len(rows), len(rows[0])
+    block = shape[0] == BLOCK
+    nrows = shape[1]
+    ncols = nrows * shape[2] if block else nrows
 
     if isinstance(g, _K_KINDS):
-        if side != "right" or X.shape[0] != BLOCK:
+        if side != "right" or not block:
             raise ShapeMismatch(
                 f"{type(g).__name__} acts on block columns from the right"
             )
-        _, m, k = X.shape
-        dest = column_permutation(g, m, k)
-        out = [[None] * n_cols for _ in range(n_rows)]
-        for c in range(n_cols):
-            for r in range(n_rows):
-                out[r][dest[c]] = rows[r][c]
-        return MatrixAssignment(X.shape, tuple(tuple(r) for r in out))
+        cols = column_permutation(g, *shape[1:])
+        return tuple([r * ncols + c for r in range(nrows) for c in cols]), None, None
 
-    if side == "right" and X.shape[0] == BLOCK:
+    if side == "right" and block:
         raise ShapeMismatch("right action on a block uses the wreath generators")
 
-    dim = n_rows if side == "left" else n_cols
-    perm = _row_permutation(g, dim)
-    if perm is not None:
-        out = [[None] * n_cols for _ in range(n_rows)]
-        if side == "left":
-            for r in range(n_rows):
-                out[perm[r]] = rows[r]
+    dim = nrows if side == "left" else ncols
+    if isinstance(g, (PermSwap, RowCycle)):
+        line = list(range(dim))  # line[r] = new index of old row (column) r
+        if isinstance(g, PermSwap):
+            if not 1 <= g.i < dim:
+                raise ShapeMismatch(f"PermSwap({g.i}) needs adjacent pair within {dim}")
+            line[g.i - 1], line[g.i] = g.i, g.i - 1
         else:
-            for c in range(n_cols):
-                for r in range(n_rows):
-                    out[r][perm[c]] = rows[r][c]
-        return MatrixAssignment(X.shape, tuple(tuple(r) for r in out))
+            a, b, c = g.a - 1, g.b - 1, g.c - 1
+            if len({a, b, c}) != 3 or not all(0 <= v < dim for v in (a, b, c)):
+                raise ShapeMismatch(f"RowCycle{(g.a, g.b, g.c)} invalid for size {dim}")
+            line[a], line[b], line[c] = b, c, a
+        rows, cols = (line, range(ncols)) if side == "left" else (range(nrows), line)
+        return tuple([r * ncols + c for r in rows for c in cols]), None, None
 
     if isinstance(g, Diagonal):
         if len(g.entries) != dim:
@@ -335,27 +326,38 @@ def apply_group(g: GroupElement, X: MatrixAssignment, side: str) -> MatrixAssign
                 f"diagonal of length {len(g.entries)} against dimension {dim}"
             )
         if side == "left":
-            out = [[g.entries[r] * v for v in rows[r]] for r in range(n_rows)]
-        else:
-            out = [[g.entries[c] * rows[r][c] for c in range(n_cols)] for r in range(n_rows)]
-        return MatrixAssignment(X.shape, tuple(tuple(r) for r in out))
+            return None, tuple([d for d in g.entries for _ in range(ncols)]), None
+        return None, tuple(g.entries) * nrows, None
 
     if isinstance(g, ElementaryAdd):
         i, j = g.i - 1, g.j - 1
         if i == j or not (0 <= i < dim and 0 <= j < dim):
             raise ShapeMismatch(f"ElementaryAdd({g.i},{g.j}) against dimension {dim}")
-        if side == "left":
-            # row i += y * row j
-            out = rows
-            out[i] = [out[i][c] + g.y * out[j][c] for c in range(n_cols)]
-        else:
-            # col j += y * col i
-            out = rows
-            for r in range(n_rows):
-                out[r][j] = out[r][j] + g.y * out[r][i]
-        return MatrixAssignment(X.shape, tuple(tuple(r) for r in out))
+        if side == "left":  # row i += y * row j
+            pairs = tuple([(i * ncols + c, j * ncols + c) for c in range(ncols)])
+        else:  # column j += y * column i
+            pairs = tuple([(r * ncols + j, r * ncols + i) for r in range(nrows)])
+        return None, None, (pairs, g.y)
 
     raise ShapeMismatch(f"unsupported action {type(g).__name__} on side {side!r}")
+
+
+def apply_group(g: GroupElement, X: MatrixAssignment, side: str) -> MatrixAssignment:
+    """Act on an assignment; 'left' = rows, 'right' = columns."""
+    dest, scale, add = var_map(g, X.shape, side)
+    vals = [v for row in X.entries for v in row]
+    if add is not None:
+        pairs, y = add
+        for d, s in pairs:
+            vals[d] = vals[d] + y * vals[s]
+    if scale is not None:
+        vals = [f * v for f, v in zip(scale, vals)]
+    if dest is not None:
+        moved = [None] * len(vals)
+        for v, d in zip(vals, dest):
+            moved[d] = v
+        vals = moved
+    return MatrixAssignment.from_flat(X.shape, vals)
 
 
 def k_generators(m: int, k: int) -> tuple[GroupElement, ...]:

@@ -23,7 +23,8 @@ primes.  Exhaustive mode replaces sampling with exact identity checks on
 the circuit's sparse expansion, with diagonal test vectors anchored at
 distinct primes; for this class of identities that makes the check sound,
 not just probabilistic (multiplicative independence forces the degree
-vectors exactly).
+vectors exactly).  Both modes, and the nullspace, move variables by the
+one map `oracles.var_map` gives each group element.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import prod
 from typing import Sequence
 
@@ -51,15 +52,15 @@ from .circuits import (
 )
 from .errors import ArityMismatch, UsageError
 from .fields import PrimeField, random_prime
-from .matrices import SQUARE, MatrixAssignment
+from .matrices import BLOCK, SQUARE, MatrixAssignment
 from .oracles import (
     Diagonal,
     ElementaryAdd,
     PermSwap,
     RowCycle,
     apply_group,
-    column_permutation,
     k_generators,
+    var_map,
 )
 from .pit import pit_error_bound as sampled_error_bound
 from .util import Stopwatch, derive_seed
@@ -77,6 +78,9 @@ E_ELEM = "EElem"
 E_KGEN = "EKGen"
 E_PRIMARY_VANISH = "EPrimaryVanish"
 NORMALIZE = "Normalize"
+
+MAX_TERMS = 200_000  # expansion budget of the exhaustive checks
+EXTRA_DIAGONALS = 2  # sampled diagonals beyond the prime one, per check set
 
 # relations between the evaluations v_0, v_1, ... of a query's points
 REL_NONZERO = "nonzero"  # v0 != 0
@@ -123,9 +127,6 @@ class VerifyConfig:
     prime_bits: int = 31
     prime_count: int = 3
     det_factor_mode: str = "det-corrected"  # "det-corrected" | "literal"
-    degree_hint: int | None = None
-    max_terms: int = 200_000
-    extra_diag_samples: int = 2
 
     def box(self) -> tuple[int, int]:
         return (1, 1 << self.sample_width)
@@ -461,17 +462,24 @@ def gen_queries_efun(
     return canonicalize_queries(queries)
 
 
-def _primary_vanish_point(rng, m, k, box) -> MatrixAssignment:
-    """Random block point whose primary submatrix is visibly singular:
+def _primary_vanish_bindings(m: int, k: int) -> dict[int, int]:
+    """Row-major positions and values that make the primary submatrix
 
-    choice-1 columns at positions below m are unit vectors, and the m-th
-    entry of the choice-1 column at position m is zero."""
-    rows = [[_rand_entry(rng, box) for _ in range(k * m)] for _ in range(m)]
-    for pos in range(m - 1):
-        for r in range(m):
-            rows[r][pos * k] = 1 if r == pos else 0
-    rows[m - 1][(m - 1) * k] = 0
-    return MatrixAssignment.block(m, k, rows)
+    visibly singular: choice-1 columns at positions below m are unit
+    vectors, and the m-th entry of the choice-1 column at position m is
+    zero."""
+    w = k * m
+    out = {r * w + pos * k: int(r == pos) for pos in range(m - 1) for r in range(m)}
+    out[(m - 1) * w + (m - 1) * k] = 0
+    return out
+
+
+def _primary_vanish_point(rng, m, k, box) -> MatrixAssignment:
+    """Random block point with the primary-vanish bindings imposed."""
+    vals = [_rand_entry(rng, box) for _ in range(k * m * m)]
+    for v, val in _primary_vanish_bindings(m, k).items():
+        vals[v] = val
+    return MatrixAssignment.from_flat((BLOCK, m, k), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -582,137 +590,124 @@ def _prime_tuple(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _swap(size: int, i: int) -> list[int]:
-    """range(size) with i and i + 1 exchanged."""
-    order = list(range(size))
-    order[i], order[i + 1] = i + 1, i
-    return order
+def _diagonals(size: int, rng: random.Random, box: tuple[int, int]) -> list[tuple]:
+    """The prime diagonal, then EXTRA_DIAGONALS drawn from the box."""
+    return [_prime_tuple(size)] + [
+        tuple(_rand_entry(rng, box) for _ in range(size)) for _ in range(EXTRA_DIAGONALS)
+    ]
 
 
-def _grid_perm(rowmap: Sequence[int], colmap: Sequence[int]) -> list[int]:
-    """Variable permutation of a row-major grid: entry (r, c) -> (rowmap[r], colmap[c])."""
-    w = len(colmap)
-    return [rowmap[r] * w + colmap[c] for r in range(len(rowmap)) for c in range(w)]
+def acted(p: dict, vmap: tuple) -> dict:
+    """The polynomial whose value at X is p(g X), for vmap = var_map(g, ...)."""
+    dest, scale, add = vmap
+    if dest is not None:
+        inverse = [0] * len(dest)
+        for v, d in enumerate(dest):
+            inverse[d] = v
+        p = poly_remap_vars(p, inverse)
+    if scale is not None:
+        p = poly_scale_vars(p, scale)
+    if add is not None:
+        p = poly_row_add_subst(p, *add)
+    return p
+
+
+def _suite(shape: tuple, checks) -> tuple:
+    """The (kind, note, element, side, factor) checks as (kind, note, var
+
+    map, factor); the check passes iff p(g X) == factor * p(X)."""
+    return tuple(
+        (kind, note, var_map(g, shape, side), factor)
+        for kind, note, g, side, factor in checks
+    )
+
+
+# The suites depend only on the dimensions and the config, so a class sweep
+# builds each once and applies it to every member's expansion.
+
+
+@lru_cache(maxsize=8)
+def _perm_suite(n: int, cfg: VerifyConfig) -> tuple:
+    """Row/column swap invariance, then both diagonal laws per diagonal."""
+    checks = []
+    for i in range(1, n):
+        checks.append((P_PERM_LEFT, (), PermSwap(i), "left", 1))
+        checks.append((P_PERM_RIGHT, (), PermSwap(i), "right", 1))
+    rng = random.Random(derive_seed("Pexh", n, cfg.seed))
+    for mu in _diagonals(n, rng, cfg.box()):
+        checks.append((P_DIAG_LEFT, (), Diagonal(mu), "left", prod(mu)))
+        checks.append((P_DIAG_RIGHT, (), Diagonal(mu), "right", prod(mu)))
+    return _suite((SQUARE, n), checks)
+
+
+@lru_cache(maxsize=8)
+def _efun_suite(m: int, k: int, cfg: VerifyConfig) -> tuple:
+    """Row additions at y = 1 and a drawn y, the det-mode row laws, then the
+
+    column wreath generators."""
+    e = k**m
+    rng = random.Random(derive_seed("Eexh", m, k, cfg.seed))
+    checks = []
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            if i != j:
+                for y in (1, _rand_entry(rng, cfg.box())):
+                    checks.append(
+                        (E_ELEM, (f"add {i},{j} y={y}",), ElementaryAdd(i, j, y), "left", 1)
+                    )
+    if cfg.det_factor_mode == "det-corrected":
+        for mu in _diagonals(m, rng, cfg.box()):
+            checks.append((E_ELEM, (f"diag {mu}",), Diagonal(mu), "left", prod(mu) ** e))
+        for i in range(1, m):
+            checks.append((E_ELEM, (f"swap {i}",), PermSwap(i), "left", (-1) ** e))
+    else:
+        if m >= 2:
+            mu = (-1, -1) + (1,) * (m - 2)
+            checks.append((E_ELEM, ("diag1 -1,-1",), Diagonal(mu), "left", 1))
+        for j in range(3, m + 1):
+            checks.append((E_ELEM, (f"cycle 1,2,{j}",), RowCycle(1, 2, j), "left", 1))
+    for g in k_generators(m, k):
+        checks.append((E_KGEN, (type(g).__name__,), g, "right", 1))
+    return _suite((BLOCK, m, k), checks)
+
+
+def _check_suite(verdicts: list[Verdict], poly: dict, suite: tuple) -> None:
+    """Record, per check, whether p(g X) == factor * p(X) identically."""
+    expected = {1: poly}
+    for kind, note, vmap, factor in suite:
+        want = expected.get(factor)
+        if want is None:
+            want = expected[factor] = poly_scaled(poly, factor)
+        _record(verdicts, kind, acted(poly, vmap) == want, note)
 
 
 def _exhaustive_perm(c: Circuit, n: int, cfg: VerifyConfig) -> tuple[list[Verdict], tuple[str, ...]]:
-    poly = expand_to_polynomial(c, max_terms=cfg.max_terms)
+    poly = expand_to_polynomial(c, max_terms=MAX_TERMS)
     verdicts: list[Verdict] = []
-    notes = (f"expansion terms={len(poly)}",)
-    same = list(range(n))
-
     _record(verdicts, P_NONZERO, bool(poly))
-    for i in range(n - 1):
-        swap = _swap(n, i)
-        rowp, colp = _grid_perm(swap, same), _grid_perm(same, swap)
-        _record(verdicts, P_PERM_LEFT, poly_remap_vars(poly, rowp) == poly)
-        _record(verdicts, P_PERM_RIGHT, poly_remap_vars(poly, colp) == poly)
-    diags = [_prime_tuple(n)]
-    rng = random.Random(derive_seed("Pexh", n, cfg.seed))
-    for _ in range(cfg.extra_diag_samples):
-        diags.append(tuple(_rand_entry(rng, cfg.box()) for _ in range(n)))
-    for mu in diags:
-        scaled = poly_scaled(poly, prod(mu))
-        left = [mu[v // n] for v in range(n * n)]
-        right = [mu[v % n] for v in range(n * n)]
-        _record(verdicts, P_DIAG_LEFT, poly_scale_vars(poly, left) == scaled)
-        _record(verdicts, P_DIAG_RIGHT, poly_scale_vars(poly, right) == scaled)
+    _check_suite(verdicts, poly, _perm_suite(n, cfg))
     if cfg.normalize:
         ident = identity_point(n).flatten()
         _record(verdicts, NORMALIZE, poly_eval(poly, ident) == 1)
-    return verdicts, notes
+    return verdicts, (f"expansion terms={len(poly)}",)
 
 
 def _exhaustive_efun(
     c: Circuit, m: int, k: int, cfg: VerifyConfig
 ) -> tuple[list[Verdict], tuple[str, ...]]:
-    poly = expand_to_polynomial(c, max_terms=cfg.max_terms)
+    poly = expand_to_polynomial(c, max_terms=MAX_TERMS)
     verdicts: list[Verdict] = []
-    notes = (f"expansion terms={len(poly)}",)
-    e = k**m
-    w = k * m
-
-    def var(r, col):
-        return r * w + col
-
-    corrected = cfg.det_factor_mode == "det-corrected"
-    rng = random.Random(derive_seed("Eexh", m, k, cfg.seed))
-
     _record(verdicts, E_NONZERO, bool(poly))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for y in (1, _rand_entry(rng, cfg.box())):
-                pairs = [(var(i, col), var(j, col)) for col in range(w)]
-                _record(
-                    verdicts,
-                    E_ELEM,
-                    poly_row_add_subst(poly, pairs, y) == poly,
-                    (f"add {i + 1},{j + 1} y={y}",),
-                )
-    diags = [_prime_tuple(m)]
-    for _ in range(cfg.extra_diag_samples):
-        diags.append(tuple(_rand_entry(rng, cfg.box()) for _ in range(m)))
-    rows, cols = list(range(m)), list(range(w))
-    if corrected:
-        for mu in diags:
-            factors = [mu[v // w] for v in range(m * w)]
-            _record(
-                verdicts,
-                E_ELEM,
-                poly_scale_vars(poly, factors) == poly_scaled(poly, prod(mu) ** e),
-                (f"diag {mu}",),
-            )
-        for i in range(1, m):
-            perm = _grid_perm(_swap(m, i - 1), cols)
-            _record(
-                verdicts,
-                E_ELEM,
-                poly_remap_vars(poly, perm) == poly_scaled(poly, (-1) ** e),
-                (f"swap {i}",),
-            )
-    else:
-        if m >= 2:
-            entries = [-1, -1] + [1] * (m - 2)
-            factors = [entries[v // w] for v in range(m * w)]
-            _record(
-                verdicts,
-                E_ELEM,
-                poly_scale_vars(poly, factors) == poly,
-                ("diag1 -1,-1",),
-            )
-        for j in range(3, m + 1):
-            dest = list(rows)
-            dest[0], dest[1], dest[j - 1] = 1, j - 1, 0
-            perm = _grid_perm(dest, cols)
-            _record(
-                verdicts,
-                E_ELEM,
-                poly_remap_vars(poly, perm) == poly,
-                (f"cycle 1,2,{j}",),
-            )
-    for g in k_generators(m, k):
-        perm = _grid_perm(rows, column_permutation(g, m, k))
-        _record(
-            verdicts,
-            E_KGEN,
-            poly_remap_vars(poly, perm) == poly,
-            (type(g).__name__,),
-        )
-    bindings: dict[int, int] = {}
-    for pos in range(m - 1):
-        for r in range(m):
-            bindings[var(r, pos * k)] = 1 if r == pos else 0
-    bindings[var(m - 1, (m - 1) * k)] = 0
-    _record(verdicts, E_PRIMARY_VANISH, poly_subst_consts(poly, bindings) == {})
+    _check_suite(verdicts, poly, _efun_suite(m, k, cfg))
+    vanish = poly_subst_consts(poly, _primary_vanish_bindings(m, k))
+    _record(verdicts, E_PRIMARY_VANISH, vanish == {})
     if cfg.normalize:
         _record(
             verdicts,
             NORMALIZE,
             poly_eval(poly, unit_columns_point(m, k).flatten()) == 1,
         )
-    return verdicts, notes
+    return verdicts, (f"expansion terms={len(poly)}",)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +771,7 @@ def _verify_claims(
         else:
             raise UsageError(f"unknown mode {cfg.mode!r}")
     if cfg.mode == "sampled":
-        bound = sampled_error_bound(c.size, cfg.box(), cfg.rounds, cfg.degree_hint)
+        bound = sampled_error_bound(c.size, cfg.box(), cfg.rounds)
     return VerifyResult(
         accept, target, cfg.mode, dims, queries, tuple(verdicts), bound, sw.seconds,
         notes + more,
@@ -820,9 +815,7 @@ def _monomials_up_to(nvars: int, degree: int):
     yield from rec([], degree, nvars)
 
 
-def perm_symmetry_nullspace(
-    n: int, extra_diag_samples: int = 2, seed: int = 0
-) -> NullspaceResult:
+def perm_symmetry_nullspace(n: int, seed: int = 0) -> NullspaceResult:
     """Solution space of the symmetry constraints on coefficient vectors of
 
     polynomials of total degree <= n in the n x n matrix entries.
@@ -834,45 +827,34 @@ def perm_symmetry_nullspace(
     spanned by the permanent's coefficient vector.
     """
     nvars = n * n
+    shape = (SQUARE, n)
     monomials = list(_monomials_up_to(nvars, n))
     index = {mono: i for i, mono in enumerate(monomials)}
-
-    def row_degrees(mono):
-        degs = [0] * n
-        for v, e in enumerate(mono):
-            degs[v // n] += e
-        return degs
-
-    def col_degrees(mono):
-        degs = [0] * n
-        for v, e in enumerate(mono):
-            degs[v % n] += e
-        return degs
 
     # unit rows: diagonal scaling at primes and sampled points
     rng = random.Random(derive_seed("nullspace", n, seed))
     diags = [_prime_tuple(n)] + [
         tuple(rng.randrange(2, 1 << 30) for _ in range(n))
-        for _ in range(extra_diag_samples)
+        for _ in range(EXTRA_DIAGONALS)
     ]
     killed = [False] * len(monomials)
     for mu in diags:
         want = prod(mu)
-        for i, mono in enumerate(monomials):
-            for degs in (row_degrees(mono), col_degrees(mono)):
-                if prod(v**d for v, d in zip(mu, degs)) != want:
+        for side in ("left", "right"):
+            _, scale, _ = var_map(Diagonal(mu), shape, side)
+            for i, mono in enumerate(monomials):
+                if prod(f**e for f, e in zip(scale, mono)) != want:
                     killed[i] = True
 
     # pair rows: swap invariance, c_mono = c_swapped
     pair_rows: list[tuple[int, int]] = []
-    same = list(range(n))
-    for i in range(n - 1):
-        swap = _swap(n, i)
-        for perm in (_grid_perm(swap, same), _grid_perm(same, swap)):
+    for i in range(1, n):
+        for side in ("left", "right"):
+            dest, _, _ = var_map(PermSwap(i), shape, side)
             for mi, mono in enumerate(monomials):
                 img = [0] * nvars
                 for v, e in enumerate(mono):
-                    img[perm[v]] = e
+                    img[dest[v]] = e
                 mj = index[tuple(img)]
                 if mi < mj:
                     pair_rows.append((mi, mj))

@@ -134,6 +134,8 @@ def test_poly_row_add_subst_binomial():
     poly = {(2, 0): 1}
     out = poly_row_add_subst(poly, [(0, 1)], 3)
     assert out == {(2, 0): 1, (1, 1): 6, (0, 2): 9}
+    # y = 0 is the identity substitution (it used to raise KeyError)
+    assert poly_row_add_subst(poly, [(0, 1)], 0) == poly
 
 
 def test_poly_constant_ratio():

@@ -278,6 +278,25 @@ def test_derive_cert_config_file_overrides_flags(label_path, tmp_path, capsys):
     assert "bound=5" in lines and "bound=8" not in lines
 
 
+def test_derive_cert_efun_flags_without_n(label_path, capsys):
+    # an omitted --n follows the target: 0 for efun, 2 for perm
+    rc, out, err = run(capsys, ["derive-cert", "--design", label_path,
+                                "--target", "efun", "--m", "2", "--k", "2"])
+    assert rc == 0, err
+    assert out.splitlines()[0] == "target efun(2,2)"
+
+
+def test_derive_cert_efun_config_file_without_n(label_path, tmp_path, capsys):
+    config = tmp_path / "cert.cfg"
+    config.write_text("target=efun\nm=2\nk=2\n")
+    cert = tmp_path / "cert.txt"
+    rc, out, err = run(capsys, ["derive-cert", "--design", label_path,
+                                "--config", str(config), "--out", str(cert)])
+    assert rc == 0, err
+    assert out.splitlines()[0] == "target efun(2,2)"
+    assert "n=0" in cert.read_text().splitlines()
+
+
 def test_decode_det2(cert_path, det2_path, capsys):
     rc, out, _ = run(capsys, ["decode", "--cert", cert_path,
                               "--circuit", det2_path])

@@ -7,13 +7,31 @@ multiples (break only normalization), and monomials posing as E.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
-from flipcert.circuits import expand_to_polynomial, parse_circuit
+from flipcert.circuits import expand_to_polynomial, parse_circuit, poly_eval
 from flipcert.errors import ArityMismatch, UsageError
+from flipcert.matrices import BLOCK, SQUARE, MatrixAssignment
+from flipcert.oracles import (
+    ColCycle,
+    ColSwap,
+    Diagonal,
+    ElementaryAdd,
+    PermSwap,
+    PosThreeCycle,
+    RowCycle,
+    apply_group,
+    var_map,
+)
+from flipcert.pit import EnumeratedClass
 from flipcert.symtests import (
     VerifyConfig,
+    acted,
     canonicalize_queries,
     gen_queries_efun,
     gen_queries_perm,
@@ -202,3 +220,121 @@ def test_nullspace_dimension_one_n3():
 def test_verify_rejects_bad_mode():
     with pytest.raises(UsageError):
         verify_claims_perm(perm_circuit(2), 2, VerifyConfig(mode="psychic"))
+
+
+# ---------------------------------------------------------------------------
+# one variable map per group element
+
+
+def _line_elements(dim: int, rng: random.Random) -> list:
+    """Every row (left) or column (right) element on a line of length dim."""
+    lines = range(1, dim + 1)
+    out: list = [PermSwap(i) for i in range(1, dim)]
+    out += [RowCycle(*t) for t in itertools.permutations(lines, 3)]
+    out.append(Diagonal(tuple(rng.randrange(-5, 6) for _ in lines)))
+    for i, j in itertools.permutations(lines, 2):
+        out.append(ElementaryAdd(i, j, rng.randrange(-5, 6)))
+    return out
+
+
+def _wreath_elements(m: int, k: int) -> list:
+    out: list = [ColCycle(i) for i in range(1, m + 1)]
+    if k >= 2:
+        out += [ColSwap(i) for i in range(1, m + 1)]
+    out += [PosThreeCycle(*t) for t in itertools.permutations(range(1, m + 1), 3)]
+    return out
+
+
+def _actions():
+    """(shape, element, side) for every kind, both sides, square and block."""
+    rng = random.Random(41)
+    for n in (1, 2, 3, 4):
+        for side in ("left", "right"):
+            for g in _line_elements(n, rng):
+                yield (SQUARE, n), g, side
+    for m, k in ((1, 2), (2, 2), (3, 2), (2, 3), (4, 3)):
+        for g in _line_elements(m, rng):
+            yield (BLOCK, m, k), g, "left"
+        for g in _wreath_elements(m, k):
+            yield (BLOCK, m, k), g, "right"
+
+
+def _random_poly(rng: random.Random, nvars: int) -> dict:
+    return {
+        tuple(rng.choice((0, 0, 1, 2)) for _ in range(nvars)): rng.randrange(-9, 10) or 1
+        for _ in range(5)
+    }
+
+
+def test_acted_polynomial_is_p_of_g_x():
+    # the polynomial side and the point side read the same map, in the same
+    # direction: acted(p, map)(X) == p(g X), also for the 3-cycles
+    rng = random.Random(42)
+    seen = set()
+    for shape, g, side in _actions():
+        seen.add((shape[0], type(g).__name__, side))
+        nvars = shape[1] * shape[1] * (shape[2] if shape[0] == BLOCK else 1)
+        vmap = var_map(g, shape, side)
+        for _ in range(3):
+            p = _random_poly(rng, nvars)
+            point = [rng.randrange(-9, 10) for _ in range(nvars)]
+            X = MatrixAssignment.from_flat(shape, point)
+            want = poly_eval(p, apply_group(g, X, side).flatten())
+            assert poly_eval(acted(p, vmap), X.flatten()) == want, (shape, g, side)
+    kinds = ("PermSwap", "RowCycle", "Diagonal", "ElementaryAdd")
+    for kind, side in itertools.product(kinds, ("left", "right")):
+        assert (SQUARE, kind, side) in seen
+    for kind in kinds:
+        assert (BLOCK, kind, "left") in seen
+    for kind in ("ColSwap", "ColCycle", "PosThreeCycle"):
+        assert (BLOCK, kind, "right") in seen
+
+
+def _exhaustive_digest(cls, verify, cfg) -> tuple[int, int, str]:
+    """(accepted members, passing verdicts, digest of every verdict and note)."""
+    h = hashlib.sha256()
+    accepted = passed = 0
+    for c in cls.members():
+        res = verify(c, cfg)
+        accepted += res.accept
+        passed += sum(v.passed for v in res.verdicts)
+        for v in res.verdicts:
+            h.update(f"{v.index} {v.kind} {v.passed} {' '.join(v.witness)}\n".encode())
+        h.update(("notes " + "|".join(res.notes) + "\n").encode())
+    return accepted, passed, h.hexdigest()[:16]
+
+
+def _perm2(c, cfg):
+    return verify_claims_perm(c, 2, cfg)
+
+
+def _efun22(c, cfg):
+    return verify_claims_efun(c, 2, 2, cfg)
+
+
+# Frozen from the implementation that spelled each check's variable moves
+# out by hand; the classes are the bound-3 ones over 4 and 8 inputs.
+@pytest.mark.parametrize(
+    "ninputs, verify, cfg, frozen",
+    [
+        (4, _perm2, VerifyConfig(mode="exhaustive", normalize=False),
+         (0, 914, "bb627cd4d75b425e")),
+        (4, _perm2, VerifyConfig(mode="exhaustive"), (0, 963, "e35ff14682768113")),
+        (8, _efun22, VerifyConfig(mode="exhaustive"), (0, 2906, "63548ca3b6374957")),
+        (8, _efun22, VerifyConfig(mode="exhaustive", det_factor_mode="literal"),
+         (0, 2639, "3c8873bb10035de5")),
+    ],
+)
+def test_exhaustive_verdicts_frozen(ninputs, verify, cfg, frozen):
+    cls = EnumeratedClass(ninputs, 3, (-1, 0, 1))
+    assert _exhaustive_digest(cls, verify, cfg) == frozen
+
+
+@pytest.mark.parametrize(
+    "n, frozen",
+    [(2, (1, 13, 15, "692f1e64ee63e7ea")), (3, (1, 214, 220, "bea82d648aaf470b"))],
+)
+def test_nullspace_frozen(n, frozen):
+    res = perm_symmetry_nullspace(n)
+    basis = hashlib.sha256(repr(sorted(res.basis[0].items())).encode()).hexdigest()[:16]
+    assert (res.dim, res.forced_zero, len(res.monomials), basis) == frozen
