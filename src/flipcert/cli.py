@@ -292,13 +292,10 @@ def cmd_harness_f(args) -> int:
 
 def cmd_trivial_table(args) -> int:
     cls = _enumerated_class(args)
-    if args.target == "perm":  # each target ignores the other's dimensions
-        dims = {"n": _default_n(args.target) if args.n is None else args.n}
-    else:
-        dims = {"m": args.m, "k": args.k}
+    n = _default_n(args.target) if args.n is None else args.n
     config = CertConfig(
-        target=args.target, **dims, bound=args.bound, regime=args.regime,
-        truth_table=(0, 0), seed_bits=1,
+        target=args.target, n=n, m=args.m, k=args.k, bound=args.bound,
+        regime=args.regime, truth_table=(0, 0), seed_bits=1,
     )
     table = trivial_obstruction_table(cls, config)
     print(f"target {table.target_label}")

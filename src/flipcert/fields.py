@@ -16,22 +16,28 @@ from typing import Iterator, Sequence
 
 from .errors import ParseError, SingularTraceForm, UsageError
 
-# Witness set is deterministic for n < 3.3e24, far beyond desk-scale moduli.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first prime bases is deterministic below the
+# smallest strong pseudoprime to all of them: psi_4 = 3,215,031,751 for
+# 2, 3, 5, 7 (every 31-bit number), psi_13 = 3,317,044,064,679,887,385,961,981
+# for 2..41.  Above psi_13, which an 82-bit --prime-bits can reach, the test
+# is probabilistic.
+_MR_SMALL_BOUND = 3_215_031_751
+_MR_SMALL = (2, 3, 5, 7)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the integer sizes used here."""
+    """Miller-Rabin, deterministic below psi_13 (see _MR_WITNESSES)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_SMALL if n < _MR_SMALL_BOUND else _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

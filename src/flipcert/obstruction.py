@@ -369,14 +369,14 @@ def decode_counterexample(cert: ObstructionCertificate, c: Circuit) -> DecodeRes
     _class_membership(cert.config, c)
     prog = lower(c)
     for idx, q in enumerate(cert.queries):
-        flats = [P.flatten() for P in q.points]
-        if query_verdict(prog, q, flats)[0]:
+        passed, vals = query_verdict(q, [run(prog, P.flatten()) for P in q.points])
+        if passed:
             continue
         direct = None
         if cert.config.target == "perm":
             direct = tuple(
-                run(prog, f) != permanent([list(row) for row in P.entries])
-                for f, P in zip(flats, q.points)
+                v != permanent([list(row) for row in P.entries])
+                for v, P in zip(vals, q.points)
             )
         return DecodeResult(idx, q, q.points, direct)
     raise NoFailingQuery(f"certificate does not obstruct this circuit ({c.size} nodes)")

@@ -32,6 +32,7 @@ from .circuits import (
     expand_to_polynomial,
     lower,
     run,
+    run_many,
 )
 from .errors import ArityMismatch, BudgetExceeded, ParseError, PoolExhausted, UsageError
 from .fields import int_bitlength
@@ -352,10 +353,9 @@ def build_hitting_set_greedy(
             raise ArityMismatch(
                 f"member {mi} takes {c.num_inputs} inputs, class has {cls.num_inputs}"
             )
-        prog = lower(c)
         bit = 1 << mi
-        for j, pt in enumerate(pool):
-            if run(prog, pt):
+        for j, v in enumerate(run_many(lower(c), pool)):
+            if v:
                 hits[j] |= bit
     want = (1 << len(members)) - 1
     covered = 0

@@ -38,7 +38,6 @@ from typing import Sequence
 
 from .circuits import (
     Circuit,
-    Program,
     evaluate,  # noqa: F401  (perfbench's tracer test expects it bound here)
     expand_to_polynomial,
     lower,
@@ -48,10 +47,10 @@ from .circuits import (
     poly_scale_vars,
     poly_scaled,
     poly_subst_consts,
-    run,
+    run_many,
 )
 from .errors import ArityMismatch, UsageError
-from .fields import PrimeField, random_prime
+from .fields import random_prime
 from .matrices import BLOCK, SQUARE, MatrixAssignment
 from .oracles import (
     Diagonal,
@@ -507,24 +506,24 @@ def _relation_holds(q: Query, vals: Sequence[int], p: int = 0) -> bool:
 
 
 def query_verdict(
-    prog: Program, q: Query, flats: Sequence[tuple], moduli: Sequence[int] = (0,)
+    q: Query, vals: Sequence[int], moduli: Sequence[int] = (0,)
 ) -> tuple[bool, list]:
-    """(passed, values) for one query against a lowered circuit.
+    """(passed, values) for one query, given the circuit's values at its points.
 
-    `flats` are the query's points flattened, already checked against the
-    circuit's arity.  The modulus 0 compares exact values.  Over primes, the
-    nonzero relation passes at the first prime with a nonzero residue and
-    every other relation must hold at every prime; the values returned are
-    the residues at the prime that settled the verdict (the last one tried).
+    The modulus 0 compares `vals` exactly.  Over primes, `vals` may be exact
+    or reduced mod any multiple of every prime; the nonzero relation passes
+    at the first prime with a nonzero residue and every other relation must
+    hold at every prime.  The values returned are the residues at the prime
+    that settled the verdict (the last one tried).
     """
     settles = q.relation == REL_NONZERO  # the verdict that stops the loop
-    ok, vals = not settles, []
+    ok, res = not settles, []
     for p in moduli:
-        vals = [run(prog, f, p) for f in flats]
-        ok = _relation_holds(q, vals, p)
+        res = [v % p for v in vals] if p else vals
+        ok = _relation_holds(q, res, p)
         if ok == settles:
             break
-    return ok, vals
+    return ok, res
 
 
 def run_queries(
@@ -539,8 +538,13 @@ def run_queries(
 
     Exact mode compares BigInt values.  Modular mode draws prime_count fresh
     random primes; equality-style relations must hold at every prime, the
-    nonzero relation is satisfied by a nonzero residue at any prime.  The
-    circuit is lowered once and every point runs through that program.
+    nonzero relation is satisfied by a nonzero residue at any prime.
+
+    The circuit is lowered once and run once, by run_many, over the suite's
+    distinct points (a suite's round shares its X across queries: perm(4)
+    has 22 distinct points in 36 slots).  Modular mode runs that pass modulo
+    the product of the primes and reads each prime's residues off it, which
+    are the same residues, since Z/Q -> Z/p is a ring map for p | Q.
     """
     if ring not in ("exact", "modular"):
         raise UsageError(f"unknown ring mode {ring!r}")
@@ -548,20 +552,25 @@ def run_queries(
     moduli: tuple[int, ...] = (0,)
     if ring == "modular":
         rng = random.Random(derive_seed("queryprimes", seed, prime_bits))
-        primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
-        # residues stay raw ints; each modulus is checked prime once per call
-        moduli = tuple(PrimeField(p).q for p in primes)
-    prog = lower(c)
-    verdicts: list[Verdict] = []
-    accept = True
-    for idx, q in enumerate(queries):
-        flats = [P.flatten() for P in q.points]
-        for f in flats:
+        # random_prime returns only numbers that passed is_prime
+        moduli = primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
+    column: dict[tuple, int] = {}  # distinct flat point -> its batch column
+    slots = []
+    for q in queries:
+        cols = []
+        for P in q.points:
+            f = P.flatten()
             if len(f) != c.num_inputs:
                 raise ArityMismatch(
                     f"query point has {len(f)} entries, circuit takes {c.num_inputs}"
                 )
-        ok, vals = query_verdict(prog, q, flats, moduli)
+            cols.append(column.setdefault(f, len(column)))
+        slots.append(cols)
+    values = run_many(lower(c), list(column), prod(primes) if primes else 0)
+    verdicts: list[Verdict] = []
+    accept = True
+    for idx, (q, cols) in enumerate(zip(queries, slots)):
+        ok, vals = query_verdict(q, [values[i] for i in cols], moduli)
         witness: tuple = ()
         if not ok:
             witness = tuple(vals)

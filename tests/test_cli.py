@@ -339,6 +339,19 @@ def test_trivial_table(capsys):
     assert len(lines) == 5  # header, count, then three head rows
 
 
+@pytest.mark.parametrize("target_flags", (
+    ("--ninputs", "8", "--target", "efun", "--m", "2", "--k", "2", "--n", "5"),
+    ("--ninputs", "4", "--target", "perm", "--m", "2", "--k", "2"),
+), ids=("efun-with-n", "perm-with-m-k"))
+def test_trivial_table_rejects_the_other_targets_dimensions(capsys, target_flags):
+    # the class arity fits the target, so only the stray dimensions are wrong
+    rc, out, err = run(capsys, ["trivial-table", "--bound", "2", "--alphabet=1",
+                                *target_flags])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # field tools
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipcert.errors import SingularTraceForm, UsageError
+from flipcert.errors import ParseError, SingularTraceForm, UsageError
 from flipcert.fields import (
     ExtField,
     PrimeField,
@@ -42,6 +42,36 @@ def test_is_prime_carmichael():
     assert not is_prime(561)
     assert not is_prime(1729)
     assert is_prime((1 << 31) - 1)
+
+
+PSI_3 = 25_326_001  # = 2251 * 11251, strong pseudoprime to 2, 3, 5
+PSI_4 = 3_215_031_751  # = 151 * 751 * 28351, strong pseudoprime to 2, 3, 5, 7
+PSI_12 = 318_665_857_834_031_151_167_461  # = 399165290221 * 798330580441
+
+
+def test_is_prime_rejects_the_smallest_strong_pseudoprimes():
+    # PSI_12 passes every base 2..37; only base 41 exposes it
+    assert PSI_3 == 2251 * 11251
+    assert PSI_4 == 151 * 751 * 28351
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_3)
+    assert not is_prime(PSI_4)
+    assert not is_prime(PSI_12)
+    assert is_prime(41) and is_prime(43)
+
+
+def test_parse_field_spec_rejects_a_strong_pseudoprime_modulus():
+    with pytest.raises(ParseError, match="is not prime"):
+        parse_field_spec(f"{PSI_12} 1 0 1")
+
+
+@pytest.mark.parametrize("bits", (31, 64))
+def test_is_prime_matches_sympy(bits):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(bits)
+    for _ in range(2000):
+        n = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_random_prime_is_prime_and_sized():

@@ -1,14 +1,15 @@
-"""The flat evaluation kernel (lower/run) against independent oracles.
+"""The flat evaluation kernels (lower/run/run_many) against independent oracles.
 
 The oracle evaluator is the node-by-node isinstance dispatch the kernel
 replaced, kept here verbatim as the reference, together with the query
-runner that used it.
+runner that used it.  run_many is checked against run, point by point.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -29,11 +30,15 @@ from flipcert.circuits import (
     parse_circuit,
     poly_eval,
     run,
+    run_many,
 )
 from flipcert.errors import ArityMismatch, TermBudgetExceeded, UsageError
 from flipcert.fields import ZZ, ExtField, PrimeField, find_irreducible, random_prime
+from flipcert.matrices import SQUARE, MatrixAssignment
 from flipcert.pit import EnumeratedClass
 from flipcert.symtests import (
+    P_NONZERO,
+    Query,
     REL_CONST,
     REL_EQUAL,
     REL_LINEAR,
@@ -49,6 +54,7 @@ from flipcert.util import derive_seed
 
 REFERENCE_FILES = sorted((Path(__file__).resolve().parents[1] / "circuits").glob("*.ac"))
 PRIMES = (2, 3, 7, 65537, 2**31 - 1, 2**61 - 1)
+P31 = (2147483029, 2147483249, 2147483647)  # three 31-bit primes
 EXT_FIELDS = (
     ExtField(2, 3, find_irreducible(2, 3)),
     ExtField(3, 2, find_irreducible(3, 2)),
@@ -269,6 +275,27 @@ def test_ring_paths_match_oracle_over_extension_fields(data):
     assert got.field == F
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_many_matches_run_pointwise(data):
+    c = data.draw(st.one_of(random_dags(), class_members()))
+    pts = data.draw(st.lists(points(c.num_inputs), min_size=0, max_size=6))
+    prog = lower(c)
+    for q in (0, P31[0], prod(P31)):
+        assert run_many(prog, pts, q) == [run(prog, p, q) for p in pts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_mod_a_product_reduces_to_each_prime(data):
+    c = data.draw(st.one_of(random_dags(), class_members()))
+    pt = data.draw(points(c.num_inputs))
+    prog = lower(c)
+    big = run(prog, pt, prod(P31))
+    for p in P31:
+        assert big % p == run(prog, pt, p)
+
+
 def test_lower_drops_nodes_after_the_output():
     c = Circuit(1, (Input(0), Const(3), Mul(0, 1), Add(2, 2)), 2)
     assert lower(c) == ((0, 0, 0), (1, 3, 0), (4, 0, 1))
@@ -314,3 +341,53 @@ def test_run_queries_matches_oracle_run(ring, seed):
         assert got == oracle_run_queries(c, queries, ring=ring, seed=seed)
         rejects += not got.accept
     assert rejects == 3  # det(2), det(3) and 2*perm(2)
+
+
+def test_run_queries_shares_a_point_between_queries():
+    X = MatrixAssignment((SQUARE, 2), ((3, 5), (7, 11)))
+    same_X = MatrixAssignment((SQUARE, 2), ((3, 5), (7, 11)))
+    Y = MatrixAssignment((SQUARE, 2), ((5, 3), (11, 7)))  # X, columns swapped
+    queries = (
+        Query(P_NONZERO, (), REL_NONZERO, (), (X,)),
+        Query("swap", (), REL_EQUAL, (), (X, Y)),
+        Query("const", (), REL_CONST, (68,), (same_X,)),
+        Query("twice", (), REL_SCALED, (2,), (X, same_X)),
+    )
+    c = perm_circuit(2)  # perm(X) = 3*11 + 5*7 = 68 = perm(Y)
+    for ring in ("exact", "modular"):
+        got = run_queries(c, queries, ring=ring, seed=5)
+        assert got == oracle_run_queries(c, queries, ring=ring, seed=5)
+        assert [v.passed for v in got.verdicts] == [True, True, True, False]
+    # the failing scaled query reports both values of the one shared point
+    assert got.verdicts[3].witness == (68 % got.primes[0],) * 2
+
+
+def test_run_queries_with_one_prime():
+    for kind, dims, c in SAMPLED_TARGETS:
+        gen = gen_queries_perm if kind == "perm" else gen_queries_efun
+        queries = gen(*dims, 3)
+        got = run_queries(c, queries, ring="modular", prime_count=1, seed=3)
+        assert len(got.primes) == 1
+        assert got == oracle_run_queries(c, queries, ring="modular", prime_count=1, seed=3)
+
+
+def test_run_queries_with_no_primes():
+    # no prime can settle a nonzero query, and no prime can refute the rest
+    queries = gen_queries_perm(2, 0)
+    got = run_queries(det_circuit(2), queries, ring="modular", prime_count=0)
+    assert got.primes == ()
+    for q, v in zip(queries, got.verdicts):
+        assert v.passed == (q.relation != REL_NONZERO)
+        assert v.witness == ()
+
+
+def test_run_queries_checks_arity_before_evaluating(monkeypatch):
+    import flipcert.symtests as symtests
+
+    def unreachable(*args):
+        raise AssertionError("evaluated before the arity check")
+
+    monkeypatch.setattr(symtests, "run_many", unreachable)
+    queries = gen_queries_perm(3, 0)
+    with pytest.raises(ArityMismatch, match="query point has 9 entries, circuit takes 4"):
+        run_queries(perm_circuit(2), queries)
