@@ -68,7 +68,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from None
 
 
@@ -274,11 +274,11 @@ def cmd_decode(args) -> int:
     c = _load_circuit(args.circuit)
     res = decode_counterexample(cert, c)
     print(f"failing query {res.query_index}: kind={res.query.kind}")
-    for i, P in enumerate(res.points):
+    for i, P in enumerate(res.query.points):
         direct = ""
         if res.direct_disagreement is not None:
             direct = f"  direct-disagreement={res.direct_disagreement[i]}"
-        print(f"point {i}: {','.join(str(v) for v in P.flatten())}{direct}")
+        print(f"point {i}: {','.join(str(v) for v in P)}{direct}")
     return 0
 
 

@@ -1,10 +1,13 @@
-"""Matrix-shaped evaluation points for circuits.
+"""Matrix shapes, and the matrix form of evaluation points.
 
 Two shapes exist: a plain n x n square, and the m x (k*m) block shape whose
 columns come in m choice-groups of k.  Block column (j, i) means choice j at
 position i (both 1-indexed in the notation; storage is a flat 0-indexed
 grid, column index (i-1)*k + (j-1)).  Flattening is row-major and matches
-circuit input numbering.
+circuit input numbering.  Query suites and certificates keep their points
+flat, as row-major int tuples with the suite's shape held once beside them;
+`MatrixAssignment`, rows plus shape, is the form of `.mat` files and of the
+oracles' inputs.
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ and its point set is the union of all query points.  Everything downstream
 of (design, config) is recomputable, which is what makes staleness of a
 serialized certificate detectable.
 
+Points stay the flat row-major int tuples the generators draw, through the
+file form and decoding; all of them have the target's shape.
+
 This generator is explicitly a combinatorial stand-in: it reuses seed bits
 through the design the way a hardness-based construction would, but the
 table is random, not derived from a hard function.
@@ -48,7 +51,7 @@ from .errors import (
     TargetComputable,
     UsageError,
 )
-from .matrices import MatrixAssignment
+from .matrices import BLOCK, SQUARE
 from .oracles import permanent
 from .symtests import (
     Query,
@@ -167,7 +170,7 @@ class ObstructionCertificate:
     design: Design
     config: CertConfig
     queries: tuple[Query, ...]
-    points: tuple[MatrixAssignment, ...]
+    points: tuple[tuple[int, ...], ...]  # flat row-major, in the target's shape
     derive_seconds: float = field(compare=False, default=0.0)
 
     def label(self) -> bytes:
@@ -239,12 +242,7 @@ def derive_certificate(design: Design, config: CertConfig) -> ObstructionCertifi
             per_tape_max = max(per_tape_max, len(qs))
             collected.extend(qs)
         queries = canonicalize_queries(collected)
-        points = tuple(
-            sorted(
-                {P for q in queries for P in q.points},
-                key=lambda P: (P.shape, P.flatten()),
-            )
-        )
+        points = tuple(sorted({P for q in queries for P in q.points}))
     nseeds = 1 << config.seed_bits
     assert len(queries) <= nseeds * per_tape_max
     assert len(points) <= nseeds * per_tape_max * 2
@@ -272,9 +270,11 @@ def serialize_certificate(cert: ObstructionCertificate) -> str:
         "}",
         f"queries {len(cert.queries)}",
     ]
-    out.extend(serialize_query(q) for q in cert.queries)
+    cfg = cert.config
+    shape = (SQUARE, cfg.n) if cfg.target == "perm" else (BLOCK, cfg.m, cfg.k)
+    out.extend(serialize_query(q, shape) for q in cert.queries)
     out.append(f"points {len(cert.points)}")
-    out.extend(serialize_point(P) for P in cert.points)
+    out.extend(serialize_point(shape, P) for P in cert.points)
     out.append("end")
     return "".join(line + "\n" for line in out)
 
@@ -342,7 +342,6 @@ def parse_certificate(text: str) -> ObstructionCertificate:
 class DecodeResult:
     query_index: int
     query: Query
-    points: tuple[MatrixAssignment, ...]
     # perm targets only: per-point exact check c(X) != perm(X)
     direct_disagreement: tuple[bool, ...] | None
 
@@ -369,16 +368,16 @@ def decode_counterexample(cert: ObstructionCertificate, c: Circuit) -> DecodeRes
     _class_membership(cert.config, c)
     prog = lower(c)
     for idx, q in enumerate(cert.queries):
-        passed, vals = query_verdict(q, [run(prog, P.flatten()) for P in q.points])
+        passed, vals = query_verdict(q, [run(prog, P) for P in q.points])
         if passed:
             continue
         direct = None
         if cert.config.target == "perm":
             direct = tuple(
-                v != permanent([list(row) for row in P.entries])
+                v != permanent(zip(*[iter(P)] * cert.config.n))  # the rows of P
                 for v, P in zip(vals, q.points)
             )
-        return DecodeResult(idx, q, q.points, direct)
+        return DecodeResult(idx, q, direct)
     raise NoFailingQuery(f"certificate does not obstruct this circuit ({c.size} nodes)")
 
 
@@ -501,7 +500,7 @@ def harness_F(
             except NoFailingQuery:
                 failures += 1
                 continue
-            max_set = max(max_set, len(dec.points))
+            max_set = max(max_set, len(dec.query.points))
     f1b = PropertyReport(
         "F1b",
         failures == 0 and max_set <= 2,

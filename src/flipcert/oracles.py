@@ -12,9 +12,11 @@ means column operations on squares, and the wreath-style column permutations
 (choice swaps/cycles per position, even position 3-cycles) on blocks.
 `var_map` is the one place that says how an element moves the row-major
 variables of an assignment: a destination permutation, a per-variable
-scale, or row-add pairs with their multiplier.  `apply_group` applies that
-map to a point; the exhaustive checks and the symmetry nullspace in
-`symtests` apply it to polynomials.
+scale, or row-add pairs with their multiplier.  `act` applies that map to a
+point given as a flat row-major tuple, the one point format of the query
+suites and certificates; `apply_group` is its wrapper for a
+`MatrixAssignment`, the file and oracle form.  The exhaustive checks and the
+symmetry nullspace in `symtests` apply the same map to polynomials.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
 from .matrices import BLOCK, SQUARE, MatrixAssignment
@@ -342,10 +345,10 @@ def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     raise ShapeMismatch(f"unsupported action {type(g).__name__} on side {side!r}")
 
 
-def apply_group(g: GroupElement, X: MatrixAssignment, side: str) -> MatrixAssignment:
-    """Act on an assignment; 'left' = rows, 'right' = columns."""
-    dest, scale, add = var_map(g, X.shape, side)
-    vals = [v for row in X.entries for v in row]
+def act(vmap: tuple, flat: Sequence) -> tuple:
+    """The point g X, flat row-major like X, for vmap = var_map(g, shape, side)."""
+    dest, scale, add = vmap
+    vals = list(flat)
     if add is not None:
         pairs, y = add
         for d, s in pairs:
@@ -357,7 +360,12 @@ def apply_group(g: GroupElement, X: MatrixAssignment, side: str) -> MatrixAssign
         for v, d in zip(vals, dest):
             moved[d] = v
         vals = moved
-    return MatrixAssignment.from_flat(X.shape, vals)
+    return tuple(vals)
+
+
+def apply_group(g: GroupElement, X: MatrixAssignment, side: str) -> MatrixAssignment:
+    """Act on an assignment; 'left' = rows, 'right' = columns."""
+    return MatrixAssignment.from_flat(X.shape, act(var_map(g, X.shape, side), X.flatten()))
 
 
 def k_generators(m: int, k: int) -> tuple[GroupElement, ...]:

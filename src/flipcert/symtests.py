@@ -18,13 +18,19 @@ from the characterizing symmetries:
                     vanishing on a singular primary submatrix; optional
                     normalization E(X0) = 1 at the all-unit-columns point.
 
+A query point is a flat row-major tuple of ints, from generation through
+`run_queries` to the certificate text; its shape, (SQUARE, n) or
+(BLOCK, m, k), belongs to the suite and comes from the target dimensions,
+so a `Query` does not carry it.
+
 Queries evaluate either over exact integers or modulo a few fresh random
 primes.  Exhaustive mode replaces sampling with exact identity checks on
 the circuit's sparse expansion, with diagonal test vectors anchored at
 distinct primes; for this class of identities that makes the check sound,
 not just probabilistic (multiplicative independence forces the degree
 vectors exactly).  Both modes, and the nullspace, move variables by the
-one map `oracles.var_map` gives each group element.
+one map `oracles.var_map` gives each group element; `oracles.act` applies
+it to a point.
 """
 
 from __future__ import annotations
@@ -51,13 +57,13 @@ from .circuits import (
 )
 from .errors import ArityMismatch, UsageError
 from .fields import random_prime
-from .matrices import BLOCK, SQUARE, MatrixAssignment
+from .matrices import BLOCK, SQUARE
 from .oracles import (
     Diagonal,
     ElementaryAdd,
     PermSwap,
     RowCycle,
-    apply_group,
+    act,
     k_generators,
     var_map,
 )
@@ -95,7 +101,7 @@ class Query:
     params: tuple
     relation: str
     coeffs: tuple
-    points: tuple[MatrixAssignment, ...]
+    points: tuple[tuple[int, ...], ...]  # flat row-major, in the suite's shape
 
 
 @dataclass(frozen=True)
@@ -163,34 +169,22 @@ def _rand_entry(rng: random.Random, box: tuple[int, int]) -> int:
     return rng.randrange(box[0], box[1] + 1)
 
 
-def _rand_square(rng, n, box) -> MatrixAssignment:
-    return MatrixAssignment.square(
-        [[_rand_entry(rng, box) for _ in range(n)] for _ in range(n)]
-    )
+def _rand_point(rng: random.Random, size: int, box: tuple[int, int]) -> tuple:
+    """`size` entries drawn from the box in order, as one flat tuple."""
+    lo, hi = box[0], box[1] + 1
+    return tuple([rng.randrange(lo, hi) for _ in range(size)])
 
 
-def _rand_block(rng, m, k, box) -> MatrixAssignment:
-    return MatrixAssignment.block(
-        m, k, [[_rand_entry(rng, box) for _ in range(k * m)] for _ in range(m)]
-    )
+def identity_point(n: int) -> tuple:
+    return tuple([int(r == c) for r in range(n) for c in range(n)])
 
 
-def identity_point(n: int) -> MatrixAssignment:
-    return MatrixAssignment.square(
-        [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    )
-
-
-def unit_columns_point(m: int, k: int) -> MatrixAssignment:
+def unit_columns_point(m: int, k: int) -> tuple:
     """Every choice column at position i is the i-th unit vector; E = 1."""
-    return MatrixAssignment.block(
-        m,
-        k,
-        [[1 if r == c // k else 0 for c in range(k * m)] for r in range(m)],
-    )
+    return tuple([int(r == c // k) for r in range(m) for c in range(k * m)])
 
 
-def embed_principal(Y: Sequence[Sequence[int]], n: int) -> MatrixAssignment:
+def embed_principal(Y: Sequence[Sequence[int]], n: int) -> tuple:
     """Embed an i x i matrix into the lower-right corner of an n x n matrix
 
     with ones on the leading diagonal and zeros elsewhere."""
@@ -198,27 +192,21 @@ def embed_principal(Y: Sequence[Sequence[int]], n: int) -> MatrixAssignment:
     if i > n:
         raise UsageError(f"cannot embed {i}x{i} into {n}x{n}")
     off = n - i
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            if r >= off and c >= off:
-                row.append(Y[r - off][c - off])
-            else:
-                row.append(1 if r == c else 0)
-        rows.append(row)
-    return MatrixAssignment.square(rows)
+    return tuple([
+        Y[r - off][c - off] if r >= off and c >= off else int(r == c)
+        for r in range(n)
+        for c in range(n)
+    ])
 
 
-def _first_row_minor(Y: Sequence[Sequence[int]], j: int) -> list[list[int]]:
-    return [
-        [Y[r][c] for c in range(len(Y)) if c != j] for r in range(1, len(Y))
-    ]
+def _first_row_minor(Y: Sequence[tuple], j: int) -> list[tuple]:
+    return [row[:j] + row[j + 1 :] for row in Y[1:]]
 
 
 def _query_sort_key(q: Query):
-    flat = tuple(v for P in q.points for v in P.flatten())
-    return (q.kind, tuple(str(p) for p in q.params), q.relation, flat)
+    # one (kind, params) has one point count, each point the suite's size, so
+    # the points compare as their concatenation would
+    return (q.kind, tuple(str(p) for p in q.params), q.relation, q.points)
 
 
 def canonicalize_queries(queries: Sequence[Query]) -> tuple[Query, ...]:
@@ -230,17 +218,18 @@ def canonicalize_queries(queries: Sequence[Query]) -> tuple[Query, ...]:
     return tuple(out)
 
 
-def serialize_point(P: MatrixAssignment) -> str:
-    """`s<n>:` or `b<m>x<k>:` followed by the flattened entries."""
-    tag = f"s{P.shape[1]}" if P.shape[0] == SQUARE else f"b{P.shape[1]}x{P.shape[2]}"
-    return tag + ":" + ",".join(str(v) for v in P.flatten())
+def serialize_point(shape: tuple, flat: Sequence[int]) -> str:
+    """`s<n>:` or `b<m>x<k>:` followed by the row-major entries."""
+    tag = f"s{shape[1]}" if shape[0] == SQUARE else f"b{shape[1]}x{shape[2]}"
+    return tag + ":" + ",".join(str(v) for v in flat)
 
 
-def serialize_query(q: Query) -> str:
+def serialize_query(q: Query, shape: tuple) -> str:
+    """One text line; `shape` is the suite's, shared by every point."""
     def render(vals):
         return ",".join(str(v) for v in vals) if vals else "-"
 
-    pts = "|".join(serialize_point(P) for P in q.points)
+    pts = "|".join(serialize_point(shape, P) for P in q.points)
     return (
         f"Q kind={q.kind} rel={q.relation} coeffs={render(q.coeffs)}"
         f" params={render(q.params)} points={pts}"
@@ -256,10 +245,11 @@ def gen_queries_perm(
     normalize: bool = True,
 ) -> tuple[Query, ...]:
     """The permanent symmetry suite; deterministic in (n, seed, config)."""
+    shape = (SQUARE, n)
     queries: list[Query] = []
     for r in range(rounds):
         rng = random.Random(derive_seed("P", n, seed, r))
-        X = _rand_square(rng, n, box)
+        X = _rand_point(rng, n * n, box)
         for i in range(1, n):
             g = PermSwap(i)
             queries.append(
@@ -268,7 +258,7 @@ def gen_queries_perm(
                     (i, r),
                     REL_EQUAL,
                     (),
-                    (X, apply_group(g, X, "left")),
+                    (X, act(var_map(g, shape, "left"), X)),
                 )
             )
             queries.append(
@@ -277,33 +267,33 @@ def gen_queries_perm(
                     (i, r),
                     REL_EQUAL,
                     (),
-                    (X, apply_group(g, X, "right")),
+                    (X, act(var_map(g, shape, "right"), X)),
                 )
             )
-        mu = tuple(_rand_entry(rng, box) for _ in range(n))
+        mu = _rand_point(rng, n, box)
         queries.append(
             Query(
                 P_DIAG_LEFT,
                 (r,) + mu,
                 REL_SCALED,
                 (prod(mu),),
-                (X, apply_group(Diagonal(mu), X, "left")),
+                (X, act(var_map(Diagonal(mu), shape, "left"), X)),
             )
         )
-        nu = tuple(_rand_entry(rng, box) for _ in range(n))
+        nu = _rand_point(rng, n, box)
         queries.append(
             Query(
                 P_DIAG_RIGHT,
                 (r,) + nu,
                 REL_SCALED,
                 (prod(nu),),
-                (X, apply_group(Diagonal(nu), X, "right")),
+                (X, act(var_map(Diagonal(nu), shape, "right"), X)),
             )
         )
     for t in range(nonzero_count):
         rng = random.Random(derive_seed("Pnz", n, seed, t))
         queries.append(
-            Query(P_NONZERO, (t,), REL_NONZERO, (), (_rand_square(rng, n, box),))
+            Query(P_NONZERO, (t,), REL_NONZERO, (), (_rand_point(rng, n * n, box),))
         )
     if normalize:
         queries.append(Query(NORMALIZE, (), REL_CONST, (1,), (identity_point(n),)))
@@ -323,12 +313,12 @@ def gen_queries_selfreduce(
     for r in range(rounds):
         rng = random.Random(derive_seed("SR", n, seed, r))
         for i in range(2, n + 1):
-            Y = [[_rand_entry(rng, box) for _ in range(i)] for _ in range(i)]
+            Y = [_rand_point(rng, i, box) for _ in range(i)]
             points = [embed_principal(Y, n)]
             for j in range(i):
                 points.append(embed_principal(_first_row_minor(Y, j), n))
             queries.append(
-                Query(SELF_REDUCE, (i, r), REL_LINEAR, tuple(Y[0]), tuple(points))
+                Query(SELF_REDUCE, (i, r), REL_LINEAR, Y[0], tuple(points))
             )
         y = _rand_entry(rng, box)
         queries.append(
@@ -366,10 +356,11 @@ def gen_queries_efun(
         raise UsageError(f"unknown det_factor_mode {det_factor_mode!r}")
     corrected = det_factor_mode == "det-corrected"
     e = k**m
+    shape, size = (BLOCK, m, k), k * m * m
     queries: list[Query] = []
     for r in range(rounds):
         rng = random.Random(derive_seed("E", m, k, seed, r))
-        X = _rand_block(rng, m, k, box)
+        X = _rand_point(rng, size, box)
         for i in range(1, m + 1):
             for j in range(1, m + 1):
                 if i == j:
@@ -382,18 +373,18 @@ def gen_queries_efun(
                         ("add", i, j, y, r),
                         REL_EQUAL,
                         (),
-                        (X, apply_group(g, X, "left")),
+                        (X, act(var_map(g, shape, "left"), X)),
                     )
                 )
         if corrected:
-            mu = tuple(_rand_entry(rng, box) for _ in range(m))
+            mu = _rand_point(rng, m, box)
             queries.append(
                 Query(
                     E_ELEM,
                     ("diag", r) + mu,
                     REL_SCALED,
                     (prod(mu) ** e,),
-                    (X, apply_group(Diagonal(mu), X, "left")),
+                    (X, act(var_map(Diagonal(mu), shape, "left"), X)),
                 )
             )
             for i in range(1, m):
@@ -403,7 +394,7 @@ def gen_queries_efun(
                         ("swap", i, r),
                         REL_SCALED,
                         ((-1) ** e,),
-                        (X, apply_group(PermSwap(i), X, "left")),
+                        (X, act(var_map(PermSwap(i), shape, "left"), X)),
                     )
                 )
         else:
@@ -415,7 +406,7 @@ def gen_queries_efun(
                         ("diag1", r) + mu,
                         REL_EQUAL,
                         (),
-                        (X, apply_group(Diagonal(mu), X, "left")),
+                        (X, act(var_map(Diagonal(mu), shape, "left"), X)),
                     )
                 )
             for j in range(3, m + 1):
@@ -425,7 +416,7 @@ def gen_queries_efun(
                         ("cycle", 1, 2, j, r),
                         REL_EQUAL,
                         (),
-                        (X, apply_group(RowCycle(1, 2, j), X, "left")),
+                        (X, act(var_map(RowCycle(1, 2, j), shape, "left"), X)),
                     )
                 )
         for g in k_generators(m, k):
@@ -437,7 +428,7 @@ def gen_queries_efun(
                     (name,) + args + (r,),
                     REL_EQUAL,
                     (),
-                    (X, apply_group(g, X, "right")),
+                    (X, act(var_map(g, shape, "right"), X)),
                 )
             )
         queries.append(
@@ -452,7 +443,7 @@ def gen_queries_efun(
     for t in range(nonzero_count):
         rng = random.Random(derive_seed("Enz", m, k, seed, t))
         queries.append(
-            Query(E_NONZERO, (t,), REL_NONZERO, (), (_rand_block(rng, m, k, box),))
+            Query(E_NONZERO, (t,), REL_NONZERO, (), (_rand_point(rng, size, box),))
         )
     if normalize:
         queries.append(
@@ -473,12 +464,12 @@ def _primary_vanish_bindings(m: int, k: int) -> dict[int, int]:
     return out
 
 
-def _primary_vanish_point(rng, m, k, box) -> MatrixAssignment:
+def _primary_vanish_point(rng, m, k, box) -> tuple:
     """Random block point with the primary-vanish bindings imposed."""
-    vals = [_rand_entry(rng, box) for _ in range(k * m * m)]
+    vals = list(_rand_point(rng, k * m * m, box))
     for v, val in _primary_vanish_bindings(m, k).items():
         vals[v] = val
-    return MatrixAssignment.from_flat((BLOCK, m, k), vals)
+    return tuple(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +550,11 @@ def run_queries(
     for q in queries:
         cols = []
         for P in q.points:
-            f = P.flatten()
-            if len(f) != c.num_inputs:
+            if len(P) != c.num_inputs:
                 raise ArityMismatch(
-                    f"query point has {len(f)} entries, circuit takes {c.num_inputs}"
+                    f"query point has {len(P)} entries, circuit takes {c.num_inputs}"
                 )
-            cols.append(column.setdefault(f, len(column)))
+            cols.append(column.setdefault(P, len(column)))
         slots.append(cols)
     values = run_many(lower(c), list(column), prod(primes) if primes else 0)
     verdicts: list[Verdict] = []
@@ -601,9 +591,8 @@ def _prime_tuple(n: int) -> tuple[int, ...]:
 
 def _diagonals(size: int, rng: random.Random, box: tuple[int, int]) -> list[tuple]:
     """The prime diagonal, then EXTRA_DIAGONALS drawn from the box."""
-    return [_prime_tuple(size)] + [
-        tuple(_rand_entry(rng, box) for _ in range(size)) for _ in range(EXTRA_DIAGONALS)
-    ]
+    drawn = [_rand_point(rng, size, box) for _ in range(EXTRA_DIAGONALS)]
+    return [_prime_tuple(size)] + drawn
 
 
 def acted(p: dict, vmap: tuple) -> dict:
@@ -696,8 +685,7 @@ def _exhaustive_perm(c: Circuit, n: int, cfg: VerifyConfig) -> tuple[list[Verdic
     _record(verdicts, P_NONZERO, bool(poly))
     _check_suite(verdicts, poly, _perm_suite(n, cfg))
     if cfg.normalize:
-        ident = identity_point(n).flatten()
-        _record(verdicts, NORMALIZE, poly_eval(poly, ident) == 1)
+        _record(verdicts, NORMALIZE, poly_eval(poly, identity_point(n)) == 1)
     return verdicts, (f"expansion terms={len(poly)}",)
 
 
@@ -714,7 +702,7 @@ def _exhaustive_efun(
         _record(
             verdicts,
             NORMALIZE,
-            poly_eval(poly, unit_columns_point(m, k).flatten()) == 1,
+            poly_eval(poly, unit_columns_point(m, k)) == 1,
         )
     return verdicts, (f"expansion terms={len(poly)}",)
 

@@ -34,7 +34,6 @@ from flipcert.circuits import (
 )
 from flipcert.errors import ArityMismatch, TermBudgetExceeded, UsageError
 from flipcert.fields import ZZ, ExtField, PrimeField, find_irreducible, random_prime
-from flipcert.matrices import SQUARE, MatrixAssignment
 from flipcert.pit import EnumeratedClass
 from flipcert.symtests import (
     P_NONZERO,
@@ -148,15 +147,15 @@ def oracle_run_queries(c, queries, ring="exact", prime_bits=31, prime_count=3, s
     verdicts = []
     accept = True
     for idx, q in enumerate(queries):
-        flats = [P.flatten() for P in q.points]
+        vals: list = []  # stays empty when there is no prime to try
         if ring == "exact":
-            vals = [oracle_evaluate(c, f) for f in flats]
+            vals = [oracle_evaluate(c, f) for f in q.points]
             ok = _oracle_relation_holds(q, vals)
         elif q.relation == REL_NONZERO:
             ok = False
             for p in primes:
                 F = PrimeField(p)
-                vals = [oracle_evaluate(c, f, ring=F).value for f in flats]
+                vals = [oracle_evaluate(c, f, ring=F).value for f in q.points]
                 if _oracle_relation_holds_mod(q, vals, p):
                     ok = True
                     break
@@ -164,7 +163,7 @@ def oracle_run_queries(c, queries, ring="exact", prime_bits=31, prime_count=3, s
             ok = True
             for p in primes:
                 F = PrimeField(p)
-                vals = [oracle_evaluate(c, f, ring=F).value for f in flats]
+                vals = [oracle_evaluate(c, f, ring=F).value for f in q.points]
                 if not _oracle_relation_holds_mod(q, vals, p):
                     ok = False
                     break
@@ -344,9 +343,9 @@ def test_run_queries_matches_oracle_run(ring, seed):
 
 
 def test_run_queries_shares_a_point_between_queries():
-    X = MatrixAssignment((SQUARE, 2), ((3, 5), (7, 11)))
-    same_X = MatrixAssignment((SQUARE, 2), ((3, 5), (7, 11)))
-    Y = MatrixAssignment((SQUARE, 2), ((5, 3), (11, 7)))  # X, columns swapped
+    X = (3, 5, 7, 11)
+    same_X = tuple([3, 5, 7, 11])
+    Y = (5, 3, 11, 7)  # X, columns swapped
     queries = (
         Query(P_NONZERO, (), REL_NONZERO, (), (X,)),
         Query("swap", (), REL_EQUAL, (), (X, Y)),
@@ -375,6 +374,7 @@ def test_run_queries_with_no_primes():
     # no prime can settle a nonzero query, and no prime can refute the rest
     queries = gen_queries_perm(2, 0)
     got = run_queries(det_circuit(2), queries, ring="modular", prime_count=0)
+    assert got == oracle_run_queries(det_circuit(2), queries, ring="modular", prime_count=0)
     assert got.primes == ()
     for q, v in zip(queries, got.verdicts):
         assert v.passed == (q.relation != REL_NONZERO)

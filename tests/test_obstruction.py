@@ -237,7 +237,7 @@ def test_decode_det2_frozen():
     res = decode_counterexample(cert, det_circuit(2))
     assert res.query_index == 25
     assert res.query.kind == "PPermLeft"
-    assert len(res.points) == 2
+    assert len(res.query.points) == 2
     assert res.direct_disagreement == (True, True)
 
 

@@ -52,7 +52,8 @@ def _failing_kinds(result) -> set[str]:
 def test_query_generation_deterministic():
     a = gen_queries_perm(2, seed=0)
     b = gen_queries_perm(2, seed=0)
-    assert [serialize_query(q) for q in a] == [serialize_query(q) for q in b]
+    shape = (SQUARE, 2)
+    assert [serialize_query(q, shape) for q in a] == [serialize_query(q, shape) for q in b]
     assert a != gen_queries_perm(2, seed=1)
 
 
