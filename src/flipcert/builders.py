@@ -58,38 +58,35 @@ def perm_circuit(n: int) -> Circuit:
     return b.finish(b.chain(Add, terms))
 
 
-def det_circuit(n: int) -> Circuit:
-    """Determinant via signed permutation expansion: evens minus odds."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    b = _Builder(n * n)
+def _signed_expansion(b: _Builder, n: int, entry) -> int:
+    """Determinant of an n x n matrix whose (r, c) entry is input entry(r, c):
+
+    product terms in permutation order, then evens minus odds."""
     evens, odds = [], []
     for sigma in itertools.permutations(range(n)):
         inv = sum(
             1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j]
         )
-        term = _product_term(b, [i * n + s for i, s in enumerate(sigma)])
+        term = _product_term(b, [entry(i, s) for i, s in enumerate(sigma)])
         (odds if inv % 2 else evens).append(term)
     pos = b.chain(Add, evens)
     if not odds:
-        return b.finish(pos)
-    neg = b.chain(Add, odds)
-    return b.finish(b.op(Sub, pos, neg))
+        return pos
+    return b.op(Sub, pos, b.chain(Add, odds))
+
+
+def det_circuit(n: int) -> Circuit:
+    """Determinant via signed permutation expansion: evens minus odds."""
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    b = _Builder(n * n)
+    return b.finish(_signed_expansion(b, n, lambda r, c: r * n + c))
 
 
 def _det_of_selection(b: _Builder, m: int, k: int, sigma: tuple[int, ...]) -> int:
     # determinant of the m x m submatrix picking choice sigma[i] at position i
     cols = [i * k + sigma[i] for i in range(m)]
-    if m == 1:
-        return b.input(cols[0])
-    evens, odds = [], []
-    for tau in itertools.permutations(range(m)):
-        inv = sum(1 for i in range(m) for j in range(i + 1, m) if tau[i] > tau[j])
-        term = _product_term(b, [r * (k * m) + cols[tau[r]] for r in range(m)])
-        (odds if inv % 2 else evens).append(term)
-    pos = b.chain(Add, evens)
-    neg = b.chain(Add, odds)
-    return b.op(Sub, pos, neg)
+    return _signed_expansion(b, m, lambda r, c: r * (k * m) + cols[c])
 
 
 def efun_circuit(m: int, k: int) -> Circuit:

@@ -14,16 +14,13 @@ it, exactly over Python integers or reducing mod q at every step:
                           verify_hitting_set stop at the first nonzero point,
                           and decode_counterexample tries 1.16 queries per
                           member on average over the F1b class.  evaluate()
-                          is check-arity, lower, run, and also works over any
-                          ring object exposing from_int/coerce whose elements
-                          accept integer operands (prime and extension
-                          fields from .fields qualify).
+                          is check-arity, check-integers, lower, run.
   run_many(prog, points)  every point in one walk, each step a list
-                          comprehension over a column of values; integer
-                          points only.  Callers that need every point use it:
-                          run_queries (a whole sampled suite, each distinct
-                          point once) and build_hitting_set_greedy (all pool
-                          points of every member).
+                          comprehension over a column of values.  Callers
+                          that need every point use it: run_queries (a whole
+                          sampled suite, each distinct point once) and
+                          build_hitting_set_greedy (all pool points of every
+                          member).
 
 The split follows the call site's shape, not the arithmetic: both compute
 the same values.  On these small programs one point costs about 0.85 us
@@ -59,7 +56,7 @@ from .errors import (
     TermBudgetExceeded,
     UsageError,
 )
-from .fields import PrimeField, ZZ, int_bitlength
+from .fields import int_bitlength
 
 
 @dataclass(frozen=True)
@@ -250,11 +247,9 @@ def lower(c: Circuit) -> Program:
 def run(prog: Program, point: Sequence, q: int = 0):
     """Value of a lowered program at `point`.
 
-    With q > 0 every step is reduced mod q and the result is a residue in
-    [0, q).  With q == 0 the arithmetic is exact; the coordinates may then
-    also be ring elements that accept integer operands, and a constant-only
-    result comes back as a plain int.  The point's length is not checked
-    (see check_arity)."""
+    The coordinates are integers.  With q > 0 every step is reduced mod q
+    and the result is a residue in [0, q); with q == 0 the arithmetic is
+    exact.  The point's length is not checked (see check_arity)."""
     vals: list = []
     push = vals.append
     if q:
@@ -287,8 +282,8 @@ def run(prog: Program, point: Sequence, q: int = 0):
 def run_many(prog: Program, points: Sequence[Sequence[int]], q: int = 0) -> list[int]:
     """[run(prog, p, q) for p in points], in one walk of the program.
 
-    Step t's values at every point form one column; the coordinates must be
-    integers.  Lengths are not checked (see check_arity)."""
+    Step t's values at every point form one column.  Lengths are not
+    checked (see check_arity)."""
     cols: list[list[int]] = []
     push = cols.append
     if q:
@@ -325,16 +320,16 @@ def check_arity(c: Circuit, point: Sequence) -> None:
         )
 
 
-def evaluate(c: Circuit, point: Sequence, ring=ZZ):
-    """Evaluate at `point` over `ring` (exact integers by default).
+def evaluate(c: Circuit, point: Sequence[int]) -> int:
+    """Exact value at an integer point.
 
-    Lowers c on every call; to evaluate one circuit at many points, lower it
-    once and call run()."""
+    A bool or non-int coordinate is a UsageError.  Lowers c on every call;
+    to evaluate one circuit at many points, lower it once and call run()."""
     check_arity(c, point)
-    if isinstance(ring, PrimeField):
-        flat = [ring.coerce(x).value for x in point]
-        return ring.element(run(lower(c), flat, ring.q))
-    return ring.coerce(run(lower(c), [ring.coerce(x) for x in point]))
+    for x in point:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise UsageError(f"expected an integer, got {type(x).__name__}")
+    return run(lower(c), point)
 
 
 def specialize(c: Circuit, bindings: Mapping[int, int]) -> Circuit:

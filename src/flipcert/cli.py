@@ -99,6 +99,13 @@ def _read_label(path: str) -> bytes:
         raise UsageError(f"{path} is not a hex design label") from None
 
 
+def _box(width: int) -> tuple[int, int]:
+    """The sampling box [1, 2^width] of --width."""
+    if width < 0:
+        raise UsageError(f"--width must be >= 0, got {width}")
+    return (1, 1 << width)
+
+
 def _verify_config(args) -> VerifyConfig:
     return VerifyConfig(
         seed=args.seed,
@@ -173,7 +180,7 @@ def cmd_pit(args) -> int:
         c,
         trials=args.trials,
         seed=args.seed,
-        box=(1, 1 << args.width),
+        box=_box(args.width),
         degree_hint=args.degree_hint,
     )
     if res.verdict == "nonzero":
@@ -231,7 +238,7 @@ def cmd_count_designs(args) -> int:
 def cmd_build_hitting_set(args) -> int:
     cls = _enumerated_class(args)
     hs = build_hitting_set_greedy(
-        cls, seed=args.seed, pool_size=args.pool, box=(1, 1 << args.width)
+        cls, seed=args.seed, pool_size=args.pool, box=_box(args.width)
     )
     report = hitting_set_axioms_report(hs)
     # wall-clock lines go to stderr so stdout stays byte-stable per argv

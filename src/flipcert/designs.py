@@ -119,18 +119,20 @@ def _admissible(cand: int, rows: list[int], k_cap: int) -> bool:
     return all(bin(cand & prev).count("1") <= k_cap for prev in rows)
 
 
-def build_design_greedy(
-    params: DesignParams,
-    seed: int = 0,
-    restarts: int = 500,
-    attempts: int = 8,
-    exhaustive_cap: int = 200_000,
-    backtrack_nodes: int = 500_000,
-) -> Design:
+# build_design_greedy's search effort: random draws per row, whole greedy
+# builds, the largest C(l, r) row universe the backtracking fallback
+# enumerates, and the node cap of that search
+_RESTARTS = 500
+_ATTEMPTS = 8
+_EXHAUSTIVE_CAP = 200_000
+_BACKTRACK_NODES = 500_000
+
+
+def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
     """Row-by-row randomized construction.
 
     Greedy choice can dead-end even when a design exists (it does for
-    m'=4, l=6, r=3, k_cap=1), so the whole build is retried `attempts`
+    m'=4, l=6, r=3, k_cap=1), so the whole build is retried _ATTEMPTS
     times and, for universes small enough to enumerate, a deterministic
     backtracking search runs last.  ConstructionFailed carries the best
     row count achieved; the pigeonhole bound 2r - l > k_cap fails fast.
@@ -152,11 +154,11 @@ def build_design_greedy(
         return d
 
     best = 0
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         rows: list[int] = []
         for _ in range(params.m_prime):
             found: int | None = None
-            for _ in range(restarts):
+            for _ in range(_RESTARTS):
                 cand = 0
                 for j in rng.sample(range(params.l), params.r):
                     cand |= 1 << j
@@ -170,7 +172,7 @@ def build_design_greedy(
         if len(rows) == params.m_prime:
             return finish(rows)
 
-    if math.comb(params.l, params.r) <= exhaustive_cap:
+    if math.comb(params.l, params.r) <= _EXHAUSTIVE_CAP:
         all_rows = _all_rows(params)
         visited = 0
         stack: list[int] = []
@@ -181,7 +183,7 @@ def build_design_greedy(
             if len(stack) == params.m_prime:
                 return True
             for cand in all_rows:
-                if visited >= backtrack_nodes:
+                if visited >= _BACKTRACK_NODES:
                     return False
                 visited += 1
                 if _admissible(cand, stack, params.k_cap):

@@ -1,4 +1,10 @@
-"""Prime fields, small extension fields, and the Frobenius trace machinery.
+"""Primality, prime and small extension fields, and the Frobenius trace.
+
+is_prime and random_prime serve the modular query runs, which reduce plain
+integers mod q inside circuits.run; no circuit is evaluated over a field
+object.  The field classes exist for the trace machinery (the trace-tools
+command), and their elements combine only with elements of the same field,
+never with int operands.
 
 Extension elements are kept as coefficient tuples over the prime field in the
 power basis of a monic irreducible modulus.  The module also provides the
@@ -65,31 +71,6 @@ def int_bitlength(n: int) -> int:
     return max(1, abs(n).bit_length()) + (1 if n < 0 else 0)
 
 
-class IntegerRing:
-    """The ring of plain Python integers, used for exact evaluation."""
-
-    name = "ZZ"
-
-    @staticmethod
-    def from_int(n: int) -> int:
-        return n
-
-    @staticmethod
-    def coerce(x) -> int:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise UsageError(f"expected an integer, got {type(x).__name__}")
-        return x
-
-    zero = 0
-    one = 1
-
-    def __repr__(self) -> str:
-        return "ZZ"
-
-
-ZZ = IntegerRing()
-
-
 @dataclass(frozen=True)
 class PrimeFieldElement:
     """Residue in F_q; arithmetic stays inside the parent field."""
@@ -102,8 +83,6 @@ class PrimeFieldElement:
             if other.field.q != self.field.q:
                 raise UsageError("mixed prime fields")
             return other
-        if isinstance(other, int):
-            return self.field.element(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -112,27 +91,17 @@ class PrimeFieldElement:
             return o
         return PrimeFieldElement((self.value + o.value) % self.field.q, self.field)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._peer(other)
         if o is NotImplemented:
             return o
         return PrimeFieldElement((self.value - o.value) % self.field.q, self.field)
 
-    def __rsub__(self, other):
-        o = self._peer(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
     def __mul__(self, other):
         o = self._peer(other)
         if o is NotImplemented:
             return o
         return PrimeFieldElement(self.value * o.value % self.field.q, self.field)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return PrimeFieldElement(-self.value % self.field.q, self.field)
@@ -149,8 +118,6 @@ class PrimeFieldElement:
         return self.value != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.value == other % self.field.q
         return (
             isinstance(other, PrimeFieldElement)
             and other.field.q == self.field.q
@@ -177,21 +144,6 @@ class PrimeField:
 
     def element(self, v: int) -> PrimeFieldElement:
         return PrimeFieldElement(v % self.q, self)
-
-    from_int = element
-
-    def coerce(self, x) -> PrimeFieldElement:
-        if isinstance(x, PrimeFieldElement):
-            if x.field.q != self.q:
-                raise UsageError("element from a different prime field")
-            return x
-        if isinstance(x, int):
-            return self.element(x)
-        raise UsageError(f"cannot coerce {type(x).__name__} into {self.name}")
-
-    def elements(self) -> Iterator[PrimeFieldElement]:
-        for v in range(self.q):
-            yield PrimeFieldElement(v, self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
@@ -329,10 +281,6 @@ class ExtFieldElement:
             if other.field is not self.field and other.field != self.field:
                 raise UsageError("mixed extension fields")
             return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, PrimeFieldElement):
-            return self.field.from_int(other.value)
         return NotImplemented
 
     def __add__(self, other):
@@ -344,8 +292,6 @@ class ExtFieldElement:
             tuple((a + b) % q for a, b in zip(self.coeffs, o.coeffs)), self.field
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._peer(other)
         if o is NotImplemented:
@@ -355,12 +301,6 @@ class ExtFieldElement:
             tuple((a - b) % q for a, b in zip(self.coeffs, o.coeffs)), self.field
         )
 
-    def __rsub__(self, other):
-        o = self._peer(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
     def __mul__(self, other):
         o = self._peer(other)
         if o is NotImplemented:
@@ -368,8 +308,6 @@ class ExtFieldElement:
         F = self.field
         prod = _poly_mod(_poly_mul(self.coeffs, o.coeffs, F.q), F.modulus, F.q)
         return ExtFieldElement(F._pad(prod), F)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         q = self.field.q
@@ -395,8 +333,6 @@ class ExtFieldElement:
         return any(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self == self.field.from_int(other)
         return (
             isinstance(other, ExtFieldElement)
             and other.field == self.field
@@ -472,17 +408,6 @@ class ExtField:
 
     def from_int(self, n: int) -> ExtFieldElement:
         return self.element([n % self.q])
-
-    def coerce(self, x) -> ExtFieldElement:
-        if isinstance(x, ExtFieldElement):
-            if x.field != self:
-                raise UsageError("element from a different extension field")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, PrimeFieldElement):
-            return self.from_int(x.value)
-        raise UsageError(f"cannot coerce {type(x).__name__} into {self.name}")
 
     def gen(self) -> ExtFieldElement:
         """The residue class of t."""

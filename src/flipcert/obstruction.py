@@ -54,6 +54,7 @@ from .errors import (
 from .matrices import BLOCK, SQUARE
 from .oracles import permanent
 from .symtests import (
+    MAX_TERMS,
     Query,
     canonicalize_queries,
     gen_queries_efun,
@@ -63,6 +64,8 @@ from .symtests import (
     serialize_query,
 )
 from .util import Stopwatch, derive_seed
+
+F2_MIN_DISJOINT = 2  # mutually point-disjoint certificates F2 asks for
 
 
 @dataclass(frozen=True)
@@ -421,20 +424,17 @@ class FReport:
         return "\n".join(lines)
 
 
-def _target_polynomial(config: CertConfig, max_terms: int) -> dict:
+def _target_polynomial(config: CertConfig) -> dict:
     if config.target == "perm":
-        return expand_to_polynomial(perm_circuit(config.n), max_terms)
-    return expand_to_polynomial(efun_circuit(config.m, config.k), max_terms)
+        return expand_to_polynomial(perm_circuit(config.n), MAX_TERMS)
+    return expand_to_polynomial(efun_circuit(config.m, config.k), MAX_TERMS)
 
 
 def harness_F(
     cert: ObstructionCertificate,
     cls,
     f2_samples: int = 32,
-    f2_min_disjoint: int = 2,
     seed: int = 0,
-    enum_budget: int | None = None,
-    max_terms: int = 200_000,
 ) -> FReport:
     """Check F0 through F4 against an enumerable circuit class.
 
@@ -485,10 +485,10 @@ def harness_F(
     )
 
     with Stopwatch() as sw:
-        members = list(cls.members(enum_budget))
-        target_poly = _target_polynomial(cfg, max_terms)
+        members = list(cls.members())
+        target_poly = _target_polynomial(cfg)
         for c in members:
-            if expand_to_polynomial(c, max_terms) == target_poly:
+            if expand_to_polynomial(c, MAX_TERMS) == target_poly:
                 raise TargetComputable(
                     "a class member computes the target exactly", circuit=c
                 )
@@ -536,7 +536,7 @@ def harness_F(
                 family.append(s)
     f2 = PropertyReport(
         "F2",
-        len(family) >= f2_min_disjoint,
+        len(family) >= F2_MIN_DISJOINT,
         sw.seconds,
         f"{len(family)} mutually point-disjoint certificates among "
         f"{f2_samples} sampled labels ({disjoint_pairs} disjoint pairs); "
@@ -587,12 +587,7 @@ class TrivialTable:
         return len(self.rows)
 
 
-def trivial_obstruction_table(
-    cls,
-    config: CertConfig,
-    enum_budget: int | None = None,
-    max_terms: int = 200_000,
-) -> TrivialTable:
+def trivial_obstruction_table(cls, config: CertConfig) -> TrivialTable:
     """One counterexample row per class circuit, found by grid scan.
 
     The difference polynomial has some per-variable degree d, so the grid
@@ -600,15 +595,15 @@ def trivial_obstruction_table(
     order becomes the row.  A member with zero difference means the class
     computes the target: TargetComputable, no table exists.
     """
-    target_poly = _target_polynomial(config, max_terms)
+    target_poly = _target_polynomial(config)
     nvars = config.num_vars()
     rows = []
-    for idx, c in enumerate(cls.members(enum_budget)):
+    for idx, c in enumerate(cls.members()):
         if c.num_inputs != nvars:
             raise UsageError(
                 f"class member reads {c.num_inputs} inputs, target has {nvars}"
             )
-        diff = poly_sub(expand_to_polynomial(c, max_terms), target_poly)
+        diff = poly_sub(expand_to_polynomial(c, MAX_TERMS), target_poly)
         if not diff:
             raise TargetComputable(
                 "a class member computes the target exactly", circuit=c

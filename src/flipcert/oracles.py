@@ -30,6 +30,7 @@ from .errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
 from .matrices import BLOCK, SQUARE, MatrixAssignment
 
 _NAIVE_CAP = 6
+_ORDER_CAP = 12  # largest matrix order permanent and determinant accept
 
 
 def _rows_of(M) -> tuple[tuple, ...]:
@@ -75,12 +76,12 @@ def _ryser_permanent(rows):
     return acc
 
 
-def permanent(M, limit: int = 12):
+def permanent(M):
     """Exact permanent; Ryser route, cross-checked naively for n <= 6."""
     rows = _rows_of(M)
     n = len(rows)
-    if n > limit:
-        raise SizeLimit(f"permanent of order {n} exceeds the cap {limit}")
+    if n > _ORDER_CAP:
+        raise SizeLimit(f"permanent of order {n} exceeds the cap {_ORDER_CAP}")
     val = _ryser_permanent(rows)
     if n <= _NAIVE_CAP:
         ref = _naive_permanent(rows)
@@ -127,14 +128,14 @@ def _bareiss_determinant(rows):
     return sign * a[n - 1][n - 1]
 
 
-def determinant(M, limit: int = 12):
+def determinant(M):
     """Exact determinant: permutation expansion up to order 6, fraction-free
 
     elimination (integer/Fraction entries) above that."""
     rows = _rows_of(M)
     n = len(rows)
-    if n > limit:
-        raise SizeLimit(f"determinant of order {n} exceeds the cap {limit}")
+    if n > _ORDER_CAP:
+        raise SizeLimit(f"determinant of order {n} exceeds the cap {_ORDER_CAP}")
     if n <= _NAIVE_CAP:
         return _naive_determinant(rows)
     if all(isinstance(v, (int, Fraction)) for row in rows for v in row):

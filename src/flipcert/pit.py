@@ -38,6 +38,8 @@ from .errors import ArityMismatch, BudgetExceeded, ParseError, PoolExhausted, Us
 from .fields import int_bitlength
 from .util import Stopwatch, derive_seed
 
+MAX_TERMS = 10_000  # expansion budget of the zero test on class members
+
 
 @dataclass(frozen=True)
 class EnumeratedClass:
@@ -65,8 +67,8 @@ class EnumeratedClass:
             f" regime={self.regime} alphabet={alpha}"
         )
 
-    def members(self, budget: int | None = None) -> Iterator[Circuit]:
-        return enumerate_circuits(self, budget=budget)
+    def members(self) -> Iterator[Circuit]:
+        return enumerate_circuits(self)
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,7 @@ class ExplicitClass:
     def label(self) -> str:
         return f"explicit count={len(self.circuits)}"
 
-    def members(self, budget: int | None = None) -> Iterator[Circuit]:
-        if budget is not None and len(self.circuits) > budget:
-            raise BudgetExceeded(
-                f"{len(self.circuits)} explicit members over budget {budget}"
-            )
+    def members(self) -> Iterator[Circuit]:
         return iter(self.circuits)
 
 
@@ -190,9 +188,9 @@ def enumerate_circuits(
     yield from walk(0)
 
 
-def class_size(cls: CircuitClass, budget: int | None = None) -> int:
+def class_size(cls: CircuitClass) -> int:
     n = 0
-    for _ in cls.members(budget=budget):
+    for _ in cls.members():
         n += 1
     return n
 
@@ -275,22 +273,18 @@ class HitReport:
     seconds: float
 
 
-def nonzero_members(
-    cls: CircuitClass, max_terms: int = 10_000, budget: int | None = None
-) -> list[Circuit]:
+def nonzero_members(cls: CircuitClass) -> list[Circuit]:
     """Members whose expansion is not the zero polynomial, in canonical
 
     enumeration order."""
     out = []
-    for c in cls.members(budget=budget):
-        if expand_to_polynomial(c, max_terms=max_terms):
+    for c in cls.members():
+        if expand_to_polynomial(c, max_terms=MAX_TERMS):
             out.append(c)
     return out
 
 
-def verify_hitting_set(
-    hs: HittingSet, max_terms: int = 10_000, budget: int | None = None
-) -> HitReport:
+def verify_hitting_set(hs: HittingSet) -> HitReport:
     """Exhaustive check: every nonzero member must be nonzero somewhere on
 
     the point list.  Returns the first violator in enumeration order."""
@@ -299,9 +293,9 @@ def verify_hitting_set(
     nonzero = 0
     violator = None
     with Stopwatch() as sw:
-        for c in hs.cls.members(budget=budget):
+        for c in hs.cls.members():
             checked += 1
-            if not expand_to_polynomial(c, max_terms=max_terms):
+            if not expand_to_polynomial(c, max_terms=MAX_TERMS):
                 continue
             nonzero += 1
             hit = False
@@ -322,15 +316,13 @@ def build_hitting_set_greedy(
     seed: int = 0,
     pool_size: int = 64,
     box: tuple[int, int] = (1, 1 << 16),
-    max_terms: int = 10_000,
-    budget: int | None = None,
 ) -> HittingSet:
     """Greedy set cover over a seeded candidate pool.
 
     Ties break toward the earliest pool index; PoolExhausted when no
     candidate hits any still-uncovered member.
     """
-    members = nonzero_members(cls, max_terms=max_terms, budget=budget)
+    members = nonzero_members(cls)
     if cls.num_inputs == 0:
         raise UsageError("hitting sets need at least one variable")
     rng = random.Random(derive_seed("pool", seed, cls.label(), box[0], box[1]))
@@ -376,27 +368,19 @@ def build_hitting_set_greedy(
 
 
 def disjoint_hitting_families(
-    cls: CircuitClass,
-    count: int,
-    seed: int = 0,
-    band: int = 1 << 16,
-    pool_size: int = 64,
-    max_terms: int = 10_000,
+    cls: CircuitClass, count: int, seed: int = 0
 ) -> list[HittingSet]:
     """Up to `count` hitting sets with pairwise disjoint point sets, built
 
     from disjoint coordinate bands; stops early if a band's pool is too
-    weak.  Band f draws every coordinate from [1 + f*band, (f+1)*band]."""
+    weak.  Family f draws every coordinate from [1 + f*2^16, (f+1)*2^16]."""
+    band = 1 << 16
     families: list[HittingSet] = []
     for f in range(count):
         box = (1 + f * band, (f + 1) * band)
         try:
             hs = build_hitting_set_greedy(
-                cls,
-                seed=derive_seed("family", seed, f),
-                pool_size=pool_size,
-                box=box,
-                max_terms=max_terms,
+                cls, seed=derive_seed("family", seed, f), box=box
             )
         except PoolExhausted:
             break
@@ -407,11 +391,11 @@ def disjoint_hitting_families(
     return families
 
 
-def hitting_set_axioms_report(hs: HittingSet, max_terms: int = 10_000) -> dict:
+def hitting_set_axioms_report(hs: HittingSet) -> dict:
     """The four desk-scale axioms: short, rich, easy to verify, easy to
 
     construct (construction time is reported by the builder's caller)."""
-    rep = verify_hitting_set(hs, max_terms=max_terms)
+    rep = verify_hitting_set(hs)
     return {
         "points": len(hs.points),
         "total_bits": hs.total_bits,

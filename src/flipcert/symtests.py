@@ -133,6 +133,12 @@ class VerifyConfig:
     prime_count: int = 3
     det_factor_mode: str = "det-corrected"  # "det-corrected" | "literal"
 
+    def __post_init__(self):
+        if self.sample_width < 1:
+            raise UsageError("sample width must be >= 1")
+        if min(self.rounds, self.nonzero_count, self.prime_count) < 0:
+            raise UsageError("rounds, nonzero and prime counts must be >= 0")
+
     def box(self) -> tuple[int, int]:
         return (1, 1 << self.sample_width)
 
@@ -300,15 +306,12 @@ def gen_queries_perm(
     return canonicalize_queries(queries)
 
 
-def gen_queries_selfreduce(
-    n: int,
-    seed: int,
-    rounds: int = 1,
-    box: tuple[int, int] = (1, 1 << 62),
-) -> tuple[Query, ...]:
-    """Downward self-reduction suite.  Reporting/contrast only: each order-i
+def gen_queries_selfreduce(n: int, seed: int, rounds: int = 1) -> tuple[Query, ...]:
+    """Downward self-reduction suite, entries drawn from [1, 2^62].
 
-    query carries i+1 points, against the symmetry suite's 2."""
+    Reporting/contrast only: each order-i query carries i+1 points, against
+    the symmetry suite's 2."""
+    box = (1, 1 << 62)
     queries: list[Query] = []
     for r in range(rounds):
         rng = random.Random(derive_seed("SR", n, seed, r))

@@ -36,6 +36,7 @@ from flipcert.errors import (
     DagViolation,
     ParseError,
     TermBudgetExceeded,
+    UsageError,
 )
 
 XY_TEXT = """ninputs 2
@@ -53,6 +54,15 @@ def test_parse_and_evaluate():
     assert c.num_inputs == 2
     assert c.size == 5
     assert evaluate(c, (4, 5)) == 23
+
+
+@pytest.mark.parametrize("bad", (True, 4.0, "4"), ids=("bool", "float", "str"))
+def test_evaluate_rejects_non_integer_coordinates(bad):
+    c = parse_circuit(XY_TEXT)
+    with pytest.raises(UsageError, match="expected an integer"):
+        evaluate(c, (bad, 5))
+    with pytest.raises(UsageError, match="expected an integer"):
+        evaluate(c, (4, bad))
 
 
 def test_serialize_roundtrip_is_canonical():

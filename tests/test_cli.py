@@ -104,6 +104,40 @@ def test_verify_stdout_is_reproducible(perm2_path, capsys):
     assert (rc1, out1) == (rc2, out2)
 
 
+# A bad count or width is a usage error: exit 2, never a traceback, and never
+# exit 0/1 with a verdict computed from it.  efun22 is the true E(2,2), which
+# a one-point box {1} would wrongly reject.
+BAD_FLAG_ARGV = {
+    "pit-width": ["pit", "--circuit", "{det2}", "--width", "-1"],
+    "verify-perm-width": ["verify-perm", "--n", "2", "--circuit", "{det2}",
+                          "--width", "-1"],
+    "verify-efun-width": ["verify-efun", "--m", "2", "--k", "2",
+                          "--circuit", "{efun22}", "--width", "-1"],
+    "build-hitting-set-width": ["build-hitting-set", "--ninputs", "1", "--bound", "3",
+                                "--alphabet=-1,1", "--width", "-1"],
+    "verify-perm-rounds": ["verify-perm", "--n", "2", "--circuit", "{det2}",
+                           "--rounds", "-1"],
+    "verify-efun-width-0": ["verify-efun", "--m", "2", "--k", "2",
+                            "--circuit", "{efun22}", "--width", "0"],
+    "verify-perm-nonzero": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
+                            "--nonzero", "-1"],
+    "verify-perm-prime-count": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
+                                "--ring", "modular", "--prime-count", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_ARGV.values(), ids=BAD_FLAG_ARGV.keys())
+def test_bad_count_or_width_exits_2(tmp_path, capsys, argv):
+    paths = {}
+    for name, c in (("det2", det_circuit(2)), ("perm2", perm_circuit(2)),
+                    ("efun22", efun_circuit(2, 2))):
+        paths[name] = tmp_path / f"{name}.ac"
+        paths[name].write_text(serialize_circuit(c))
+    rc, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # oracles
 

@@ -1,8 +1,9 @@
 """The flat evaluation kernels (lower/run/run_many) against independent oracles.
 
-The oracle evaluator is the node-by-node isinstance dispatch the kernel
-replaced, kept here verbatim as the reference, together with the query
-runner that used it.  run_many is checked against run, point by point.
+The oracle evaluators are the node-by-node isinstance dispatch the kernel
+replaced, exact and mod q, kept here as the reference together with the
+query runner that used them.  run_many is checked against run, point by
+point.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from flipcert.circuits import (
     run_many,
 )
 from flipcert.errors import ArityMismatch, TermBudgetExceeded, UsageError
-from flipcert.fields import ZZ, ExtField, PrimeField, find_irreducible, random_prime
+from flipcert.fields import random_prime
 from flipcert.pit import EnumeratedClass
 from flipcert.symtests import (
     P_NONZERO,
@@ -54,32 +55,23 @@ from flipcert.util import derive_seed
 REFERENCE_FILES = sorted((Path(__file__).resolve().parents[1] / "circuits").glob("*.ac"))
 PRIMES = (2, 3, 7, 65537, 2**31 - 1, 2**61 - 1)
 P31 = (2147483029, 2147483249, 2147483647)  # three 31-bit primes
-EXT_FIELDS = (
-    ExtField(2, 3, find_irreducible(2, 3)),
-    ExtField(3, 2, find_irreducible(3, 2)),
-    ExtField(5, 2, find_irreducible(5, 2)),
-)
 
 
 # ---------------------------------------------------------------------------
 # oracles
 
 
-def oracle_evaluate(c: Circuit, point, ring=ZZ):
+def oracle_evaluate(c: Circuit, point) -> int:
     if len(point) != c.num_inputs:
         raise ArityMismatch(
             f"circuit takes {c.num_inputs} inputs, point has {len(point)}"
         )
-    if isinstance(ring, PrimeField):
-        flat = [ring.coerce(x).value for x in point]
-        return ring.element(oracle_evaluate_mod(c, flat, ring.q))
-    vals = [ring.coerce(x) for x in point]
-    out: list = [None] * len(c.nodes)
+    out = [0] * len(c.nodes)
     for t, node in enumerate(c.nodes):
         if isinstance(node, Input):
-            out[t] = vals[node.index]
+            out[t] = point[node.index]
         elif isinstance(node, Const):
-            out[t] = ring.from_int(node.value)
+            out[t] = node.value
         elif isinstance(node, Add):
             out[t] = out[node.a] + out[node.b]
         elif isinstance(node, Sub):
@@ -154,16 +146,14 @@ def oracle_run_queries(c, queries, ring="exact", prime_bits=31, prime_count=3, s
         elif q.relation == REL_NONZERO:
             ok = False
             for p in primes:
-                F = PrimeField(p)
-                vals = [oracle_evaluate(c, f, ring=F).value for f in q.points]
+                vals = [oracle_evaluate_mod(c, f, p) for f in q.points]
                 if _oracle_relation_holds_mod(q, vals, p):
                     ok = True
                     break
         else:
             ok = True
             for p in primes:
-                F = PrimeField(p)
-                vals = [oracle_evaluate(c, f, ring=F).value for f in q.points]
+                vals = [oracle_evaluate_mod(c, f, p) for f in q.points]
                 if not _oracle_relation_holds_mod(q, vals, p):
                     ok = False
                     break
@@ -228,8 +218,6 @@ def _check_against_oracles(c: Circuit, pt: tuple) -> None:
         assert exact == poly_eval(poly, pt)
     for q in PRIMES:
         assert run(prog, pt, q) == exact % q
-        F = PrimeField(q)
-        assert evaluate(c, pt, F) == oracle_evaluate(c, pt, F)
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +246,6 @@ def test_kernel_matches_oracles_on_reference_files(path, data):
     _check_against_oracles(c, data.draw(points(c.num_inputs)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_ring_paths_match_oracle_over_extension_fields(data):
-    c = data.draw(st.one_of(random_dags(), class_members()))
-    F = data.draw(st.sampled_from(EXT_FIELDS))
-    coords = st.lists(st.integers(-50, 50), min_size=F.l, max_size=F.l)
-    # coordinates as field elements and as plain ints, mixed
-    pt = tuple(
-        data.draw(st.one_of(st.integers(-50, 50), coords.map(F.element)))
-        for _ in range(c.num_inputs)
-    )
-    got = evaluate(c, pt, F)
-    assert got == oracle_evaluate(c, pt, F)
-    assert got.field == F
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_run_many_matches_run_pointwise(data):
@@ -299,13 +271,6 @@ def test_lower_drops_nodes_after_the_output():
     c = Circuit(1, (Input(0), Const(3), Mul(0, 1), Add(2, 2)), 2)
     assert lower(c) == ((0, 0, 0), (1, 3, 0), (4, 0, 1))
     assert evaluate(c, (5,)) == 15
-
-
-def test_constant_output_is_a_ring_element():
-    F = EXT_FIELDS[1]
-    c = Circuit(1, (Input(0), Const(7)), 1)
-    assert evaluate(c, (1,), F) == F.from_int(7)
-    assert evaluate(c, (1,), PrimeField(5)) == PrimeField(5).element(2)
 
 
 def test_evaluate_checks_arity():
