@@ -15,18 +15,21 @@ it, exactly over Python integers or reducing mod q at every step:
                           and decode_counterexample tries 1.16 queries per
                           member on average over the F1b class.  evaluate()
                           is check-arity, check-integers, lower, run.
-  run_many(prog, points)  every point in one walk, each step a list
-                          comprehension over a column of values.  Callers
+  run_many(prog, points)  every point in one walk, each step one column of
+                          values: map(operator.mul, ...) and the like when
+                          exact, a list comprehension mod q.  Callers
                           that need every point use it: run_queries (a whole
                           sampled suite, each distinct point once) and
                           build_hitting_set_greedy (all pool points of every
                           member).
 
 The split follows the call site's shape, not the arithmetic: both compute
-the same values.  On these small programs one point costs about 0.85 us
-through run() and 2.7 us through run_many(), which pays only once a walk is
-shared by many points.  Programs are never cached: a class sweep holds tens
-of thousands of circuits at once.
+the same values.  On members of the bound-5 perm(2) class, one point costs
+about 0.65-0.95 us through run() and 2.8-3.4 us through run_many(), while
+22 points cost run_many about 0.35 us each (Python 3.11 on a 2-core Xeon
+VM, minimum of 9 runs; the range is the host's drift between runs).  So
+run_many pays only once a walk is shared by several points.  Programs are
+never cached: a class sweep holds tens of thousands of circuits at once.
 
 The text format, one node per line:
 
@@ -43,6 +46,7 @@ exactly one output line closes the file.  '#' starts a comment.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -284,7 +288,10 @@ def run_many(prog: Program, points: Sequence[Sequence[int]], q: int = 0) -> list
 
     Step t's values at every point form one column.  Lengths are not
     checked (see check_arity)."""
-    cols: list[list[int]] = []
+    if not points:
+        return []
+    inputs = list(zip(*points))  # input i's value at every point
+    cols: list[Sequence[int]] = []
     push = cols.append
     if q:
         for op, a, b in prog:
@@ -295,22 +302,22 @@ def run_many(prog: Program, points: Sequence[Sequence[int]], q: int = 0) -> list
             elif op == OP_SUB:
                 push([(x - y) % q for x, y in zip(cols[a], cols[b])])
             elif op == OP_INPUT:
-                push([p[a] % q for p in points])
+                push([x % q for x in inputs[a]])
             else:
                 push([a % q] * len(points))
     else:
         for op, a, b in prog:
             if op == OP_MUL:
-                push([x * y for x, y in zip(cols[a], cols[b])])
+                push(list(map(operator.mul, cols[a], cols[b])))
             elif op == OP_ADD:
-                push([x + y for x, y in zip(cols[a], cols[b])])
+                push(list(map(operator.add, cols[a], cols[b])))
             elif op == OP_SUB:
-                push([x - y for x, y in zip(cols[a], cols[b])])
+                push(list(map(operator.sub, cols[a], cols[b])))
             elif op == OP_INPUT:
-                push([p[a] for p in points])
+                push(inputs[a])
             else:
                 push([a] * len(points))
-    return cols[-1]
+    return list(cols[-1])  # an input column is a tuple
 
 
 def check_arity(c: Circuit, point: Sequence) -> None:

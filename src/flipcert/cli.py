@@ -298,6 +298,8 @@ def cmd_harness_f(args) -> int:
 
 
 def cmd_trivial_table(args) -> int:
+    if args.head < 0:
+        raise UsageError(f"--head must be >= 0, got {args.head}")
     cls = _enumerated_class(args)
     n = _default_n(args.target) if args.n is None else args.n
     config = CertConfig(

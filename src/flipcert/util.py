@@ -1,9 +1,12 @@
-"""Small shared helpers: stable seed derivation and wall-clock timing."""
+"""Small shared helpers: stable seed derivation, box draws and wall-clock
+timing."""
 
 from __future__ import annotations
 
 import hashlib
 import time
+
+from .errors import UsageError
 
 
 def derive_seed(*parts) -> int:
@@ -12,8 +15,31 @@ def derive_seed(*parts) -> int:
     sha256-based so results are stable across processes and platforms
     (unlike hash(), which is salted per process).
     """
-    blob = "\x1f".join(str(p) for p in parts).encode()
+    blob = "\x1f".join(map(str, parts)).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+
+
+def rand_point(rng, size: int, box: tuple[int, int]) -> tuple[int, ...]:
+    """`size` entries drawn from the box [lo, hi] in order, as one tuple.
+
+    CPython's own rule for `rng.randrange(lo, hi + 1)`, inlined: take a
+    k-bit word, k = width.bit_length(), and redraw while it is >= width.
+    So the entries, and the RNG state afterwards, are those of `size`
+    randrange calls, without their call layers.  The rule is the same in
+    CPython 3.10 through 3.13; the tests hold it to randrange itself.
+    """
+    lo = box[0]
+    width = box[1] - lo + 1
+    if width < 1:
+        raise UsageError(f"empty box [{box[0]}, {box[1]}]")
+    k, draw = width.bit_length(), rng.getrandbits
+    out = []
+    for _ in range(size):
+        r = draw(k)
+        while r >= width:
+            r = draw(k)
+        out.append(lo + r)
+    return tuple(out)
 
 
 class Stopwatch:

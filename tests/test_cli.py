@@ -123,6 +123,11 @@ BAD_FLAG_ARGV = {
                             "--nonzero", "-1"],
     "verify-perm-prime-count": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
                                 "--ring", "modular", "--prime-count", "-1"],
+    # zero.ac computes x - x, so a negative hint would reach the printed bound
+    "pit-degree-hint": ["pit", "--circuit", "{zero}", "--degree-hint", "-5",
+                        "--trials", "3"],
+    "trivial-table-head": ["trivial-table", "--ninputs", "4", "--bound", "2",
+                           "--alphabet=1", "--n", "2", "--head", "-1"],
 }
 
 
@@ -133,6 +138,8 @@ def test_bad_count_or_width_exits_2(tmp_path, capsys, argv):
                     ("efun22", efun_circuit(2, 2))):
         paths[name] = tmp_path / f"{name}.ac"
         paths[name].write_text(serialize_circuit(c))
+    paths["zero"] = tmp_path / "zero.ac"
+    paths["zero"].write_text("ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n")
     rc, out, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
@@ -361,6 +368,14 @@ def test_harness_f(cert_path, capsys):
     assert rc == 0
     assert "overall: pass" in out
     assert "compression contrast" in out
+
+
+def test_harness_f_rejects_a_negative_sample_count(cert_path, capsys):
+    rc, out, err = run(capsys, ["harness-f", "--cert", cert_path,
+                                "--ninputs", "4", "--bound", "3",
+                                "--alphabet=-1,0,1", "--f2-samples", "-1"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_trivial_table(capsys):

@@ -173,6 +173,14 @@ def test_pit_error_bound_formula():
     assert pit_error_bound(100, (1, 16), 2) == 1.0  # capped at 1 per trial
 
 
+def test_negative_degree_hint_is_a_usage_error():
+    # refused up front, also where a nonzero point would end the run first
+    with pytest.raises(UsageError):
+        pit_error_bound(2, (1, 16), 3, degree_hint=-1)
+    with pytest.raises(UsageError):
+        pit_random(perm_circuit(2), trials=4, seed=0, degree_hint=-5)
+
+
 def test_univariate_hitting_set_frozen():
     cls = EnumeratedClass(1, 4, (-2, -1, 1, 2))
     assert class_size(cls) == 2060

@@ -12,6 +12,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
 from flipcert.circuits import expand_to_polynomial, parse_circuit, poly_eval
@@ -25,6 +27,7 @@ from flipcert.oracles import (
     PermSwap,
     PosThreeCycle,
     RowCycle,
+    act,
     apply_group,
     var_map,
 )
@@ -43,6 +46,7 @@ from flipcert.symtests import (
     verify_claims_efun,
     verify_claims_perm,
 )
+from flipcert.util import rand_point
 
 
 def _failing_kinds(result) -> set[str]:
@@ -289,6 +293,70 @@ def test_acted_polynomial_is_p_of_g_x():
         assert (BLOCK, kind, "left") in seen
     for kind in ("ColSwap", "ColCycle", "PosThreeCycle"):
         assert (BLOCK, kind, "right") in seen
+
+
+def _act_oracle(vmap: tuple, flat) -> tuple:
+    """act's earlier general body, the reference: add, then scale, then move."""
+    dest, scale, add = vmap
+    vals = list(flat)
+    if add is not None:
+        pairs, y = add
+        for d, s in pairs:
+            vals[d] = vals[d] + y * vals[s]
+    if scale is not None:
+        vals = [f * v for f, v in zip(scale, vals)]
+    if dest is not None:
+        moved = [None] * len(vals)
+        for v, d in zip(vals, dest):
+            moved[d] = v
+        vals = moved
+    return tuple(vals)
+
+
+ACTIONS = tuple(_actions())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_act_matches_the_general_body(seed):
+    # every kind, both sides, square and block shapes; the 3-cycles are not
+    # involutions, so a map read in the wrong direction shows
+    rng = random.Random(seed)
+    for shape, g, side in ACTIONS:
+        nvars = shape[1] * shape[1] * (shape[2] if shape[0] == BLOCK else 1)
+        X = tuple(rng.randrange(-(1 << 70), 1 << 70) for _ in range(nvars))
+        vmap = var_map(g, shape, side)
+        assert sum(part is not None for part in vmap) == 1  # what act relies on
+        assert act(vmap, X) == _act_oracle(vmap, X), (shape, g, side)
+
+
+def _widths():
+    """1, 2^k - 1, 2^k and 2^k + 1, where the redraw rule's edges are, and any."""
+    near_powers = st.integers(0, 70).flatmap(
+        lambda k: st.sampled_from((max(1, (1 << k) - 1), 1 << k, (1 << k) + 1))
+    )
+    return st.one_of(near_powers, st.integers(1, 1 << 80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    box=st.one_of(
+        st.just((1, 1 << 62)),  # the suites' default box
+        st.builds(lambda lo, w: (lo, lo + w - 1), st.integers(-(1 << 70), 1 << 70), _widths()),
+    ),
+    size=st.integers(0, 20),
+)
+def test_rand_point_is_randrange_draw_for_draw(seed, box, size):
+    ours, ref = random.Random(seed), random.Random(seed)
+    want = tuple(ref.randrange(box[0], box[1] + 1) for _ in range(size))
+    assert rand_point(ours, size, box) == want
+    assert ours.getstate() == ref.getstate()
+
+
+def test_rand_point_refuses_an_empty_box():
+    with pytest.raises(UsageError):
+        rand_point(random.Random(0), 3, (5, 4))
 
 
 def _exhaustive_digest(cls, verify, cfg) -> tuple[int, int, str]:
