@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Measure false-zero rates of the randomized identity test.
+"""Measure false-zero rates of the randomized identity test, as a gate.
 
 For power circuits x^d the formal false-zero chance of a single trial is
 exactly (number of roots in the box)/|box| = 1/|box| scaled by d only when
@@ -7,11 +7,18 @@ roots are counted with multiplicity at distinct points; the classical bound
 is d/|S|.  The sweep draws fresh single-trial tests on x - c circuits with
 c planted inside the box, where the miss rate is genuinely d/|S|-shaped,
 and prints measured rate vs bound per cell.
+
+A cell's false-zero count is binomial with mean b = d/|S| per trial, so
+the script exits 1 when any measured rate passes b + 4 * sqrt(b(1-b)/trials)
+(four standard deviations of a rate that meets the bound), and 0 otherwise.
+
+    PYTHONPATH=src python scripts/sz_rejection_sweep.py --trials 2000
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import random
 
 from flipcert.circuits import parse_circuit
@@ -43,8 +50,11 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
 
-    print(f"{'degree':>6} {'box':>6} {'measured':>10} {'bound d/|S|':>12}")
+    print(f"{'degree':>6} {'box':>6} {'measured':>10} {'bound d/|S|':>12} {'limit':>8}")
+    over = 0
     for degree in (2, 4, 8):
         for width in (4, 8):
             size = 1 << width
@@ -63,8 +73,14 @@ def main() -> int:
                 if res.verdict == "zero":
                     false_zero += 1
             rate = false_zero / args.trials
-            print(f"{degree:>6} {size:>6} {rate:>10.4f} {degree / size:>12.4f}")
-    return 0
+            bound = degree / size
+            limit = bound + 4 * math.sqrt(bound * (1 - bound) / args.trials)
+            over += rate > limit
+            flag = "  OVER" if rate > limit else ""
+            print(f"{degree:>6} {size:>6} {rate:>10.4f} {bound:>12.4f} {limit:>8.4f}{flag}")
+    if over:
+        print(f"{over} cell(s) over the 4-sigma limit")
+    return 1 if over else 0
 
 
 if __name__ == "__main__":

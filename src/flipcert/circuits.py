@@ -371,43 +371,58 @@ def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
     """Exact expansion of the output as a sparse integer polynomial.
 
     Raises TermBudgetExceeded as soon as any intermediate node's expansion
-    holds more than max_terms monomials.
+    holds more than max_terms monomials, nodes after the output included.
+    Every coefficient is nonzero, so a sum that cancels was stored before
+    and is deleted; the exhaustive checks in symtests rely on it.
     """
     zero_exp = (0,) * c.num_inputs
-    polys: list[Poly] = [None] * len(c.nodes)  # type: ignore[list-item]
+    add = operator.add
+    polys: list[Poly] = []
+    push = polys.append
     for t, node in enumerate(c.nodes):
-        if isinstance(node, Input):
-            exp = tuple(1 if i == node.index else 0 for i in range(c.num_inputs))
-            p: Poly = {exp: 1}
-        elif isinstance(node, Const):
-            p = {zero_exp: node.value} if node.value else {}
-        elif isinstance(node, (Add, Sub)):
-            sign = 1 if isinstance(node, Add) else -1
-            p = dict(polys[node.a])
-            for exp, coeff in polys[node.b].items():
-                nv = p.get(exp, 0) + sign * coeff
-                if nv:
-                    p[exp] = nv
-                else:
-                    p.pop(exp, None)
-        else:
-            p = {}
-            pa, pb = polys[node.a], polys[node.b]
-            for ea, ca in pa.items():
-                for eb, cb in pb.items():
-                    exp = tuple(x + y for x, y in zip(ea, eb))
-                    nv = p.get(exp, 0) + ca * cb
+        kind = type(node)
+        if kind is Mul:
+            p: Poly = {}
+            get = p.get
+            pb = polys[node.b].items()
+            for ea, ca in polys[node.a].items():
+                for eb, cb in pb:
+                    exp = tuple(map(add, ea, eb))
+                    nv = get(exp, 0) + ca * cb
                     if nv:
                         p[exp] = nv
                     else:
-                        p.pop(exp, None)
+                        del p[exp]
                 if len(p) > max_terms:
                     raise TermBudgetExceeded(
                         f"node {t} expansion passed {max_terms} terms"
                     )
+        elif kind is Add:
+            p = dict(polys[node.a])
+            get = p.get
+            for exp, coeff in polys[node.b].items():
+                nv = get(exp, 0) + coeff
+                if nv:
+                    p[exp] = nv
+                else:
+                    del p[exp]
+        elif kind is Sub:
+            p = dict(polys[node.a])
+            get = p.get
+            for exp, coeff in polys[node.b].items():
+                nv = get(exp, 0) - coeff
+                if nv:
+                    p[exp] = nv
+                else:
+                    del p[exp]
+        elif kind is Input:
+            i = node.index
+            p = {zero_exp[:i] + (1,) + zero_exp[i + 1 :]: 1}
+        else:
+            p = {zero_exp: node.value} if node.value else {}
         if len(p) > max_terms:
             raise TermBudgetExceeded(f"node {t} expansion passed {max_terms} terms")
-        polys[t] = p
+        push(p)
     return polys[c.output]
 
 

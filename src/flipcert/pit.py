@@ -323,6 +323,8 @@ def build_hitting_set_greedy(
     Ties break toward the earliest pool index; PoolExhausted when no
     candidate hits any still-uncovered member.
     """
+    if pool_size < 1:
+        raise UsageError(f"pool size must be at least 1, got {pool_size}")
     members = nonzero_members(cls)
     if cls.num_inputs == 0:
         raise UsageError("hitting sets need at least one variable")

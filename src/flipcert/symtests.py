@@ -518,6 +518,20 @@ def run_queries(
 
 # ---------------------------------------------------------------------------
 # exhaustive (symbolic) identity checks
+#
+# Each check asks whether p(g X) == f * p(X) holds identically, for p the
+# circuit's expansion.  A diagonal or a permutation sends each monomial to
+# one monomial, so those two read p a monomial at a time and never build
+# p(g X).  That needs every stored coefficient to be nonzero, which
+# expand_to_polynomial guarantees: then each stored monomial is really in p.
+#   scale  x^e goes to w_e x^e, w_e = prod scale[v]^e_v; pass iff w_e == f
+#          at every monomial of p.
+#   dest   x^e goes to x^e' with e'[u] = e[dest[u]], distinct monomials to
+#          distinct images; pass iff c_e == f * p[e'] at every monomial, an
+#          absent image reading 0.  f is not always 1: the E-function swap
+#          law has f = (-1)^e.
+# Row additions mix monomials, so they build p(g X) through `acted`, which
+# also stays the reference the tests hold the per-monomial rule against.
 
 
 def _record(verdicts: list[Verdict], kind: str, ok: bool, note=()):
@@ -617,13 +631,32 @@ def _efun_suite(m: int, k: int, cfg: VerifyConfig) -> tuple:
 
 
 def _check_suite(verdicts: list[Verdict], poly: dict, suite: tuple) -> None:
-    """Record, per check, whether p(g X) == factor * p(X) identically."""
-    expected = {1: poly}
+    """Record, per check, whether p(g X) == factor * p(X) identically.
+
+    A diagonal check passes iff every monomial's weight prod scale[v]^e_v
+    equals the factor; a permutation check iff every coefficient equals the
+    factor times its image's coefficient in p.  Both rules need p to hold
+    no zero coefficient, which an expansion never does.  Row additions go
+    through `acted`."""
+    items = poly.items()
+    get = poly.get
+    push = verdicts.append
     for kind, note, vmap, factor in suite:
-        want = expected.get(factor)
-        if want is None:
-            want = expected[factor] = poly_scaled(poly, factor)
-        _record(verdicts, kind, acted(poly, vmap) == want, note)
+        dest, scale, _ = vmap
+        ok = True
+        if scale is not None:
+            for e in poly:
+                if prod(map(pow, scale, e)) != factor:
+                    ok = False
+                    break
+        elif dest is not None:
+            for e, coeff in items:
+                if factor * get(tuple(map(e.__getitem__, dest)), 0) != coeff:
+                    ok = False
+                    break
+        else:
+            ok = acted(poly, vmap) == poly_scaled(poly, factor)
+        push(Verdict(len(verdicts), kind, ok, note))
 
 
 def _exhaustive_perm(c: Circuit, n: int, cfg: VerifyConfig) -> tuple[list[Verdict], tuple[str, ...]]:
@@ -682,10 +715,16 @@ def verify_claims_efun(
     return _verify_claims(c, "efun", (m, k), cfg, _exhaustive_efun, gen, notes)
 
 
+_DIM_NAMES = {"perm": ("n",), "efun": ("m", "k")}
+
+
 def _verify_claims(
     c: Circuit, target: str, dims: tuple, cfg: VerifyConfig, exhaustive, gen, notes=()
 ) -> VerifyResult:
     """The body both verifiers share; `exhaustive` and `gen` take *dims first."""
+    for name, d in zip(_DIM_NAMES[target], dims):
+        if d < 1:
+            raise UsageError(f"{target} dimension {name} must be at least 1, got {d}")
     want = dims[0] * prod(dims)  # n x n, or m x (k * m)
     if c.num_inputs != want:
         raise ArityMismatch(f"circuit takes {c.num_inputs} inputs, want {want}")

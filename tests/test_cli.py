@@ -128,11 +128,27 @@ BAD_FLAG_ARGV = {
                         "--trials", "3"],
     "trivial-table-head": ["trivial-table", "--ninputs", "4", "--bound", "2",
                            "--alphabet=1", "--n", "2", "--head", "-1"],
+    # an empty pool is a usage error, not a budget failure (exit 3)
+    "build-hitting-set-pool": ["build-hitting-set", "--ninputs", "1", "--bound", "3",
+                               "--alphabet=-1,1", "--pool", "-1"],
+    "build-hitting-set-pool-0": ["build-hitting-set", "--ninputs", "1", "--bound", "3",
+                                 "--alphabet=-1,1", "--pool", "0"],
+    # (-2) * (-2) = 4 inputs would pass perm2's arity check
+    "verify-perm-n": ["verify-perm", "--n", "-2", "--circuit", "{perm2}"],
+    "verify-perm-n-0": ["verify-perm", "--n", "0", "--circuit", "{perm2}"],
+    "verify-efun-m-k": ["verify-efun", "--m", "-1", "--k", "-2", "--circuit", "{efun22}"],
+}
+
+# the error of a bad dimension names it, ahead of any arity complaint
+NAMED_IN_ERROR = {
+    "verify-perm-n": "dimension n must be at least 1, got -2",
+    "verify-perm-n-0": "dimension n must be at least 1, got 0",
+    "verify-efun-m-k": "dimension m must be at least 1, got -1",
 }
 
 
-@pytest.mark.parametrize("argv", BAD_FLAG_ARGV.values(), ids=BAD_FLAG_ARGV.keys())
-def test_bad_count_or_width_exits_2(tmp_path, capsys, argv):
+@pytest.mark.parametrize("label, argv", BAD_FLAG_ARGV.items(), ids=BAD_FLAG_ARGV.keys())
+def test_bad_count_or_width_exits_2(tmp_path, capsys, label, argv):
     paths = {}
     for name, c in (("det2", det_circuit(2)), ("perm2", perm_circuit(2)),
                     ("efun22", efun_circuit(2, 2))):
@@ -143,6 +159,7 @@ def test_bad_count_or_width_exits_2(tmp_path, capsys, argv):
     rc, out, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert NAMED_IN_ERROR.get(label, "") in err
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
-from flipcert.circuits import expand_to_polynomial, parse_circuit, poly_eval
+from flipcert.circuits import (
+    expand_to_polynomial,
+    parse_circuit,
+    poly_constant_ratio,
+    poly_eval,
+    poly_scaled,
+    poly_sub,
+)
 from flipcert.errors import ArityMismatch, UsageError
 from flipcert.matrices import BLOCK, SQUARE, MatrixAssignment
 from flipcert.oracles import (
@@ -34,6 +41,9 @@ from flipcert.oracles import (
 from flipcert.pit import EnumeratedClass
 from flipcert.symtests import (
     VerifyConfig,
+    _check_suite,
+    _efun_suite,
+    _perm_suite,
     acted,
     canonicalize_queries,
     gen_queries_efun,
@@ -330,6 +340,90 @@ def test_act_matches_the_general_body(seed):
         assert act(vmap, X) == _act_oracle(vmap, X), (shape, g, side)
 
 
+# (target, dims, det_factor_mode) of every suite the per-monomial rule runs
+SUITE_CASES = [("perm", (n,), "det-corrected") for n in (1, 2, 3, 4)] + [
+    ("efun", dims, mode)
+    for dims in ((1, 2), (2, 2), (1, 3), (2, 3))
+    for mode in ("det-corrected", "literal")
+]
+
+
+def _target_poly(target: str, dims: tuple) -> dict:
+    c = perm_circuit(*dims) if target == "perm" else efun_circuit(*dims)
+    return expand_to_polynomial(c)
+
+
+TARGET_POLYS = {(t, dims): _target_poly(t, dims) for t, dims, _ in SUITE_CASES}
+
+
+def _sparse_polys(nvars: int):
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeffs = st.integers(-5, 5).filter(bool)
+    return st.dictionaries(exps, coeffs, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_check_rule_matches_the_acted_reference(data):
+    # each diagonal and permutation check of every suite decides
+    # p(g X) == f p(X) as building p(g X) through `acted` does: on targets,
+    # their multiples, near misses, and p - s p(g X) for a permutation g of
+    # the suite, which passes g's check at f = -s when g is a swap
+    target, dims, mode = data.draw(st.sampled_from(SUITE_CASES))
+    cfg = VerifyConfig(mode="exhaustive", det_factor_mode=mode,
+                       seed=data.draw(st.integers(0, 2**32)))
+    suite = _perm_suite(*dims, cfg) if target == "perm" else _efun_suite(*dims, cfg)
+    # row additions build p(g X) through `acted` themselves, and are slow
+    # on E(2,3); every other check is decided one monomial at a time
+    suite = tuple(chk for chk in suite if chk[2][2] is None)
+    tp = TARGET_POLYS[target, dims]
+    nvars = len(next(iter(tp)))
+    noise = data.draw(_sparse_polys(nvars))
+    form = data.draw(st.sampled_from(("random", "target", "multiple", "near", "orbit")))
+    if form == "random":
+        poly = noise
+    elif form == "target":
+        poly = tp
+    elif form == "multiple":
+        poly = poly_scaled(tp, data.draw(st.integers(-4, 4)))
+    elif form == "near":
+        poly = poly_sub(tp, noise)
+    else:
+        dests = [vmap for _, _, vmap, _ in suite if vmap[0] is not None] or [None]
+        vmap = data.draw(st.sampled_from(dests))
+        sign = data.draw(st.sampled_from((1, -1)))
+        poly = noise if vmap is None else poly_sub(noise, poly_scaled(acted(noise, vmap), sign))
+    assert all(poly.values())  # the invariant the rule relies on
+    verdicts = []
+    _check_suite(verdicts, poly, suite)
+    want = [
+        (i, kind, acted(poly, vmap) == poly_scaled(poly, factor), note)
+        for i, (kind, note, vmap, factor) in enumerate(suite)
+    ]
+    assert [tuple(v) for v in verdicts] == want
+
+
+def test_check_rule_sees_every_check_pass_and_fail():
+    # the target passes every check of its suite; taking x0^(deg + 1) off breaks
+    # every diagonal law; E(2,3)'s swap law is the one check with f = -1
+    for target, dims, mode in SUITE_CASES:
+        cfg = VerifyConfig(mode="exhaustive", det_factor_mode=mode)
+        suite = _perm_suite(*dims, cfg) if target == "perm" else _efun_suite(*dims, cfg)
+        tp = TARGET_POLYS[target, dims]
+        verdicts = []
+        _check_suite(verdicts, tp, suite)
+        assert all(v.passed for v in verdicts), (target, dims, mode)
+        e0 = next(iter(tp))
+        bumped = poly_sub(tp, {(sum(e0) + 1,) + (0,) * (len(e0) - 1): 1})
+        verdicts = []
+        _check_suite(verdicts, bumped, suite)
+        diag = [v.passed for v, chk in zip(verdicts, suite) if chk[2][1] is not None]
+        assert not any(diag), (target, dims, mode)
+        assert diag or (mode, dims[0]) == ("literal", 1)  # literal m = 1: no row law
+    suite = _efun_suite(2, 3, VerifyConfig(mode="exhaustive"))
+    assert [f for _, _, vmap, f in suite if vmap[0] is not None].count(-1) == 1
+
+
 def _widths():
     """1, 2^k - 1, 2^k and 2^k + 1, where the redraw rule's edges are, and any."""
     near_powers = st.integers(0, 70).flatmap(
@@ -397,6 +491,36 @@ def _efun22(c, cfg):
 def test_exhaustive_verdicts_frozen(ninputs, verify, cfg, frozen):
     cls = EnumeratedClass(ninputs, 3, (-1, 0, 1))
     assert _exhaustive_digest(cls, verify, cfg) == frozen
+
+
+# Brute-force soundness of the exhaustive E-function verifier: over whole
+# enumerated classes, det-corrected mode accepts a member iff its expansion
+# is a nonzero multiple of E (normalize off), or E itself (normalize on).
+# (members, nonzero multiples, exact copies) pins what each sweep covered;
+# E(1,2)'s class holds E once and 2E three times.
+@pytest.mark.parametrize(
+    "dims, ninputs, alphabet, frozen",
+    [
+        ((1, 2), 2, (-1, 0, 1, 2), (2688, 4, 1)),
+        ((1, 3), 3, (-1, 0, 1, 2), (3388, 0, 0)),
+        ((2, 2), 8, (-1, 0, 1), (6908, 0, 0)),
+    ],
+    ids=["E(1,2)", "E(1,3)", "E(2,2)"],
+)
+def test_efun_exhaustive_sound_vs_brute_force(dims, ninputs, alphabet, frozen):
+    target = expand_to_polynomial(efun_circuit(*dims))
+    cfg_scale = VerifyConfig(mode="exhaustive", normalize=False)
+    cfg_norm = VerifyConfig(mode="exhaustive")
+    members = multiples = exact = 0
+    for c in EnumeratedClass(ninputs, 4, alphabet).members():
+        ratio = poly_constant_ratio(expand_to_polynomial(c), target)
+        is_multiple, is_target = ratio not in (None, 0), ratio == 1
+        assert verify_claims_efun(c, *dims, cfg_scale).accept == is_multiple
+        assert verify_claims_efun(c, *dims, cfg_norm).accept == is_target
+        members += 1
+        multiples += is_multiple
+        exact += is_target
+    assert (members, multiples, exact) == frozen
 
 
 @pytest.mark.parametrize(
