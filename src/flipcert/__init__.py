@@ -8,7 +8,6 @@ from .circuits import (
     expand_to_polynomial,
     parse_circuit,
     serialize_circuit,
-    specialize,
 )
 from .builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
 from .designs import (
@@ -49,7 +48,6 @@ from .symtests import (
     gen_queries_efun,
     gen_queries_perm,
     perm_symmetry_nullspace,
-    selfreduce_contrast,
     verify_claims_efun,
     verify_claims_perm,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "expand_to_polynomial",
     "parse_circuit",
     "serialize_circuit",
-    "specialize",
     "det_circuit",
     "efun_circuit",
     "perm_circuit",
@@ -103,7 +100,6 @@ __all__ = [
     "gen_queries_efun",
     "gen_queries_perm",
     "perm_symmetry_nullspace",
-    "selfreduce_contrast",
     "verify_claims_efun",
     "verify_claims_perm",
 ]

@@ -1,4 +1,4 @@
-"""Arithmetic circuits: parsing, evaluation, specialization, expansion.
+"""Arithmetic circuits: parsing, evaluation, expansion.
 
 A circuit is a DAG of nodes (input, const, add, sub, mul) with one designated
 output.  Size is the node count; bitsize additionally charges each constant
@@ -7,10 +7,10 @@ its bit length.
 Evaluation goes through one program form.  lower() turns a circuit into a
 flat program, a tuple of (op, a, b) int triples, one per node up to the
 output, so the output is the program's last value.  Two interpreters read
-it, exactly over Python integers or reducing mod q at every step:
+it, over Python integers:
 
-  run(prog, point)        one point per walk of the program.  Callers that
-                          may stop early use it: pit_random and
+  run(prog, point)        one point per walk.  Callers that may stop
+                          early use it: pit_random and
                           verify_hitting_set stop at the first nonzero point,
                           and decode_counterexample tries 1.16 queries per
                           member on average over the F1b class.  evaluate()
@@ -23,13 +23,14 @@ it, exactly over Python integers or reducing mod q at every step:
                           build_hitting_set_greedy (all pool points of every
                           member).
 
-The split follows the call site's shape, not the arithmetic: both compute
-the same values.  On members of the bound-5 perm(2) class, one point costs
-about 0.65-0.95 us through run() and 2.8-3.4 us through run_many(), while
-22 points cost run_many about 0.35 us each (Python 3.11 on a 2-core Xeon
-VM, minimum of 9 runs; the range is the host's drift between runs).  So
-run_many pays only once a walk is shared by several points.  Programs are
-never cached: a class sweep holds tens of thousands of circuits at once.
+Only run_many reduces mod q, for the modular query runs; otherwise the
+split follows the call site's shape: both compute the same values.  On
+members of the bound-5 perm(2) class, one point costs about 0.65-0.95 us
+through run() and 2.8-3.4 us through run_many(), while 22 points cost
+run_many about 0.35 us each (Python 3.11 on a 2-core Xeon VM, minimum of 9
+runs; the range is the host's drift between runs).  So run_many pays only
+once a walk is shared by several points.  Programs are never cached: a
+class sweep holds tens of thousands of circuits at once.
 
 The text format, one node per line:
 
@@ -248,43 +249,28 @@ def lower(c: Circuit) -> Program:
     return tuple(prog)
 
 
-def run(prog: Program, point: Sequence, q: int = 0):
-    """Value of a lowered program at `point`.
-
-    The coordinates are integers.  With q > 0 every step is reduced mod q
-    and the result is a residue in [0, q); with q == 0 the arithmetic is
-    exact.  The point's length is not checked (see check_arity)."""
+def run(prog: Program, point: Sequence[int]) -> int:
+    """Exact value of a lowered program at an integer point.  The point's
+    length is not checked (see check_arity)."""
     vals: list = []
     push = vals.append
-    if q:
-        for op, a, b in prog:
-            if op == OP_MUL:
-                push(vals[a] * vals[b] % q)
-            elif op == OP_ADD:
-                push((vals[a] + vals[b]) % q)
-            elif op == OP_SUB:
-                push((vals[a] - vals[b]) % q)
-            elif op == OP_INPUT:
-                push(point[a] % q)
-            else:
-                push(a % q)
-    else:
-        for op, a, b in prog:
-            if op == OP_MUL:
-                push(vals[a] * vals[b])
-            elif op == OP_ADD:
-                push(vals[a] + vals[b])
-            elif op == OP_SUB:
-                push(vals[a] - vals[b])
-            elif op == OP_INPUT:
-                push(point[a])
-            else:
-                push(a)
+    for op, a, b in prog:
+        if op == OP_MUL:
+            push(vals[a] * vals[b])
+        elif op == OP_ADD:
+            push(vals[a] + vals[b])
+        elif op == OP_SUB:
+            push(vals[a] - vals[b])
+        elif op == OP_INPUT:
+            push(point[a])
+        else:
+            push(a)
     return vals[-1]
 
 
 def run_many(prog: Program, points: Sequence[Sequence[int]], q: int = 0) -> list[int]:
-    """[run(prog, p, q) for p in points], in one walk of the program.
+    """[run(prog, p) for p in points], in one walk of the program; with
+    q > 0 every step is reduced mod q and each value is a residue in [0, q).
 
     Step t's values at every point form one column.  Lengths are not
     checked (see check_arity)."""
@@ -337,27 +323,6 @@ def evaluate(c: Circuit, point: Sequence[int]) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
             raise UsageError(f"expected an integer, got {type(x).__name__}")
     return run(lower(c), point)
-
-
-def specialize(c: Circuit, bindings: Mapping[int, int]) -> Circuit:
-    """Fix some inputs to constants; remaining inputs are renumbered densely,
-
-    preserving their original order."""
-    for idx in bindings:
-        if not 0 <= idx < c.num_inputs:
-            raise IndexOutOfRange(f"binding for input {idx} of {c.num_inputs}")
-    free = [i for i in range(c.num_inputs) if i not in bindings]
-    renum = {old: new for new, old in enumerate(free)}
-    nodes: list[Node] = []
-    for node in c.nodes:
-        if isinstance(node, Input):
-            if node.index in bindings:
-                nodes.append(Const(bindings[node.index]))
-            else:
-                nodes.append(Input(renum[node.index]))
-        else:
-            nodes.append(node)
-    return Circuit(len(free), tuple(nodes), c.output)
 
 
 # ---------------------------------------------------------------------------

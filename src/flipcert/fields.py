@@ -7,9 +7,10 @@ command), and their elements combine only with elements of the same field,
 never with int operands.
 
 Extension elements are kept as coefficient tuples over the prime field in the
-power basis of a monic irreducible modulus.  The module also provides the
-trace bilinear form, Gram matrices, dual bases, and coefficient extraction
-via trace products, plus the plain-text field spec format used by the CLI.
+power basis of a monic irreducible modulus, the only basis a field has.  The
+module also provides the trace bilinear form, Gram matrices, dual bases, and
+coefficient extraction via trace products, plus the one-line field spec the
+CLI prints.
 
 Everything is exact; there are no floats anywhere in this module.
 """
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import ParseError, SingularTraceForm, UsageError
+from .errors import SingularTraceForm, UsageError
 
 # Miller-Rabin with the first prime bases is deterministic below the
 # smallest strong pseudoprime to all of them: psi_4 = 3,215,031,751 for
@@ -359,18 +360,11 @@ class ExtFieldElement:
 class ExtField:
     """F_{q^l} presented as F_q[t] modulo a monic irreducible of degree l.
 
-    A designated F_q-basis (default: the power basis 1, t, ..., t^(l-1))
-    travels with the field; coefficient extraction and the trace form Gram
-    matrix are relative to it.
+    Coefficient extraction and the trace form Gram matrix are relative to
+    the power basis 1, t, ..., t^(l-1), held in `basis`.
     """
 
-    def __init__(
-        self,
-        q: int,
-        l: int,
-        modulus: Sequence[int] | None = None,
-        basis_coords: Sequence[Sequence[int]] | None = None,
-    ):
+    def __init__(self, q: int, l: int, modulus: Sequence[int] | None = None):
         if l < 1:
             raise UsageError(f"extension degree must be >= 1, got {l}")
         self.base = PrimeField(q)
@@ -385,15 +379,7 @@ class ExtField:
             raise UsageError(f"modulus {modulus} is reducible over F_{q}")
         self.modulus = modulus
         self.name = f"F{q}^{l}"
-        if basis_coords is None:
-            coords = [[1 if j == i else 0 for j in range(l)] for i in range(l)]
-        else:
-            coords = [[int(v) % q for v in row] for row in basis_coords]
-            if len(coords) != l or any(len(r) != l for r in coords):
-                raise UsageError("basis needs l vectors of length l")
-            if _matrix_inverse_mod(coords, q) is None:
-                raise UsageError("basis coordinate matrix is singular")
-        self.basis = tuple(ExtFieldElement(tuple(r), self) for r in coords)
+        self.basis = tuple(self.element((0,) * i + (1,)) for i in range(l))
         self.zero = ExtFieldElement((0,) * l, self)
         self.one = self.from_int(1)
 
@@ -427,7 +413,6 @@ class ExtField:
             and other.q == self.q
             and other.l == self.l
             and other.modulus == self.modulus
-            and tuple(b.coeffs for b in other.basis) == tuple(b.coeffs for b in self.basis)
         )
 
     def __hash__(self) -> int:
@@ -505,7 +490,7 @@ def extract_coeffs(x: ExtFieldElement) -> tuple[int, ...]:
 
 
 def element_from_coeffs(F: ExtField, coeffs: Sequence[int]) -> ExtFieldElement:
-    """Rebuild sum_i coeffs[i] * b_i over the field's designated basis."""
+    """Rebuild sum_i coeffs[i] * b_i over the power basis."""
     if len(coeffs) != F.l:
         raise UsageError(f"need exactly {F.l} coordinates")
     acc = F.zero
@@ -517,19 +502,3 @@ def element_from_coeffs(F: ExtField, coeffs: Sequence[int]) -> ExtFieldElement:
 def format_field_spec(F: ExtField) -> str:
     """One line: q l f_0 ... f_l (modulus coefficients, ascending)."""
     return " ".join(str(v) for v in (F.q, F.l, *F.modulus))
-
-
-def parse_field_spec(text: str) -> ExtField:
-    parts = text.split()
-    if len(parts) < 3:
-        raise ParseError("field spec needs at least 'q l f_0 ... f_l'")
-    try:
-        vals = [int(p) for p in parts]
-    except ValueError as e:
-        raise ParseError(f"field spec has a non-integer token: {e}") from None
-    q, l, mod = vals[0], vals[1], vals[2:]
-    if len(mod) != l + 1:
-        raise ParseError(f"expected {l + 1} modulus coefficients, got {len(mod)}")
-    if not is_prime(q):
-        raise ParseError(f"{q} is not prime")
-    return ExtField(q, l, modulus=mod)

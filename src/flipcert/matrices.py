@@ -78,9 +78,6 @@ class MatrixAssignment:
         cols = [self.column(i * k + sigma[i]) for i in range(m)]
         return tuple(tuple(cols[c][r] for c in range(m)) for r in range(m))
 
-    def primary_submatrix(self) -> tuple[tuple, ...]:
-        return self.selected_submatrix((0,) * self.shape[1])
-
     def flatten(self) -> tuple:
         out = []
         for row in self.entries:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import product
 
 from .circuits import (
@@ -215,33 +216,19 @@ def derive_certificate(design: Design, config: CertConfig) -> ObstructionCertifi
         raise UsageError(
             f"truth table has {len(config.truth_table)} entries, needs {1 << p.r}"
         )
+    if config.target == "perm":
+        gen = partial(gen_queries_perm, config.n)
+    else:
+        gen = partial(gen_queries_efun, config.m, config.k,
+                      det_factor_mode=config.det_factor_mode)
+    gen = partial(gen, rounds=config.rounds_per_tape, box=config.box(),
+                  nonzero_count=config.nonzero_count, normalize=config.normalize)
     with Stopwatch() as sw:
         collected: list[Query] = []
         per_tape_max = 0
         for seed_val in range(1 << config.seed_bits):
             tape = _expand_tape(design, config.truth_table, seed_val, config.seed_bits)
-            tape_int = sum(b << i for i, b in enumerate(tape))
-            gseed = derive_seed("tape", tape_int)
-            if config.target == "perm":
-                qs = gen_queries_perm(
-                    config.n,
-                    seed=gseed,
-                    rounds=config.rounds_per_tape,
-                    box=config.box(),
-                    nonzero_count=config.nonzero_count,
-                    normalize=config.normalize,
-                )
-            else:
-                qs = gen_queries_efun(
-                    config.m,
-                    config.k,
-                    seed=gseed,
-                    rounds=config.rounds_per_tape,
-                    box=config.box(),
-                    nonzero_count=config.nonzero_count,
-                    normalize=config.normalize,
-                    det_factor_mode=config.det_factor_mode,
-                )
+            qs = gen(seed=derive_seed("tape", sum(b << i for i, b in enumerate(tape))))
             per_tape_max = max(per_tape_max, len(qs))
             collected.extend(qs)
         queries = canonicalize_queries(collected)

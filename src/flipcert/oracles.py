@@ -234,22 +234,6 @@ _K_KINDS = (ColSwap, ColCycle, PosThreeCycle)
 _FIXED_KINDS = (PermSwap, RowCycle) + _K_KINDS  # no drawn entries
 
 
-def det_of(g: GroupElement) -> int:
-    """Determinant of the matrix realizing a left-action element."""
-    if isinstance(g, ElementaryAdd):
-        return 1
-    if isinstance(g, Diagonal):
-        d = 1
-        for v in g.entries:
-            d *= v
-        return d
-    if isinstance(g, PermSwap):
-        return -1
-    if isinstance(g, RowCycle):
-        return 1
-    raise UsageError(f"{type(g).__name__} does not act by a square matrix")
-
-
 def column_permutation(g: GroupElement, m: int, k: int) -> tuple[int, ...]:
     """The permutation of the k*m block columns induced by a wreath element.
 

@@ -34,7 +34,7 @@ from .circuits import (
     run,
     run_many,
 )
-from .errors import ArityMismatch, BudgetExceeded, ParseError, PoolExhausted, UsageError
+from .errors import ArityMismatch, ParseError, PoolExhausted, UsageError
 from .fields import int_bitlength
 from .util import Stopwatch, derive_seed, rand_point
 
@@ -104,9 +104,7 @@ def _node_key(node: Node) -> tuple[int, int, int]:
     return (rank, node.a, node.b)
 
 
-def enumerate_circuits(
-    cls: EnumeratedClass, budget: int | None = None
-) -> Iterator[Circuit]:
+def enumerate_circuits(cls: EnumeratedClass) -> Iterator[Circuit]:
     """Depth-first canonical enumeration.
 
     Canonical form: no two identical nodes; commutative operands sorted
@@ -119,7 +117,6 @@ def enumerate_circuits(
     first), so nothing is lost.  Candidate order is Input < Const < Add <
     Sub < Mul, ties by operand index, so the stream is deterministic.
     """
-    yielded = 0
     nodes: list[Node] = []
     seen: set[Node] = set()
     refcount: list[int] = []
@@ -140,16 +137,10 @@ def enumerate_circuits(
                 yield Mul(a, b)
 
     def walk(cost: int):
-        nonlocal yielded
         t = len(nodes)
         if t > 0:
             unused = sum(1 for r in refcount if r == 0)
             if unused == 1:
-                yielded += 1
-                if budget is not None and yielded > budget:
-                    raise BudgetExceeded(
-                        f"class enumeration passed the budget of {budget}"
-                    )
                 yield Circuit(cls.num_inputs, tuple(nodes), t - 1)
         else:
             unused = 0

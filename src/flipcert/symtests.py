@@ -708,6 +708,9 @@ def verify_claims_efun(
 ) -> VerifyResult:
     """Decide whether c plausibly computes the (m, k) E-function."""
     cfg = cfg or VerifyConfig()
+    if m == 1 and cfg.det_factor_mode == "literal":
+        # its row laws (diag1 -1,-1, the row cycles) need m >= 2
+        raise UsageError("det mode literal has no row law at m = 1; use det-corrected")
     gen = partial(gen_queries_efun, det_factor_mode=cfg.det_factor_mode)
     notes: tuple[str, ...] = ()
     if k < 3:
@@ -761,19 +764,6 @@ def _verify_claims(
     )
 
 
-def selfreduce_contrast(n: int, seed: int = 0) -> dict:
-    """Point-count contrast between the two query styles, for reports."""
-    sym = gen_queries_perm(n, seed)
-    red = gen_queries_selfreduce(n, seed)
-    return {
-        "symmetry_max_points": max(len(q.points) for q in sym),
-        "selfreduce_max_points": max(len(q.points) for q in red),
-        "selfreduce_order_points": {
-            q.params[0]: len(q.points) for q in red if q.kind == SELF_REDUCE
-        },
-    }
-
-
 # ---------------------------------------------------------------------------
 # coefficient-space uniqueness
 
@@ -803,41 +793,30 @@ def perm_symmetry_nullspace(n: int, seed: int = 0) -> NullspaceResult:
 
     polynomials of total degree <= n in the n x n matrix entries.
 
-    Constraints: invariance under adjacent row and column transpositions,
-    and the two diagonal scaling laws instantiated at the first n primes
-    (exact, by multiplicative independence) plus sampled diagonals.  All
+    Constraints: the exhaustive suite's checks, that is invariance under
+    adjacent row and column transpositions and the two diagonal scaling laws
+    at the first n primes (exact, by multiplicative independence) and at
+    drawn diagonals.  All
     elimination is exact; the expected outcome is a one-dimensional space
     spanned by the permanent's coefficient vector.
     """
-    nvars = n * n
-    shape = (SQUARE, n)
-    monomials = list(_monomials_up_to(nvars, n))
+    monomials = list(_monomials_up_to(n * n, n))
     index = {mono: i for i, mono in enumerate(monomials)}
 
-    # unit rows: diagonal scaling at primes and sampled points
-    rng = random.Random(derive_seed("nullspace", n, seed))
-    diags = [_prime_tuple(n)] + [
-        rand_point(rng, n, (2, (1 << 30) - 1)) for _ in range(EXTRA_DIAGONALS)
-    ]
+    # The exhaustive suite's checks, read by _check_suite's rules: a scale
+    # part kills each monomial whose weight differs from the factor, and a
+    # dest part (a swap, factor 1) ties each coefficient to its image's.
     killed = [False] * len(monomials)
-    for mu in diags:
-        want = prod(mu)
-        for side in ("left", "right"):
-            _, scale, _ = var_map(Diagonal(mu), shape, side)
-            for i, mono in enumerate(monomials):
-                if prod(f**e for f, e in zip(scale, mono)) != want:
-                    killed[i] = True
-
-    # pair rows: swap invariance, c_mono = c_swapped
     pair_rows: list[tuple[int, int]] = []
-    for i in range(1, n):
-        for side in ("left", "right"):
-            dest, _, _ = var_map(PermSwap(i), shape, side)
-            for mi, mono in enumerate(monomials):
-                img = [0] * nvars
-                for v, e in enumerate(mono):
-                    img[dest[v]] = e
-                mj = index[tuple(img)]
+    for _, _, (dest, scale, _), factor in _perm_suite(
+        n, VerifyConfig(mode="exhaustive", seed=seed)
+    ):
+        for mi, mono in enumerate(monomials):
+            if scale is not None:
+                if prod(map(pow, scale, mono)) != factor:
+                    killed[mi] = True
+            else:
+                mj = index[tuple(map(mono.__getitem__, dest))]
                 if mi < mj:
                     pair_rows.append((mi, mj))
 

@@ -29,7 +29,6 @@ from flipcert.circuits import (
     poly_subst_consts,
     poly_total_degree,
     serialize_circuit,
-    specialize,
 )
 from flipcert.errors import (
     BadArity,
@@ -121,13 +120,6 @@ def test_expand_term_budget():
     with pytest.raises(TermBudgetExceeded):
         expand_to_polynomial(c, max_terms=10)
     assert len(expand_to_polynomial(c, max_terms=100)) == 33
-
-
-def test_specialize():
-    c = parse_circuit(XY_TEXT)
-    s = specialize(c, {1: 5})
-    assert s.num_inputs == 1
-    assert evaluate(s, (4,)) == 23
 
 
 def test_poly_helpers():

@@ -97,6 +97,17 @@ def test_verify_efun_accepts(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("mode", ("sampled", "exhaustive"))
+def test_verify_efun_literal_mode_refuses_m_1(tmp_path, capsys, mode):
+    # literal mode has no row law at m = 1: it accepted (x0*x1)^2 as E(1,2)
+    path = tmp_path / "square_of_xy.ac"
+    path.write_text(XY_TEXT.replace("output g3", "g4 = mul g3 g3\noutput g4"))
+    rc, out, err = run(capsys, ["verify-efun", "--m", "1", "--k", "2", "--mode", mode,
+                                "--det-mode", "literal", "--circuit", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "no row law at m = 1" in err
+
+
 def test_verify_stdout_is_reproducible(perm2_path, capsys):
     argv = ["verify-perm", "--n", "2", "--circuit", perm2_path, "--seed", "11"]
     rc1, out1, _ = run(capsys, argv)

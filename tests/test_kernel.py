@@ -3,7 +3,8 @@
 The oracle evaluators are the node-by-node isinstance dispatch the kernel
 replaced, exact and mod q, kept here as the reference together with the
 query runner that used them.  run_many is checked against run, point by
-point.
+point, and mod q against the modular oracle.  sympy, when installed, is an
+independent oracle for the sparse expansion.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def _check_against_oracles(c: Circuit, pt: tuple) -> None:
     if poly is not None:
         assert exact == poly_eval(poly, pt)
     for q in PRIMES:
-        assert run(prog, pt, q) == exact % q
+        assert run_many(prog, [pt], q) == [oracle_evaluate_mod(c, pt, q)] == [exact % q]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +253,9 @@ def test_run_many_matches_run_pointwise(data):
     c = data.draw(st.one_of(random_dags(), class_members()))
     pts = data.draw(st.lists(points(c.num_inputs), min_size=0, max_size=6))
     prog = lower(c)
-    for q in (0, P31[0], prod(P31)):
-        assert run_many(prog, pts, q) == [run(prog, p, q) for p in pts]
+    assert run_many(prog, pts) == [run(prog, p) for p in pts]
+    for q in (P31[0], prod(P31)):
+        assert run_many(prog, pts, q) == [oracle_evaluate_mod(c, p, q) for p in pts]
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,9 +264,34 @@ def test_run_mod_a_product_reduces_to_each_prime(data):
     c = data.draw(st.one_of(random_dags(), class_members()))
     pt = data.draw(points(c.num_inputs))
     prog = lower(c)
-    big = run(prog, pt, prod(P31))
+    [big] = run_many(prog, [pt], prod(P31))
     for p in P31:
-        assert big % p == run(prog, pt, p)
+        assert [big % p] == run_many(prog, [pt], p) == [oracle_evaluate_mod(c, pt, p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_dags(), class_members()))
+def test_expansion_matches_sympy(c):
+    sympy = pytest.importorskip("sympy")
+    try:
+        poly = expand_to_polynomial(c, max_terms=500)
+    except TermBudgetExceeded:
+        return
+    xs = sympy.symbols(f"x:{c.num_inputs}")
+    vals = []
+    for node in c.nodes[: c.output + 1]:
+        if isinstance(node, Input):
+            vals.append(xs[node.index])
+        elif isinstance(node, Const):
+            vals.append(sympy.Integer(node.value))
+        elif isinstance(node, Add):
+            vals.append(vals[node.a] + vals[node.b])
+        elif isinstance(node, Sub):
+            vals.append(vals[node.a] - vals[node.b])
+        else:
+            vals.append(vals[node.a] * vals[node.b])
+    expected = sympy.Poly(sympy.expand(vals[-1]), *xs).as_dict()
+    assert poly == {e: int(v) for e, v in expected.items()}
 
 
 def test_lower_drops_nodes_after_the_output():

@@ -30,7 +30,6 @@ def test_selected_submatrix():
     # sigma = (0, 0): first choice from both vectors
     assert X.selected_submatrix((0, 0)) == ((1, 3), (5, 7))
     assert X.selected_submatrix((1, 0)) == ((2, 3), (6, 7))
-    assert X.primary_submatrix() == X.selected_submatrix((0, 0))
 
 
 def test_shape_validation():

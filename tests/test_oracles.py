@@ -20,10 +20,8 @@ from flipcert.oracles import (
     ElementaryAdd,
     PermSwap,
     PosThreeCycle,
-    RowCycle,
     apply_group,
     column_permutation,
-    det_of,
     determinant,
     efun,
     efun_degree,
@@ -74,13 +72,6 @@ def test_efun_budget():
     X = MatrixAssignment.block(3, 4, [[1] * 12] * 3)
     with pytest.raises(BudgetExceeded):
         efun(X, budget=10)
-
-
-def test_group_det_of():
-    assert det_of(PermSwap(1)) == -1
-    assert det_of(Diagonal((2, 3))) == 6
-    assert det_of(ElementaryAdd(1, 2, 7)) == 1
-    assert det_of(RowCycle(1, 2, 3)) == 1
 
 
 def test_apply_permswap_left_swaps_rows():

@@ -26,14 +26,13 @@ from flipcert.circuits import (
     parse_circuit,
     serialize_circuit,
 )
-from flipcert.errors import BudgetExceeded, ParseError, PoolExhausted, UsageError
+from flipcert.errors import ParseError, PoolExhausted, UsageError
 from flipcert.pit import (
     EnumeratedClass,
     ExplicitClass,
     build_hitting_set_greedy,
     class_size,
     disjoint_hitting_families,
-    enumerate_circuits,
     hitting_set_axioms_report,
     nonzero_members,
     parse_hitting_set,
@@ -140,11 +139,6 @@ def test_bitsize_regime_counts_constant_bits():
     # Const(3) costs 3 in bitsize but 1 in size
     assert class_size(EnumeratedClass(1, 2, (3,), regime="bitsize")) == 4
     assert class_size(EnumeratedClass(1, 2, (3,), regime="size")) == 8
-
-
-def test_enumeration_budget():
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_circuits(EnumeratedClass(4, 5, (-1, 0, 1, 2)), budget=10))
 
 
 def test_alphabet_must_be_sorted():

@@ -23,6 +23,7 @@ from flipcert.circuits import (
     poly_eval,
     poly_scaled,
     poly_sub,
+    serialize_circuit,
 )
 from flipcert.errors import ArityMismatch, UsageError
 from flipcert.matrices import BLOCK, SQUARE, MatrixAssignment
@@ -51,7 +52,6 @@ from flipcert.symtests import (
     gen_queries_selfreduce,
     perm_symmetry_nullspace,
     sampled_error_bound,
-    selfreduce_contrast,
     serialize_query,
     verify_claims_efun,
     verify_claims_perm,
@@ -180,6 +180,18 @@ def test_efun_literal_mode_accepts():
     assert res.accept
 
 
+def test_efun_literal_mode_refuses_m_1():
+    # no row law at m = 1: both modes accepted (x0*x1)^2 as E(1,2), for any k
+    c = parse_circuit("ninputs 2\ng1 = input 0\ng2 = input 1\ng3 = mul g1 g2\n"
+                      "g4 = mul g3 g3\noutput g4\n")
+    for mode in ("sampled", "exhaustive"):
+        cfg = VerifyConfig(mode=mode, det_factor_mode="literal")
+        with pytest.raises(UsageError, match="no row law at m = 1"):
+            verify_claims_efun(c, 1, 2, cfg)
+        with pytest.raises(UsageError, match="no row law at m = 1"):
+            verify_claims_efun(efun_circuit(1, 3), 1, 3, cfg)
+
+
 def test_efun_exhaustive_accepts():
     res = verify_claims_efun(efun_circuit(2, 2), 2, 2, VerifyConfig(mode="exhaustive"))
     assert res.accept
@@ -209,10 +221,11 @@ def test_sampled_error_bound_shrinks_with_box_and_rounds():
 
 
 def test_selfreduce_contrast_frozen():
-    contrast = selfreduce_contrast(3)
-    assert contrast["symmetry_max_points"] == 2
-    assert contrast["selfreduce_max_points"] == 4
-    assert contrast["selfreduce_order_points"] == {2: 3, 3: 4}
+    # a symmetry query touches at most 2 points, an order-i self-reduction i + 1
+    red = gen_queries_selfreduce(3, 0)
+    assert max(len(q.points) for q in gen_queries_perm(3, 0)) == 2
+    assert max(len(q.points) for q in red) == 4
+    assert {q.params[0]: len(q.points) for q in red if q.kind == "SelfReduce"} == {2: 3, 3: 4}
 
 
 def test_nullspace_dimension_one_n2():
@@ -521,6 +534,25 @@ def test_efun_exhaustive_sound_vs_brute_force(dims, ninputs, alphabet, frozen):
         multiples += is_multiple
         exact += is_target
     assert (members, multiples, exact) == frozen
+
+
+def test_sampled_verdicts_match_exhaustive_on_the_efun_class():
+    # over the bound-4 E(1,2) class, sampled exact and sampled modular
+    # verify_claims_efun agree with exhaustive mode on every member, with
+    # normalize off (E and 2E three times accept) and on (E alone)
+    members = accepts_off = accepts_on = 0
+    for c in EnumeratedClass(2, 4, (-1, 0, 1, 2)).members():
+        members += 1
+        for normalize in (False, True):
+            want = verify_claims_efun(
+                c, 1, 2, VerifyConfig(mode="exhaustive", normalize=normalize)).accept
+            for ring in ("exact", "modular"):
+                cfg = VerifyConfig(ring=ring, normalize=normalize)
+                assert verify_claims_efun(c, 1, 2, cfg).accept == want, (
+                    serialize_circuit(c), ring, normalize)
+            accepts_on += want and normalize
+            accepts_off += want and not normalize
+    assert (members, accepts_off, accepts_on) == (2688, 4, 1)
 
 
 @pytest.mark.parametrize(
