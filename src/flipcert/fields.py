@@ -254,6 +254,8 @@ def poly_is_irreducible(f: Sequence[int], q: int) -> bool:
 def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     """First monic irreducible of degree l, scanning the non-leading
     coefficients (f_0, ..., f_{l-1}) in little-endian numeric order."""
+    if l < 1:
+        raise UsageError(f"extension degree must be >= 1, got {l}")
     if l == 1:
         return (0, 1)
     for code in range(q**l):

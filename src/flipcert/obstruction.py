@@ -113,6 +113,11 @@ class CertConfig:
             raise UsageError("bad sample box")
         if self.det_factor_mode not in ("det-corrected", "literal"):
             raise UsageError(f"unknown det_factor_mode {self.det_factor_mode!r}")
+        if self.target == "efun" and self.m == 1 and self.det_factor_mode == "literal":
+            # as in verify_claims_efun: its row laws need m >= 2
+            raise UsageError(
+                "det_factor_mode literal has no row law at m = 1; use det-corrected"
+            )
         if any(b not in (0, 1) for b in self.truth_table):
             raise UsageError("truth table entries must be bits")
 
@@ -429,6 +434,12 @@ def harness_F(
     hardness premise behind F1(b) is discharged by enumeration: a class
     member whose expansion equals the target raises TargetComputable.  F2 is
     reported as an empirical disjointness count, never an asymptotic claim.
+
+    F1(b) is one pass over cls.members(): each member is expanded once,
+    checked for membership and counted, but decoded only if it is the first
+    member with its exact expansion, since the first failing query depends
+    on nothing else.  No member is kept, so peak memory grows with the
+    number of distinct polynomials, not with the class size.
     """
     if f2_samples < 0:
         raise UsageError(f"F2 sample count must be >= 0, got {f2_samples}")
@@ -474,27 +485,46 @@ def harness_F(
     )
 
     with Stopwatch() as sw:
-        members = list(cls.members())
         target_poly = _target_polynomial(cfg)
-        for c in members:
-            if expand_to_polynomial(c, MAX_TERMS) == target_poly:
+        # counterexample set size of each distinct expansion's first decode,
+        # None when every query passes
+        set_size: dict[tuple, int | None] = {}
+        membership_error: UsageError | None = None
+        members = failures = max_set = 0
+        for c in cls.members():
+            members += 1
+            poly = expand_to_polynomial(c, MAX_TERMS)
+            if poly == target_poly:
                 raise TargetComputable(
                     "a class member computes the target exactly", circuit=c
                 )
-        failures = 0
-        max_set = 0
-        for c in members:
-            try:
-                dec = decode_counterexample(cert, c)
-            except NoFailingQuery:
-                failures += 1
+            # a membership error waits for the pass to end, so a later
+            # member's TargetComputable or TermBudgetExceeded still wins
+            if membership_error is not None:
                 continue
-            max_set = max(max_set, len(dec.query.points))
+            try:
+                _class_membership(cfg, c)
+            except UsageError as e:
+                membership_error = e
+                continue
+            key = tuple(sorted(poly.items()))
+            if key not in set_size:
+                try:
+                    set_size[key] = len(decode_counterexample(cert, c).query.points)
+                except NoFailingQuery:
+                    set_size[key] = None
+            size = set_size[key]
+            if size is None:
+                failures += 1
+            else:
+                max_set = max(max_set, size)
+        if membership_error is not None:
+            raise membership_error
     f1b = PropertyReport(
         "F1b",
         failures == 0 and max_set <= 2,
         sw.seconds,
-        f"decoded {len(members) - failures}/{len(members)} members, "
+        f"decoded {members - failures}/{members} members, "
         f"max counterexample set {max_set}",
     )
 
@@ -547,9 +577,9 @@ def harness_F(
         properties=(f0, f1a, f1b, f2, f3, f4),
         all_pass=all(p.passed for p in gates),
         class_label=cls.label(),
-        class_size=len(members),
+        class_size=members,
         point_count=len(cert.points),
-        trivial_rows=len(members),
+        trivial_rows=members,
         label_bits=bits,
         aborted=False,
     )
@@ -582,35 +612,36 @@ def trivial_obstruction_table(cls, config: CertConfig) -> TrivialTable:
     The difference polynomial has some per-variable degree d, so the grid
     {0..d}^vars must contain a nonzero point of it; the first one in lex
     order becomes the row.  A member with zero difference means the class
-    computes the target: TargetComputable, no table exists.
+    computes the target: TargetComputable, no table exists.  A row's point
+    and values depend only on the member's expansion, so they are found
+    once per distinct expansion and shared by the members that compute it.
     """
     target_poly = _target_polynomial(config)
     nvars = config.num_vars()
+    # (point, circuit value, target value) of each distinct expansion
+    row_of: dict[tuple, tuple[tuple[int, ...], int, int]] = {}
     rows = []
     for idx, c in enumerate(cls.members()):
         if c.num_inputs != nvars:
             raise UsageError(
                 f"class member reads {c.num_inputs} inputs, target has {nvars}"
             )
-        diff = poly_sub(expand_to_polynomial(c, MAX_TERMS), target_poly)
-        if not diff:
-            raise TargetComputable(
-                "a class member computes the target exactly", circuit=c
-            )
-        d = poly_max_var_degree(diff)
-        found = None
-        for pt in product(range(d + 1), repeat=nvars):
-            if poly_eval(diff, pt) != 0:
-                found = pt
-                break
-        assert found is not None  # nonzero poly with per-var degree <= d
-        rows.append(
-            TableRow(
-                index=idx,
-                circuit=c,
-                point=found,
-                circuit_value=evaluate(c, found),
-                target_value=poly_eval(target_poly, found),
-            )
-        )
+        poly = expand_to_polynomial(c, MAX_TERMS)
+        key = tuple(sorted(poly.items()))
+        if key not in row_of:
+            diff = poly_sub(poly, target_poly)
+            if not diff:
+                raise TargetComputable(
+                    "a class member computes the target exactly", circuit=c
+                )
+            d = poly_max_var_degree(diff)
+            found = None
+            for pt in product(range(d + 1), repeat=nvars):
+                if poly_eval(diff, pt) != 0:
+                    found = pt
+                    break
+            assert found is not None  # nonzero poly with per-var degree <= d
+            row_of[key] = (found, evaluate(c, found), poly_eval(target_poly, found))
+        point, circuit_value, target_value = row_of[key]
+        rows.append(TableRow(idx, c, point, circuit_value, target_value))
     return TrivialTable(config.target_label(), tuple(rows))

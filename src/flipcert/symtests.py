@@ -142,6 +142,12 @@ class VerifyConfig:
             raise UsageError("sample width must be >= 1")
         if min(self.rounds, self.nonzero_count, self.prime_count) < 0:
             raise UsageError("rounds, nonzero and prime counts must be >= 0")
+        if self.mode == "sampled" and self.rounds < 1:
+            # with no symmetry law left, any nonzero normalized circuit passes
+            raise UsageError("sampled mode needs rounds >= 1")
+        if self.ring == "modular" and self.prime_count < 1:
+            # with no prime, every nonzero query fails and every other passes
+            raise UsageError("the modular ring needs prime count >= 1")
 
     def box(self) -> tuple[int, int]:
         return (1, 1 << self.sample_width)

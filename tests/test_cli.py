@@ -134,6 +134,13 @@ BAD_FLAG_ARGV = {
                             "--nonzero", "-1"],
     "verify-perm-prime-count": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
                                 "--ring", "modular", "--prime-count", "-1"],
+    # no rounds leave no symmetry law: det(2) was accepted as a permanent
+    "verify-perm-rounds-0": ["verify-perm", "--n", "2", "--circuit", "{det2}",
+                             "--rounds", "0"],
+    # no primes fail every nonzero query: perm(2) was rejected
+    "verify-perm-prime-count-0": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
+                                  "--ring", "modular", "--prime-count", "0"],
+    "trace-tools-l": ["trace-tools", "--q", "2", "--l", "-1"],
     # zero.ac computes x - x, so a negative hint would reach the printed bound
     "pit-degree-hint": ["pit", "--circuit", "{zero}", "--degree-hint", "-5",
                         "--trials", "3"],
@@ -364,6 +371,16 @@ def test_derive_cert_efun_config_file_without_n(label_path, tmp_path, capsys):
     assert rc == 0, err
     assert out.splitlines()[0] == "target efun(2,2)"
     assert "n=0" in cert.read_text().splitlines()
+
+
+def test_derive_cert_refuses_literal_mode_at_m_1(label_path, tmp_path, capsys):
+    # such a certificate did not obstruct a 4-node circuit computing (x0*x1)^2
+    config = tmp_path / "cert.cfg"
+    config.write_text("target=efun\nm=1\nk=2\nbound=4\ndet_factor_mode=literal\n")
+    rc, out, err = run(capsys, ["derive-cert", "--design", label_path,
+                                "--config", str(config)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "no row law at m = 1" in err
 
 
 def test_decode_det2(cert_path, det2_path, capsys):

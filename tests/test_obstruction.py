@@ -7,9 +7,25 @@ deterministic so they must reproduce exactly.
 """
 from __future__ import annotations
 
+import weakref
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from flipcert.builders import det_circuit, perm_circuit
+from flipcert.circuits import (
+    Circuit,
+    Input,
+    Mul,
+    evaluate,
+    expand_to_polynomial,
+    lower,
+    poly_eval,
+    poly_max_var_degree,
+    poly_sub,
+    run,
+)
 from flipcert.config import format_config, parse_config
 from flipcert.designs import Design, DesignParams, build_design_greedy
 from flipcert.errors import (
@@ -32,6 +48,7 @@ from flipcert.obstruction import (
     trivial_obstruction_table,
 )
 from flipcert.pit import EnumeratedClass, ExplicitClass
+from flipcert.symtests import MAX_TERMS, query_verdict
 
 TOY_PARAMS = DesignParams(4, 6, 3, 1)
 TOY_TABLE = random_truth_table(3, 0)
@@ -57,6 +74,8 @@ def test_config_target_validation():
         CertConfig(target="efun", m=1, k=1)
     with pytest.raises(UsageError):
         CertConfig(target="det", n=2)
+    with pytest.raises(UsageError, match="no row law at m = 1"):
+        CertConfig(target="efun", m=1, k=2, det_factor_mode="literal")
 
 
 def test_config_range_validation():
@@ -298,6 +317,107 @@ def test_harness_discharges_hardness_premise():
     with pytest.raises(TargetComputable) as ei:
         harness_F(cert, cls)
     assert ei.value.circuit == perm_circuit(2)
+
+
+class TrackedClass:
+    """An enumerated class that counts how many of its members are alive."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.alive = self.peak = self.yielded = 0
+
+    def label(self) -> str:
+        return self.inner.label()
+
+    def _gone(self):
+        self.alive -= 1
+
+    def members(self):
+        for c in self.inner.members():
+            self.alive += 1
+            self.yielded += 1
+            self.peak = max(self.peak, self.alive)
+            weakref.finalize(c, self._gone)
+            yield c
+
+
+def test_harness_streams_the_class():
+    cert = derive_certificate(toy_design(), toy_config())
+    cls = TrackedClass(EnumeratedClass(4, 3, (-1, 0, 1)))
+    rep = harness_F(cert, cls, f2_samples=0)
+    assert cls.yielded == rep.class_size == 259
+    assert cls.peak <= 3
+
+
+def test_harness_target_member_wins_over_an_earlier_membership_error():
+    # det(2) has 7 nodes, past the bound of 3, but perm(2) computes the target
+    cert = derive_certificate(toy_design(), toy_config())
+    cls = ExplicitClass((det_circuit(2), perm_circuit(2)))
+    with pytest.raises(TargetComputable) as ei:
+        harness_F(cert, cls, f2_samples=0)
+    assert ei.value.circuit == perm_circuit(2)
+
+
+def test_harness_membership_error_after_the_pass():
+    cert = derive_certificate(toy_design(), toy_config())
+    xy = Circuit(4, (Input(0), Input(1), Mul(0, 1)), 2)
+    with pytest.raises(UsageError, match="exceeds class bound"):
+        harness_F(cert, ExplicitClass((xy, det_circuit(2), xy)), f2_samples=0)
+
+
+def test_harness_counts_failures_per_member():
+    # two distinct circuits computing x0*x1, then x0*x3, which has as many
+    # terms but another first failing query, and det(2)
+    xy = Circuit(4, (Input(0), Input(1), Mul(0, 1)), 2)
+    yx = Circuit(4, (Input(1), Input(0), Mul(0, 1)), 2)
+    xw = Circuit(4, (Input(0), Input(3), Mul(0, 1)), 2)
+    assert xy != yx
+    cert = derive_certificate(toy_design(), toy_config(bound=8))
+    prog = lower(xy)
+    kept = tuple(
+        q for q in cert.queries
+        if query_verdict(q, [run(prog, P) for P in q.points])[0]
+    )
+    cert = replace(cert, queries=kept)
+    assert decode_counterexample(cert, xw) and decode_counterexample(cert, det_circuit(2))
+    cls = ExplicitClass((xy, xw, det_circuit(2), yx))
+    rep = harness_F(cert, cls, f2_samples=0)
+    f1b = {p.name: p for p in rep.properties}["F1b"]
+    assert f1b.detail.startswith("decoded 2/4 members")
+    assert not f1b.passed and rep.class_size == 4
+
+
+def _per_member_rows(cls, config):
+    """The table's rows built member by member, with nothing shared."""
+    target = expand_to_polynomial(perm_circuit(config.n), MAX_TERMS)
+    rows = []
+    for idx, c in enumerate(cls.members()):
+        diff = poly_sub(expand_to_polynomial(c, MAX_TERMS), target)
+        d = poly_max_var_degree(diff)
+        pt = next(pt for pt in product(range(d + 1), repeat=config.num_vars())
+                  if poly_eval(diff, pt) != 0)
+        rows.append((idx, c, pt, evaluate(c, pt), poly_eval(target, pt)))
+    return rows
+
+
+def test_one_decode_per_polynomial_agrees_with_every_member():
+    cfg = toy_config(bound=4)
+    cert = derive_certificate(toy_design(), cfg)
+    cls = EnumeratedClass(4, 4, (-1, 0, 1))
+    members = failures = max_set = 0
+    for c in cls.members():
+        members += 1
+        try:
+            max_set = max(max_set, len(decode_counterexample(cert, c).query.points))
+        except NoFailingQuery:
+            failures += 1
+    rep = harness_F(cert, cls, f2_samples=0)
+    f1b = {p.name: p for p in rep.properties}["F1b"]
+    assert f1b.detail == (f"decoded {members - failures}/{members} members, "
+                          f"max counterexample set {max_set}")
+    table = trivial_obstruction_table(cls, cfg)
+    assert [(r.index, r.circuit, r.point, r.circuit_value, r.target_value)
+            for r in table.rows] == _per_member_rows(cls, cfg)
 
 
 # ---------------------------------------------------------------------------
