@@ -212,6 +212,8 @@ def count_designs_exhaustive(params: DesignParams, budget: int = 5_000_000) -> i
     The crude upper estimate C(l, r)^m' is checked against the budget before
     any work happens.
     """
+    if budget < 1:
+        raise UsageError(f"budget must be at least 1, got {budget}")
     est = math.comb(params.l, params.r) ** params.m_prime
     if est > budget:
         raise BudgetExceeded(

@@ -256,6 +256,8 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     coefficients (f_0, ..., f_{l-1}) in little-endian numeric order."""
     if l < 1:
         raise UsageError(f"extension degree must be >= 1, got {l}")
+    if not is_prime(q):
+        raise UsageError(f"{q} is not prime")
     if l == 1:
         return (0, 1)
     for code in range(q**l):
@@ -266,7 +268,7 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
         f = tuple(coeffs) + (1,)
         if poly_is_irreducible(f, q):
             return f
-    raise UsageError(f"no irreducible of degree {l} over F_{q}")  # unreachable
+    raise UsageError(f"no irreducible of degree {l} over F_{q}")  # unreachable for prime q
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +400,8 @@ class ExtField:
         return self.element([n % self.q])
 
     def gen(self) -> ExtFieldElement:
-        """The residue class of t."""
-        return self.element([0, 1])
+        """The residue class of t: t itself, or -f_0 when l = 1."""
+        return ExtFieldElement(self._pad(_poly_mod((0, 1), self.modulus, self.q)), self)
 
     def elements(self) -> Iterator[ExtFieldElement]:
         for code in range(self.q**self.l):

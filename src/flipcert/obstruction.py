@@ -61,6 +61,7 @@ from .symtests import (
     gen_queries_efun,
     gen_queries_perm,
     query_verdict,
+    require_row_law,
     serialize_point,
     serialize_query,
 )
@@ -113,11 +114,8 @@ class CertConfig:
             raise UsageError("bad sample box")
         if self.det_factor_mode not in ("det-corrected", "literal"):
             raise UsageError(f"unknown det_factor_mode {self.det_factor_mode!r}")
-        if self.target == "efun" and self.m == 1 and self.det_factor_mode == "literal":
-            # as in verify_claims_efun: its row laws need m >= 2
-            raise UsageError(
-                "det_factor_mode literal has no row law at m = 1; use det-corrected"
-            )
+        if self.target == "efun":
+            require_row_law(self.m, self.det_factor_mode)
         if any(b not in (0, 1) for b in self.truth_table):
             raise UsageError("truth table entries must be bits")
 

@@ -152,6 +152,8 @@ def efun(X: MatrixAssignment, budget: int = 4096):
     """
     if not isinstance(X, MatrixAssignment) or X.shape[0] != BLOCK:
         raise UsageError("efun needs a block assignment")
+    if budget < 1:
+        raise UsageError(f"budget must be at least 1, got {budget}")
     _, m, k = X.shape
     if k**m > budget:
         raise BudgetExceeded(f"{k}^{m} determinant factors exceed budget {budget}")

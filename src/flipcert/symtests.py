@@ -2,21 +2,26 @@
 
 E-function, plus the exact coefficient-space uniqueness computation.
 
-A candidate circuit is interrogated with randomized identity queries built
-from the characterizing symmetries:
+Each target's characterizing symmetries are written once, as a list of laws:
 
-  permanent suite   nonzero at a random point; invariance under adjacent
-                    row/column transpositions; diagonal scaling law
-                    C(mu X) = (prod mu) C(X) on both sides; optional
-                    normalization C(I) = 1.
-  self-reduction    first-row expansion C_i(Y) = sum_j y_1j C_{i-1}(Y_j),
-                    kept as a reporting/contrast suite (its queries touch
-                    i+1 points; the symmetry queries touch at most 2).
-  E-function suite  nonzero; left action by m x m elementaries with the
-                    det(A)^(k^m) factor (or det-1 elements only, in literal
-                    mode); invariance under the column wreath generators;
-                    vanishing on a singular primary submatrix; optional
-                    normalization E(X0) = 1 at the all-unit-columns point.
+  permanent   adjacent row/column transpositions; the diagonal law
+              C(mu X) = (prod mu) C(X) on both sides.
+  E-function  row additions; the diagonal law with factor (prod mu)^(k^m)
+              and the row swaps with (-1)^(k^m) (literal mode: det-1
+              elements only, +-1 diagonals and row 3-cycles); the column
+              wreath generators.
+
+A law is a row (kind, head, tail, note, var map, factor) asserting
+p(g X) == factor * p(X), or invariance for a factor of None; the var map is
+`oracles.var_map`'s, which `oracles.act` applies to a point.  Sampled mode
+queries it at each round's random X (params head + (round,) + tail),
+exhaustive mode checks (kind, note, var map, factor) on the circuit's
+expansion, and the nullspace solves the permanent's.  Laws without drawn
+entries are built once per shape and det mode.  A suite also asks for
+nonzero values, for E vanishing on a singular primary submatrix, and
+optionally the normalization C(I) = 1 or E(X0) = 1 at the all-unit-columns
+point.  The self-reduction suite C_i(Y) = sum_j y_1j C_{i-1}(Y_j) is kept
+for contrast: its queries touch i+1 points, a law's 2.
 
 A query point is a flat row-major tuple of ints, from generation through
 `run_queries` to the certificate text; its shape, (SQUARE, n) or
@@ -24,25 +29,23 @@ A query point is a flat row-major tuple of ints, from generation through
 so a `Query` does not carry it.  Every drawn entry, of a point or of a
 group element, comes from `util.rand_point`: CPython's randrange rule
 inlined, so the draws, and with them the query text and certificate bytes,
-are those `rng.randrange(lo, hi + 1)` gives.  The permutations' variable
-maps are the same in every round, so a suite asks for them once.
+are those `rng.randrange(lo, hi + 1)` gives.
 
 Queries evaluate either over exact integers or modulo a few fresh random
 primes.  Exhaustive mode replaces sampling with exact identity checks on
 the circuit's sparse expansion, with diagonal test vectors anchored at
 distinct primes; for this class of identities that makes the check sound,
 not just probabilistic (multiplicative independence forces the degree
-vectors exactly).  Both modes, and the nullspace, move variables by the
-one map `oracles.var_map` gives each group element; `oracles.act` applies
-it to a point.
+vectors exactly).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import permutations
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -72,7 +75,7 @@ from .oracles import (
     var_map,
 )
 from .pit import pit_error_bound as sampled_error_bound
-from .util import Stopwatch, derive_seed, rand_point
+from .util import derive_seed, rand_point
 
 # query kinds
 P_NONZERO = "PNonZero"
@@ -156,13 +159,10 @@ class VerifyConfig:
 @dataclass(frozen=True)
 class VerifyResult:
     accept: bool
-    target: str
     mode: str
-    dims: tuple
     queries: tuple[Query, ...]
     verdicts: tuple[Verdict, ...]
     error_bound: float
-    seconds: float
     notes: tuple[str, ...] = ()
 
     def transcript(self) -> str:
@@ -246,6 +246,89 @@ def serialize_query(q: Query, shape: tuple) -> str:
     )
 
 
+# ---------------------------------------------------------------------------
+# the symmetry laws, as (kind, head, tail, note, var map, factor) rows
+
+
+@lru_cache(maxsize=16)
+def _perm_swaps(n: int) -> tuple:
+    shape = (SQUARE, n)
+    return tuple(
+        (kind, (i,), (), (), var_map(PermSwap(i), shape, side), None)
+        for i in range(1, n)
+        for kind, side in ((P_PERM_LEFT, "left"), (P_PERM_RIGHT, "right"))
+    )
+
+
+def _perm_laws(n: int, diagonals: Sequence[tuple]) -> list:
+    """Swap invariance, then the diagonal laws per (left mu, right mu)."""
+    shape = (SQUARE, n)
+    laws = list(_perm_swaps(n))
+    for left, right in diagonals:
+        for kind, side, mu in ((P_DIAG_LEFT, "left", left), (P_DIAG_RIGHT, "right", right)):
+            laws.append((kind, (), mu, (), var_map(Diagonal(mu), shape, side), prod(mu)))
+    return laws
+
+
+@lru_cache(maxsize=16)
+def _efun_fixed_laws(m: int, k: int, corrected: bool) -> tuple:
+    """The row swaps, or in literal mode the row 3-cycles, then the column
+    wreath generators."""
+    shape = (BLOCK, m, k)
+    if corrected:
+        rows = [(("swap", i), f"swap {i}", PermSwap(i), (-1) ** k**m) for i in range(1, m)]
+    else:
+        rows = [(("cycle", 1, 2, j), f"cycle 1,2,{j}", RowCycle(1, 2, j), None)
+                for j in range(3, m + 1)]
+    laws = [(E_ELEM, head, (), (note,), var_map(g, shape, "left"), factor)
+            for head, note, g, factor in rows]
+    for g in k_generators(m, k):
+        name = type(g).__name__
+        vmap = var_map(g, shape, "right")
+        laws.append((E_KGEN, (name,) + astuple(g), (), (name,), vmap, None))
+    return tuple(laws)
+
+
+def _efun_laws(
+    m: int, k: int, adds: Sequence[tuple], diagonals: Sequence[tuple], corrected: bool
+) -> list:
+    """The row addition laws per (i, j, y), the diagonal laws per mu, then
+    the fixed laws."""
+    shape = (BLOCK, m, k)
+    laws = [
+        (E_ELEM, ("add", i, j, y), (), (f"add {i},{j} y={y}",),
+         var_map(ElementaryAdd(i, j, y), shape, "left"), None)
+        for i, j, y in adds
+    ]
+    for mu in diagonals:
+        dmap = var_map(Diagonal(mu), shape, "left")
+        if corrected:
+            laws.append((E_ELEM, ("diag",), mu, (f"diag {mu}",), dmap, prod(mu) ** k**m))
+        else:  # det mu = 1; the note lists its -1 entries
+            note = "diag1 " + ",".join(str(v) for v in mu if v != 1)
+            laws.append((E_ELEM, ("diag1",), mu, (note,), dmap, None))
+    laws.extend(_efun_fixed_laws(m, k, corrected))
+    return laws
+
+
+def require_row_law(m: int, det_factor_mode: str) -> None:
+    """Refuse literal mode at m = 1, where the E-function has no row law:
+    diag1 -1,-1 needs two rows and the row cycles three."""
+    if m == 1 and det_factor_mode == "literal":
+        raise UsageError("det mode literal has no row law at m = 1; use det-corrected")
+
+
+def _law_queries(queries: list, laws: Sequence[tuple], X: tuple, r: int) -> None:
+    """Append each law as a query at round r's point X."""
+    for kind, head, tail, _, vmap, factor in laws:
+        rel, coeffs = (REL_EQUAL, ()) if factor is None else (REL_SCALED, (factor,))
+        queries.append(Query(kind, head + (r,) + tail, rel, coeffs, (X, act(vmap, X))))
+
+
+# ---------------------------------------------------------------------------
+# sampled suites
+
+
 def gen_queries_perm(
     n: int,
     seed: int,
@@ -255,29 +338,12 @@ def gen_queries_perm(
     normalize: bool = True,
 ) -> tuple[Query, ...]:
     """The permanent symmetry suite; deterministic in (n, seed, config)."""
-    shape = (SQUARE, n)
-    swaps = [
-        (i, var_map(PermSwap(i), shape, "left"), var_map(PermSwap(i), shape, "right"))
-        for i in range(1, n)
-    ]
     queries: list[Query] = []
     for r in range(rounds):
         rng = random.Random(derive_seed("P", n, seed, r))
         X = rand_point(rng, n * n, box)
-        for i, left, right in swaps:
-            queries.append(Query(P_PERM_LEFT, (i, r), REL_EQUAL, (), (X, act(left, X))))
-            queries.append(Query(P_PERM_RIGHT, (i, r), REL_EQUAL, (), (X, act(right, X))))
-        for kind, side in ((P_DIAG_LEFT, "left"), (P_DIAG_RIGHT, "right")):
-            mu = rand_point(rng, n, box)
-            queries.append(
-                Query(
-                    kind,
-                    (r,) + mu,
-                    REL_SCALED,
-                    (prod(mu),),
-                    (X, act(var_map(Diagonal(mu), shape, side), X)),
-                )
-            )
+        diagonals = [(rand_point(rng, n, box), rand_point(rng, n, box))]
+        _law_queries(queries, _perm_laws(n, diagonals), X, r)
     for t in range(nonzero_count):
         rng = random.Random(derive_seed("Pnz", n, seed, t))
         queries.append(
@@ -340,63 +406,16 @@ def gen_queries_efun(
     if det_factor_mode not in ("det-corrected", "literal"):
         raise UsageError(f"unknown det_factor_mode {det_factor_mode!r}")
     corrected = det_factor_mode == "det-corrected"
-    e = k**m
-    shape, size = (BLOCK, m, k), k * m * m
-    # the elements without drawn entries, as (kind, params but the round,
-    # relation, coeffs, var map): the same in every round
-    if corrected:
-        fixed = [
-            (E_ELEM, ("swap", i), REL_SCALED, ((-1) ** e,),
-             var_map(PermSwap(i), shape, "left"))
-            for i in range(1, m)
-        ]
-    else:
-        fixed = [
-            (E_ELEM, ("cycle", 1, 2, j), REL_EQUAL, (),
-             var_map(RowCycle(1, 2, j), shape, "left"))
-            for j in range(3, m + 1)
-        ]
-    for g in k_generators(m, k):
-        args = tuple(getattr(g, f) for f in g.__dataclass_fields__)
-        fixed.append((E_KGEN, (type(g).__name__,) + args, REL_EQUAL, (),
-                      var_map(g, shape, "right")))
+    size = k * m * m
     queries: list[Query] = []
     for r in range(rounds):
         rng = random.Random(derive_seed("E", m, k, seed, r))
         X = rand_point(rng, size, box)
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i == j:
-                    continue
-                y = _rand_entry(rng, box)
-                queries.append(
-                    Query(
-                        E_ELEM,
-                        ("add", i, j, y, r),
-                        REL_EQUAL,
-                        (),
-                        (X, act(var_map(ElementaryAdd(i, j, y), shape, "left"), X)),
-                    )
-                )
-        if corrected:
-            mu = rand_point(rng, m, box)
-            params, rel, coeffs = ("diag", r) + mu, REL_SCALED, (prod(mu) ** e,)
-        else:
-            mu = _literal_diag_entries(rng, m)
-            params, rel, coeffs = ("diag1", r) + mu, REL_EQUAL, ()
-        dmap = var_map(Diagonal(mu), shape, "left")
-        queries.append(Query(E_ELEM, params, rel, coeffs, (X, act(dmap, X))))
-        for kind, params, rel, coeffs, vmap in fixed:
-            queries.append(Query(kind, params + (r,), rel, coeffs, (X, act(vmap, X))))
-        queries.append(
-            Query(
-                E_PRIMARY_VANISH,
-                (r,),
-                REL_CONST,
-                (0,),
-                (_primary_vanish_point(rng, m, k, box),),
-            )
-        )
+        adds = [(i, j, _rand_entry(rng, box)) for i, j in permutations(range(1, m + 1), 2)]
+        mu = rand_point(rng, m, box) if corrected else _literal_diag_entries(rng, m)
+        _law_queries(queries, _efun_laws(m, k, adds, [mu], corrected), X, r)
+        vanish = _primary_vanish_point(rng, m, k, box)
+        queries.append(Query(E_PRIMARY_VANISH, (r,), REL_CONST, (0,), (vanish,)))
     for t in range(nonzero_count):
         rng = random.Random(derive_seed("Enz", m, k, seed, t))
         queries.append(
@@ -577,13 +596,11 @@ def acted(p: dict, vmap: tuple) -> dict:
     return p
 
 
-def _suite(shape: tuple, checks) -> tuple:
-    """The (kind, note, element, side, factor) checks as (kind, note, var
-
-    map, factor); the check passes iff p(g X) == factor * p(X)."""
+def _checks(laws: Sequence[tuple]) -> tuple:
+    """The laws as exhaustive checks (kind, note, var map, factor)."""
     return tuple(
-        (kind, note, var_map(g, shape, side), factor)
-        for kind, note, g, side, factor in checks
+        (kind, note, vmap, 1 if factor is None else factor)
+        for kind, _, _, note, vmap, factor in laws
     )
 
 
@@ -593,47 +610,25 @@ def _suite(shape: tuple, checks) -> tuple:
 
 @lru_cache(maxsize=8)
 def _perm_suite(n: int, cfg: VerifyConfig) -> tuple:
-    """Row/column swap invariance, then both diagonal laws per diagonal."""
-    checks = []
-    for i in range(1, n):
-        checks.append((P_PERM_LEFT, (), PermSwap(i), "left", 1))
-        checks.append((P_PERM_RIGHT, (), PermSwap(i), "right", 1))
+    """The permanent's laws, each diagonal on both sides."""
     rng = random.Random(derive_seed("Pexh", n, cfg.seed))
-    for mu in _diagonals(n, rng, cfg.box()):
-        checks.append((P_DIAG_LEFT, (), Diagonal(mu), "left", prod(mu)))
-        checks.append((P_DIAG_RIGHT, (), Diagonal(mu), "right", prod(mu)))
-    return _suite((SQUARE, n), checks)
+    return _checks(_perm_laws(n, [(mu, mu) for mu in _diagonals(n, rng, cfg.box())]))
 
 
 @lru_cache(maxsize=8)
 def _efun_suite(m: int, k: int, cfg: VerifyConfig) -> tuple:
-    """Row additions at y = 1 and a drawn y, the det-mode row laws, then the
-
-    column wreath generators."""
-    e = k**m
+    """The E-function's laws: row additions at y = 1 and at a drawn y; the
+    prime and drawn diagonals, or in literal mode -1 on rows 1 and 2."""
     rng = random.Random(derive_seed("Eexh", m, k, cfg.seed))
-    checks = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i != j:
-                for y in (1, _rand_entry(rng, cfg.box())):
-                    checks.append(
-                        (E_ELEM, (f"add {i},{j} y={y}",), ElementaryAdd(i, j, y), "left", 1)
-                    )
-    if cfg.det_factor_mode == "det-corrected":
-        for mu in _diagonals(m, rng, cfg.box()):
-            checks.append((E_ELEM, (f"diag {mu}",), Diagonal(mu), "left", prod(mu) ** e))
-        for i in range(1, m):
-            checks.append((E_ELEM, (f"swap {i}",), PermSwap(i), "left", (-1) ** e))
+    box = cfg.box()
+    adds = [(i, j, y) for i, j in permutations(range(1, m + 1), 2)
+            for y in (1, _rand_entry(rng, box))]
+    corrected = cfg.det_factor_mode == "det-corrected"
+    if corrected:
+        diagonals = _diagonals(m, rng, box)
     else:
-        if m >= 2:
-            mu = (-1, -1) + (1,) * (m - 2)
-            checks.append((E_ELEM, ("diag1 -1,-1",), Diagonal(mu), "left", 1))
-        for j in range(3, m + 1):
-            checks.append((E_ELEM, (f"cycle 1,2,{j}",), RowCycle(1, 2, j), "left", 1))
-    for g in k_generators(m, k):
-        checks.append((E_KGEN, (type(g).__name__,), g, "right", 1))
-    return _suite((BLOCK, m, k), checks)
+        diagonals = [(-1, -1) + (1,) * (m - 2)] if m >= 2 else []
+    return _checks(_efun_laws(m, k, adds, diagonals, corrected))
 
 
 def _check_suite(verdicts: list[Verdict], poly: dict, suite: tuple) -> None:
@@ -685,11 +680,7 @@ def _exhaustive_efun(
     vanish = poly_subst_consts(poly, _primary_vanish_bindings(m, k))
     _record(verdicts, E_PRIMARY_VANISH, vanish == {})
     if cfg.normalize:
-        _record(
-            verdicts,
-            NORMALIZE,
-            poly_eval(poly, unit_columns_point(m, k)) == 1,
-        )
+        _record(verdicts, NORMALIZE, poly_eval(poly, unit_columns_point(m, k)) == 1)
     return verdicts, (f"expansion terms={len(poly)}",)
 
 
@@ -714,9 +705,7 @@ def verify_claims_efun(
 ) -> VerifyResult:
     """Decide whether c plausibly computes the (m, k) E-function."""
     cfg = cfg or VerifyConfig()
-    if m == 1 and cfg.det_factor_mode == "literal":
-        # its row laws (diag1 -1,-1, the row cycles) need m >= 2
-        raise UsageError("det mode literal has no row law at m = 1; use det-corrected")
+    require_row_law(m, cfg.det_factor_mode)
     gen = partial(gen_queries_efun, det_factor_mode=cfg.det_factor_mode)
     notes: tuple[str, ...] = ()
     if k < 3:
@@ -738,36 +727,31 @@ def _verify_claims(
     if c.num_inputs != want:
         raise ArityMismatch(f"circuit takes {c.num_inputs} inputs, want {want}")
     bound = 0.0
-    with Stopwatch() as sw:
-        if cfg.mode == "exhaustive":
-            verdicts, more = exhaustive(c, *dims, cfg)
-            accept, queries = all(v.passed for v in verdicts), ()
-        elif cfg.mode == "sampled":
-            queries = gen(
-                *dims,
-                cfg.seed,
-                rounds=cfg.rounds,
-                box=cfg.box(),
-                nonzero_count=cfg.nonzero_count,
-                normalize=cfg.normalize,
-            )
-            report = run_queries(
-                c,
-                queries,
-                ring=cfg.ring,
-                prime_bits=cfg.prime_bits,
-                prime_count=cfg.prime_count,
-                seed=cfg.seed,
-            )
-            accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
-        else:
-            raise UsageError(f"unknown mode {cfg.mode!r}")
-    if cfg.mode == "sampled":
+    if cfg.mode == "exhaustive":
+        verdicts, more = exhaustive(c, *dims, cfg)
+        accept, queries = all(v.passed for v in verdicts), ()
+    elif cfg.mode == "sampled":
+        queries = gen(
+            *dims,
+            cfg.seed,
+            rounds=cfg.rounds,
+            box=cfg.box(),
+            nonzero_count=cfg.nonzero_count,
+            normalize=cfg.normalize,
+        )
+        report = run_queries(
+            c,
+            queries,
+            ring=cfg.ring,
+            prime_bits=cfg.prime_bits,
+            prime_count=cfg.prime_count,
+            seed=cfg.seed,
+        )
+        accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
         bound = sampled_error_bound(c.size, cfg.box(), cfg.rounds)
-    return VerifyResult(
-        accept, target, cfg.mode, dims, queries, tuple(verdicts), bound, sw.seconds,
-        notes + more,
-    )
+    else:
+        raise UsageError(f"unknown mode {cfg.mode!r}")
+    return VerifyResult(accept, cfg.mode, queries, tuple(verdicts), bound, notes + more)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ the exception, its gate budgets are timed by design).
 """
 from __future__ import annotations
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit
 from flipcert.circuits import serialize_circuit
-from flipcert.cli import main
+from flipcert.cli import build_parser, main
 
 XY_TEXT = "ninputs 2\ng1 = input 0\ng2 = input 1\ng3 = mul g1 g2\noutput g3\n"
 SQUARE2 = "square 2\n1 2\n3 4\n"
@@ -141,6 +145,8 @@ BAD_FLAG_ARGV = {
     "verify-perm-prime-count-0": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
                                   "--ring", "modular", "--prime-count", "0"],
     "trace-tools-l": ["trace-tools", "--q", "2", "--l", "-1"],
+    # a composite q once reached "no irreducible of degree 2 over F_4"
+    "trace-tools-q": ["trace-tools", "--q", "4", "--l", "2"],
     # zero.ac computes x - x, so a negative hint would reach the printed bound
     "pit-degree-hint": ["pit", "--circuit", "{zero}", "--degree-hint", "-5",
                         "--trials", "3"],
@@ -155,6 +161,13 @@ BAD_FLAG_ARGV = {
     "verify-perm-n": ["verify-perm", "--n", "-2", "--circuit", "{perm2}"],
     "verify-perm-n-0": ["verify-perm", "--n", "0", "--circuit", "{perm2}"],
     "verify-efun-m-k": ["verify-efun", "--m", "-1", "--k", "-2", "--circuit", "{efun22}"],
+    # a budget below 1 is a usage error, not a budget failure (exit 3)
+    "efun-oracle-budget": ["efun-oracle", "--matrix", "{block22}", "--budget", "-1"],
+    "efun-oracle-budget-0": ["efun-oracle", "--matrix", "{block22}", "--budget", "0"],
+    "count-designs-budget": ["count-designs", "--l", "2", "--r", "1", "--kcap", "1",
+                             "--rows", "2", "--budget", "-1"],
+    "count-designs-budget-0": ["count-designs", "--l", "2", "--r", "1", "--kcap", "1",
+                               "--rows", "2", "--budget", "0"],
 }
 
 # the error of a bad dimension names it, ahead of any arity complaint
@@ -162,6 +175,9 @@ NAMED_IN_ERROR = {
     "verify-perm-n": "dimension n must be at least 1, got -2",
     "verify-perm-n-0": "dimension n must be at least 1, got 0",
     "verify-efun-m-k": "dimension m must be at least 1, got -1",
+    "trace-tools-q": "4 is not prime",
+    "efun-oracle-budget": "budget must be at least 1, got -1",
+    "count-designs-budget-0": "budget must be at least 1, got 0",
 }
 
 
@@ -174,6 +190,8 @@ def test_bad_count_or_width_exits_2(tmp_path, capsys, label, argv):
         paths[name].write_text(serialize_circuit(c))
     paths["zero"] = tmp_path / "zero.ac"
     paths["zero"].write_text("ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n")
+    paths["block22"] = tmp_path / "block22.mat"
+    paths["block22"].write_text(BLOCK22)
     rc, out, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
@@ -461,7 +479,96 @@ def test_trace_tools_frozen(capsys):
     )
 
 
+def test_trace_tools_degree_one(capsys):
+    # the generator is the residue of t, here -f_0 = 0; it once raised "too
+    # many coordinates" after printing the first three lines
+    rc, out, _ = run(capsys, ["trace-tools", "--q", "2", "--l", "1"])
+    assert (rc, out) == (0, "field 2 1 0 1\ngram 1\ndual 1\ntrace(gen) 0\ncoeffs(gen) 0\n")
+
+
 def test_trace_tools_rejects_reducible_modulus(capsys):
     rc, _, err = run(capsys, ["trace-tools", "--q", "2", "--l", "2",
                               "--modulus", "1,0,1"])  # x^2+1 = (x+1)^2 over F2
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over every int flag
+
+CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
+
+# one cheap README command per subcommand; {design}, {cert} and {hs} are the
+# files the README flow writes, {out} a fresh path for the case's own output
+README_ARGV = {
+    "eval": ["--circuit", "{circuits}/perm3.ac", "--point", "1,2,3,4,5,6,7,8,9"],
+    "pit": ["--circuit", "{circuits}/perm2_scaled2.ac"],
+    "verify-perm": ["--n", "2", "--circuit", "{circuits}/perm2.ac"],
+    "verify-efun": ["--m", "2", "--k", "2", "--circuit", "{circuits}/efun_2_2.ac"],
+    "efun-oracle": ["--matrix", "{circuits}/sample_block_2_2.mat"],
+    "perm-oracle": ["--matrix", "{circuits}/sample_square2.mat"],
+    "gen-design": ["--l", "6", "--r", "3", "--kcap", "1", "--rows", "4", "--out", "{out}"],
+    "verify-design": ["--label", "{design}"],
+    "count-designs": ["--l", "2", "--r", "1", "--kcap", "1", "--rows", "2"],
+    "build-hitting-set": ["--ninputs", "1", "--bound", "3", "--alphabet=-1,1",
+                          "--out", "{out}"],
+    "verify-hitting-set": ["--file", "{hs}"],
+    "derive-cert": ["--design", "{design}", "--bound", "8", "--out", "{out}"],
+    "decode": ["--cert", "{cert}", "--circuit", "{circuits}/det2.ac"],
+    "harness-f": ["--cert", "{cert}", "--ninputs", "4", "--bound", "3",
+                  "--alphabet=-1,0,1"],
+    "trivial-table": ["--ninputs", "4", "--bound", "2", "--alphabet=1", "--n", "2"],
+    "trace-tools": ["--q", "2", "--l", "2"],
+}
+
+
+def _int_flags():
+    """(subcommand, flag) for every int option build_parser() declares."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            if action.type is int:
+                yield command, action.option_strings[0]
+
+
+INT_FLAG_CASES = [(c, f, v) for c, f in _int_flags() for v in (-1, 0)]
+
+
+@pytest.fixture(scope="module")
+def readme_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("readme")
+    files = {"circuits": str(CIRCUITS), "design": str(d / "design.hex"),
+             "cert": str(d / "cert.txt"), "hs": str(d / "hs.txt")}
+    for argv in (
+        ["gen-design", "--l", "6", "--r", "3", "--kcap", "1", "--rows", "4",
+         "--out", files["design"]],
+        ["derive-cert", "--design", files["design"], "--bound", "8", "--out", files["cert"]],
+        ["build-hitting-set", "--ninputs", "1", "--bound", "3", "--alphabet=-1,1",
+         "--out", files["hs"]],
+    ):
+        assert main(argv) == 0
+    return files
+
+
+@pytest.mark.parametrize("command, flag, value", INT_FLAG_CASES,
+                         ids=[f"{c} {f} {v}" for c, f, v in INT_FLAG_CASES])
+def test_int_flag_keeps_the_exit_code_contract(readme_files, tmp_path, capsys,
+                                               command, flag, value):
+    # -1 and 0 for each int flag of a README command: an exit code of the
+    # contract, no exception but argparse's SystemExit, and the same stdout
+    # twice once harness-f's seconds are masked
+    files = dict(readme_files, out=str(tmp_path / "out"))
+    argv = [command] + [a.format(**files) for a in README_ARGV[command]]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(value)
+    else:
+        argv += [flag, str(value)]
+    outs = []
+    for _ in range(2):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+        assert rc in (0, 1, 2, 3), argv
+        outs.append(re.sub(r"\d+\.\d{3}s", "#.###s", capsys.readouterr().out))
+    assert outs[0] == outs[1]

@@ -117,6 +117,18 @@ def test_find_irreducible_frozen():
     assert find_irreducible(2, 3) == (1, 1, 0, 1)  # t^3 + t + 1
 
 
+def test_find_irreducible_refuses_composite_q():
+    with pytest.raises(UsageError, match="4 is not prime"):
+        find_irreducible(4, 2)
+
+
+def test_gen_is_the_residue_of_t():
+    # at l = 1 the modulus is t + f_0, so t is -f_0; above, t itself
+    assert ExtField(5, 1, (3, 1)).gen() == ExtField(5, 1, (3, 1)).from_int(2)
+    assert ExtField(2, 1).gen().coeffs == (0,)
+    assert ExtField(3, 2).gen().coeffs == (0, 1)
+
+
 def test_poly_is_irreducible_rejects_reducible():
     # t^2 + 1 = (t+1)^2 over F_2
     assert not poly_is_irreducible((1, 0, 1), 2)

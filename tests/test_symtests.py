@@ -506,6 +506,36 @@ def test_exhaustive_verdicts_frozen(ninputs, verify, cfg, frozen):
     assert _exhaustive_digest(cls, verify, cfg) == frozen
 
 
+# (checks, digest of every check's kind, note, factor and var map), frozen
+# from the implementation that spelled the exhaustive suites apart from the
+# sampled ones; literal mode at m = 1 has only the column generators.
+@pytest.mark.parametrize(
+    "target, dims, mode, frozen",
+    [
+        ("perm", (1,), "det-corrected", (6, "19325d96a0863509")),
+        ("perm", (2,), "det-corrected", (8, "348a47253e626ee6")),
+        ("perm", (3,), "det-corrected", (10, "a6ea788b6bc714c4")),
+        ("perm", (4,), "det-corrected", (12, "2cfe97c8b144e18d")),
+        ("efun", (1, 2), "det-corrected", (4, "302b29c1ba9cad22")),
+        ("efun", (1, 2), "literal", (1, "4ddd1dc940593ea2")),
+        ("efun", (2, 2), "det-corrected", (10, "1d941c68ea0a99d8")),
+        ("efun", (2, 2), "literal", (7, "f8c7af4582923498")),
+        ("efun", (1, 3), "det-corrected", (5, "5f8db1bc87388801")),
+        ("efun", (1, 3), "literal", (2, "9c159e65dd4cf80d")),
+        ("efun", (3, 2), "det-corrected", (21, "260253a7a61404b1")),
+        ("efun", (3, 2), "literal", (18, "99ba8d3e7fbd8e2e")),
+    ],
+)
+def test_exhaustive_suites_frozen(target, dims, mode, frozen):
+    cfg = VerifyConfig(mode="exhaustive", det_factor_mode=mode)
+    suite = _perm_suite(*dims, cfg) if target == "perm" else _efun_suite(*dims, cfg)
+    text = "".join(f"{kind}|{'|'.join(note)}|{factor}|{vmap}\n"
+                   for kind, note, vmap, factor in suite)
+    assert (len(suite), hashlib.sha256(text.encode()).hexdigest()[:16]) == frozen
+    if mode == "literal" and dims[0] == 1:
+        assert {kind for kind, _, _, _ in suite} == {"EKGen"}
+
+
 # Brute-force soundness of the exhaustive E-function verifier: over whole
 # enumerated classes, det-corrected mode accepts a member iff its expansion
 # is a nonzero multiple of E (normalize off), or E itself (normalize on).
