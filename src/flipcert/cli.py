@@ -100,9 +100,9 @@ def _read_label(path: str) -> bytes:
 
 
 def _box(width: int) -> tuple[int, int]:
-    """The sampling box [1, 2^width] of --width."""
-    if width < 0:
-        raise UsageError(f"--width must be >= 0, got {width}")
+    """The sampling box [1, 2^width] of --width; width 0 would leave {1}."""
+    if width < 1:
+        raise UsageError(f"--width must be >= 1, got {width}")
     return (1, 1 << width)
 
 
@@ -309,16 +309,15 @@ def cmd_trivial_table(args) -> int:
     table = trivial_obstruction_table(cls, config)
     print(f"target {table.target_label}")
     print(f"rows {table.row_count()}")
-    lines = []
-    for row in table.rows:
-        lines.append(
-            f"row {row.index} point {','.join(str(v) for v in row.point)} "
-            f"circuit {row.circuit_value} target {row.target_value}"
-        )
+    lines = [
+        f"row {row.index} point {','.join(str(v) for v in row.point)} "
+        f"circuit {row.circuit_value} target {row.target_value}"
+        for row in (table.rows if args.out else table.rows[: args.head])
+    ]
     if args.out:
         _write(args.out, "".join(line + "\n" for line in lines))
     else:
-        for line in lines[: args.head]:
+        for line in lines:
             print(line)
     return 0
 

@@ -586,10 +586,11 @@ def harness_F(
 # ---------------------------------------------------------------------------
 # the trivial obstruction table
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
+    """Class member `index` disagrees with the target at `point`."""
+
     index: int
-    circuit: Circuit
     point: tuple[int, ...]
     circuit_value: int
     target_value: int
@@ -641,5 +642,5 @@ def trivial_obstruction_table(cls, config: CertConfig) -> TrivialTable:
             assert found is not None  # nonzero poly with per-var degree <= d
             row_of[key] = (found, evaluate(c, found), poly_eval(target_poly, found))
         point, circuit_value, target_value = row_of[key]
-        rows.append(TableRow(idx, c, point, circuit_value, target_value))
+        rows.append(TableRow(idx, point, circuit_value, target_value))
     return TrivialTable(config.target_label(), tuple(rows))

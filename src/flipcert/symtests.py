@@ -36,7 +36,11 @@ primes.  Exhaustive mode replaces sampling with exact identity checks on
 the circuit's sparse expansion, with diagonal test vectors anchored at
 distinct primes; for this class of identities that makes the check sound,
 not just probabilistic (multiplicative independence forces the degree
-vectors exactly).
+vectors exactly).  A diagonal or permutation law is decided once per
+distinct monomial: the suite's table keeps each monomial's row (the checks
+it fails alone, and its images) and one verdict tuple per outcome, in the
+suite's lru_cache entry, so it holds at most 8 suites, each with the
+distinct monomials it has seen.
 """
 
 from __future__ import annotations
@@ -185,10 +189,12 @@ def _rand_entry(rng: random.Random, box: tuple[int, int]) -> int:
     return rand_point(rng, 1, box)[0]
 
 
+@lru_cache(maxsize=16)
 def identity_point(n: int) -> tuple:
     return tuple([int(r == c) for r in range(n) for c in range(n)])
 
 
+@lru_cache(maxsize=16)
 def unit_columns_point(m: int, k: int) -> tuple:
     """Every choice column at position i is the i-th unit vector; E = 1."""
     return tuple([int(r == c // k) for r in range(m) for c in range(k * m)])
@@ -555,6 +561,13 @@ def run_queries(
 #          distinct images; pass iff c_e == f * p[e'] at every monomial, an
 #          absent image reading 0.  f is not always 1: the E-function swap
 #          law has f = (-1)^e.
+# Both rules depend on e alone, so a suite's _Table decides them once per
+# distinct monomial: e's row is the bitmask of checks e fails by itself
+# (w_e != f, or e' == e with f != 1) and (bit, f, e') for each permutation
+# that moves e.  A call ORs its rows' masks and compares each coefficient
+# with its images', and the calls of a class share the few verdict tuples
+# their outcomes give.  The table lives in the suite's lru_cache entry, so
+# at most 8 suites are held, each with the distinct monomials it has seen.
 # Row additions mix monomials, so they build p(g X) through `acted`, which
 # also stays the reference the tests hold the per-monomial rule against.
 
@@ -604,21 +617,96 @@ def _checks(laws: Sequence[tuple]) -> tuple:
     )
 
 
+class _Table:
+    """A suite's checks, each distinct monomial's row and each outcome's
+    verdicts.  Check i owns bit 1 << i of a failure mask.  `first` and
+    `last` are the kinds of the verdicts recorded before and after the
+    checks, and an outcome is the failure mask with those verdicts' passes."""
+
+    __slots__ = ("suite", "first", "last", "diagonals", "perms", "others", "rows", "outcomes")
+
+    def __init__(self, suite: tuple, first: str = "", last: tuple = ()):
+        self.suite, self.first, self.last = suite, first, last
+        self.diagonals, self.perms, self.others = [], [], []
+        for i, (_, _, vmap, factor) in enumerate(suite):
+            dest, scale, _ = vmap
+            if scale is not None:
+                self.diagonals.append((1 << i, scale, factor))
+            elif dest is not None:
+                self.perms.append((1 << i, dest, factor))
+            else:
+                self.others.append((1 << i, vmap, factor))
+        self.rows: dict[tuple, tuple] = {}
+        self.outcomes: dict[tuple, tuple[bool, tuple[Verdict, ...]]] = {}
+
+    def row(self, e: tuple) -> tuple[int, tuple]:
+        """(mask of the checks e fails alone, (bit, factor, image) for each
+        permutation that moves e)."""
+        mask = 0
+        for bit, scale, factor in self.diagonals:
+            if prod(map(pow, scale, e)) != factor:
+                mask |= bit
+        moves = []
+        for bit, dest, factor in self.perms:
+            image = tuple(map(e.__getitem__, dest))
+            if image != e:
+                moves.append((bit, factor, image))
+            elif factor != 1:  # c_e == factor * c_e fails, c_e being nonzero
+                mask |= bit
+        return mask, tuple(moves)
+
+    def failures(self, poly: dict) -> int:
+        """The mask of the checks p(g X) == factor * p(X) fails."""
+        rows, get = self.rows, poly.get
+        fail = 0
+        for e, coeff in poly.items():
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = self.row(e)
+            fail |= row[0]
+            for bit, factor, image in row[1]:
+                if factor * get(image, 0) != coeff:
+                    fail |= bit
+        for bit, vmap, factor in self.others:
+            if acted(poly, vmap) != poly_scaled(poly, factor):
+                fail |= bit
+        return fail
+
+    def outcome(self, poly: dict, first_ok: bool, *last_oks: bool) -> tuple:
+        """(accept, verdict tuple) of poly's outcome, built on its first
+        sight and shared from then on."""
+        key = (self.failures(poly), first_ok) + last_oks
+        out = self.outcomes.get(key)
+        if out is None:
+            verdicts: list[Verdict] = []
+            _record(verdicts, self.first, first_ok)
+            _check_suite(verdicts, poly, self.suite, self)
+            for kind, ok in zip(self.last, last_oks):
+                _record(verdicts, kind, ok)
+            accept = all(v.passed for v in verdicts)
+            out = self.outcomes[key] = (accept, tuple(verdicts))
+        return out
+
+
 # The suites depend only on the dimensions and the config, so a class sweep
-# builds each once and applies it to every member's expansion.
+# builds each once, with its table, and applies it to every member's
+# expansion.
 
 
 @lru_cache(maxsize=8)
+def _perm_table(n: int, cfg: VerifyConfig) -> _Table:
+    rng = random.Random(derive_seed("Pexh", n, cfg.seed))
+    suite = _checks(_perm_laws(n, [(mu, mu) for mu in _diagonals(n, rng, cfg.box())]))
+    return _Table(suite, P_NONZERO, (NORMALIZE,) * cfg.normalize)
+
+
 def _perm_suite(n: int, cfg: VerifyConfig) -> tuple:
     """The permanent's laws, each diagonal on both sides."""
-    rng = random.Random(derive_seed("Pexh", n, cfg.seed))
-    return _checks(_perm_laws(n, [(mu, mu) for mu in _diagonals(n, rng, cfg.box())]))
+    return _perm_table(n, cfg).suite
 
 
 @lru_cache(maxsize=8)
-def _efun_suite(m: int, k: int, cfg: VerifyConfig) -> tuple:
-    """The E-function's laws: row additions at y = 1 and at a drawn y; the
-    prime and drawn diagonals, or in literal mode -1 on rows 1 and 2."""
+def _efun_table(m: int, k: int, cfg: VerifyConfig) -> _Table:
     rng = random.Random(derive_seed("Eexh", m, k, cfg.seed))
     box = cfg.box()
     adds = [(i, j, y) for i, j in permutations(range(1, m + 1), 2)
@@ -628,60 +716,45 @@ def _efun_suite(m: int, k: int, cfg: VerifyConfig) -> tuple:
         diagonals = _diagonals(m, rng, box)
     else:
         diagonals = [(-1, -1) + (1,) * (m - 2)] if m >= 2 else []
-    return _checks(_efun_laws(m, k, adds, diagonals, corrected))
+    suite = _checks(_efun_laws(m, k, adds, diagonals, corrected))
+    return _Table(suite, E_NONZERO, (E_PRIMARY_VANISH,) + (NORMALIZE,) * cfg.normalize)
 
 
-def _check_suite(verdicts: list[Verdict], poly: dict, suite: tuple) -> None:
+def _efun_suite(m: int, k: int, cfg: VerifyConfig) -> tuple:
+    """The E-function's laws: row additions at y = 1 and at a drawn y; the
+    prime and drawn diagonals, or in literal mode -1 on rows 1 and 2."""
+    return _efun_table(m, k, cfg).suite
+
+
+def _check_suite(
+    verdicts: list[Verdict], poly: dict, suite: tuple, table: _Table | None = None
+) -> None:
     """Record, per check, whether p(g X) == factor * p(X) identically.
 
-    A diagonal check passes iff every monomial's weight prod scale[v]^e_v
-    equals the factor; a permutation check iff every coefficient equals the
-    factor times its image's coefficient in p.  Both rules need p to hold
-    no zero coefficient, which an expansion never does.  Row additions go
-    through `acted`."""
-    items = poly.items()
-    get = poly.get
-    push = verdicts.append
-    for kind, note, vmap, factor in suite:
-        dest, scale, _ = vmap
-        ok = True
-        if scale is not None:
-            for e in poly:
-                if prod(map(pow, scale, e)) != factor:
-                    ok = False
-                    break
-        elif dest is not None:
-            for e, coeff in items:
-                if factor * get(tuple(map(e.__getitem__, dest)), 0) != coeff:
-                    ok = False
-                    break
-        else:
-            ok = acted(poly, vmap) == poly_scaled(poly, factor)
-        push(Verdict(len(verdicts), kind, ok, note))
+    `table` is the suite's; by default a new one serves this call alone.
+    p must hold no zero coefficient, which an expansion never does."""
+    fail = (_Table(suite) if table is None else table).failures(poly)
+    for i, (kind, note, _, _) in enumerate(suite):
+        _record(verdicts, kind, not fail >> i & 1, note)
 
 
-def _exhaustive_perm(c: Circuit, n: int, cfg: VerifyConfig) -> tuple[list[Verdict], tuple[str, ...]]:
+# Each returns (accept, verdicts, notes).
+
+
+def _exhaustive_perm(c: Circuit, n: int, cfg: VerifyConfig) -> tuple:
     poly = expand_to_polynomial(c, max_terms=MAX_TERMS)
-    verdicts: list[Verdict] = []
-    _record(verdicts, P_NONZERO, bool(poly))
-    _check_suite(verdicts, poly, _perm_suite(n, cfg))
-    if cfg.normalize:
-        _record(verdicts, NORMALIZE, poly_eval(poly, identity_point(n)) == 1)
-    return verdicts, (f"expansion terms={len(poly)}",)
+    last = (poly_eval(poly, identity_point(n)) == 1,) if cfg.normalize else ()
+    accept, verdicts = _perm_table(n, cfg).outcome(poly, bool(poly), *last)
+    return accept, verdicts, (f"expansion terms={len(poly)}",)
 
 
-def _exhaustive_efun(
-    c: Circuit, m: int, k: int, cfg: VerifyConfig
-) -> tuple[list[Verdict], tuple[str, ...]]:
+def _exhaustive_efun(c: Circuit, m: int, k: int, cfg: VerifyConfig) -> tuple:
     poly = expand_to_polynomial(c, max_terms=MAX_TERMS)
-    verdicts: list[Verdict] = []
-    _record(verdicts, E_NONZERO, bool(poly))
-    _check_suite(verdicts, poly, _efun_suite(m, k, cfg))
-    vanish = poly_subst_consts(poly, _primary_vanish_bindings(m, k))
-    _record(verdicts, E_PRIMARY_VANISH, vanish == {})
+    last = (not poly_subst_consts(poly, _primary_vanish_bindings(m, k)),)
     if cfg.normalize:
-        _record(verdicts, NORMALIZE, poly_eval(poly, unit_columns_point(m, k)) == 1)
-    return verdicts, (f"expansion terms={len(poly)}",)
+        last += (poly_eval(poly, unit_columns_point(m, k)) == 1,)
+    accept, verdicts = _efun_table(m, k, cfg).outcome(poly, bool(poly), *last)
+    return accept, verdicts, (f"expansion terms={len(poly)}",)
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +801,8 @@ def _verify_claims(
         raise ArityMismatch(f"circuit takes {c.num_inputs} inputs, want {want}")
     bound = 0.0
     if cfg.mode == "exhaustive":
-        verdicts, more = exhaustive(c, *dims, cfg)
-        accept, queries = all(v.passed for v in verdicts), ()
+        accept, verdicts, more = exhaustive(c, *dims, cfg)
+        queries = ()
     elif cfg.mode == "sampled":
         queries = gen(
             *dims,
@@ -793,22 +866,19 @@ def perm_symmetry_nullspace(n: int, seed: int = 0) -> NullspaceResult:
     monomials = list(_monomials_up_to(n * n, n))
     index = {mono: i for i, mono in enumerate(monomials)}
 
-    # The exhaustive suite's checks, read by _check_suite's rules: a scale
-    # part kills each monomial whose weight differs from the factor, and a
-    # dest part (a swap, factor 1) ties each coefficient to its image's.
-    killed = [False] * len(monomials)
+    # The exhaustive suite's checks, read by its per-monomial rows: a monomial
+    # that fails a diagonal law alone is killed, and each swap (factor 1)
+    # that moves it ties its coefficient to its image's.
+    table = _perm_table(n, VerifyConfig(mode="exhaustive", seed=seed))
+    killed: list[bool] = []
     pair_rows: list[tuple[int, int]] = []
-    for _, _, (dest, scale, _), factor in _perm_suite(
-        n, VerifyConfig(mode="exhaustive", seed=seed)
-    ):
-        for mi, mono in enumerate(monomials):
-            if scale is not None:
-                if prod(map(pow, scale, mono)) != factor:
-                    killed[mi] = True
-            else:
-                mj = index[tuple(map(mono.__getitem__, dest))]
-                if mi < mj:
-                    pair_rows.append((mi, mj))
+    for mi, mono in enumerate(monomials):
+        mask, moves = table.row(mono)
+        killed.append(bool(mask))
+        for _, _, image in moves:
+            mj = index[image]
+            if mi < mj:
+                pair_rows.append((mi, mj))
 
     # propagate forced zeros through the pair constraints
     changed = True
@@ -823,7 +893,7 @@ def perm_symmetry_nullspace(n: int, seed: int = 0) -> NullspaceResult:
     sub_index = {mono_i: j for j, mono_i in enumerate(survivors)}
     rows = []
     for a, b in pair_rows:
-        if not killed[a] and not killed[b] and a != b:
+        if not killed[a] and not killed[b]:
             r = [Fraction(0)] * len(survivors)
             r[sub_index[a]] = Fraction(1)
             r[sub_index[b]] = Fraction(-1)

@@ -130,6 +130,11 @@ BAD_FLAG_ARGV = {
                           "--circuit", "{efun22}", "--width", "-1"],
     "build-hitting-set-width": ["build-hitting-set", "--ninputs", "1", "--bound", "3",
                                 "--alphabet=-1,1", "--width", "-1"],
+    # width 0 is the one-point box {1}: x - 1 was reported zero, and the
+    # hitting-set build failed as a budget problem (exit 3)
+    "pit-width-0": ["pit", "--circuit", "{xm1}", "--width", "0"],
+    "build-hitting-set-width-0": ["build-hitting-set", "--ninputs", "1", "--bound", "3",
+                                  "--alphabet=-1,1", "--width", "0"],
     "verify-perm-rounds": ["verify-perm", "--n", "2", "--circuit", "{det2}",
                            "--rounds", "-1"],
     "verify-efun-width-0": ["verify-efun", "--m", "2", "--k", "2",
@@ -190,6 +195,8 @@ def test_bad_count_or_width_exits_2(tmp_path, capsys, label, argv):
         paths[name].write_text(serialize_circuit(c))
     paths["zero"] = tmp_path / "zero.ac"
     paths["zero"].write_text("ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n")
+    paths["xm1"] = tmp_path / "xm1.ac"
+    paths["xm1"].write_text("ninputs 1\ng1 = input 0\ng2 = const 1\ng3 = sub g1 g2\noutput g3\n")
     paths["block22"] = tmp_path / "block22.mat"
     paths["block22"].write_text(BLOCK22)
     rc, out, err = run(capsys, [arg.format(**paths) for arg in argv])

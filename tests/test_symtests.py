@@ -39,6 +39,7 @@ from flipcert.oracles import (
     apply_group,
     var_map,
 )
+from flipcert import symtests
 from flipcert.pit import EnumeratedClass
 from flipcert.symtests import (
     VerifyConfig,
@@ -504,6 +505,37 @@ def _efun22(c, cfg):
 def test_exhaustive_verdicts_frozen(ninputs, verify, cfg, frozen):
     cls = EnumeratedClass(ninputs, 3, (-1, 0, 1))
     assert _exhaustive_digest(cls, verify, cfg) == frozen
+
+
+def test_exhaustive_tables_do_not_leak_between_suites():
+    # each exhaustive VerifyResult equals the same call made with a fresh
+    # table, over the bound-4 perm(2) class and the bound-3 E(2,2) class
+    # interleaved member by member, with normalize off and on and both det
+    # modes; the two seeds run one after the other, so each holds the 8
+    # suites the lru_cache keeps and every table serves many calls
+    cached = (symtests._perm_table, symtests._efun_table)
+    fresh = tuple(table.__wrapped__ for table in cached)
+    perm_class = EnumeratedClass(4, 4, (-1, 0, 1, 2))
+    efun_class = EnumeratedClass(8, 3, (-1, 0, 1))
+    calls = 0
+    try:
+        for seed in (0, 1):
+            cfgs = [VerifyConfig(mode="exhaustive", seed=seed, normalize=normalize,
+                                 det_factor_mode=mode)
+                    for normalize in (False, True) for mode in ("det-corrected", "literal")]
+            for pc, ec in itertools.zip_longest(perm_class.members(), efun_class.members()):
+                for cfg in cfgs:
+                    for verify, c in ((_perm2, pc), (_efun22, ec)):
+                        if c is None:
+                            continue
+                        symtests._perm_table, symtests._efun_table = cached
+                        got = verify(c, cfg)
+                        symtests._perm_table, symtests._efun_table = fresh
+                        assert got == verify(c, cfg), (serialize_circuit(c), cfg)
+                        calls += 1
+    finally:
+        symtests._perm_table, symtests._efun_table = cached
+    assert calls == 2 * 4 * (4160 + 495)
 
 
 # (checks, digest of every check's kind, note, factor and var map), frozen
