@@ -139,6 +139,10 @@ def _enumerated_class(args) -> EnumeratedClass:
     )
 
 
+def _design_params(args) -> DesignParams:
+    return DesignParams(m_prime=args.rows, l=args.l, r=args.r, k_cap=args.kcap)
+
+
 def _default_n(target: str) -> int:
     """n when --n is omitted: a perm target is 2 x 2, an efun target has none."""
     return 2 if target == "perm" else 0
@@ -207,8 +211,7 @@ def cmd_efun_oracle(args) -> int:
 
 
 def cmd_gen_design(args) -> int:
-    params = DesignParams(m_prime=args.rows, l=args.l, r=args.r, k_cap=args.kcap)
-    d = build_design_greedy(params, seed=args.seed)
+    d = build_design_greedy(_design_params(args), seed=args.seed)
     label = encode_design(d)
     print(f"design m'={args.rows} l={args.l} r={args.r} k_cap={args.kcap}")
     print(f"label {label.hex()}")
@@ -230,8 +233,7 @@ def cmd_verify_design(args) -> int:
 
 
 def cmd_count_designs(args) -> int:
-    params = DesignParams(m_prime=args.rows, l=args.l, r=args.r, k_cap=args.kcap)
-    print(count_designs_exhaustive(params, budget=args.budget))
+    print(count_designs_exhaustive(_design_params(args), budget=args.budget))
     return 0
 
 
@@ -306,14 +308,18 @@ def cmd_trivial_table(args) -> int:
         target=args.target, n=n, m=args.m, k=args.k, bound=args.bound,
         regime=args.regime, truth_table=(0, 0), seed_bits=1,
     )
-    table = trivial_obstruction_table(cls, config)
-    print(f"target {table.target_label}")
-    print(f"rows {table.row_count()}")
-    lines = [
-        f"row {row.index} point {','.join(str(v) for v in row.point)} "
-        f"circuit {row.circuit_value} target {row.target_value}"
-        for row in (table.rows if args.out else table.rows[: args.head])
-    ]
+    lines = []  # every row for --out, else the first --head
+
+    def keep(row) -> None:
+        if args.out or row.index < args.head:
+            lines.append(
+                f"row {row.index} point {','.join(str(v) for v in row.point)} "
+                f"circuit {row.circuit_value} target {row.target_value}"
+            )
+
+    count = trivial_obstruction_table(cls, config, keep)
+    print(f"target {config.target_label()}")
+    print(f"rows {count}")
     if args.out:
         _write(args.out, "".join(line + "\n" for line in lines))
     else:
@@ -373,6 +379,13 @@ def _add_class_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--regime", choices=("size", "bitsize"), default="size")
 
 
+def _add_design_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--kcap", type=int, required=True)
+    p.add_argument("--rows", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flipcert",
@@ -419,10 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perm_oracle)
 
     p = sub.add_parser("gen-design", help="greedy design construction (exit 3 = infeasible)")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--kcap", type=int, required=True)
-    p.add_argument("--rows", type=int, required=True)
+    _add_design_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen_design)
@@ -432,10 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_design)
 
     p = sub.add_parser("count-designs", help="exact backtracking count")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--kcap", type=int, required=True)
-    p.add_argument("--rows", type=int, required=True)
+    _add_design_flags(p)
     p.add_argument("--budget", type=int, default=5_000_000)
     p.set_defaults(func=cmd_count_designs)
 

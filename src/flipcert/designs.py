@@ -146,13 +146,6 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
         derive_seed("design", seed, params.m_prime, params.l, params.r, params.k_cap)
     )
 
-    def finish(rows: list[int]) -> Design:
-        d = Design(params, tuple(rows))
-        v = verify_design(d)
-        if v is not None:
-            raise AssertionError(f"builder produced an invalid design: {v}")
-        return d
-
     best = 0
     for _ in range(_ATTEMPTS):
         rows: list[int] = []
@@ -170,40 +163,27 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
             rows.append(found)
         best = max(best, len(rows))
         if len(rows) == params.m_prime:
-            return finish(rows)
-
-    if math.comb(params.l, params.r) <= _EXHAUSTIVE_CAP:
-        all_rows = _all_rows(params)
-        visited = 0
-        stack: list[int] = []
-
-        def extend() -> bool:
-            nonlocal visited, best
-            best = max(best, len(stack))
-            if len(stack) == params.m_prime:
-                return True
-            for cand in all_rows:
-                if visited >= _BACKTRACK_NODES:
-                    return False
-                visited += 1
-                if _admissible(cand, stack, params.k_cap):
-                    stack.append(cand)
-                    if extend():
-                        return True
-                    stack.pop()
-            return False
-
-        if extend():
-            return finish(stack)
-        raise ConstructionFailed(
-            f"no design found (backtracking over {len(all_rows)} rows, "
-            f"{visited} nodes, best {best} rows)",
-            rows_achieved=best,
-        )
-    raise ConstructionFailed(
-        f"stuck after {best} rows (randomized attempts exhausted)",
-        rows_achieved=best,
-    )
+            break
+    else:
+        universe = math.comb(params.l, params.r)
+        if universe > _EXHAUSTIVE_CAP:
+            raise ConstructionFailed(
+                f"stuck after {best} rows (randomized attempts exhausted)",
+                rows_achieved=best,
+            )
+        designs, nodes, deepest, rows = _backtrack(params, True, _BACKTRACK_NODES)
+        best = max(best, deepest)
+        if not designs:
+            raise ConstructionFailed(
+                f"no design found (backtracking over {universe} rows, "
+                f"{nodes} nodes, best {best} rows)",
+                rows_achieved=best,
+            )
+    d = Design(params, tuple(rows))
+    violation = verify_design(d)
+    if violation is not None:
+        raise AssertionError(f"builder produced an invalid design: {violation}")
+    return d
 
 
 def count_designs_exhaustive(params: DesignParams, budget: int = 5_000_000) -> int:
@@ -219,22 +199,46 @@ def count_designs_exhaustive(params: DesignParams, budget: int = 5_000_000) -> i
         raise BudgetExceeded(
             f"estimated search space {est} exceeds budget {budget}"
         )
-    all_rows = _all_rows(params)
-    count = 0
+    return _backtrack(params, False, math.inf)[0]
 
-    def extend(chosen: list[int]):
-        nonlocal count
-        if len(chosen) == params.m_prime:
-            count += 1
-            return
-        for cand in all_rows:
-            if _admissible(cand, chosen, params.k_cap):
-                chosen.append(cand)
-                extend(chosen)
-                chosen.pop()
 
-    extend([])
-    return count
+def _backtrack(params: DesignParams, first: bool, node_cap: float) -> tuple:
+    """(designs found, candidates tried, deepest level, rows held) of a
+    depth-first search over tuples of _all_rows admissible in order, stopping
+    at the first design when `first` and after node_cap candidates.  A level
+    scans the candidates admissible against the rows above it (`cands`,
+    indices into all_rows) and counts the others it skips as tried."""
+    all_rows, k_cap = _all_rows(params), params.k_cap
+    rows: list[int] = []
+    found = nodes = deepest = 0
+
+    def extend(cands: list[int]) -> bool:
+        nonlocal found, nodes, deepest
+        tried = 0
+        for i in cands:
+            nodes += i + 1 - tried
+            tried = i + 1
+            if nodes > node_cap:  # the cap fell before candidate i
+                break
+            row = all_rows[i]
+            rows.append(row)
+            deepest = max(deepest, len(rows))
+            if len(rows) == params.m_prime:
+                found += 1
+                if first:
+                    return True
+            elif extend([j for j in cands if (all_rows[j] & row).bit_count() <= k_cap]):
+                return True
+            rows.pop()
+        else:
+            nodes += len(all_rows) - tried
+        if nodes > node_cap:
+            nodes = node_cap
+            return True
+        return False
+
+    extend(list(range(len(all_rows))))
+    return found, nodes, deepest, rows
 
 
 # ---------------------------------------------------------------------------

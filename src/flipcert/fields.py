@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import SingularTraceForm, UsageError
@@ -251,6 +252,11 @@ def poly_is_irreducible(f: Sequence[int], q: int) -> bool:
     return True
 
 
+def _digit_vectors(q: int, l: int) -> Iterator[tuple[int, ...]]:
+    """Each code 0 .. q^l - 1 as its l base-q digits, least significant first."""
+    return (digits[::-1] for digits in product(range(q), repeat=l))
+
+
 def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     """First monic irreducible of degree l, scanning the non-leading
     coefficients (f_0, ..., f_{l-1}) in little-endian numeric order."""
@@ -260,12 +266,8 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
         raise UsageError(f"{q} is not prime")
     if l == 1:
         return (0, 1)
-    for code in range(q**l):
-        coeffs, rest = [], code
-        for _ in range(l):
-            coeffs.append(rest % q)
-            rest //= q
-        f = tuple(coeffs) + (1,)
+    for coeffs in _digit_vectors(q, l):
+        f = coeffs + (1,)
         if poly_is_irreducible(f, q):
             return f
     raise UsageError(f"no irreducible of degree {l} over F_{q}")  # unreachable for prime q
@@ -404,12 +406,8 @@ class ExtField:
         return ExtFieldElement(self._pad(_poly_mod((0, 1), self.modulus, self.q)), self)
 
     def elements(self) -> Iterator[ExtFieldElement]:
-        for code in range(self.q**self.l):
-            coeffs, rest = [], code
-            for _ in range(self.l):
-                coeffs.append(rest % self.q)
-                rest //= self.q
-            yield ExtFieldElement(tuple(coeffs), self)
+        for coeffs in _digit_vectors(self.q, self.l):
+            yield ExtFieldElement(coeffs, self)
 
     def __eq__(self, other) -> bool:
         return (

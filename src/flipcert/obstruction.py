@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import product
+from typing import Callable
 
 from .circuits import (
     Circuit,
@@ -596,17 +597,11 @@ class TableRow:
     target_value: int
 
 
-@dataclass(frozen=True)
-class TrivialTable:
-    target_label: str
-    rows: tuple[TableRow, ...]
-
-    def row_count(self) -> int:
-        return len(self.rows)
-
-
-def trivial_obstruction_table(cls, config: CertConfig) -> TrivialTable:
-    """One counterexample row per class circuit, found by grid scan.
+def trivial_obstruction_table(
+    cls, config: CertConfig, sink: Callable[[TableRow], object]
+) -> int:
+    """One counterexample row per class circuit, found by grid scan, each
+    passed to `sink` in member order; returns the row count.
 
     The difference polynomial has some per-variable degree d, so the grid
     {0..d}^vars must contain a nonzero point of it; the first one in lex
@@ -619,7 +614,7 @@ def trivial_obstruction_table(cls, config: CertConfig) -> TrivialTable:
     nvars = config.num_vars()
     # (point, circuit value, target value) of each distinct expansion
     row_of: dict[tuple, tuple[tuple[int, ...], int, int]] = {}
-    rows = []
+    idx = -1
     for idx, c in enumerate(cls.members()):
         if c.num_inputs != nvars:
             raise UsageError(
@@ -642,5 +637,5 @@ def trivial_obstruction_table(cls, config: CertConfig) -> TrivialTable:
             assert found is not None  # nonzero poly with per-var degree <= d
             row_of[key] = (found, evaluate(c, found), poly_eval(target_poly, found))
         point, circuit_value, target_value = row_of[key]
-        rows.append(TableRow(idx, point, circuit_value, target_value))
-    return TrivialTable(config.target_label(), tuple(rows))
+        sink(TableRow(idx, point, circuit_value, target_value))
+    return idx + 1

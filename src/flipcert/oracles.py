@@ -34,25 +34,32 @@ _NAIVE_CAP = 6
 _ORDER_CAP = 12  # largest matrix order permanent and determinant accept
 
 
-def _rows_of(M) -> tuple[tuple, ...]:
+def _rows_of(M, what: str) -> tuple[tuple, ...]:
+    """M's rows, once it is known square and within _ORDER_CAP for `what`."""
     if isinstance(M, MatrixAssignment):
         if M.shape[0] != SQUARE:
             raise UsageError("need a square assignment")
-        return M.entries
-    rows = tuple(tuple(r) for r in M)
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise UsageError("need a nonempty square matrix")
+        rows = M.entries
+    else:
+        rows = tuple(tuple(r) for r in M)
+        if not rows or any(len(r) != len(rows) for r in rows):
+            raise UsageError("need a nonempty square matrix")
+    if len(rows) > _ORDER_CAP:
+        raise SizeLimit(f"{what} of order {len(rows)} exceeds the cap {_ORDER_CAP}")
     return rows
 
 
-def _naive_permanent(rows):
+def _leibniz(rows, signed: bool):
+    """Sum over permutations p of prod_i rows[i][p[i]], each odd p's term
+    negated when `signed`: the permanent, or the determinant."""
     n = len(rows)
     acc = None
     for perm in itertools.permutations(range(n)):
         term = rows[0][perm[0]]
         for i in range(1, n):
             term = term * rows[i][perm[i]]
+        if signed and sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            term = -term
         acc = term if acc is None else acc + term
     return acc
 
@@ -79,32 +86,13 @@ def _ryser_permanent(rows):
 
 def permanent(M):
     """Exact permanent; Ryser route, cross-checked naively for n <= 6."""
-    rows = _rows_of(M)
-    n = len(rows)
-    if n > _ORDER_CAP:
-        raise SizeLimit(f"permanent of order {n} exceeds the cap {_ORDER_CAP}")
+    rows = _rows_of(M, "permanent")
     val = _ryser_permanent(rows)
-    if n <= _NAIVE_CAP:
-        ref = _naive_permanent(rows)
+    if len(rows) <= _NAIVE_CAP:
+        ref = _leibniz(rows, signed=False)
         if ref != val:
             raise AssertionError("permanent routes disagree; arithmetic bug")
     return val
-
-
-def _naive_determinant(rows):
-    n = len(rows)
-    acc = None
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        if inversions % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def _bareiss_determinant(rows):
@@ -133,12 +121,9 @@ def determinant(M):
     """Exact determinant: permutation expansion up to order 6, fraction-free
 
     elimination (integer/Fraction entries) above that."""
-    rows = _rows_of(M)
-    n = len(rows)
-    if n > _ORDER_CAP:
-        raise SizeLimit(f"determinant of order {n} exceeds the cap {_ORDER_CAP}")
-    if n <= _NAIVE_CAP:
-        return _naive_determinant(rows)
+    rows = _rows_of(M, "determinant")
+    if len(rows) <= _NAIVE_CAP:
+        return _leibniz(rows, signed=True)
     if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
         return _bareiss_determinant(rows)
     raise UsageError("determinant above order 6 needs int or Fraction entries")

@@ -49,7 +49,7 @@ import random
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import count, islice, permutations
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -67,7 +67,7 @@ from .circuits import (
     run_many,
 )
 from .errors import ArityMismatch, UsageError
-from .fields import random_prime
+from .fields import is_prime, random_prime
 from .matrices import BLOCK, SQUARE
 from .oracles import (
     Diagonal,
@@ -577,15 +577,8 @@ def _record(verdicts: list[Verdict], kind: str, ok: bool, note=()):
 
 
 def _prime_tuple(n: int) -> tuple[int, ...]:
-    out, cand = [], 2
-    while len(out) < n:
-        for p in out:
-            if cand % p == 0:
-                break
-        else:
-            out.append(cand)
-        cand += 1
-    return tuple(out)
+    """The first n primes."""
+    return tuple(islice(filter(is_prime, count(2)), n))
 
 
 def _diagonals(size: int, rng: random.Random, box: tuple[int, int]) -> list[tuple]:
@@ -859,79 +852,38 @@ def perm_symmetry_nullspace(n: int, seed: int = 0) -> NullspaceResult:
     Constraints: the exhaustive suite's checks, that is invariance under
     adjacent row and column transpositions and the two diagonal scaling laws
     at the first n primes (exact, by multiplicative independence) and at
-    drawn diagonals.  All
-    elimination is exact; the expected outcome is a one-dimensional space
-    spanned by the permanent's coefficient vector.
+    drawn diagonals.  A swap (factor 1) that moves a monomial ties its
+    coefficient to its image's; a law the monomial fails alone kills its
+    coefficient.  So the space is spanned by the sums over the orbits of
+    the ties (union-find) that hold no killed monomial, ordered by their
+    last monomial: Gauss-Jordan elimination's free columns.  The expected
+    outcome is one dimension, spanned by the permanent's coefficient vector.
     """
     monomials = list(_monomials_up_to(n * n, n))
     index = {mono: i for i, mono in enumerate(monomials)}
+    parent = list(range(len(monomials)))
 
-    # The exhaustive suite's checks, read by its per-monomial rows: a monomial
-    # that fails a diagonal law alone is killed, and each swap (factor 1)
-    # that moves it ties its coefficient to its image's.
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    # each monomial's row of the exhaustive suite: (kill mask, moves)
     table = _perm_table(n, VerifyConfig(mode="exhaustive", seed=seed))
-    killed: list[bool] = []
-    pair_rows: list[tuple[int, int]] = []
+    rows = [table.row(mono) for mono in monomials]
+    for mi, (_, moves) in enumerate(rows):
+        for _, factor, image in moves:
+            assert factor == 1, "a permutation law with a factor ties no pair"
+            parent[find(mi)] = find(index[image])
+    dead = {find(mi) for mi, (mask, _) in enumerate(rows) if mask}
+    orbits: dict[int, list[tuple[int, ...]]] = {}
     for mi, mono in enumerate(monomials):
-        mask, moves = table.row(mono)
-        killed.append(bool(mask))
-        for _, _, image in moves:
-            mj = index[image]
-            if mi < mj:
-                pair_rows.append((mi, mj))
-
-    # propagate forced zeros through the pair constraints
-    changed = True
-    while changed:
-        changed = False
-        for a, b in pair_rows:
-            if killed[a] != killed[b]:
-                killed[a] = killed[b] = True
-                changed = True
-
-    survivors = [i for i in range(len(monomials)) if not killed[i]]
-    sub_index = {mono_i: j for j, mono_i in enumerate(survivors)}
-    rows = []
-    for a, b in pair_rows:
-        if not killed[a] and not killed[b]:
-            r = [Fraction(0)] * len(survivors)
-            r[sub_index[a]] = Fraction(1)
-            r[sub_index[b]] = Fraction(-1)
-            rows.append(r)
-
-    # exact rational elimination (Gauss-Jordan) on the surviving system
-    ncols = len(survivors)
-    pivots: dict[int, list[Fraction]] = {}
-    for r in rows:
-        r = r[:]
-        for col, prow in pivots.items():
-            if r[col]:
-                f = r[col]
-                r = [a - f * b for a, b in zip(r, prow)]
-        lead = next((i for i, v in enumerate(r) if v), None)
-        if lead is None:
-            continue
-        inv = r[lead]
-        r = [v / inv for v in r]
-        for col, prow in pivots.items():
-            if prow[lead]:
-                f = prow[lead]
-                pivots[col] = [a - f * b for a, b in zip(prow, r)]
-        pivots[lead] = r
-    free_cols = [i for i in range(ncols) if i not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for col, prow in pivots.items():
-            vec[col] = -prow[fc]
-        coeffs = {
-            monomials[survivors[i]]: vec[i] for i in range(ncols) if vec[i]
-        }
-        basis.append(coeffs)
+        if find(mi) not in dead:
+            orbits.setdefault(find(mi), []).append(mono)
+    ordered = sorted(orbits.values(), key=lambda orbit: index[orbit[-1]])
     return NullspaceResult(
-        dim=len(free_cols),
+        dim=len(ordered),
         monomials=monomials,
-        basis=basis,
-        forced_zero=len(monomials) - len(survivors),
+        basis=[dict.fromkeys(orbit, Fraction(1)) for orbit in ordered],
+        forced_zero=len(monomials) - sum(map(len, ordered)),
     )

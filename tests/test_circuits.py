@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuit_ops import circuit_from_ops
 from flipcert.circuits import (
     Add,
     Circuit,
-    Const,
     Input,
-    Mul,
-    Sub,
     evaluate,
     expand_to_polynomial,
     parse_circuit,
@@ -157,16 +155,16 @@ def test_poly_sub():
 
 
 def _random_circuit(rng: random.Random, num_inputs: int, extra: int) -> Circuit:
-    nodes = [Input(i) for i in range(num_inputs)]
+    ops: list[tuple] = [("input", i) for i in range(num_inputs)]
     for _ in range(extra):
         kind = rng.randrange(4)
         if kind == 0:
-            nodes.append(Const(rng.randrange(-4, 5)))
+            ops.append(("const", rng.randrange(-4, 5)))
         else:
-            a = rng.randrange(len(nodes))
-            b = rng.randrange(len(nodes))
-            nodes.append((Add, Sub, Mul)[kind - 1](a, b))
-    return Circuit(num_inputs, tuple(nodes), len(nodes) - 1)
+            a = rng.randrange(len(ops))
+            b = rng.randrange(len(ops))
+            ops.append((("add", "sub", "mul")[kind - 1], a, b))
+    return circuit_from_ops(num_inputs, ops)
 
 
 @settings(max_examples=40, deadline=None)

@@ -458,6 +458,17 @@ def test_trivial_table(capsys):
     assert len(lines) == 5  # header, count, then three head rows
 
 
+def test_trivial_table_out_writes_every_row(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    rc, out, _ = run(capsys, ["trivial-table", "--ninputs", "4", "--bound", "2",
+                              "--alphabet=1", "--n", "2", "--head", "1",
+                              "--out", str(table)])
+    assert rc == 0
+    assert out == "target perm(2)\nrows 20\n"
+    rows = table.read_text().splitlines()
+    assert [row.split()[1] for row in rows] == [str(i) for i in range(20)]
+
+
 @pytest.mark.parametrize("target_flags", (
     ("--ninputs", "8", "--target", "efun", "--m", "2", "--k", "2", "--n", "5"),
     ("--ninputs", "4", "--target", "perm", "--m", "2", "--k", "2"),

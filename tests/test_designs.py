@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipcert import designs
 from flipcert.designs import (
     Design,
     DesignParams,
@@ -156,6 +157,43 @@ def test_build_infeasible_proved_by_backtracking():
     assert ei.value.rows_achieved == 4
 
 
+@pytest.mark.parametrize(
+    "params, rows",
+    [
+        (DesignParams(4, 6, 3, 1), (7, 25, 42, 52)),
+        (DesignParams(6, 7, 3, 1), (7, 25, 97, 42, 82, 76)),
+    ],
+)
+def test_fallback_designs_frozen(monkeypatch, params, rows):
+    # with no greedy attempts the backtracking fallback builds the design
+    monkeypatch.setattr(designs, "_ATTEMPTS", 0)
+    assert build_design_greedy(params, seed=0).rows == rows
+
+
+def test_backtracking_failure_frozen(monkeypatch):
+    with pytest.raises(ConstructionFailed) as ei:
+        build_design_greedy(DesignParams(5, 6, 3, 1), seed=0)
+    assert str(ei.value) == (
+        "no design found (backtracking over 20 rows, 33220 nodes, best 4 rows)")
+    assert ei.value.rows_achieved == 4
+    # the node cap counts every candidate tried
+    monkeypatch.setattr(designs, "_ATTEMPTS", 0)
+    monkeypatch.setattr(designs, "_BACKTRACK_NODES", 50)
+    with pytest.raises(ConstructionFailed) as ei:
+        build_design_greedy(DesignParams(6, 7, 3, 1), seed=0)
+    assert str(ei.value) == (
+        "no design found (backtracking over 35 rows, 50 nodes, best 4 rows)")
+    assert ei.value.rows_achieved == 4
+    # (4, 6, 3, 1)'s design is the 43rd candidate tried
+    monkeypatch.setattr(designs, "_BACKTRACK_NODES", 43)
+    assert build_design_greedy(DesignParams(4, 6, 3, 1)).rows == (7, 25, 42, 52)
+    monkeypatch.setattr(designs, "_BACKTRACK_NODES", 42)
+    with pytest.raises(ConstructionFailed) as ei:
+        build_design_greedy(DesignParams(4, 6, 3, 1))
+    assert str(ei.value) == (
+        "no design found (backtracking over 20 rows, 42 nodes, best 3 rows)")
+
+
 def test_provenance_instance_builds_fast():
     p = DesignParams.from_provenance(16, 1, 2, 6)
     t0 = time.monotonic()
@@ -185,6 +223,18 @@ def test_tiny_counts_frozen(params, expected):
 @pytest.mark.parametrize("params,expected", TINY_COUNTS)
 def test_tiny_counts_against_recount(params, expected):
     assert _count_by_product(params) == expected
+
+
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        (DesignParams(3, 6, 3, 1), 720),
+        (DesignParams(3, 7, 3, 1), 9_450),
+        (DesignParams(4, 6, 3, 2), 116_280),
+    ],
+)
+def test_counts_frozen(params, expected):
+    assert count_designs_exhaustive(params) == expected
 
 
 def test_count_single_row_is_binomial():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuit_ops import circuit_from_ops
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
 from flipcert.circuits import (
     Add,
@@ -175,16 +176,17 @@ def random_dags(draw) -> Circuit:
     """Arbitrary DAGs: repeated inputs and nodes, big constants, dead code,
     and an output anywhere in the node list."""
     num_inputs = draw(st.integers(1, 4))
-    nodes = []
+    ops = []
     for t in range(draw(st.integers(1, 9))):
-        kind = draw(st.sampled_from((Input, Const, Add, Sub, Mul) if t else (Input, Const)))
-        if kind is Input:
-            nodes.append(Input(draw(st.integers(0, num_inputs - 1))))
-        elif kind is Const:
-            nodes.append(Const(draw(st.integers(-(2**70), 2**70))))
+        kinds = ("input", "const", "add", "sub", "mul") if t else ("input", "const")
+        op = draw(st.sampled_from(kinds))
+        if op == "input":
+            ops.append((op, draw(st.integers(0, num_inputs - 1))))
+        elif op == "const":
+            ops.append((op, draw(st.integers(-(2**70), 2**70))))
         else:
-            nodes.append(kind(draw(st.integers(0, t - 1)), draw(st.integers(0, t - 1))))
-    return Circuit(num_inputs, tuple(nodes), draw(st.integers(0, len(nodes) - 1)))
+            ops.append((op, draw(st.integers(0, t - 1)), draw(st.integers(0, t - 1))))
+    return circuit_from_ops(num_inputs, ops, draw(st.integers(0, len(ops) - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +297,8 @@ def test_expansion_matches_sympy(c):
 
 
 def test_lower_drops_nodes_after_the_output():
-    c = Circuit(1, (Input(0), Const(3), Mul(0, 1), Add(2, 2)), 2)
+    ops = [("input", 0), ("const", 3), ("mul", 0, 1), ("add", 2, 2)]
+    c = circuit_from_ops(1, ops, output=2)
     assert lower(c) == ((0, 0, 0), (1, 3, 0), (4, 0, 1))
     assert evaluate(c, (5,)) == 15
 

@@ -13,11 +13,9 @@ from itertools import product
 
 import pytest
 
+from circuit_ops import circuit_from_ops
 from flipcert.builders import det_circuit, perm_circuit
 from flipcert.circuits import (
-    Circuit,
-    Input,
-    Mul,
     evaluate,
     expand_to_polynomial,
     lower,
@@ -360,7 +358,7 @@ def test_harness_target_member_wins_over_an_earlier_membership_error():
 
 def test_harness_membership_error_after_the_pass():
     cert = derive_certificate(toy_design(), toy_config())
-    xy = Circuit(4, (Input(0), Input(1), Mul(0, 1)), 2)
+    xy = circuit_from_ops(4, [("input", 0), ("input", 1), ("mul", 0, 1)])
     with pytest.raises(UsageError, match="exceeds class bound"):
         harness_F(cert, ExplicitClass((xy, det_circuit(2), xy)), f2_samples=0)
 
@@ -368,9 +366,9 @@ def test_harness_membership_error_after_the_pass():
 def test_harness_counts_failures_per_member():
     # two distinct circuits computing x0*x1, then x0*x3, which has as many
     # terms but another first failing query, and det(2)
-    xy = Circuit(4, (Input(0), Input(1), Mul(0, 1)), 2)
-    yx = Circuit(4, (Input(1), Input(0), Mul(0, 1)), 2)
-    xw = Circuit(4, (Input(0), Input(3), Mul(0, 1)), 2)
+    xy = circuit_from_ops(4, [("input", 0), ("input", 1), ("mul", 0, 1)])
+    yx = circuit_from_ops(4, [("input", 1), ("input", 0), ("mul", 0, 1)])
+    xw = circuit_from_ops(4, [("input", 0), ("input", 3), ("mul", 0, 1)])
     assert xy != yx
     cert = derive_certificate(toy_design(), toy_config(bound=8))
     prog = lower(xy)
@@ -415,9 +413,10 @@ def test_one_decode_per_polynomial_agrees_with_every_member():
     f1b = {p.name: p for p in rep.properties}["F1b"]
     assert f1b.detail == (f"decoded {members - failures}/{members} members, "
                           f"max counterexample set {max_set}")
-    table = trivial_obstruction_table(cls, cfg)
+    rows = []
+    assert trivial_obstruction_table(cls, cfg, rows.append) == members
     assert [(r.index, r.point, r.circuit_value, r.target_value)
-            for r in table.rows] == _per_member_rows(cls, cfg)
+            for r in rows] == _per_member_rows(cls, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +424,17 @@ def test_one_decode_per_polynomial_agrees_with_every_member():
 
 def test_trivial_table_one_row_per_member():
     cls = EnumeratedClass(4, 2, (1,))
-    table = trivial_obstruction_table(cls, toy_config())
-    assert table.row_count() == 20
-    assert table.target_label == "perm(2)"
-    assert [r.index for r in table.rows] == list(range(20))
+    rows = []
+    assert trivial_obstruction_table(cls, toy_config(), rows.append) == 20
+    assert [r.index for r in rows] == list(range(20))
     # every row is a genuine disagreement
-    assert all(r.circuit_value != r.target_value for r in table.rows)
+    assert all(r.circuit_value != r.target_value for r in rows)
 
 
 def test_trivial_table_first_row_frozen():
-    table = trivial_obstruction_table(EnumeratedClass(4, 2, (1,)), toy_config())
-    first = table.rows[0]
+    rows = []
+    trivial_obstruction_table(EnumeratedClass(4, 2, (1,)), toy_config(), rows.append)
+    first = rows[0]
     assert first.point == (0, 1, 1, 0)
     assert (first.circuit_value, first.target_value) == (0, 1)
 
@@ -443,9 +442,9 @@ def test_trivial_table_first_row_frozen():
 def test_trivial_table_target_member_refused():
     with pytest.raises(TargetComputable):
         trivial_obstruction_table(ExplicitClass((perm_circuit(2),)),
-                                  toy_config(bound=8))
+                                  toy_config(bound=8), [].append)
 
 
 def test_trivial_table_arity_mismatch():
     with pytest.raises(UsageError):
-        trivial_obstruction_table(EnumeratedClass(2, 2, (1,)), toy_config())
+        trivial_obstruction_table(EnumeratedClass(2, 2, (1,)), toy_config(), [].append)

@@ -13,16 +13,17 @@ import itertools
 
 import pytest
 
+from circuit_ops import circuit_from_ops
 from flipcert.builders import perm_circuit
 from flipcert.circuits import (
-    Add,
+    OP_ADD,
+    OP_CONST,
+    OP_INPUT,
+    OP_MUL,
     Circuit,
-    Const,
-    Input,
-    Mul,
-    Sub,
     evaluate,
     expand_to_polynomial,
+    lower,
     parse_circuit,
     serialize_circuit,
 )
@@ -44,25 +45,25 @@ from flipcert.pit import (
 
 
 def _dag_key(c: Circuit):
-    """Ordering-independent identity: the recursive structure of the output.
+    """Ordering-independent identity: the recursive structure of the output,
+    read off lower(c)'s (op, a, b) triples.
 
     Dead-code-free circuits with node dedup are determined by it; commutative
-    operands are sorted so Add(a,b) and Add(b,a) agree."""
+    operands are sorted so add(a,b) and add(b,a) agree."""
+    prog = lower(c)
     memo: dict[int, tuple] = {}
 
     def rec(t: int) -> tuple:
         if t in memo:
             return memo[t]
-        node = c.nodes[t]
-        if isinstance(node, Input):
-            s = ("in", node.index)
-        elif isinstance(node, Const):
-            s = ("const", node.value)
+        op, a, b = prog[t]
+        if op in (OP_INPUT, OP_CONST):
+            s = (op, a)
         else:
-            a, b = rec(node.a), rec(node.b)
-            if isinstance(node, (Add, Mul)) and repr(b) < repr(a):
-                a, b = b, a
-            s = (type(node).__name__, a, b)
+            x, y = rec(a), rec(b)
+            if op in (OP_ADD, OP_MUL) and repr(y) < repr(x):
+                x, y = y, x
+            s = (op, x, y)
         memo[t] = s
         return s
 
@@ -70,40 +71,35 @@ def _dag_key(c: Circuit):
 
 
 def _brute_force_count(num_inputs: int, bound: int, alphabet: tuple[int, ...]) -> int:
-    """Independent recount: every node sequence, deduplicated by DAG
+    """Independent recount: every op sequence, deduplicated by DAG
 
     structure rather than by the enumerator's canonical ordering rule."""
     seen = set()
 
-    def all_nodes(prefix_len: int):
+    def all_ops(prefix_len: int):
         for i in range(num_inputs):
-            yield Input(i)
+            yield ("input", i)
         for v in alphabet:
-            yield Const(v)
+            yield ("const", v)
         for a, b in itertools.product(range(prefix_len), repeat=2):
-            yield Add(a, b)
-            yield Sub(a, b)
-            yield Mul(a, b)
+            yield ("add", a, b)
+            yield ("sub", a, b)
+            yield ("mul", a, b)
 
-    def extend(nodes: list):
-        if nodes:
-            used = set()
-            for node in nodes:
-                if isinstance(node, (Add, Sub, Mul)):
-                    used.add(node.a)
-                    used.add(node.b)
-            unused = [t for t in range(len(nodes)) if t not in used]
-            if len(unused) == 1 and unused[0] == len(nodes) - 1:
-                c = Circuit(num_inputs, tuple(nodes), len(nodes) - 1)
-                seen.add(_dag_key(c))
-        if len(nodes) == bound:
+    def extend(ops: list):
+        if ops:
+            used = {t for op in ops if len(op) == 3 for t in op[1:]}
+            unused = [t for t in range(len(ops)) if t not in used]
+            if len(unused) == 1 and unused[0] == len(ops) - 1:
+                seen.add(_dag_key(circuit_from_ops(num_inputs, ops)))
+        if len(ops) == bound:
             return
-        for node in all_nodes(len(nodes)):
-            if node in nodes:
+        for op in all_ops(len(ops)):
+            if op in ops:
                 continue  # node dedup
-            nodes.append(node)
-            extend(nodes)
-            nodes.pop()
+            ops.append(op)
+            extend(ops)
+            ops.pop()
 
     extend([])
     return len(seen)

@@ -619,9 +619,25 @@ def test_sampled_verdicts_match_exhaustive_on_the_efun_class():
 
 @pytest.mark.parametrize(
     "n, frozen",
-    [(2, (1, 13, 15, "692f1e64ee63e7ea")), (3, (1, 214, 220, "bea82d648aaf470b"))],
+    [
+        (2, (1, 13, 15, "692f1e64ee63e7ea")),
+        (3, (1, 214, 220, "bea82d648aaf470b")),
+        (4, (1, 4821, 4845, "038e89df760c4756")),
+    ],
 )
 def test_nullspace_frozen(n, frozen):
     res = perm_symmetry_nullspace(n)
     basis = hashlib.sha256(repr(sorted(res.basis[0].items())).encode()).hexdigest()[:16]
+    assert (res.dim, res.forced_zero, len(res.monomials), basis) == frozen
+
+
+@pytest.mark.parametrize(
+    "n, frozen",
+    [(2, (1, 13, 15, "a82ee3aafce33990")), (3, (1, 214, 220, "64f762d07286f879"))],
+)
+def test_nullspace_frozen_at_seed_1(n, frozen):
+    # every basis vector's items in order, not only the first vector's set
+    res = perm_symmetry_nullspace(n, seed=1)
+    items = repr([list(vec.items()) for vec in res.basis])
+    basis = hashlib.sha256(items.encode()).hexdigest()[:16]
     assert (res.dim, res.forced_zero, len(res.monomials), basis) == frozen
