@@ -16,21 +16,41 @@ it, over Python integers:
                           member on average over the F1b class.  evaluate()
                           is check-arity, check-integers, lower, run.
   run_many(prog, points)  every point in one walk, each step one column of
-                          values: map(operator.mul, ...) and the like when
-                          exact, a list comprehension mod q.  Callers
-                          that need every point use it: run_queries (a whole
-                          sampled suite, each distinct point once) and
-                          build_hitting_set_greedy (all pool points of every
-                          member).
+                          values, by map(operator.mul, ...) and the like.
+                          Callers that need every point use it: run_queries
+                          (a whole sampled suite, each distinct point once)
+                          and build_hitting_set_greedy (all pool points of
+                          every member).
 
-Only run_many reduces mod q, for the modular query runs; otherwise the
-split follows the call site's shape: both compute the same values.  On
-members of the bound-5 perm(2) class, one point costs about 0.65-0.95 us
+Both compute the same values, so the split follows the call site's shape.
+On members of the bound-5 perm(2) class, one point costs about 0.65-0.95 us
 through run() and 2.8-3.4 us through run_many(), while 22 points cost
 run_many about 0.35 us each (Python 3.11 on a 2-core Xeon VM, minimum of 9
 runs; the range is the host's drift between runs).  So run_many pays only
 once a walk is shared by several points.  Programs are never cached: a
 class sweep holds tens of thousands of circuits at once.
+
+Only run_many takes a modulus q, for the modular query runs.  One pass over
+the program bounds each step's bit length from the widest point entry (a
+product adds its operands' bounds, a sum or difference adds one bit to the
+larger).  When no bound passes EXACT_BITS = 1024, the exact loop runs and
+each output is reduced mod q once; otherwise every step is reduced mod q.
+Z -> Z/q is a ring map, so both give the same residues; the rule only picks
+the faster kernel.  Exact-then-reduce time over reduce-every-step time, with
+q the product of three 31-bit primes and 22 points (same host, minimum of 7
+runs):
+
+  perm(4)   bound  519: 0.46   1023: 0.82   1523: 1.35   8023: 17.5
+  E(2,2)    bound  996: 0.59   1524: 0.84   2004: 1.07   4004: 2.19
+  perm(3)   bound  377: 0.54    755: 0.64   1130: 0.90   1505: 1.26
+  x^(2^k)   bound  496: 0.96    992: 1.14   1984: 1.81  63488: 171
+
+Wide sums cross over later than a squaring chain, whose every step is a
+product at the full width.  The sampled suites draw entries of at most
+about 124 bits (a 62-bit box entry times a drawn factor), where perm(4)
+bounds at 519 bits and E(2,2) at 996, so every reference target runs
+exactly: run_many over modular perm(4)'s 22 points takes 0.40 ms, against
+0.86 ms reducing every step.
 
 The text format, one node per line:
 
@@ -50,6 +70,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -268,18 +289,50 @@ def run(prog: Program, point: Sequence[int]) -> int:
     return vals[-1]
 
 
+# The bit bound up to which run_many mod q runs exactly; see the module
+# docstring for the crossover it was set from.
+EXACT_BITS = 1024
+
+
+def _fits_exactly(prog: Program, inputs: Sequence[Sequence[int]]) -> bool:
+    """Whether every step of prog stays within EXACT_BITS bits at these
+    input columns, by a static bound: an input has the widest entry's
+    bit length, a constant its own, a product the sum of its operands'
+    bounds and a sum or difference the larger bound plus one.  Stops at the
+    first step past EXACT_BITS."""
+    width = max(map(int.bit_length, chain.from_iterable(inputs)), default=0)
+    bits: list[int] = []
+    push = bits.append
+    for op, a, b in prog:
+        if op == OP_MUL:
+            n = bits[a] + bits[b]
+        elif op == OP_INPUT:
+            n = width
+        elif op == OP_CONST:
+            n = a.bit_length()
+        else:
+            n = max(bits[a], bits[b]) + 1
+        if n > EXACT_BITS:
+            return False
+        push(n)
+    return True
+
+
 def run_many(prog: Program, points: Sequence[Sequence[int]], q: int = 0) -> list[int]:
     """[run(prog, p) for p in points], in one walk of the program; with
-    q > 0 every step is reduced mod q and each value is a residue in [0, q).
+    q > 0 each value is the residue in [0, q).
 
-    Step t's values at every point form one column.  Lengths are not
-    checked (see check_arity)."""
+    Step t's values at every point form one column.  Mod q, the program
+    runs exactly and each output is reduced once, unless its bit bound
+    passes EXACT_BITS: then every step is reduced mod q.  Both give the
+    same residues, since Z -> Z/q is a ring map.  Lengths are not checked
+    (see check_arity)."""
     if not points:
         return []
     inputs = list(zip(*points))  # input i's value at every point
     cols: list[Sequence[int]] = []
     push = cols.append
-    if q:
+    if q and not _fits_exactly(prog, inputs):
         for op, a, b in prog:
             if op == OP_MUL:
                 push([x * y % q for x, y in zip(cols[a], cols[b])])
@@ -291,18 +344,20 @@ def run_many(prog: Program, points: Sequence[Sequence[int]], q: int = 0) -> list
                 push([x % q for x in inputs[a]])
             else:
                 push([a % q] * len(points))
-    else:
-        for op, a, b in prog:
-            if op == OP_MUL:
-                push(list(map(operator.mul, cols[a], cols[b])))
-            elif op == OP_ADD:
-                push(list(map(operator.add, cols[a], cols[b])))
-            elif op == OP_SUB:
-                push(list(map(operator.sub, cols[a], cols[b])))
-            elif op == OP_INPUT:
-                push(inputs[a])
-            else:
-                push([a] * len(points))
+        return cols[-1]
+    for op, a, b in prog:
+        if op == OP_MUL:
+            push(list(map(operator.mul, cols[a], cols[b])))
+        elif op == OP_ADD:
+            push(list(map(operator.add, cols[a], cols[b])))
+        elif op == OP_SUB:
+            push(list(map(operator.sub, cols[a], cols[b])))
+        elif op == OP_INPUT:
+            push(inputs[a])
+        else:
+            push([a] * len(points))
+    if q:
+        return [v % q for v in cols[-1]]
     return list(cols[-1])  # an input column is a tuple
 
 

@@ -9,7 +9,9 @@ All randomness is seeded, so identical argv yields identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 from .circuits import evaluate, parse_circuit
@@ -79,6 +81,32 @@ def _write(path: str, data) -> None:
             fh.write(data)
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e}") from None
+
+
+@contextmanager
+def _replacing(path: str):
+    """A text file that becomes `path` only when the block completes: the
+    block writes a sibling file, which os.replace moves onto `path` (onto
+    the file a symlink names).  On any error the sibling is removed and
+    `path` is left as it was."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise UsageError(f"cannot write {path}: not a regular file")
+    dest = os.path.realpath(path)
+    tmp = f"{dest}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x")
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, dest)
+    except BaseException as e:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise UsageError(f"cannot write {path}: {e}") from None
+        raise
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -308,24 +336,31 @@ def cmd_trivial_table(args) -> int:
         target=args.target, n=n, m=args.m, k=args.k, bound=args.bound,
         regime=args.regime, truth_table=(0, 0), seed_bits=1,
     )
-    lines = []  # every row for --out, else the first --head
+    head = []  # the first --head rows, printed when there is no --out
 
     def keep(row) -> None:
-        if args.out or row.index < args.head:
-            lines.append(
-                f"row {row.index} point {','.join(str(v) for v in row.point)} "
-                f"circuit {row.circuit_value} target {row.target_value}"
-            )
+        if row.index < args.head:
+            head.append(_table_line(row))
 
-    count = trivial_obstruction_table(cls, config, keep)
+    if args.out:  # every row, written as it comes
+        with _replacing(args.out) as fh:
+            count = trivial_obstruction_table(
+                cls, config, lambda row: fh.write(_table_line(row) + "\n")
+            )
+    else:
+        count = trivial_obstruction_table(cls, config, keep)
     print(f"target {config.target_label()}")
     print(f"rows {count}")
-    if args.out:
-        _write(args.out, "".join(line + "\n" for line in lines))
-    else:
-        for line in lines:
-            print(line)
+    for line in head:
+        print(line)
     return 0
+
+
+def _table_line(row) -> str:
+    return (
+        f"row {row.index} point {','.join(str(v) for v in row.point)} "
+        f"circuit {row.circuit_value} target {row.target_value}"
+    )
 
 
 def cmd_trace_tools(args) -> int:

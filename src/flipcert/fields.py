@@ -1,10 +1,17 @@
 """Primality, prime and small extension fields, and the Frobenius trace.
 
 is_prime and random_prime serve the modular query runs, which reduce plain
-integers mod q inside circuits.run; no circuit is evaluated over a field
-object.  The field classes exist for the trace machinery (the trace-tools
-command), and their elements combine only with elements of the same field,
-never with int operands.
+integers mod the product Q of the drawn primes in circuits.run_many: once
+per output after an exact run, or at every step when the program's bit
+bound passes circuits.EXACT_BITS.  With the run exact, modular
+perm(4) costs about 0.60 ms a suite against 0.41 ms in the exact ring
+(scripts/bench_sampled.py, Python 3.11 on a 2-core Xeon VM), and most of
+the difference is drawing the three 31-bit primes, about 45 us each: the
+four pow() calls that certify a prime cost about 5.7 us apiece at that
+width.  No circuit is evaluated over a field object.  The field
+classes exist for the trace machinery (the trace-tools command), and their
+elements combine only with elements of the same field, never with int
+operands.
 
 Extension elements are kept as coefficient tuples over the prime field in the
 power basis of a monic irreducible modulus, the only basis a field has.  The
@@ -17,6 +24,7 @@ Everything is exact; there are no floats anywhere in this module.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import product
@@ -27,20 +35,23 @@ from .errors import SingularTraceForm, UsageError
 # Miller-Rabin with the first prime bases is deterministic below the
 # smallest strong pseudoprime to all of them: psi_4 = 3,215,031,751 for
 # 2, 3, 5, 7 (every 31-bit number), psi_13 = 3,317,044,064,679,887,385,961,981
-# for 2..41.  Above psi_13, which an 82-bit --prime-bits can reach, the test
-# is probabilistic.
+# for 2..41.  VerifyConfig caps --prime-bits at 81 and 2^81 < psi_13, so
+# every query prime is certainly prime; above psi_13 the test is
+# probabilistic.
 _MR_SMALL_BOUND = 3_215_031_751
 _MR_SMALL = (2, 3, 5, 7)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_SET = frozenset(_MR_WITNESSES)
+_WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic below psi_13 (see _MR_WITNESSES)."""
-    if n < 2:
+    """Miller-Rabin, deterministic below psi_13 (see _MR_WITNESSES).  One
+    gcd with the bases' product rejects their multiples first."""
+    if n <= _MR_WITNESSES[-1]:
+        return n in _WITNESS_SET
+    if math.gcd(n, _WITNESS_PRODUCT) != 1:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

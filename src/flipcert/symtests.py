@@ -155,6 +155,10 @@ class VerifyConfig:
         if self.ring == "modular" and self.prime_count < 1:
             # with no prime, every nonzero query fails and every other passes
             raise UsageError("the modular ring needs prime count >= 1")
+        if self.ring == "modular" and not 16 <= self.prime_bits <= 81:
+            # random_prime's floor; below 2^81 < psi_13 every drawn prime is
+            # certainly prime, and a huge width would draw for minutes
+            raise UsageError(f"prime bits must be 16..81, got {self.prime_bits}")
 
     def box(self) -> tuple[int, int]:
         return (1, 1 << self.sample_width)

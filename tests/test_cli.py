@@ -205,6 +205,17 @@ def test_bad_count_or_width_exits_2(tmp_path, capsys, label, argv):
     assert NAMED_IN_ERROR.get(label, "") in err
 
 
+# --prime-bits runs from random_prime's 16-bit floor to 81, where every drawn
+# prime is below psi_13 and so certainly prime; 100000 drew for minutes
+@pytest.mark.parametrize("bits, want", ((15, 2), (16, 0), (81, 0), (82, 2)))
+def test_prime_bits_floor_and_ceiling(perm2_path, capsys, bits, want):
+    rc, out, err = run(capsys, ["verify-perm", "--n", "2", "--circuit", perm2_path,
+                                "--ring", "modular", "--prime-bits", str(bits)])
+    assert rc == want
+    if want:
+        assert out == "" and f"prime bits must be 16..81, got {bits}" in err
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -467,6 +478,31 @@ def test_trivial_table_out_writes_every_row(tmp_path, capsys):
     assert out == "target perm(2)\nrows 20\n"
     rows = table.read_text().splitlines()
     assert [row.split()[1] for row in rows] == [str(i) for i in range(20)]
+
+
+def test_trivial_table_out_matches_the_printed_rows(tmp_path, capsys):
+    # the streamed file holds exactly the rows --head prints, and replaces
+    # an older --out file only once the pass ends
+    argv = ["trivial-table", "--ninputs", "4", "--bound", "3", "--alphabet=-1,0,1",
+            "--n", "2"]
+    rc, printed, _ = run(capsys, argv + ["--head", "300"])
+    assert rc == 0
+    table = tmp_path / "table.txt"
+    table.write_text("stale\n")
+    rc, out, _ = run(capsys, argv + ["--out", str(table)])
+    assert rc == 0 and out == "".join(printed.splitlines(True)[:2])
+    assert table.read_text() == "".join(printed.splitlines(True)[2:])
+    assert [f.name for f in tmp_path.iterdir()] == ["table.txt"]
+
+
+def test_trivial_table_out_left_unwritten_when_the_target_is_computable(tmp_path, capsys):
+    # x0 * x1 computes E(1,2); the members before it are streamed first
+    table = tmp_path / "table.txt"
+    rc, out, _ = run(capsys, ["trivial-table", "--ninputs", "2", "--bound", "3",
+                              "--alphabet=1", "--target", "efun", "--m", "1", "--k", "2",
+                              "--out", str(table)])
+    assert rc == 1 and out.startswith("negative: a class member computes the target")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("target_flags", (

@@ -7,12 +7,14 @@ F_9 forces t^2+1, F_8 forces t^3+t+1.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipcert import fields
 from flipcert.errors import UsageError
 from flipcert.fields import (
     ExtField,
@@ -57,6 +59,60 @@ def test_is_prime_rejects_the_smallest_strong_pseudoprimes():
     assert not is_prime(PSI_4)
     assert not is_prime(PSI_12)
     assert is_prime(41) and is_prime(43)
+
+
+# the next strong pseudoprime to 2, 3, 5, 7 after PSI_4: past _MR_SMALL_BOUND
+# only the wider base set refutes it
+SPSP_2357 = 118_670_087_467  # = 172243 * 688969
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_past_the_small_bound():
+    assert fields._MR_SMALL_BOUND == PSI_4
+    # the first composite past psi_4 with no factor up to 41 reaches Miller-Rabin
+    assert 3_215_031_761 == 1511 * 2127751
+    assert not is_prime(3_215_031_761)
+    assert SPSP_2357 == 172243 * 688969
+    assert all(_strong_probable_prime(SPSP_2357, a) for a in (2, 3, 5, 7))
+    assert not is_prime(SPSP_2357)
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10**6
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    assert [v for v in range(-3, n + 1) if is_prime(v)] == [v for v in range(n + 1) if sieve[v]]
+
+
+# sha256 prefix of the primes random_prime draws, 63 each from Random(0) ..
+# Random(9), per width: frozen, so no faster primality test may change a draw
+PRIME_STREAMS = {
+    16: "be5aa3bdd5905c5c",
+    31: "06363805a031baf7",
+    32: "48a437b593691973",
+    48: "5ebd96d0a93f86dd",
+    81: "4d39543af41a8ee6",
+}
+
+
+@pytest.mark.parametrize("bits", PRIME_STREAMS)
+def test_random_prime_streams_frozen(bits):
+    h = hashlib.sha256()
+    for seed in range(10):
+        rng = random.Random(seed)
+        for _ in range(63):
+            h.update(b"%d\n" % random_prime(rng, bits))
+    assert h.hexdigest()[:16] == PRIME_STREAMS[bits]
 
 
 def test_ext_field_rejects_a_strong_pseudoprime_modulus():

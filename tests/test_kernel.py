@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from circuit_ops import circuit_from_ops
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
 from flipcert.circuits import (
+    EXACT_BITS,
     Add,
     Circuit,
     Const,
@@ -34,6 +35,7 @@ from flipcert.circuits import (
     poly_eval,
     run,
     run_many,
+    _fits_exactly,
 )
 from flipcert.errors import ArityMismatch, TermBudgetExceeded, UsageError
 from flipcert.fields import random_prime
@@ -269,6 +271,66 @@ def test_run_mod_a_product_reduces_to_each_prime(data):
     [big] = run_many(prog, [pt], prod(P31))
     for p in P31:
         assert [big % p] == run_many(prog, [pt], p) == [oracle_evaluate_mod(c, pt, p)]
+
+
+# run_many mod q runs exactly and reduces once when the program's bit bound
+# stays within EXACT_BITS, and reduces every step otherwise.  Each case names
+# the side of that crossover it sits on, and both sides must give the
+# residues of oracle_evaluate_mod, which reduces every step.  The squaring
+# chain and the 2000-bit points take the per-step loop; they are expected to
+# run no slower than before the crossover existed (not asserted: timing).
+SQUARING_CHAIN = circuit_from_ops(1, [("input", 0)] + [("mul", t, t) for t in range(60)])
+
+
+def _sub_chain(big: int) -> Circuit:
+    """x0 - c0, then 40 alternating subtractions of negative constants and
+    of the inputs, with a product every eighth step; c0 = -big."""
+    ops = [("input", 0), ("input", 1), ("const", -big), ("const", -7), ("sub", 0, 2)]
+    for t in range(5, 45):
+        if t % 8 == 0:
+            ops.append(("mul", t - 1, 1))
+        elif t % 2:
+            ops.append(("sub", 3, t - 1))
+        else:
+            ops.append(("sub", t - 1, t % 3))
+    return circuit_from_ops(2, ops)
+
+
+def _kernel_cases():
+    rng = random.Random(16)
+    wide = lambda n, bits: [tuple(rng.getrandbits(bits) for _ in range(n)) for _ in range(4)]
+    negative = lambda bits: [(-rng.getrandbits(bits), rng.getrandbits(bits)) for _ in range(6)]
+    return {
+        "squaring-chain": (SQUARING_CHAIN, wide(1, 62), False),
+        "perm4-62-bit": (perm_circuit(4), wide(16, 62), True),
+        "perm4-2000-bit": (perm_circuit(4), wide(16, 2000), False),
+        "negative-subs": (_sub_chain(2**40 + 3), negative(62), True),
+        "negative-subs-wide": (_sub_chain(2**1100 + 3), negative(62), False),
+    }
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("q", (P31[0], prod(P31)), ids=("one-prime", "three-primes"))
+@pytest.mark.parametrize("label", KERNEL_CASES)
+def test_run_many_mod_q_on_both_sides_of_the_crossover(label, q):
+    c, pts, exact = KERNEL_CASES[label]
+    prog = lower(c)
+    assert _fits_exactly(prog, list(zip(*pts))) is exact
+    got = run_many(prog, pts, q)
+    assert got == [oracle_evaluate_mod(c, p, q) for p in pts]
+    assert all(0 <= v < q for v in got)
+    if exact:
+        assert got == [v % q for v in run_many(prog, pts)]
+
+
+def test_bit_bound_crossover_is_exact_bits():
+    # x0 * x0 at w-bit entries bounds at 2w bits
+    square = lower(circuit_from_ops(1, [("input", 0), ("mul", 0, 0)]))
+    half = EXACT_BITS // 2
+    assert _fits_exactly(square, [(2**half - 1, -1)])
+    assert not _fits_exactly(square, [(1, -(2**half))])
 
 
 @settings(max_examples=150, deadline=None)
