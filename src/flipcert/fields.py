@@ -1,17 +1,19 @@
 """Primality, prime and small extension fields, and the Frobenius trace.
 
 is_prime and random_prime serve the modular query runs, which reduce plain
-integers mod the product Q of the drawn primes in circuits.run_many: once
-per output after an exact run, or at every step when the program's bit
-bound passes circuits.EXACT_BITS.  With the run exact, modular
-perm(4) costs about 0.60 ms a suite against 0.41 ms in the exact ring
-(scripts/bench_sampled.py, Python 3.11 on a 2-core Xeon VM), and most of
-the difference is drawing the three 31-bit primes, about 45 us each: the
-four pow() calls that certify a prime cost about 5.7 us apiece at that
-width.  No circuit is evaluated over a field object.  The field
-classes exist for the trace machinery (the trace-tools command), and their
-elements combine only with elements of the same field, never with int
-operands.
+integers mod the product of the distinct drawn primes in circuits.run_many:
+once per output after an exact run, or at every step when the program's
+bit bound passes circuits.EXACT_BITS.  With the run exact and each query
+decided once modulo that product, modular perm(4) costs about 0.57 ms a
+suite against 0.41-0.43 ms in the exact ring (scripts/bench_sampled.py,
+Python 3.11 on a 2-core Xeon VM), and most of the difference is drawing
+the three 31-bit primes, about 36 us each: the gcd with the odd primes
+below 256 keeps four odd candidates in five from Miller-Rabin, and the
+three pow() calls that certify a 31-bit prime (bases 2, 7, 61) cost about
+5.7 us apiece at that width.  No circuit is evaluated over a field
+object.  The field classes exist for the trace machinery (the trace-tools
+command), and their elements combine only with elements of the same field,
+never with int operands.
 
 Extension elements are kept as coefficient tuples over the prime field in the
 power basis of a monic irreducible modulus, the only basis a field has.  The
@@ -32,26 +34,33 @@ from typing import Iterator, Sequence
 
 from .errors import SingularTraceForm, UsageError
 
-# Miller-Rabin with the first prime bases is deterministic below the
-# smallest strong pseudoprime to all of them: psi_4 = 3,215,031,751 for
-# 2, 3, 5, 7 (every 31-bit number), psi_13 = 3,317,044,064,679,887,385,961,981
-# for 2..41.  VerifyConfig caps --prime-bits at 81 and 2^81 < psi_13, so
+# Miller-Rabin is deterministic below the smallest strong pseudoprime to all
+# of its bases: 4,759,123,141 for 2, 7, 61 (Jaeschke 1993; every 31-bit
+# number), psi_13 = 3,317,044,064,679,887,385,961,981 for the first 13
+# primes 2..41.  VerifyConfig caps --prime-bits at 81 and 2^81 < psi_13, so
 # every query prime is certainly prime; above psi_13 the test is
-# probabilistic.
-_MR_SMALL_BOUND = 3_215_031_751
-_MR_SMALL = (2, 3, 5, 7)
+# probabilistic.  Base 61 reads 0 at n = 61, so every n below 256 is
+# answered by membership in the primes below 256, and any larger n sharing
+# a factor with them is rejected by one gcd with their product.
+_MR_SMALL_BOUND = 4_759_123_141
+_MR_SMALL = (2, 7, 61)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_WITNESS_SET = frozenset(_MR_WITNESSES)
-_WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
+_SMALL_PRIMES = frozenset(
+    p for p in range(2, 256) if all(p % d for d in range(2, math.isqrt(p) + 1))
+)
+_ODD_PRODUCT = math.prod(_SMALL_PRIMES - {2})
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic below psi_13 (see _MR_WITNESSES).  One
-    gcd with the bases' product rejects their multiples first."""
-    if n <= _MR_WITNESSES[-1]:
-        return n in _WITNESS_SET
-    if math.gcd(n, _WITNESS_PRODUCT) != 1:
-        return False
+    """Deterministic below psi_13 (see _MR_WITNESSES)."""
+    if n < 256:
+        return n in _SMALL_PRIMES
+    return n % 2 == 1 and math.gcd(n, _ODD_PRODUCT) == 1 and _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Miller-Rabin for odd n >= 256, with the bases _MR_SMALL below
+    _MR_SMALL_BOUND and _MR_WITNESSES above it."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -70,12 +79,15 @@ def is_prime(n: int) -> bool:
 
 
 def random_prime(rng: random.Random, bits: int) -> int:
-    """Uniform-ish prime with exactly `bits` bits; bits must be >= 16."""
+    """Uniform-ish prime with exactly `bits` bits; bits must be >= 16.
+
+    A candidate is odd and at least 2^15, so the gcd with the odd primes
+    below 256 and Miller-Rabin decide it as is_prime would."""
     if bits < 16:
         raise UsageError(f"prime width {bits} below the 16-bit floor")
     while True:
         cand = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
-        if is_prime(cand):
+        if math.gcd(cand, _ODD_PRODUCT) == 1 and _miller_rabin(cand):
             return cand
 
 

@@ -97,6 +97,9 @@ NORMALIZE = "Normalize"
 
 MAX_TERMS = 200_000  # expansion budget of the exhaustive checks
 EXTRA_DIAGONALS = 2  # sampled diagonals beyond the prime one, per check set
+# the most primes a modular run draws; a count of 10^8 was still drawing
+# after 15 s
+MAX_PRIME_COUNT = 64
 
 # relations between the evaluations v_0, v_1, ... of a query's points
 REL_NONZERO = "nonzero"  # v0 != 0
@@ -152,9 +155,12 @@ class VerifyConfig:
         if self.mode == "sampled" and self.rounds < 1:
             # with no symmetry law left, any nonzero normalized circuit passes
             raise UsageError("sampled mode needs rounds >= 1")
-        if self.ring == "modular" and self.prime_count < 1:
-            # with no prime, every nonzero query fails and every other passes
-            raise UsageError("the modular ring needs prime count >= 1")
+        if self.ring == "modular" and not 1 <= self.prime_count <= MAX_PRIME_COUNT:
+            # with no prime, every nonzero query fails and every other passes;
+            # a huge count would draw primes for minutes
+            raise UsageError(
+                f"prime count must be 1..{MAX_PRIME_COUNT}, got {self.prime_count}"
+            )
         if self.ring == "modular" and not 16 <= self.prime_bits <= 81:
             # random_prime's floor; below 2^81 < psi_13 every drawn prime is
             # certainly prime, and a huge width would draw for minutes
@@ -519,18 +525,26 @@ def run_queries(
 
     The circuit is lowered once and run once, by run_many, over the suite's
     distinct points (a suite's round shares its X across queries: perm(4)
-    has 22 distinct points in 36 slots).  Modular mode runs that pass modulo
-    the product of the primes and reads each prime's residues off it, which
-    are the same residues, since Z/Q -> Z/p is a ring map for p | Q.
+    has 22 distinct points in 36 slots), modulo rad, the product of the
+    distinct primes: 0 in the exact ring, and 1, the empty product, in a
+    modular run with no prime.  A relation holds modulo every prime iff it
+    holds modulo rad, so each query is decided once, mod rad.  The product
+    of all the primes would not do: with p drawn twice, a difference
+    divisible by p but not by p^2 holds at every prime and fails modulo
+    that product.  Only a failed modular query walks
+    its primes, through query_verdict, for the settling prime's residues,
+    which are those of the exact values, since Z/rad -> Z/p is a ring map
+    for p | rad.
     """
     if ring not in ("exact", "modular"):
         raise UsageError(f"unknown ring mode {ring!r}")
-    modular = ring == "modular"
+    moduli: tuple[int, ...] = (0,)
     primes: tuple[int, ...] = ()
-    if modular:
+    if ring == "modular":
         rng = random.Random(derive_seed("queryprimes", seed, prime_bits))
-        # random_prime returns only numbers that passed is_prime
-        primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
+        # random_prime returns only numbers is_prime accepts
+        moduli = primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
+    rad = prod(set(moduli))
     column: dict[tuple, int] = {}  # distinct flat point -> its batch column
     slots = [[column.setdefault(P, len(column)) for P in q.points] for q in queries]
     for P in column:
@@ -538,15 +552,14 @@ def run_queries(
             raise ArityMismatch(
                 f"query point has {len(P)} entries, circuit takes {c.num_inputs}"
             )
-    values = run_many(lower(c), list(column), prod(primes) if primes else 0)
+    values = run_many(lower(c), list(column), rad)
     verdicts = []
     for idx, (q, cols) in enumerate(zip(queries, slots)):
         vals = [values[i] for i in cols]
-        if modular:
-            ok, vals = query_verdict(q, vals, primes)
+        if _relation_holds(q, vals, rad):
+            verdicts.append(Verdict(idx, q.kind, True))
         else:
-            ok = _relation_holds(q, vals)
-        verdicts.append(Verdict(idx, q.kind, ok, () if ok else tuple(vals)))
+            verdicts.append(Verdict(idx, q.kind, False, tuple(query_verdict(q, vals, moduli)[1])))
     accept = all(v.passed for v in verdicts)
     return RunReport(accept, tuple(verdicts), ring, primes)
 

@@ -149,6 +149,9 @@ BAD_FLAG_ARGV = {
     # no primes fail every nonzero query: perm(2) was rejected
     "verify-perm-prime-count-0": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
                                   "--ring", "modular", "--prime-count", "0"],
+    # 10^8 primes were still being drawn after 15 s
+    "verify-perm-prime-count-huge": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
+                                     "--ring", "modular", "--prime-count", "100000000"],
     "trace-tools-l": ["trace-tools", "--q", "2", "--l", "-1"],
     # a composite q once reached "no irreducible of degree 2 over F_4"
     "trace-tools-q": ["trace-tools", "--q", "4", "--l", "2"],
@@ -181,6 +184,7 @@ NAMED_IN_ERROR = {
     "verify-perm-n-0": "dimension n must be at least 1, got 0",
     "verify-efun-m-k": "dimension m must be at least 1, got -1",
     "trace-tools-q": "4 is not prime",
+    "verify-perm-prime-count-huge": "prime count must be 1..64, got 100000000",
     "efun-oracle-budget": "budget must be at least 1, got -1",
     "count-designs-budget-0": "budget must be at least 1, got 0",
 }
@@ -214,6 +218,16 @@ def test_prime_bits_floor_and_ceiling(perm2_path, capsys, bits, want):
     assert rc == want
     if want:
         assert out == "" and f"prime bits must be 16..81, got {bits}" in err
+
+
+# --prime-count runs from 1 to MAX_PRIME_COUNT = 64
+@pytest.mark.parametrize("count, want", ((1, 0), (64, 0), (65, 2)))
+def test_prime_count_ceiling(perm2_path, capsys, count, want):
+    rc, out, err = run(capsys, ["verify-perm", "--n", "2", "--circuit", perm2_path,
+                                "--ring", "modular", "--prime-count", str(count)])
+    assert rc == want
+    if want:
+        assert out == "" and f"prime count must be 1..64, got {count}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,15 @@ def test_is_prime_rejects_the_smallest_strong_pseudoprimes():
     assert is_prime(41) and is_prime(43)
 
 
+# the smallest strong pseudoprime to 2, 7 and 61 (Jaeschke 1993): below it
+# those three bases decide primality, and every 31-bit number is below it
+PSI_2_7_61 = 4_759_123_141  # = 48781 * 97561
+
 # the next strong pseudoprime to 2, 3, 5, 7 after PSI_4: past _MR_SMALL_BOUND
 # only the wider base set refutes it
 SPSP_2357 = 118_670_087_467  # = 172243 * 688969
+
+MR_13_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -74,14 +80,32 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
 
 
+def test_is_prime_rejects_the_smallest_strong_pseudoprime_to_2_7_61():
+    assert PSI_2_7_61 == 48781 * 97561
+    assert all(_strong_probable_prime(PSI_2_7_61, a) for a in (2, 7, 61))
+    assert not is_prime(PSI_2_7_61)
+    assert (1 << 31) < PSI_2_7_61
+
+
 def test_is_prime_past_the_small_bound():
-    assert fields._MR_SMALL_BOUND == PSI_4
-    # the first composite past psi_4 with no factor up to 41 reaches Miller-Rabin
-    assert 3_215_031_761 == 1511 * 2127751
-    assert not is_prime(3_215_031_761)
+    assert fields._MR_SMALL_BOUND == PSI_2_7_61
+    # the first composite past the bound with no factor below 256 reaches
+    # Miller-Rabin with the 13 bases
+    assert 4_759_123_147 == 383 * 12425909
+    assert not is_prime(4_759_123_147)
     assert SPSP_2357 == 172243 * 688969
     assert all(_strong_probable_prime(SPSP_2357, a) for a in (2, 3, 5, 7))
     assert not is_prime(SPSP_2357)
+
+
+def test_is_prime_matches_the_13_base_test():
+    # random odd n across both base sets: the 13 bases are deterministic
+    # below psi_13, far above 2^40
+    rng = random.Random(2761)
+    for _ in range(20_000):
+        n = rng.randrange(1 << 15, 1 << 40) | 1
+        want = all(_strong_probable_prime(n, a) for a in MR_13_BASES)
+        assert is_prime(n) == want, n
 
 
 def test_is_prime_matches_a_sieve():

@@ -9,6 +9,7 @@ independent oracle for the sparse expansion.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 from math import prod
@@ -436,6 +437,52 @@ def test_run_queries_with_no_primes():
     for q, v in zip(queries, got.verdicts):
         assert v.passed == (q.relation != REL_NONZERO)
         assert v.witness == ()
+
+
+def _radical_queries(p: int, rad: int) -> tuple[Query, ...]:
+    """Queries on the identity circuit whose differences are multiples of
+    rad, not of p^2, with two that fail at r and one at every prime."""
+    return (
+        Query(P_NONZERO, (0,), REL_NONZERO, (), ((rad,),)),
+        Query(P_NONZERO, (1,), REL_NONZERO, (), ((p,),)),
+        Query("const", (0,), REL_CONST, (0,), ((3 * rad,),)),
+        Query("equal", (0,), REL_EQUAL, (), ((5,), (5 + rad,))),
+        Query("scaled", (), REL_SCALED, (2,), ((7,), (14 + rad,))),
+        Query("linear", (), REL_LINEAR, (2, 3), ((2 * 11 + 3 * 13 + rad,), (11,), (13,))),
+        Query("const", (1,), REL_CONST, (0,), ((p,),)),
+        Query("equal", (1,), REL_EQUAL, (), ((5,), (6,))),
+    )
+
+
+@pytest.mark.parametrize("primes", ((2**31 - 1, 2**31 - 1, 2**31 - 19), (2**31 - 1,) * 3))
+def test_run_queries_with_repeated_primes(monkeypatch, primes):
+    # a relation holds modulo each drawn prime iff it holds modulo the product
+    # of the distinct ones; the product of all three would refute it at p^2
+    import flipcert.symtests as symtests
+
+    draws = itertools.cycle(primes)  # three per run, the same three each time
+
+    def fake_random_prime(rng, bits):
+        return next(draws)
+
+    monkeypatch.setattr(symtests, "random_prime", fake_random_prime)
+    monkeypatch.setitem(globals(), "random_prime", fake_random_prime)
+    p, r = primes[0], primes[-1]
+    rad = prod(set(primes))
+    queries = _radical_queries(p, rad)
+    c = circuit_from_ops(1, [("input", 0)])
+    got = run_queries(c, queries, ring="modular", seed=1)
+    assert got == oracle_run_queries(c, queries, ring="modular", seed=1)
+    assert got.primes == primes
+    # the nonzero query at p and the constant query at p differ only at r
+    settled_at_r = p != r
+    assert [v.passed for v in got.verdicts] == [
+        False, settled_at_r, True, True, True, True, not settled_at_r, False
+    ]
+    assert got.verdicts[0].witness == (0,)
+    assert got.verdicts[7].witness == (5, 6)
+    if settled_at_r:
+        assert got.verdicts[6].witness == (p % r,)
 
 
 def test_run_queries_checks_arity_before_evaluating(monkeypatch):
