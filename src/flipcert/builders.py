@@ -8,34 +8,34 @@ from __future__ import annotations
 
 import itertools
 
-from .circuits import Add, Circuit, Const, Input, Mul, Node, Sub
+from .circuits import OP_ADD, OP_CONST, OP_INPUT, OP_MUL, OP_SUB, Circuit
 from .errors import UsageError
 
 
 class _Builder:
     def __init__(self, num_inputs: int):
         self.num_inputs = num_inputs
-        self.nodes: list[Node] = []
+        self.nodes: list[tuple[int, int, int]] = []
         self._input_at: dict[int, int] = {}
 
     def input(self, idx: int) -> int:
         if idx not in self._input_at:
-            self.nodes.append(Input(idx))
+            self.nodes.append((OP_INPUT, idx, 0))
             self._input_at[idx] = len(self.nodes) - 1
         return self._input_at[idx]
 
     def const(self, v: int) -> int:
-        self.nodes.append(Const(v))
+        self.nodes.append((OP_CONST, v, 0))
         return len(self.nodes) - 1
 
-    def op(self, kind, a: int, b: int) -> int:
-        self.nodes.append(kind(a, b))
+    def op(self, op: int, a: int, b: int) -> int:
+        self.nodes.append((op, a, b))
         return len(self.nodes) - 1
 
-    def chain(self, kind, terms: list[int]) -> int:
+    def chain(self, op: int, terms: list[int]) -> int:
         acc = terms[0]
         for t in terms[1:]:
-            acc = self.op(kind, acc, t)
+            acc = self.op(op, acc, t)
         return acc
 
     def finish(self, output: int) -> Circuit:
@@ -43,7 +43,7 @@ class _Builder:
 
 
 def _product_term(b: _Builder, entries: list[int]) -> int:
-    return b.chain(Mul, [b.input(e) for e in entries])
+    return b.chain(OP_MUL, [b.input(e) for e in entries])
 
 
 def perm_circuit(n: int) -> Circuit:
@@ -55,7 +55,7 @@ def perm_circuit(n: int) -> Circuit:
         _product_term(b, [i * n + s for i, s in enumerate(sigma)])
         for sigma in itertools.permutations(range(n))
     ]
-    return b.finish(b.chain(Add, terms))
+    return b.finish(b.chain(OP_ADD, terms))
 
 
 def _signed_expansion(b: _Builder, n: int, entry) -> int:
@@ -69,10 +69,10 @@ def _signed_expansion(b: _Builder, n: int, entry) -> int:
         )
         term = _product_term(b, [entry(i, s) for i, s in enumerate(sigma)])
         (odds if inv % 2 else evens).append(term)
-    pos = b.chain(Add, evens)
+    pos = b.chain(OP_ADD, evens)
     if not odds:
         return pos
-    return b.op(Sub, pos, b.chain(Add, odds))
+    return b.op(OP_SUB, pos, b.chain(OP_ADD, odds))
 
 
 def det_circuit(n: int) -> Circuit:
@@ -100,12 +100,11 @@ def efun_circuit(m: int, k: int) -> Circuit:
         _det_of_selection(b, m, k, sigma)
         for sigma in itertools.product(range(k), repeat=m)
     ]
-    return b.finish(b.chain(Mul, factors))
+    return b.finish(b.chain(OP_MUL, factors))
 
 
 def scale_circuit(c: Circuit, lam: int) -> Circuit:
     """lam * c, two extra nodes."""
-    nodes = list(c.nodes)
-    nodes.append(Const(lam))
-    nodes.append(Mul(c.output, len(nodes) - 1))
-    return Circuit(c.num_inputs, tuple(nodes), len(nodes) - 1)
+    t = len(c.nodes)
+    nodes = c.nodes + ((OP_CONST, lam, 0), (OP_MUL, c.output, t))
+    return Circuit(c.num_inputs, nodes, t + 1)

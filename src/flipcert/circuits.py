@@ -1,44 +1,28 @@
 """Arithmetic circuits: parsing, evaluation, expansion.
 
-A circuit is a DAG of nodes (input, const, add, sub, mul) with one designated
-output.  Size is the node count; bitsize additionally charges each constant
-its bit length.
+A circuit is a DAG of nodes with one designated output, held as a
+straight-line program: node t is an (op, a, b) int triple, (OP_INPUT, i, 0)
+reading input i, (OP_CONST, v, 0) the integer v, or (OP_ADD | OP_SUB |
+OP_MUL, a, b) combining the values of earlier nodes a and b.  Size is the
+node count; bitsize additionally charges each constant its bit length.
 
-Evaluation goes through one program form.  lower() turns a circuit into a
-flat program, a tuple of (op, a, b) int triples, one per node up to the
-output, so the output is the program's last value.  Two interpreters read
-it, over Python integers:
+lower(c) is the program up to the output, so the output is its last value,
+and one interpreter reads it over Python integers: run_many(prog, points)
+walks it once for every point, each step one column of values, by
+map(operator.mul, ...) and the like.  evaluate() runs it on one point; the
+sampled suites, the decoder and the hitting-set code run a query's or a
+set's points together.  Programs are never cached: a class sweep holds tens
+of thousands of circuits at once.
 
-  run(prog, point)        one point per walk.  Callers that may stop
-                          early use it: pit_random and
-                          verify_hitting_set stop at the first nonzero point,
-                          and decode_counterexample tries 1.16 queries per
-                          member on average over the F1b class.  evaluate()
-                          is check-arity, check-integers, lower, run.
-  run_many(prog, points)  every point in one walk, each step one column of
-                          values, by map(operator.mul, ...) and the like.
-                          Callers that need every point use it: run_queries
-                          (a whole sampled suite, each distinct point once)
-                          and build_hitting_set_greedy (all pool points of
-                          every member).
-
-Both compute the same values, so the split follows the call site's shape.
-On members of the bound-5 perm(2) class, one point costs about 0.65-0.95 us
-through run() and 2.8-3.4 us through run_many(), while 22 points cost
-run_many about 0.35 us each (Python 3.11 on a 2-core Xeon VM, minimum of 9
-runs; the range is the host's drift between runs).  So run_many pays only
-once a walk is shared by several points.  Programs are never cached: a
-class sweep holds tens of thousands of circuits at once.
-
-Only run_many takes a modulus q, for the modular query runs.  One pass over
-the program bounds each step's bit length from the widest point entry (a
-product adds its operands' bounds, a sum or difference adds one bit to the
-larger).  When no bound passes EXACT_BITS = 1024, the exact loop runs and
-each output is reduced mod q once; otherwise every step is reduced mod q.
-Z -> Z/q is a ring map, so both give the same residues; the rule only picks
-the faster kernel.  Exact-then-reduce time over reduce-every-step time, with
-q the product of three 31-bit primes and 22 points (same host, minimum of 7
-runs):
+With a modulus q, for the modular query runs, one pass over the program
+bounds each step's bit length from the widest point entry (a product adds
+its operands' bounds, a sum or difference adds one bit to the larger).
+When no bound passes EXACT_BITS = 1024, the exact loop runs and each output
+is reduced mod q once; otherwise every step is reduced mod q.  Z -> Z/q is
+a ring map, so both give the same residues; the rule only picks the faster
+kernel.  Exact-then-reduce time over reduce-every-step time, with q the
+product of three 31-bit primes and 22 points (Python 3.11 on a 2-core Xeon
+VM, minimum of 7 runs):
 
   perm(4)   bound  519: 0.46   1023: 0.82   1523: 1.35   8023: 17.5
   E(2,2)    bound  996: 0.59   1524: 0.84   2004: 1.07   4004: 2.19
@@ -84,44 +68,16 @@ from .errors import (
 )
 from .fields import int_bitlength
 
+OP_INPUT, OP_CONST, OP_ADD, OP_SUB, OP_MUL = range(5)
+OP_NAMES = ("input", "const", "add", "sub", "mul")  # the text form's op names
 
-@dataclass(frozen=True)
-class Input:
-    index: int
-
-
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-
-@dataclass(frozen=True)
-class Add:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class Sub:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class Mul:
-    a: int
-    b: int
-
-
-Node = Input | Const | Add | Sub | Mul
-
-_OP_NAMES = {Add: "add", Sub: "sub", Mul: "mul"}
+Program = tuple  # tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
 class Circuit:
     num_inputs: int
-    nodes: tuple[Node, ...]
+    nodes: Program
     output: int
 
     def __post_init__(self):
@@ -129,17 +85,17 @@ class Circuit:
             raise UsageError("negative input count")
         if not self.nodes:
             raise UsageError("a circuit needs at least one node")
-        for t, node in enumerate(self.nodes):
-            if isinstance(node, Input):
-                if not 0 <= node.index < self.num_inputs:
+        for t, (op, a, b) in enumerate(self.nodes):
+            if op == OP_INPUT:
+                if not 0 <= a < self.num_inputs:
                     raise IndexOutOfRange(
-                        f"node {t} reads input {node.index} of {self.num_inputs}"
+                        f"node {t} reads input {a} of {self.num_inputs}"
                     )
-            elif isinstance(node, (Add, Sub, Mul)):
-                if not (0 <= node.a < t and 0 <= node.b < t):
+            elif op in (OP_ADD, OP_SUB, OP_MUL):
+                if not (0 <= a < t and 0 <= b < t):
                     raise DagViolation(f"node {t} references a non-earlier node")
-            elif not isinstance(node, Const):
-                raise UsageError(f"unknown node type {type(node).__name__}")
+            elif op != OP_CONST:
+                raise UsageError(f"node {t} has unknown op {op!r}")
         if not 0 <= self.output < len(self.nodes):
             raise UsageError(f"output index {self.output} out of range")
 
@@ -149,16 +105,14 @@ class Circuit:
 
     @property
     def bitsize(self) -> int:
-        extra = sum(
-            int_bitlength(n.value) for n in self.nodes if isinstance(n, Const)
-        )
+        extra = sum(int_bitlength(a) for op, a, _ in self.nodes if op == OP_CONST)
         return self.size + extra
 
 
 def parse_circuit(text: str) -> Circuit:
     num_inputs = None
     ids: dict[str, int] = {}
-    nodes: list[Node] = []
+    nodes: list[tuple[int, int, int]] = []
     output: int | None = None
     last_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -194,17 +148,16 @@ def parse_circuit(text: str) -> Circuit:
         if op == "input":
             if len(args) != 1:
                 raise BadArity(f"line {lineno}: input takes one index")
-            idx = _int_tok(args[0], lineno)
-            node: Node = Input(idx)
+            node = (OP_INPUT, _int_tok(args[0], lineno), 0)
         elif op == "const":
             if len(args) != 1:
                 raise BadArity(f"line {lineno}: const takes one integer")
-            node = Const(_int_tok(args[0], lineno))
+            node = (OP_CONST, _int_tok(args[0], lineno), 0)
         elif op in ("add", "sub", "mul"):
             if len(args) != 2:
                 raise BadArity(f"line {lineno}: {op} takes two node ids")
             a, b = (_ref(t, ids, lineno) for t in args)
-            node = {"add": Add, "sub": Sub, "mul": Mul}[op](a, b)
+            node = (OP_NAMES.index(op), a, b)
         else:
             raise ParseError(f"line {lineno}: unknown op {op!r}")
         ids[gid] = len(nodes)
@@ -232,13 +185,11 @@ def _ref(tok: str, ids: Mapping[str, int], lineno: int) -> int:
 def serialize_circuit(c: Circuit) -> str:
     """Canonical text: consecutive ids, single spaces, LF endings."""
     lines = [f"ninputs {c.num_inputs}"]
-    for t, node in enumerate(c.nodes):
-        if isinstance(node, Input):
-            lines.append(f"g{t} = input {node.index}")
-        elif isinstance(node, Const):
-            lines.append(f"g{t} = const {node.value}")
+    for t, (op, a, b) in enumerate(c.nodes):
+        if op < OP_ADD:
+            lines.append(f"g{t} = {OP_NAMES[op]} {a}")
         else:
-            lines.append(f"g{t} = {_OP_NAMES[type(node)]} g{node.a} g{node.b}")
+            lines.append(f"g{t} = {OP_NAMES[op]} g{a} g{b}")
     lines.append(f"output g{c.output}")
     return "\n".join(lines) + "\n"
 
@@ -248,45 +199,11 @@ def serialize_circuit(c: Circuit) -> str:
 # reads point[a] (INPUT), pushes the integer a (CONST), or combines the
 # values of steps a and b (ADD, SUB, MUL).
 
-OP_INPUT, OP_CONST, OP_ADD, OP_SUB, OP_MUL = range(5)
-_BINARY_OPS = {Add: OP_ADD, Sub: OP_SUB, Mul: OP_MUL}
-
-Program = tuple  # tuple[tuple[int, int, int], ...]
-
 
 def lower(c: Circuit) -> Program:
-    """Flat program computing c's output; nodes after the output are dead
+    """The program computing c's output; nodes after the output are dead
     and dropped."""
-    prog = []
-    push = prog.append
-    for node in c.nodes[: c.output + 1]:
-        kind = type(node)
-        if kind is Input:
-            push((OP_INPUT, node.index, 0))
-        elif kind is Const:
-            push((OP_CONST, node.value, 0))
-        else:
-            push((_BINARY_OPS[kind], node.a, node.b))
-    return tuple(prog)
-
-
-def run(prog: Program, point: Sequence[int]) -> int:
-    """Exact value of a lowered program at an integer point.  The point's
-    length is not checked (see check_arity)."""
-    vals: list = []
-    push = vals.append
-    for op, a, b in prog:
-        if op == OP_MUL:
-            push(vals[a] * vals[b])
-        elif op == OP_ADD:
-            push(vals[a] + vals[b])
-        elif op == OP_SUB:
-            push(vals[a] - vals[b])
-        elif op == OP_INPUT:
-            push(point[a])
-        else:
-            push(a)
-    return vals[-1]
+    return c.nodes[: c.output + 1]
 
 
 # The bit bound up to which run_many mod q runs exactly; see the module
@@ -319,7 +236,7 @@ def _fits_exactly(prog: Program, inputs: Sequence[Sequence[int]]) -> bool:
 
 
 def run_many(prog: Program, points: Sequence[Sequence[int]], q: int = 0) -> list[int]:
-    """[run(prog, p) for p in points], in one walk of the program; with
+    """The program's value at each point, in one walk of the program; with
     q > 0 each value is the residue in [0, q).
 
     Step t's values at every point form one column.  Mod q, the program
@@ -371,13 +288,13 @@ def check_arity(c: Circuit, point: Sequence) -> None:
 def evaluate(c: Circuit, point: Sequence[int]) -> int:
     """Exact value at an integer point.
 
-    A bool or non-int coordinate is a UsageError.  Lowers c on every call;
-    to evaluate one circuit at many points, lower it once and call run()."""
+    A bool or non-int coordinate is a UsageError.  To evaluate one circuit
+    at many points, call run_many(lower(c), points) once."""
     check_arity(c, point)
     for x in point:
         if isinstance(x, bool) or not isinstance(x, int):
             raise UsageError(f"expected an integer, got {type(x).__name__}")
-    return run(lower(c), point)
+    return run_many(lower(c), [point])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +316,12 @@ def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
     add = operator.add
     polys: list[Poly] = []
     push = polys.append
-    for t, node in enumerate(c.nodes):
-        kind = type(node)
-        if kind is Mul:
+    for t, (op, a, b) in enumerate(c.nodes):
+        if op == OP_MUL:
             p: Poly = {}
             get = p.get
-            pb = polys[node.b].items()
-            for ea, ca in polys[node.a].items():
+            pb = polys[b].items()
+            for ea, ca in polys[a].items():
                 for eb, cb in pb:
                     exp = tuple(map(add, ea, eb))
                     nv = get(exp, 0) + ca * cb
@@ -417,29 +333,28 @@ def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
                     raise TermBudgetExceeded(
                         f"node {t} expansion passed {max_terms} terms"
                     )
-        elif kind is Add:
-            p = dict(polys[node.a])
+        elif op == OP_ADD:
+            p = dict(polys[a])
             get = p.get
-            for exp, coeff in polys[node.b].items():
+            for exp, coeff in polys[b].items():
                 nv = get(exp, 0) + coeff
                 if nv:
                     p[exp] = nv
                 else:
                     del p[exp]
-        elif kind is Sub:
-            p = dict(polys[node.a])
+        elif op == OP_SUB:
+            p = dict(polys[a])
             get = p.get
-            for exp, coeff in polys[node.b].items():
+            for exp, coeff in polys[b].items():
                 nv = get(exp, 0) - coeff
                 if nv:
                     p[exp] = nv
                 else:
                     del p[exp]
-        elif kind is Input:
-            i = node.index
-            p = {zero_exp[:i] + (1,) + zero_exp[i + 1 :]: 1}
+        elif op == OP_INPUT:
+            p = {zero_exp[:a] + (1,) + zero_exp[a + 1 :]: 1}
         else:
-            p = {zero_exp: node.value} if node.value else {}
+            p = {zero_exp: a} if a else {}
         if len(p) > max_terms:
             raise TermBudgetExceeded(f"node {t} expansion passed {max_terms} terms")
         push(p)

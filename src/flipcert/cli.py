@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 
-from .circuits import evaluate, parse_circuit
+from .circuits import evaluate, parse_circuit, serialize_circuit
 from .config import format_config, parse_config
 from .designs import (
     DesignParams,
@@ -288,7 +288,7 @@ def cmd_verify_hitting_set(args) -> int:
     if rep.valid:
         print(f"valid ({rep.members_checked} members, {rep.evaluations} evaluations)")
         return 0
-    print(f"invalid: unhit nonzero member\n{rep.violator}")
+    print(f"invalid: unhit nonzero member\n{serialize_circuit(rep.violator)}", end="")
     return 1
 
 

@@ -38,6 +38,9 @@ class DesignParams:
             raise UsageError(f"need 1 <= r <= l, got r={self.r} l={self.l}")
         if self.k_cap < 0:
             raise UsageError(f"need k_cap >= 0, got {self.k_cap}")
+        for v in (self.m_prime, self.l, self.r, self.k_cap):
+            if v > 0xFFFF:
+                raise UsageError(f"field {v} does not fit the u16 header")
 
     @staticmethod
     def from_provenance(m: int, c: int, a: int, b: int):
@@ -190,15 +193,20 @@ def count_designs_exhaustive(params: DesignParams, budget: int = 5_000_000) -> i
     """Number of ordered row tuples forming a valid design, by backtracking.
 
     The crude upper estimate C(l, r)^m' is checked against the budget before
-    any work happens.
+    any work happens, one factor at a time, so no power past the budget is
+    built.
     """
     if budget < 1:
         raise UsageError(f"budget must be at least 1, got {budget}")
-    est = math.comb(params.l, params.r) ** params.m_prime
-    if est > budget:
-        raise BudgetExceeded(
-            f"estimated search space {est} exceeds budget {budget}"
-        )
+    rows = math.comb(params.l, params.r)
+    est = 1
+    for _ in range(params.m_prime):
+        est *= rows
+        if est > budget:
+            raise BudgetExceeded(
+                f"estimated search space C({params.l}, {params.r})^{params.m_prime}"
+                f" = {rows}^{params.m_prime} exceeds budget {budget}"
+            )
     return _backtrack(params, False, math.inf)[0]
 
 
@@ -206,39 +214,42 @@ def _backtrack(params: DesignParams, first: bool, node_cap: float) -> tuple:
     """(designs found, candidates tried, deepest level, rows held) of a
     depth-first search over tuples of _all_rows admissible in order, stopping
     at the first design when `first` and after node_cap candidates.  A level
-    scans the candidates admissible against the rows above it (`cands`,
-    indices into all_rows) and counts the others it skips as tried."""
+    scans the candidates admissible against the rows above it (indices into
+    all_rows) and counts the others it skips as tried.  The levels live on
+    an explicit stack, so m' is not limited by Python's recursion depth."""
     all_rows, k_cap = _all_rows(params), params.k_cap
     rows: list[int] = []
     found = nodes = deepest = 0
-
-    def extend(cands: list[int]) -> bool:
-        nonlocal found, nodes, deepest
-        tried = 0
-        for i in cands:
-            nodes += i + 1 - tried
-            tried = i + 1
-            if nodes > node_cap:  # the cap fell before candidate i
+    # one frame per level: [candidates, next position, candidates tried]
+    stack = [[list(range(len(all_rows))), 0, 0]]
+    while stack:
+        frame = stack[-1]
+        cands, pos, tried = frame
+        if pos == len(cands):
+            nodes += len(all_rows) - tried
+            if nodes > node_cap:
                 break
-            row = all_rows[i]
-            rows.append(row)
-            deepest = max(deepest, len(rows))
-            if len(rows) == params.m_prime:
-                found += 1
-                if first:
-                    return True
-            elif extend([j for j in cands if (all_rows[j] & row).bit_count() <= k_cap]):
-                return True
+            stack.pop()
+            if stack:
+                rows.pop()  # the row that opened this level
+            continue
+        i = cands[pos]
+        frame[1], frame[2] = pos + 1, i + 1
+        nodes += i + 1 - tried
+        if nodes > node_cap:  # the cap fell before candidate i
+            break
+        row = all_rows[i]
+        rows.append(row)
+        deepest = max(deepest, len(rows))
+        if len(rows) == params.m_prime:
+            found += 1
+            if first:
+                break
             rows.pop()
         else:
-            nodes += len(all_rows) - tried
-        if nodes > node_cap:
-            nodes = node_cap
-            return True
-        return False
-
-    extend(list(range(len(all_rows))))
-    return found, nodes, deepest, rows
+            admissible = [j for j in cands if (all_rows[j] & row).bit_count() <= k_cap]
+            stack.append([admissible, 0, 0])
+    return found, min(nodes, node_cap), deepest, rows
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +264,6 @@ def encoded_length(params: DesignParams) -> int:
 
 def encode_design(d: Design) -> bytes:
     p = d.params
-    for v in (p.m_prime, p.l, p.r, p.k_cap):
-        if not 0 <= v <= 0xFFFF:
-            raise UsageError(f"field {v} does not fit the u16 header")
     out = bytearray(_HEADER.pack(p.m_prime, p.l, p.r, p.k_cap))
     acc = 0
     nbits = 0

@@ -34,7 +34,7 @@ from .circuits import (
     poly_eval,
     poly_max_var_degree,
     poly_sub,
-    run,
+    run_many,
 )
 from .builders import efun_circuit, perm_circuit
 from .config import config_hash, format_config, parse_bool, parse_config
@@ -362,7 +362,7 @@ def decode_counterexample(cert: ObstructionCertificate, c: Circuit) -> DecodeRes
     _class_membership(cert.config, c)
     prog = lower(c)
     for idx, q in enumerate(cert.queries):
-        passed, vals = query_verdict(q, [run(prog, P) for P in q.points])
+        passed, vals = query_verdict(q, run_many(prog, q.points))
         if passed:
             continue
         direct = None

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from circuit_ops import circuit_from_ops
 from flipcert.circuits import (
-    Add,
+    OP_ADD,
+    OP_CONST,
+    OP_INPUT,
     Circuit,
-    Input,
     evaluate,
     expand_to_polynomial,
     parse_circuit,
@@ -31,6 +32,7 @@ from flipcert.circuits import (
 from flipcert.errors import (
     BadArity,
     DagViolation,
+    IndexOutOfRange,
     ParseError,
     TermBudgetExceeded,
     UsageError,
@@ -79,8 +81,22 @@ def test_parse_errors():
 
 
 def test_dag_violation_direct_construction():
-    with pytest.raises(DagViolation):
-        Circuit(1, (Input(0), Add(1, 1)), 1)  # self-reference
+    x0, one = (OP_INPUT, 0, 0), (OP_CONST, 1, 0)
+    bad = (
+        ("unknown op", (x0, (5, 0, 0)), 1, UsageError),
+        ("input index out of range", (x0, (OP_INPUT, 1, 0)), 1, IndexOutOfRange),
+        ("negative input index", ((OP_INPUT, -1, 0),), 0, IndexOutOfRange),
+        ("forward reference", (x0, (OP_ADD, 0, 2), one), 2, DagViolation),
+        ("self-reference", (x0, (OP_ADD, 1, 1)), 1, DagViolation),
+        ("negative reference", (x0, (OP_ADD, -1, 0)), 1, DagViolation),
+        ("output out of range", (x0, one), 2, UsageError),
+        ("negative output", (x0,), -1, UsageError),
+    )
+    for label, nodes, output, error in bad:
+        with pytest.raises(error) as info:
+            Circuit(1, nodes, output)
+        assert type(info.value) is error, label
+    assert Circuit(1, (x0, one, (OP_ADD, 0, 1)), 2).size == 3
 
 
 def test_bitsize_counts_constant_bits():

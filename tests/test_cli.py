@@ -79,6 +79,16 @@ def test_pit_zero_exits_0(tmp_path, capsys):
     assert rc == 0 and out.startswith("zero (false-zero bound")
 
 
+def test_pit_degree_hint_past_the_box_width_bounds_at_1(tmp_path, capsys):
+    # a 401-digit hint overflowed a float division; a hint at or past the
+    # box width caps each trial's factor at 1
+    path = tmp_path / "zero.ac"
+    path.write_text("ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n")
+    for hint in ("9" * 401, str(1 << 62)):
+        rc, out, err = run(capsys, ["pit", "--circuit", str(path), "--degree-hint", hint])
+        assert (rc, out, err) == (0, "zero (false-zero bound 1, 8 trials)\n", "")
+
+
 # ---------------------------------------------------------------------------
 # symmetry suites
 
@@ -293,6 +303,26 @@ def test_count_designs_budget_exits_3(capsys):
     assert rc == 3 and err.startswith("budget:")
 
 
+# large designs: a field past the u16 label header exits 2 before any work,
+# an estimate past the budget is reported without being written out, and
+# the search takes any number of rows
+@pytest.mark.parametrize("argv, want, text", [
+    (["gen-design", "--l", "6", "--r", "3", "--kcap", "3", "--rows", "65536"], 2,
+     "field 65536 does not fit the u16 header"),
+    (["count-designs", "--l", "6", "--r", "3", "--kcap", "1", "--rows", "3400"], 3,
+     "estimated search space C(6, 3)^3400 = 20^3400 exceeds budget 5000000"),
+    (["count-designs", "--l", "6", "--r", "3", "--kcap", "1", "--rows", "3300"], 3,
+     "estimated search space C(6, 3)^3300 = 20^3300 exceeds budget 5000000"),
+    (["count-designs", "--l", "3", "--r", "3", "--kcap", "3", "--rows", "2000"], 0, "1"),
+], ids=["gen-design-rows-65536", "count-designs-rows-3400", "count-designs-rows-3300",
+        "count-designs-depth-2000"])
+def test_large_design_argv(capsys, argv, want, text):
+    rc, out, err = run(capsys, argv)
+    assert rc == want and "Traceback" not in err
+    assert (out if want == 0 else err).splitlines() == [
+        text if want == 0 else f"{'error' if want == 2 else 'budget'}: {text}"]
+
+
 # ---------------------------------------------------------------------------
 # hitting sets
 
@@ -304,6 +334,18 @@ def test_hitting_set_flow(tmp_path, capsys):
     assert "rich=True" in out
     rc, out, _ = run(capsys, ["verify-hitting-set", "--file", str(hs_path)])
     assert rc == 0 and out.startswith("valid (")
+
+
+def test_verify_hitting_set_reject_prints_the_member_as_text(tmp_path, capsys):
+    # x0 - 1 is nonzero but vanishes at the file's one point
+    path = tmp_path / "hs.txt"
+    path.write_text(f"hitting-set v1\n{HS_CLASS}\npoints 1\n1\n")
+    rc, out, _ = run(capsys, ["verify-hitting-set", "--file", str(path)])
+    assert rc == 1
+    assert out == (
+        "invalid: unhit nonzero member\n"
+        "ninputs 1\ng0 = input 0\ng1 = const -1\ng2 = add g0 g1\noutput g2\n"
+    )
 
 
 def test_verify_hitting_set_garbage_exits_2(tmp_path, capsys):

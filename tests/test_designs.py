@@ -337,9 +337,13 @@ def test_decode_is_structural_not_semantic():
 
 
 def test_encode_u16_overflow():
-    d = Design(DesignParams(70000, 4, 2, 1), ())
-    with pytest.raises(UsageError):
-        encode_design(d)
+    # a field past the u16 label header is refused when the parameters are
+    # made, before any design is built
+    for fields in ((70000, 4, 2, 1), (1, 70000, 2, 1), (1, 70000, 70000, 1),
+                   (1, 4, 2, 70000)):
+        with pytest.raises(UsageError, match="does not fit the u16 header"):
+            DesignParams(*fields)
+    encode_design(Design(DesignParams(0xFFFF, 1, 1, 0xFFFF), (1,) * 0xFFFF))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,11 @@
-"""The flat evaluation kernels (lower/run/run_many) against independent oracles.
+"""The evaluation kernel (lower/run_many) against independent oracles.
 
-The oracle evaluators are the node-by-node isinstance dispatch the kernel
-replaced, exact and mod q, kept here as the reference together with the
-query runner that used them.  run_many is checked against run, point by
-point, and mod q against the modular oracle.  sympy, when installed, is an
-independent oracle for the sparse expansion.
+The oracle evaluators walk every node one point at a time, dispatching on
+the op code, exact and reducing mod q at every step; they are kept here as
+the reference together with a query runner built on them.  run_many is
+checked against the exact oracle point by point, and mod q against the
+modular one.  sympy, when installed, is an independent oracle for the
+sparse expansion.
 """
 
 from __future__ import annotations
@@ -23,18 +24,16 @@ from circuit_ops import circuit_from_ops
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
 from flipcert.circuits import (
     EXACT_BITS,
-    Add,
+    OP_ADD,
+    OP_CONST,
+    OP_INPUT,
+    OP_SUB,
     Circuit,
-    Const,
-    Input,
-    Mul,
-    Sub,
     evaluate,
     expand_to_polynomial,
     lower,
     parse_circuit,
     poly_eval,
-    run,
     run_many,
     _fits_exactly,
 )
@@ -72,33 +71,33 @@ def oracle_evaluate(c: Circuit, point) -> int:
             f"circuit takes {c.num_inputs} inputs, point has {len(point)}"
         )
     out = [0] * len(c.nodes)
-    for t, node in enumerate(c.nodes):
-        if isinstance(node, Input):
-            out[t] = point[node.index]
-        elif isinstance(node, Const):
-            out[t] = node.value
-        elif isinstance(node, Add):
-            out[t] = out[node.a] + out[node.b]
-        elif isinstance(node, Sub):
-            out[t] = out[node.a] - out[node.b]
+    for t, (op, a, b) in enumerate(c.nodes):
+        if op == OP_INPUT:
+            out[t] = point[a]
+        elif op == OP_CONST:
+            out[t] = a
+        elif op == OP_ADD:
+            out[t] = out[a] + out[b]
+        elif op == OP_SUB:
+            out[t] = out[a] - out[b]
         else:
-            out[t] = out[node.a] * out[node.b]
+            out[t] = out[a] * out[b]
     return out[c.output]
 
 
 def oracle_evaluate_mod(c: Circuit, point, q: int) -> int:
     out = [0] * len(c.nodes)
-    for t, node in enumerate(c.nodes):
-        if isinstance(node, Input):
-            out[t] = point[node.index] % q
-        elif isinstance(node, Const):
-            out[t] = node.value % q
-        elif isinstance(node, Add):
-            out[t] = (out[node.a] + out[node.b]) % q
-        elif isinstance(node, Sub):
-            out[t] = (out[node.a] - out[node.b]) % q
+    for t, (op, a, b) in enumerate(c.nodes):
+        if op == OP_INPUT:
+            out[t] = point[a] % q
+        elif op == OP_CONST:
+            out[t] = a % q
+        elif op == OP_ADD:
+            out[t] = (out[a] + out[b]) % q
+        elif op == OP_SUB:
+            out[t] = (out[a] - out[b]) % q
         else:
-            out[t] = out[node.a] * out[node.b] % q
+            out[t] = out[a] * out[b] % q
     return out[c.output]
 
 
@@ -214,8 +213,8 @@ def points(n: int, bound: int = 2**64):
 
 def _check_against_oracles(c: Circuit, pt: tuple) -> None:
     prog = lower(c)
-    exact = run(prog, pt)
-    assert exact == oracle_evaluate(c, pt) == evaluate(c, pt)
+    exact = oracle_evaluate(c, pt)
+    assert run_many(prog, [pt]) == [exact] == [evaluate(c, pt)]
     try:
         poly = expand_to_polynomial(c, max_terms=2000)
     except TermBudgetExceeded:
@@ -254,11 +253,11 @@ def test_kernel_matches_oracles_on_reference_files(path, data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_run_many_matches_run_pointwise(data):
+def test_run_many_matches_oracle_pointwise(data):
     c = data.draw(st.one_of(random_dags(), class_members()))
     pts = data.draw(st.lists(points(c.num_inputs), min_size=0, max_size=6))
     prog = lower(c)
-    assert run_many(prog, pts) == [run(prog, p) for p in pts]
+    assert run_many(prog, pts) == [oracle_evaluate(c, p) for p in pts]
     for q in (P31[0], prod(P31)):
         assert run_many(prog, pts, q) == [oracle_evaluate_mod(c, p, q) for p in pts]
 
@@ -344,17 +343,17 @@ def test_expansion_matches_sympy(c):
         return
     xs = sympy.symbols(f"x:{c.num_inputs}")
     vals = []
-    for node in c.nodes[: c.output + 1]:
-        if isinstance(node, Input):
-            vals.append(xs[node.index])
-        elif isinstance(node, Const):
-            vals.append(sympy.Integer(node.value))
-        elif isinstance(node, Add):
-            vals.append(vals[node.a] + vals[node.b])
-        elif isinstance(node, Sub):
-            vals.append(vals[node.a] - vals[node.b])
+    for op, a, b in c.nodes[: c.output + 1]:
+        if op == OP_INPUT:
+            vals.append(xs[a])
+        elif op == OP_CONST:
+            vals.append(sympy.Integer(a))
+        elif op == OP_ADD:
+            vals.append(vals[a] + vals[b])
+        elif op == OP_SUB:
+            vals.append(vals[a] - vals[b])
         else:
-            vals.append(vals[node.a] * vals[node.b])
+            vals.append(vals[a] * vals[b])
     expected = sympy.Poly(sympy.expand(vals[-1]), *xs).as_dict()
     assert poly == {e: int(v) for e, v in expected.items()}
 
@@ -362,7 +361,7 @@ def test_expansion_matches_sympy(c):
 def test_lower_drops_nodes_after_the_output():
     ops = [("input", 0), ("const", 3), ("mul", 0, 1), ("add", 2, 2)]
     c = circuit_from_ops(1, ops, output=2)
-    assert lower(c) == ((0, 0, 0), (1, 3, 0), (4, 0, 1))
+    assert lower(c) == ((0, 0, 0), (1, 3, 0), (4, 0, 1)) == c.nodes[:3]
     assert evaluate(c, (5,)) == 15
 
 

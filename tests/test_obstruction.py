@@ -22,7 +22,7 @@ from flipcert.circuits import (
     poly_eval,
     poly_max_var_degree,
     poly_sub,
-    run,
+    run_many,
 )
 from flipcert.config import format_config, parse_config
 from flipcert.designs import Design, DesignParams, build_design_greedy
@@ -374,7 +374,7 @@ def test_harness_counts_failures_per_member():
     prog = lower(xy)
     kept = tuple(
         q for q in cert.queries
-        if query_verdict(q, [run(prog, P) for P in q.points])[0]
+        if query_verdict(q, run_many(prog, q.points))[0]
     )
     cert = replace(cert, queries=kept)
     assert decode_counterexample(cert, xw) and decode_counterexample(cert, det_circuit(2))

@@ -9,6 +9,7 @@ brute-force recount.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -109,6 +110,27 @@ def test_enumeration_counts_frozen():
     assert class_size(EnumeratedClass(1, 1, (1,))) == 2
     assert class_size(EnumeratedClass(1, 2, (-1, 1))) == 12
     assert class_size(EnumeratedClass(4, 3, (-1, 0, 1))) == 259
+
+
+# SHA-256 of the concatenated circuit text of the members, in stream order:
+# the whole 259-member class above, and the first 2,000 members of the
+# class-sweep class (n=4, bound 5, {-1,0,1,2}).  Any change to the
+# enumeration order or to a member moves them.
+STREAM_DIGESTS = {
+    (4, 3, (-1, 0, 1), None):
+        "c5eb9c995db38c37de74cd7566421a88289b3e8fb20c6b65452827aaa651f4e4",
+    (4, 5, (-1, 0, 1, 2), 2000):
+        "dd34e1fe6bd1eb45c5c26c0f9858a2a5a6c0453ecbf9580097e9c68b0aeaa666",
+}
+
+
+@pytest.mark.parametrize("key", STREAM_DIGESTS, ids=("n4-b3", "n4-b5-first-2000"))
+def test_enumeration_stream_digests_frozen(key):
+    ninputs, bound, alphabet, head = key
+    digest = hashlib.sha256()
+    for c in itertools.islice(EnumeratedClass(ninputs, bound, alphabet).members(), head):
+        digest.update(serialize_circuit(c).encode())
+    assert digest.hexdigest() == STREAM_DIGESTS[key]
 
 
 @pytest.mark.parametrize(
