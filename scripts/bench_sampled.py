@@ -5,7 +5,9 @@ For each target of the sampled-verify workload (perm(2..4), E(1,2), E(2,2),
 E(1,3), and the rejects det(2), det(3) and 2*perm(2)) and each ring (exact,
 modular), one verify_claims_* call is made to warm the caches, then --runs
 timed calls; the minimum is reported in microseconds.  Every call must give
-the target's known verdict, or the script exits 1.
+the target's known verdict, or the script exits 1.  Each child process also
+records its peak resident set size (ru_maxrss) after its timed calls; the
+largest over a tree's children is printed under the table.
 
 Each --src names a source tree (the directory holding the flipcert
 package); the default is this checkout's src.  Every tree is timed in its
@@ -17,7 +19,7 @@ same host at the same time:
     python scripts/bench_sampled.py --src ../parent/src --src src --out bench.json
 
 The JSON holds each tree's commit (git describe --always --dirty), the
-Python version, the processor count and the timings.
+Python version, the processor count, the timings and each child's peak RSS.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -48,7 +51,8 @@ TARGETS = (
 
 def time_tree(src: str, runs: int, seed: int) -> dict[str, float]:
     """Minimum microseconds per 'target ring' key, measured in this process
-    on the flipcert package under src."""
+    on the flipcert package under src, and the process's peak RSS in MB
+    under the key 'peak_rss_mb'."""
     sys.path.insert(0, src)
     from flipcert import builders, symtests
 
@@ -66,6 +70,8 @@ def time_tree(src: str, runs: int, seed: int) -> dict[str, float]:
                 if res.accept != accept:
                     raise SystemExit(f"{label} ring={ring}: verdict {res.accept}, expected {accept}")
             out[f"{label} {ring}"] = round(best * 1e6, 1)
+    # Linux reports ru_maxrss in KiB
+    out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
     return out
 
 
@@ -98,6 +104,7 @@ def main() -> int:
 
     srcs = [os.path.abspath(s) for s in args.src or [Path(__file__).resolve().parents[1] / "src"]]
     best: list[dict[str, float]] = [{} for _ in srcs]
+    rss: list[list[float]] = [[] for _ in srcs]  # each child's peak RSS, MB
     for r in range(args.rounds):
         order = range(len(srcs)) if r % 2 == 0 else reversed(range(len(srcs)))
         for i in order:
@@ -109,7 +116,9 @@ def main() -> int:
             if proc.returncode:
                 sys.stderr.write(proc.stderr)
                 return 1
-            for key, us in json.loads(proc.stdout).items():
+            timings = json.loads(proc.stdout)
+            rss[i].append(timings.pop("peak_rss_mb"))
+            for key, us in timings.items():
                 best[i][key] = min(us, best[i].get(key, us))
 
     commits = [describe(s) for s in srcs]
@@ -118,6 +127,9 @@ def main() -> int:
         row = "".join(f"{b[key]:>19.1f} us" for b in best)
         ratio = f"   x{best[-1][key] / best[0][key]:.2f}" if len(srcs) > 1 else ""
         print(f"{key:18}{row}{ratio}")
+    row = "".join(f"{max(r):>19.2f} MB" for r in rss)
+    ratio = f"   x{max(rss[-1]) / max(rss[0]):.3f}" if len(srcs) > 1 else ""
+    print(f"{'peak RSS':18}{row}{ratio}")
     if args.out:
         report = {
             "script": "scripts/bench_sampled.py",
@@ -128,7 +140,9 @@ def main() -> int:
             "rounds": args.rounds,
             "seed": args.seed,
             "unit": "us, minimum over runs x rounds",
-            "trees": [{"commit": c, "us": b} for c, b in zip(commits, best)],
+            "rss_unit": "MB, ru_maxrss of each child after its timed calls",
+            "trees": [{"commit": c, "us": b, "peak_rss_mb": r}
+                      for c, b, r in zip(commits, best, rss)],
         }
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -94,6 +94,8 @@ def verify_design(d: Design) -> DesignViolation | None:
             return DesignViolation(
                 "cardinality", index=i, detail=f"|T_{i}| = {card}, expected {p.r}"
             )
+    if p.k_cap >= p.r:  # two r-subsets share at most r elements
+        return None
     for i in range(len(d.rows)):
         for j in range(i + 1, len(d.rows)):
             inter = bin(d.rows[i] & d.rows[j]).count("1")
@@ -138,11 +140,19 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
     m'=4, l=6, r=3, k_cap=1), so the whole build is retried _ATTEMPTS
     times and, for universes small enough to enumerate, a deterministic
     backtracking search runs last.  ConstructionFailed carries the best
-    row count achieved; the pigeonhole bound 2r - l > k_cap fails fast.
+    row count achieved.  The pigeonhole bound 2r - l > k_cap fails fast, as
+    do more rows than r-subsets when k_cap < r (a repeated row meets itself
+    in r); with k_cap >= r no pair binds, so each row is the first draw.
     """
     if params.m_prime >= 2 and forced_intersection(params) > params.k_cap:
         raise ConstructionFailed(
             f"2r - l = {2 * params.r - params.l} exceeds k_cap = {params.k_cap}",
+            rows_achieved=0,
+        )
+    universe, binds = math.comb(params.l, params.r), params.k_cap < params.r
+    if binds and params.m_prime > universe:
+        raise ConstructionFailed(
+            f"{params.m_prime} distinct rows exceed C({params.l}, {params.r}) = {universe}",
             rows_achieved=0,
         )
     rng = random.Random(
@@ -158,7 +168,7 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
                 cand = 0
                 for j in rng.sample(range(params.l), params.r):
                     cand |= 1 << j
-                if _admissible(cand, rows, params.k_cap):
+                if not binds or _admissible(cand, rows, params.k_cap):
                     found = cand
                     break
             if found is None:
@@ -168,7 +178,6 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
         if len(rows) == params.m_prime:
             break
     else:
-        universe = math.comb(params.l, params.r)
         if universe > _EXHAUSTIVE_CAP:
             raise ConstructionFailed(
                 f"stuck after {best} rows (randomized attempts exhausted)",

@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
@@ -269,7 +270,8 @@ def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     An element that carries no drawn entries (a permutation) has one map per
     (g, shape, side), resolved once through a bounded cache; the suites ask
     for the same few again every round.  Diagonal and ElementaryAdd carry
-    drawn entries, so their maps are built on each call.
+    drawn entries, so their maps are built on each call, a diagonal's scale
+    through a cached per-shape row or column index.
     """
     if isinstance(g, _FIXED_KINDS):
         return _fixed_var_map(g, shape, side)
@@ -314,24 +316,54 @@ def _build_var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
             raise ShapeMismatch(
                 f"diagonal of length {len(g.entries)} against dimension {dim}"
             )
-        if side == "left":
-            return None, tuple([d for d in g.entries for _ in range(ncols)]), None
-        return None, tuple(g.entries) * nrows, None
+        return None, scale_reader(shape, side)(g.entries), None
 
     if isinstance(g, ElementaryAdd):
-        i, j = g.i - 1, g.j - 1
-        if i == j or not (0 <= i < dim and 0 <= j < dim):
-            raise ShapeMismatch(f"ElementaryAdd({g.i},{g.j}) against dimension {dim}")
-        if side == "left":  # row i += y * row j
-            pairs = tuple([(i * ncols + c, j * ncols + c) for c in range(ncols)])
-        else:  # column j += y * column i
-            pairs = tuple([(r * ncols + j, r * ncols + i) for r in range(nrows)])
-        return None, None, (pairs, g.y)
+        return None, None, (add_pairs(g.i, g.j, shape, side), g.y)
 
     raise ShapeMismatch(f"unsupported action {type(g).__name__} on side {side!r}")
 
 
 _fixed_var_map = lru_cache(maxsize=1024)(_build_var_map)
+
+
+def _reader(index: Sequence[int]):
+    """The function returning a sequence's entries at `index` as a tuple
+    (itemgetter returns a lone entry bare)."""
+    get = itemgetter(*index)
+    return get if len(index) > 1 else lambda seq: (get(seq),)
+
+
+@lru_cache(maxsize=1024)
+def _mover(dest: tuple):
+    """The reader that moves entry v of a point to index dest[v]."""
+    return _reader(sorted(range(len(dest)), key=dest.__getitem__))
+
+
+# The parts of a diagonal's and a row addition's maps that its drawn entries
+# do not change, once per shape; the sampled suites build their laws on them.
+
+
+@lru_cache(maxsize=64)
+def scale_reader(shape: tuple, side: str):
+    """The reader taking a diagonal's entries, as many as the side needs, to
+    its scale: each variable's row entry on the left, column entry on the right."""
+    ncols = shape[1] * (shape[2] if shape[0] == BLOCK else 1)
+    return _reader([v // ncols if side == "left" else v % ncols for v in range(shape[1] * ncols)])
+
+
+@lru_cache(maxsize=256)
+def add_pairs(i: int, j: int, shape: tuple, side: str) -> tuple:
+    """The (d, s) pairs of ElementaryAdd(i, j, y)'s map, for every y."""
+    nrows = shape[1]
+    ncols = nrows * (shape[2] if shape[0] == BLOCK else 1)
+    dim = nrows if side == "left" else ncols
+    if i == j or not (1 <= i <= dim and 1 <= j <= dim):
+        raise ShapeMismatch(f"ElementaryAdd({i},{j}) against dimension {dim}")
+    if side == "left":  # row i += y * row j
+        return tuple([((i - 1) * ncols + c, (j - 1) * ncols + c) for c in range(ncols)])
+    # column j += y * column i
+    return tuple([(r * ncols + j - 1, r * ncols + i - 1) for r in range(nrows)])
 
 
 def act(vmap: tuple, flat: Sequence) -> tuple:
@@ -341,10 +373,7 @@ def act(vmap: tuple, flat: Sequence) -> tuple:
     direct path."""
     dest, scale, add = vmap
     if dest is not None:  # x_v moves to dest[v]
-        moved = [0] * len(flat)
-        for v, d in zip(flat, dest):
-            moved[d] = v
-        return tuple(moved)
+        return _mover(dest)(flat)
     if scale is not None:  # x_v times scale[v]
         # through a list: tuple(map(...)) grows its tuple by resizing, and
         # that raised a sampled suite run's peak RSS by 1 MB

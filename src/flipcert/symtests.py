@@ -48,8 +48,8 @@ from __future__ import annotations
 import random
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import count, islice, permutations
+from functools import lru_cache
+from itertools import count, groupby, islice, permutations
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -70,12 +70,12 @@ from .errors import ArityMismatch, UsageError
 from .fields import is_prime, random_prime
 from .matrices import BLOCK, SQUARE
 from .oracles import (
-    Diagonal,
-    ElementaryAdd,
     PermSwap,
     RowCycle,
     act,
+    add_pairs,
     k_generators,
+    scale_reader,
     var_map,
 )
 from .pit import pit_error_bound as sampled_error_bound
@@ -195,10 +195,6 @@ class VerifyResult:
 # query construction
 
 
-def _rand_entry(rng: random.Random, box: tuple[int, int]) -> int:
-    return rand_point(rng, 1, box)[0]
-
-
 @lru_cache(maxsize=16)
 def identity_point(n: int) -> tuple:
     return tuple([int(r == c) for r in range(n) for c in range(n)])
@@ -218,11 +214,8 @@ def embed_principal(Y: Sequence[Sequence[int]], n: int) -> tuple:
     if i > n:
         raise UsageError(f"cannot embed {i}x{i} into {n}x{n}")
     off = n - i
-    return tuple([
-        Y[r - off][c - off] if r >= off and c >= off else int(r == c)
-        for r in range(n)
-        for c in range(n)
-    ])
+    return tuple([Y[r - off][c - off] if r >= off and c >= off else int(r == c)
+                  for r in range(n) for c in range(n)])
 
 
 def _first_row_minor(Y: Sequence[tuple], j: int) -> list[tuple]:
@@ -282,7 +275,7 @@ def _perm_laws(n: int, diagonals: Sequence[tuple]) -> list:
     laws = list(_perm_swaps(n))
     for left, right in diagonals:
         for kind, side, mu in ((P_DIAG_LEFT, "left", left), (P_DIAG_RIGHT, "right", right)):
-            laws.append((kind, (), mu, (), var_map(Diagonal(mu), shape, side), prod(mu)))
+            laws.append((kind, (), mu, (), (None, scale_reader(shape, side)(mu), None), prod(mu)))
     return laws
 
 
@@ -313,11 +306,11 @@ def _efun_laws(
     shape = (BLOCK, m, k)
     laws = [
         (E_ELEM, ("add", i, j, y), (), (f"add {i},{j} y={y}",),
-         var_map(ElementaryAdd(i, j, y), shape, "left"), None)
+         (None, None, (add_pairs(i, j, shape, "left"), y)), None)
         for i, j, y in adds
     ]
     for mu in diagonals:
-        dmap = var_map(Diagonal(mu), shape, "left")
+        dmap = (None, scale_reader(shape, "left")(mu), None)
         if corrected:
             laws.append((E_ELEM, ("diag",), mu, (f"diag {mu}",), dmap, prod(mu) ** k**m))
         else:  # det mu = 1; the note lists its -1 entries
@@ -334,40 +327,114 @@ def require_row_law(m: int, det_factor_mode: str) -> None:
         raise UsageError("det mode literal has no row law at m = 1; use det-corrected")
 
 
-def _law_queries(queries: list, laws: Sequence[tuple], X: tuple, r: int) -> None:
-    """Append each law as a query at round r's point X."""
+def _law_queries(suite: tuple, laws: Sequence[tuple], X: tuple, r: int) -> None:
+    """Append each law as a query at round r's point X to the suite
+    (queries, columns, slots), X and each acted point as a new column."""
+    queries, columns, slots = suite
+    x = len(columns)
+    columns.append(X)
     for kind, head, tail, _, vmap, factor in laws:
         rel, coeffs = (REL_EQUAL, ()) if factor is None else (REL_SCALED, (factor,))
-        queries.append(Query(kind, head + (r,) + tail, rel, coeffs, (X, act(vmap, X))))
+        slots.append((x, len(columns)))
+        columns.append(act(vmap, X))
+        queries.append(Query(kind, head + (r,) + tail, rel, coeffs, (X, columns[-1])))
 
 
 # ---------------------------------------------------------------------------
 # sampled suites
+#
+# A suite is drawn in generation order and returned in canonical order,
+# canonicalize_queries' order, which is one permutation per shape (held by
+# _suite_plan) but for the row additions of one (i, j): their params put
+# the drawn y before the round.
+
+
+def _literal_diag_entries(rng: random.Random, m: int) -> tuple[int, ...]:
+    # +-1 entries with an even number of -1, so the determinant is 1
+    entries = [rng.choice((1, -1)) for _ in range(m)]
+    if entries.count(-1) % 2 == 1:
+        entries[rng.randrange(m)] *= -1
+    return tuple(entries)
+
+
+def _draws(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) -> tuple:
+    """A suite (queries, columns, slots) in generation order: each round's
+    laws, then the one-point queries, each point a new column."""
+    if target == "efun" and det_mode not in ("det-corrected", "literal"):
+        raise UsageError(f"unknown det_factor_mode {det_mode!r}")
+    label, nonzero = ("P", P_NONZERO) if target == "perm" else ("E", E_NONZERO)
+    m, size, corrected = dims[0], dims[0] * prod(dims), det_mode == "det-corrected"
+    suite: tuple = ([], [], [])
+    singles = []
+    for r in range(rounds):
+        rng = random.Random(derive_seed(label, *dims, seed, r))
+        X = rand_point(rng, size, box)
+        if target == "perm":
+            diagonals = [(rand_point(rng, m, box), rand_point(rng, m, box))]
+            _law_queries(suite, _perm_laws(m, diagonals), X, r)
+            continue
+        ys = rand_point(rng, m * (m - 1), box)  # one y per ordered row pair
+        adds = [(i, j, y) for (i, j), y in zip(permutations(range(1, m + 1), 2), ys)]
+        mu = rand_point(rng, m, box) if corrected else _literal_diag_entries(rng, m)
+        _law_queries(suite, _efun_laws(*dims, adds, [mu], corrected), X, r)
+        vanish = _primary_vanish_point(rng, *dims, box)
+        singles.append(Query(E_PRIMARY_VANISH, (r,), REL_CONST, (0,), (vanish,)))
+    for t in range(nonzero_count):
+        rng = random.Random(derive_seed(label + "nz", *dims, seed, t))
+        singles.append(Query(nonzero, (t,), REL_NONZERO, (), (rand_point(rng, size, box),)))
+    if normalize:
+        one = identity_point(m) if target == "perm" else unit_columns_point(*dims)
+        singles.append(Query(NORMALIZE, (), REL_CONST, (1,), (one,)))
+    queries, columns, slots = suite
+    for q in singles:
+        queries.append(q)
+        slots.append((len(columns),))
+        columns.append(q.points[0])
+    return suite
+
+
+@lru_cache(maxsize=32)
+def _suite_plan(target: str, dims: tuple, det_mode: str, rounds: int,
+                nonzero_count: int, normalize: bool) -> tuple:
+    """(order, ties): a suite shape's generation positions in canonical order,
+    and the (lo, hi) slices of it holding one (i, j)'s row additions.  Any
+    other query's place is set by the parts of its key before its draws, so
+    the suite drawn in a box of ones shows it; the ties are sorted per call."""
+    queries = _draws(target, dims, det_mode, 0, rounds, (1, 1), nonzero_count, normalize)[0]
+    keys = [_query_sort_key(q) for q in queries]
+    assert len(set(keys)) == len(keys), "a suite's queries differ in kind or params"
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ties, lo = [], 0
+    params = [queries[i].params for i in order]
+    for pair, run in groupby(params, lambda p: p[1:3] if p[:1] == ("add",) else None):
+        hi = lo + len(list(run))
+        if pair is not None and hi - lo > 1:
+            ties.append((lo, hi))
+        lo = hi
+    return tuple(order), tuple(ties)
+
+
+def _sampled_suite(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) -> tuple:
+    """(queries, columns, slots): the queries in canonical order, the points
+    in generation order, each drawn or acted point once, and each query's
+    columns."""
+    queries, columns, slots = _draws(
+        target, dims, det_mode, seed, rounds, box, nonzero_count, normalize)
+    order, ties = _suite_plan(target, dims, det_mode, rounds, nonzero_count, normalize)
+    if ties:
+        order = list(order)
+        for lo, hi in ties:
+            order[lo:hi] = sorted(order[lo:hi], key=lambda i: _query_sort_key(queries[i]))
+    return tuple([queries[i] for i in order]), columns, [slots[i] for i in order]
 
 
 def gen_queries_perm(
-    n: int,
-    seed: int,
-    rounds: int = 2,
-    box: tuple[int, int] = (1, 1 << 62),
-    nonzero_count: int = 3,
-    normalize: bool = True,
+    n: int, seed: int, rounds: int = 2, box: tuple[int, int] = (1, 1 << 62),
+    nonzero_count: int = 3, normalize: bool = True,
 ) -> tuple[Query, ...]:
     """The permanent symmetry suite; deterministic in (n, seed, config)."""
-    queries: list[Query] = []
-    for r in range(rounds):
-        rng = random.Random(derive_seed("P", n, seed, r))
-        X = rand_point(rng, n * n, box)
-        diagonals = [(rand_point(rng, n, box), rand_point(rng, n, box))]
-        _law_queries(queries, _perm_laws(n, diagonals), X, r)
-    for t in range(nonzero_count):
-        rng = random.Random(derive_seed("Pnz", n, seed, t))
-        queries.append(
-            Query(P_NONZERO, (t,), REL_NONZERO, (), (rand_point(rng, n * n, box),))
-        )
-    if normalize:
-        queries.append(Query(NORMALIZE, (), REL_CONST, (1,), (identity_point(n),)))
-    return canonicalize_queries(queries)
+    args = (seed, rounds, box, nonzero_count, normalize)
+    return _sampled_suite("perm", (n,), "det-corrected", *args)[0]
 
 
 def gen_queries_selfreduce(n: int, seed: int, rounds: int = 1) -> tuple[Query, ...]:
@@ -384,64 +451,19 @@ def gen_queries_selfreduce(n: int, seed: int, rounds: int = 1) -> tuple[Query, .
             points = [embed_principal(Y, n)]
             for j in range(i):
                 points.append(embed_principal(_first_row_minor(Y, j), n))
-            queries.append(
-                Query(SELF_REDUCE, (i, r), REL_LINEAR, Y[0], tuple(points))
-            )
-        y = _rand_entry(rng, box)
-        queries.append(
-            Query(
-                SELF_REDUCE_BASE,
-                (r,),
-                REL_CONST,
-                (y,),
-                (embed_principal([[y]], n),),
-            )
-        )
+            queries.append(Query(SELF_REDUCE, (i, r), REL_LINEAR, Y[0], tuple(points)))
+        y = rand_point(rng, 1, box)[0]
+        queries.append(Query(SELF_REDUCE_BASE, (r,), REL_CONST, (y,), (embed_principal([[y]], n),)))
     return canonicalize_queries(queries)
-
-
-def _literal_diag_entries(rng: random.Random, m: int) -> tuple[int, ...]:
-    # +-1 entries with an even number of -1, so the determinant is 1
-    entries = [rng.choice((1, -1)) for _ in range(m)]
-    if entries.count(-1) % 2 == 1:
-        entries[rng.randrange(m)] *= -1
-    return tuple(entries)
 
 
 def gen_queries_efun(
-    m: int,
-    k: int,
-    seed: int,
-    rounds: int = 2,
-    box: tuple[int, int] = (1, 1 << 62),
-    nonzero_count: int = 3,
-    normalize: bool = True,
-    det_factor_mode: str = "det-corrected",
+    m: int, k: int, seed: int, rounds: int = 2, box: tuple[int, int] = (1, 1 << 62),
+    nonzero_count: int = 3, normalize: bool = True, det_factor_mode: str = "det-corrected",
 ) -> tuple[Query, ...]:
     """The E-function suite; deterministic in (m, k, seed, config)."""
-    if det_factor_mode not in ("det-corrected", "literal"):
-        raise UsageError(f"unknown det_factor_mode {det_factor_mode!r}")
-    corrected = det_factor_mode == "det-corrected"
-    size = k * m * m
-    queries: list[Query] = []
-    for r in range(rounds):
-        rng = random.Random(derive_seed("E", m, k, seed, r))
-        X = rand_point(rng, size, box)
-        adds = [(i, j, _rand_entry(rng, box)) for i, j in permutations(range(1, m + 1), 2)]
-        mu = rand_point(rng, m, box) if corrected else _literal_diag_entries(rng, m)
-        _law_queries(queries, _efun_laws(m, k, adds, [mu], corrected), X, r)
-        vanish = _primary_vanish_point(rng, m, k, box)
-        queries.append(Query(E_PRIMARY_VANISH, (r,), REL_CONST, (0,), (vanish,)))
-    for t in range(nonzero_count):
-        rng = random.Random(derive_seed("Enz", m, k, seed, t))
-        queries.append(
-            Query(E_NONZERO, (t,), REL_NONZERO, (), (rand_point(rng, size, box),))
-        )
-    if normalize:
-        queries.append(
-            Query(NORMALIZE, (), REL_CONST, (1,), (unit_columns_point(m, k),))
-        )
-    return canonicalize_queries(queries)
+    args = (seed, rounds, box, nonzero_count, normalize)
+    return _sampled_suite("efun", (m, k), det_factor_mode, *args)[0]
 
 
 def _primary_vanish_bindings(m: int, k: int) -> dict[int, int]:
@@ -516,6 +538,8 @@ def run_queries(
     prime_bits: int = 31,
     prime_count: int = 3,
     seed: int = 0,
+    columns: list | None = None,
+    slots: Sequence[Sequence[int]] = (),
 ) -> RunReport:
     """Evaluate a query list against a circuit.
 
@@ -523,18 +547,16 @@ def run_queries(
     random primes; equality-style relations must hold at every prime, the
     nonzero relation is satisfied by a nonzero residue at any prime.
 
-    The circuit is lowered once and run once, by run_many, over the suite's
-    distinct points (a suite's round shares its X across queries: perm(4)
-    has 22 distinct points in 36 slots), modulo rad, the product of the
-    distinct primes: 0 in the exact ring, and 1, the empty product, in a
-    modular run with no prime.  A relation holds modulo every prime iff it
-    holds modulo rad, so each query is decided once, mod rad.  The product
-    of all the primes would not do: with p drawn twice, a difference
-    divisible by p but not by p^2 holds at every prime and fails modulo
-    that product.  Only a failed modular query walks
-    its primes, through query_verdict, for the settling prime's residues,
-    which are those of the exact values, since Z/rad -> Z/p is a ring map
-    for p | rad.
+    The circuit runs once, by run_many, over the columns: a verifier's suite
+    passes its own, each drawn or acted point once, query i reading columns[j]
+    for j in slots[i]; any other list's are its distinct points, checked
+    against c's arity.  The run is modulo rad, the product of the distinct
+    primes (0 in the exact ring, 1 with no prime).  A relation holds modulo
+    every prime iff it holds modulo rad, so each query is decided once; with
+    p drawn twice, a difference divisible by p but not p^2 would fail modulo
+    the product of all the primes.  Only a failed modular query walks its
+    primes, through query_verdict, for the settling prime's residues, which
+    are those of the exact values, since Z/rad -> Z/p is a ring map.
     """
     if ring not in ("exact", "modular"):
         raise UsageError(f"unknown ring mode {ring!r}")
@@ -545,14 +567,16 @@ def run_queries(
         # random_prime returns only numbers is_prime accepts
         moduli = primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
     rad = prod(set(moduli))
-    column: dict[tuple, int] = {}  # distinct flat point -> its batch column
-    slots = [[column.setdefault(P, len(column)) for P in q.points] for q in queries]
-    for P in column:
-        if len(P) != c.num_inputs:
-            raise ArityMismatch(
-                f"query point has {len(P)} entries, circuit takes {c.num_inputs}"
-            )
-    values = run_many(lower(c), list(column), rad)
+    if columns is None:
+        column: dict[tuple, int] = {}  # distinct flat point -> its batch column
+        slots = [[column.setdefault(P, len(column)) for P in q.points] for q in queries]
+        for P in column:
+            if len(P) != c.num_inputs:
+                raise ArityMismatch(
+                    f"query point has {len(P)} entries, circuit takes {c.num_inputs}"
+                )
+        columns = list(column)
+    values = run_many(lower(c), columns, rad)
     verdicts = []
     for idx, (q, cols) in enumerate(zip(queries, slots)):
         vals = [values[i] for i in cols]
@@ -720,7 +744,7 @@ def _efun_table(m: int, k: int, cfg: VerifyConfig) -> _Table:
     rng = random.Random(derive_seed("Eexh", m, k, cfg.seed))
     box = cfg.box()
     adds = [(i, j, y) for i, j in permutations(range(1, m + 1), 2)
-            for y in (1, _rand_entry(rng, box))]
+            for y in (1, rand_point(rng, 1, box)[0])]
     corrected = cfg.det_factor_mode == "det-corrected"
     if corrected:
         diagonals = _diagonals(m, rng, box)
@@ -780,7 +804,7 @@ def verify_claims_perm(c: Circuit, n: int, cfg: VerifyConfig | None = None) -> V
     permanent, assuming the expansion fits the term budget).
     """
     cfg = cfg or VerifyConfig()
-    return _verify_claims(c, "perm", (n,), cfg, _exhaustive_perm, gen_queries_perm)
+    return _verify_claims(c, "perm", (n,), cfg, _exhaustive_perm)
 
 
 def verify_claims_efun(
@@ -789,20 +813,19 @@ def verify_claims_efun(
     """Decide whether c plausibly computes the (m, k) E-function."""
     cfg = cfg or VerifyConfig()
     require_row_law(m, cfg.det_factor_mode)
-    gen = partial(gen_queries_efun, det_factor_mode=cfg.det_factor_mode)
     notes: tuple[str, ...] = ()
     if k < 3:
         notes = ("sub-threshold k (characterization converse needs k >= 3)",)
-    return _verify_claims(c, "efun", (m, k), cfg, _exhaustive_efun, gen, notes)
+    return _verify_claims(c, "efun", (m, k), cfg, _exhaustive_efun, notes)
 
 
 _DIM_NAMES = {"perm": ("n",), "efun": ("m", "k")}
 
 
 def _verify_claims(
-    c: Circuit, target: str, dims: tuple, cfg: VerifyConfig, exhaustive, gen, notes=()
+    c: Circuit, target: str, dims: tuple, cfg: VerifyConfig, exhaustive, notes=()
 ) -> VerifyResult:
-    """The body both verifiers share; `exhaustive` and `gen` take *dims first."""
+    """The body both verifiers share; `exhaustive` takes *dims first."""
     for name, d in zip(_DIM_NAMES[target], dims):
         if d < 1:
             raise UsageError(f"{target} dimension {name} must be at least 1, got {d}")
@@ -814,22 +837,11 @@ def _verify_claims(
         accept, verdicts, more = exhaustive(c, *dims, cfg)
         queries = ()
     elif cfg.mode == "sampled":
-        queries = gen(
-            *dims,
-            cfg.seed,
-            rounds=cfg.rounds,
-            box=cfg.box(),
-            nonzero_count=cfg.nonzero_count,
-            normalize=cfg.normalize,
-        )
-        report = run_queries(
-            c,
-            queries,
-            ring=cfg.ring,
-            prime_bits=cfg.prime_bits,
-            prime_count=cfg.prime_count,
-            seed=cfg.seed,
-        )
+        queries, columns, slots = _sampled_suite(
+            target, dims, cfg.det_factor_mode, cfg.seed, cfg.rounds, cfg.box(),
+            cfg.nonzero_count, cfg.normalize)
+        report = run_queries(c, queries, cfg.ring, cfg.prime_bits, cfg.prime_count,
+                             cfg.seed, columns, slots)
         accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
         bound = sampled_error_bound(c.size, cfg.box(), cfg.rounds)
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,23 @@ def test_large_design_argv(capsys, argv, want, text):
     assert rc == want and "Traceback" not in err
     assert (out if want == 0 else err).splitlines() == [
         text if want == 0 else f"{'error' if want == 2 else 'budget'}: {text}"]
+
+
+# u16-sized row counts: with k_cap >= r no pair can break the bound, so no
+# pair is checked while building or verifying; with k_cap < r the rows must be
+# distinct, so more rows than C(l, r) fail at once
+def test_gen_design_large_row_counts(tmp_path, capsys):
+    label = tmp_path / "design.hex"
+    t0 = time.monotonic()
+    rc, out, _ = run(capsys, ["gen-design", "--l", "6", "--r", "3", "--kcap", "3",
+                              "--rows", "65535", "--out", str(label)])
+    assert rc == 0 and len(out.splitlines()) == 2 + 65535
+    rc, out, _ = run(capsys, ["verify-design", "--label", str(label)])
+    assert rc == 0 and out == "valid\n"
+    rc, _, err = run(capsys, ["gen-design", "--l", "16", "--r", "8", "--kcap", "7",
+                              "--rows", "65535"])
+    assert rc == 3 and err == "budget: 65535 distinct rows exceed C(16, 8) = 12870\n"
+    assert time.monotonic() - t0 < 10
 
 
 # ---------------------------------------------------------------------------

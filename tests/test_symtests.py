@@ -42,6 +42,15 @@ from flipcert.oracles import (
 from flipcert import symtests
 from flipcert.pit import EnumeratedClass
 from flipcert.symtests import (
+    E_NONZERO,
+    E_PRIMARY_VANISH,
+    NORMALIZE,
+    P_NONZERO,
+    REL_CONST,
+    REL_EQUAL,
+    REL_NONZERO,
+    REL_SCALED,
+    Query,
     VerifyConfig,
     _check_suite,
     _efun_suite,
@@ -57,7 +66,7 @@ from flipcert.symtests import (
     verify_claims_efun,
     verify_claims_perm,
 )
-from flipcert.util import rand_point
+from flipcert.util import derive_seed, rand_point
 
 
 def _failing_kinds(result) -> set[str]:
@@ -641,3 +650,136 @@ def test_nullspace_frozen_at_seed_1(n, frozen):
     items = repr([list(vec.items()) for vec in res.basis])
     basis = hashlib.sha256(items.encode()).hexdigest()[:16]
     assert (res.dim, res.forced_zero, len(res.monomials), basis) == frozen
+
+
+# ---------------------------------------------------------------------------
+# sampled suites from their per-shape plan, against the generation path they
+# replace: the law rows made into queries, then canonicalize_queries' sort
+
+
+def _reference_law_queries(queries: list, laws, X: tuple, r: int) -> None:
+    for kind, head, tail, _, vmap, factor in laws:
+        rel, coeffs = (REL_EQUAL, ()) if factor is None else (REL_SCALED, (factor,))
+        queries.append(Query(kind, head + (r,) + tail, rel, coeffs, (X, act(vmap, X))))
+
+
+def _reference_perm(n, seed, rounds, box, nonzero_count, normalize):
+    queries = []
+    for r in range(rounds):
+        rng = random.Random(derive_seed("P", n, seed, r))
+        X = rand_point(rng, n * n, box)
+        diagonals = [(rand_point(rng, n, box), rand_point(rng, n, box))]
+        _reference_law_queries(queries, symtests._perm_laws(n, diagonals), X, r)
+    for t in range(nonzero_count):
+        rng = random.Random(derive_seed("Pnz", n, seed, t))
+        queries.append(Query(P_NONZERO, (t,), REL_NONZERO, (), (rand_point(rng, n * n, box),)))
+    if normalize:
+        queries.append(Query(NORMALIZE, (), REL_CONST, (1,), (symtests.identity_point(n),)))
+    return canonicalize_queries(queries)
+
+
+def _reference_efun(m, k, seed, rounds, box, nonzero_count, normalize, det_factor_mode):
+    corrected = det_factor_mode == "det-corrected"
+    size = k * m * m
+    queries = []
+    for r in range(rounds):
+        rng = random.Random(derive_seed("E", m, k, seed, r))
+        X = rand_point(rng, size, box)
+        adds = [(i, j, rand_point(rng, 1, box)[0])
+                for i, j in itertools.permutations(range(1, m + 1), 2)]
+        mu = rand_point(rng, m, box) if corrected else symtests._literal_diag_entries(rng, m)
+        _reference_law_queries(queries, symtests._efun_laws(m, k, adds, [mu], corrected), X, r)
+        vanish = symtests._primary_vanish_point(rng, m, k, box)
+        queries.append(Query(E_PRIMARY_VANISH, (r,), REL_CONST, (0,), (vanish,)))
+    for t in range(nonzero_count):
+        rng = random.Random(derive_seed("Enz", m, k, seed, t))
+        queries.append(Query(E_NONZERO, (t,), REL_NONZERO, (), (rand_point(rng, size, box),)))
+    if normalize:
+        point = symtests.unit_columns_point(m, k)
+        queries.append(Query(NORMALIZE, (), REL_CONST, (1,), (point,)))
+    return canonicalize_queries(queries)
+
+
+# (target, dims, det mode) of the parity grid; at 10 rounds and more the
+# round's text sorts "10" before "2", and a 1- or 2-bit box makes drawn y
+# values collide, so a row addition's order falls back to its round
+PLAN_CASES = [("perm", (n,), "det-corrected") for n in (1, 2, 3, 4)] + [
+    ("efun", dims, mode)
+    for dims in ((1, 2), (2, 2), (1, 3), (3, 2), (2, 3))
+    for mode in ("det-corrected", "literal")
+]
+
+
+@pytest.mark.parametrize("target, dims, mode", PLAN_CASES)
+def test_planned_suites_match_the_sorted_reference(target, dims, mode):
+    # 20 seeds per (rounds, width); the seed walks nonzero counts 0, 1, 3
+    # and normalize on and off through all six pairs
+    for rounds, width, seed in itertools.product((1, 2, 3, 10, 11), (1, 2, 62), range(20)):
+        args = (seed, rounds, (1, 1 << width), (0, 1, 3)[seed % 3], seed % 2 == 0)
+        if target == "perm":
+            got, want = gen_queries_perm(*dims, *args), _reference_perm(*dims, *args)
+        else:
+            got = gen_queries_efun(*dims, *args, mode)
+            want = _reference_efun(*dims, *args, mode)
+        assert got == want, (target, dims, mode, args)
+        # the suite's columns are its distinct points, each query's slots its own
+        queries, columns, slots = symtests._sampled_suite(target, dims, mode, *args)
+        assert queries == want and set(columns) == {P for q in want for P in q.points}
+        assert [tuple(columns[i] for i in s) for s in slots] == [q.points for q in want]
+
+
+REFERENCE_TARGETS = (
+    ("perm", (2,), perm_circuit(2)),
+    ("perm", (3,), perm_circuit(3)),
+    ("perm", (4,), perm_circuit(4)),
+    ("efun", (1, 2), efun_circuit(1, 2)),
+    ("efun", (2, 2), efun_circuit(2, 2)),
+    ("efun", (1, 3), efun_circuit(1, 3)),
+    ("perm", (2,), det_circuit(2)),
+    ("perm", (3,), det_circuit(3)),
+    ("perm", (2,), scale_circuit(perm_circuit(2), 2)),
+)
+
+
+@pytest.mark.parametrize("ring", ("exact", "modular"))
+def test_run_queries_matches_the_verifier_path(ring):
+    for (target, dims, c), seed in itertools.product(REFERENCE_TARGETS, range(50)):
+        cfg = VerifyConfig(seed=seed, ring=ring)
+        gen = gen_queries_perm if target == "perm" else gen_queries_efun
+        queries = gen(*dims, seed)
+        report = symtests.run_queries(c, queries, ring=ring, seed=seed)
+        planned, columns, slots = symtests._sampled_suite(
+            target, dims, cfg.det_factor_mode, seed, cfg.rounds, cfg.box(),
+            cfg.nonzero_count, cfg.normalize)
+        assert planned == queries
+        assert report == symtests.run_queries(c, planned, ring, 31, 3, seed, columns, slots)
+        verify = verify_claims_perm if target == "perm" else verify_claims_efun
+        res = verify(c, *dims, cfg)
+        assert (res.queries, res.verdicts, res.accept) == (queries, report.verdicts, report.accept)
+
+
+def test_act_on_one_variable_returns_a_tuple():
+    # itemgetter over one index returns the entry itself
+    assert act(((0,), None, None), (7,)) == (7,)
+    assert act(var_map(Diagonal((3,)), (SQUARE, 1), "left"), (7,)) == (21,)
+
+
+def _reference_var_map(g, shape: tuple, side: str) -> tuple:
+    """A diagonal's or a row addition's map, spelled out per variable."""
+    nrows = shape[1]
+    ncols = nrows * (shape[2] if shape[0] == BLOCK else 1)
+    if isinstance(g, Diagonal):
+        line = (lambda v: v // ncols) if side == "left" else (lambda v: v % ncols)
+        return None, tuple(g.entries[line(v)] for v in range(nrows * ncols)), None
+    i, j = g.i - 1, g.j - 1
+    if side == "left":
+        pairs = tuple((i * ncols + c, j * ncols + c) for c in range(ncols))
+    else:
+        pairs = tuple((r * ncols + j, r * ncols + i) for r in range(nrows))
+    return None, None, (pairs, g.y)
+
+
+def test_drawn_var_maps_match_the_spelled_out_maps():
+    for shape, g, side in ACTIONS:
+        if isinstance(g, (Diagonal, ElementaryAdd)):
+            assert var_map(g, shape, side) == _reference_var_map(g, shape, side)
