@@ -152,9 +152,7 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
     universe, binds = math.comb(params.l, params.r), params.k_cap < params.r
     if binds and params.m_prime > universe:
         raise ConstructionFailed(
-            f"{params.m_prime} distinct rows exceed C({params.l}, {params.r}) = {universe}",
-            rows_achieved=0,
-        )
+            f"{params.m_prime} distinct rows exceed C({params.l}, {params.r}) = {universe}")
     rng = random.Random(
         derive_seed("design", seed, params.m_prime, params.l, params.r, params.k_cap)
     )

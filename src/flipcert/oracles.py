@@ -328,8 +328,7 @@ _fixed_var_map = lru_cache(maxsize=1024)(_build_var_map)
 
 
 def _reader(index: Sequence[int]):
-    """The function returning a sequence's entries at `index` as a tuple
-    (itemgetter returns a lone entry bare)."""
+    """A function returning a sequence's entries at `index`, as a tuple even for one."""
     get = itemgetter(*index)
     return get if len(index) > 1 else lambda seq: (get(seq),)
 
@@ -340,14 +339,12 @@ def _mover(dest: tuple):
     return _reader(sorted(range(len(dest)), key=dest.__getitem__))
 
 
-# The parts of a diagonal's and a row addition's maps that its drawn entries
-# do not change, once per shape; the sampled suites build their laws on them.
-
-
 @lru_cache(maxsize=64)
 def scale_reader(shape: tuple, side: str):
     """The reader taking a diagonal's entries, as many as the side needs, to
-    its scale: each variable's row entry on the left, column entry on the right."""
+    its scale: each variable's row entry on the left, column entry on the
+    right.  It and add_pairs are the parts of a drawn element's map that do
+    not depend on its draws; the sampled suites build their laws on them."""
     ncols = shape[1] * (shape[2] if shape[0] == BLOCK else 1)
     return _reader([v // ncols if side == "left" else v % ncols for v in range(shape[1] * ncols)])
 

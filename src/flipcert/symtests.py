@@ -49,7 +49,7 @@ import random
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, groupby, islice, permutations
+from itertools import count, islice, permutations
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -214,8 +214,11 @@ def embed_principal(Y: Sequence[Sequence[int]], n: int) -> tuple:
     if i > n:
         raise UsageError(f"cannot embed {i}x{i} into {n}x{n}")
     off = n - i
-    return tuple([Y[r - off][c - off] if r >= off and c >= off else int(r == c)
-                  for r in range(n) for c in range(n)])
+    return tuple([
+        Y[r - off][c - off] if r >= off and c >= off else int(r == c)
+        for r in range(n)
+        for c in range(n)
+    ])
 
 
 def _first_row_minor(Y: Sequence[tuple], j: int) -> list[tuple]:
@@ -364,8 +367,8 @@ def _draws(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) 
         raise UsageError(f"unknown det_factor_mode {det_mode!r}")
     label, nonzero = ("P", P_NONZERO) if target == "perm" else ("E", E_NONZERO)
     m, size, corrected = dims[0], dims[0] * prod(dims), det_mode == "det-corrected"
-    suite: tuple = ([], [], [])
-    singles = []
+    queries, columns, slots = suite = ([], [], [])
+    singles: list[Query] = []
     for r in range(rounds):
         rng = random.Random(derive_seed(label, *dims, seed, r))
         X = rand_point(rng, size, box)
@@ -385,11 +388,9 @@ def _draws(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) 
     if normalize:
         one = identity_point(m) if target == "perm" else unit_columns_point(*dims)
         singles.append(Query(NORMALIZE, (), REL_CONST, (1,), (one,)))
-    queries, columns, slots = suite
-    for q in singles:
-        queries.append(q)
-        slots.append((len(columns),))
-        columns.append(q.points[0])
+    slots += [(len(columns) + t,) for t in range(len(singles))]
+    columns += [q.points[0] for q in singles]
+    queries += singles
     return suite
 
 
@@ -404,20 +405,14 @@ def _suite_plan(target: str, dims: tuple, det_mode: str, rounds: int,
     keys = [_query_sort_key(q) for q in queries]
     assert len(set(keys)) == len(keys), "a suite's queries differ in kind or params"
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    ties, lo = [], 0
-    params = [queries[i].params for i in order]
-    for pair, run in groupby(params, lambda p: p[1:3] if p[:1] == ("add",) else None):
-        hi = lo + len(list(run))
-        if pair is not None and hi - lo > 1:
-            ties.append((lo, hi))
-        lo = hi
-    return tuple(order), tuple(ties)
+    # one (i, j)'s row additions, one per round, sit together in that order
+    adds = [at for at, i in enumerate(order) if queries[i].params[:1] == ("add",)]
+    return tuple(order), tuple((lo, lo + rounds) for lo in adds[::rounds] if rounds > 1)
 
 
 def _sampled_suite(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) -> tuple:
-    """(queries, columns, slots): the queries in canonical order, the points
-    in generation order, each drawn or acted point once, and each query's
-    columns."""
+    """(queries, columns, slots): the queries in canonical order, each drawn
+    or acted point once as a column, and each query's columns."""
     queries, columns, slots = _draws(
         target, dims, det_mode, seed, rounds, box, nonzero_count, normalize)
     order, ties = _suite_plan(target, dims, det_mode, rounds, nonzero_count, normalize)
@@ -451,9 +446,19 @@ def gen_queries_selfreduce(n: int, seed: int, rounds: int = 1) -> tuple[Query, .
             points = [embed_principal(Y, n)]
             for j in range(i):
                 points.append(embed_principal(_first_row_minor(Y, j), n))
-            queries.append(Query(SELF_REDUCE, (i, r), REL_LINEAR, Y[0], tuple(points)))
+            queries.append(
+                Query(SELF_REDUCE, (i, r), REL_LINEAR, Y[0], tuple(points))
+            )
         y = rand_point(rng, 1, box)[0]
-        queries.append(Query(SELF_REDUCE_BASE, (r,), REL_CONST, (y,), (embed_principal([[y]], n),)))
+        queries.append(
+            Query(
+                SELF_REDUCE_BASE,
+                (r,),
+                REL_CONST,
+                (y,),
+                (embed_principal([[y]], n),),
+            )
+        )
     return canonicalize_queries(queries)
 
 
