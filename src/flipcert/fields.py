@@ -4,7 +4,7 @@ is_prime and random_prime serve the modular query runs, which reduce plain
 integers mod the product of the distinct drawn primes in circuits.run_many:
 once per output after an exact run, or at every step when the program's
 bit bound passes circuits.EXACT_BITS.  With the run exact and each query
-decided once modulo that product, modular perm(4) costs about 0.45 ms a
+decided once modulo that product, modular perm(4) costs about 0.49 ms a
 suite against 0.35 ms in the exact ring (scripts/bench_sampled.py,
 Python 3.11 on a 2-core Xeon VM), and most of the difference is drawing
 the three 31-bit primes, about 36 us each: the gcd with the odd primes

@@ -407,7 +407,7 @@ def _suite_plan(target: str, dims: tuple, det_mode: str, rounds: int,
     order = sorted(range(len(keys)), key=keys.__getitem__)
     # one (i, j)'s row additions, one per round, sit together in that order
     adds = [at for at, i in enumerate(order) if queries[i].params[:1] == ("add",)]
-    return tuple(order), tuple((lo, lo + rounds) for lo in adds[::rounds] if rounds > 1)
+    return tuple(order), tuple((lo, lo + rounds) for lo in adds[::rounds]) if rounds > 1 else ()
 
 
 def _sampled_suite(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) -> tuple:
