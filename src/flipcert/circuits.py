@@ -11,14 +11,16 @@ and one interpreter reads it over Python integers: run_many(prog, points)
 walks it once for every point, each step one column of values, by
 map(operator.mul, ...) and the like.  evaluate() runs it on one point; the
 sampled suites, the decoder and the hitting-set code run a query's or a
-set's points together.  Programs are never cached: a class sweep holds tens
-of thousands of circuits at once.
+set's points together.  Programs are not kept per circuit: a class sweep
+holds tens of thousands of circuits at once.
 
 With a modulus q, for the modular query runs, one pass over the program
 bounds each step's bit length from the widest point entry (a product adds
 its operands' bounds, a sum or difference adds one bit to the larger).
 When no bound passes EXACT_BITS = 1024, the exact loop runs and each output
-is reduced mod q once; otherwise every step is reduced mod q.  Z -> Z/q is
+is reduced mod q once; otherwise every step is reduced mod q.  The answer
+depends only on the program and the widest entry's bit length, so the last
+64 such pairs keep theirs; each call still scans its entries.  Z -> Z/q is
 a ring map, so both give the same residues; the rule only picks the faster
 kernel.  Exact-then-reduce time over reduce-every-step time, with q the
 product of three 31-bit primes and 22 points (Python 3.11 on a 2-core Xeon
@@ -54,6 +56,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -213,11 +216,19 @@ EXACT_BITS = 1024
 
 def _fits_exactly(prog: Program, inputs: Sequence[Sequence[int]]) -> bool:
     """Whether every step of prog stays within EXACT_BITS bits at these
-    input columns, by a static bound: an input has the widest entry's
-    bit length, a constant its own, a product the sum of its operands'
-    bounds and a sum or difference the larger bound plus one.  Stops at the
-    first step past EXACT_BITS."""
-    width = max(map(int.bit_length, chain.from_iterable(inputs)), default=0)
+    input columns, by a static bound from the widest entry (_bound_fits)."""
+    return _bound_fits(prog, max(map(int.bit_length, chain.from_iterable(inputs)), default=0))
+
+
+@lru_cache(maxsize=64)
+def _bound_fits(prog: Program, width: int) -> bool:
+    """Whether every step of prog stays within EXACT_BITS bits when each
+    input has `width` bits: a constant has its own bit length, a product
+    the sum of its operands' bounds and a sum or difference the larger
+    bound plus one.  Stops at the first step past EXACT_BITS.  The answer
+    depends on nothing else, so it is kept per (program, width), as the
+    suite plans are: a modular suite runs the same program at the same
+    widths call after call."""
     bits: list[int] = []
     push = bits.append
     for op, a, b in prog:
@@ -303,6 +314,11 @@ def evaluate(c: Circuit, point: Sequence[int]) -> int:
 
 Poly = dict
 
+# expand_to_polynomial's last success: (circuit, budget, expansion).  One
+# slot, not one per circuit: a class sweep holds tens of thousands of
+# circuits, and a member is expanded again right after its first expansion.
+_last_expansion: tuple = (None, 0, {})
+
 
 def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
     """Exact expansion of the output as a sparse integer polynomial.
@@ -311,7 +327,18 @@ def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
     holds more than max_terms monomials, nodes after the output included.
     Every coefficient is nonzero, so a sum that cancels was stored before
     and is deleted; the exhaustive checks in symtests rely on it.
+
+    The last successful expansion is remembered with its circuit object
+    and budget.  A call on that same object with a budget at least as large
+    would pass every node's check again, so it returns a copy of the
+    remembered result; a smaller budget expands again, so it raises at the
+    same node with the same message as it would have.  Every call returns a
+    dict the caller owns.
     """
+    global _last_expansion
+    last, budget, poly = _last_expansion
+    if last is c and max_terms >= budget:
+        return dict(poly)
     zero_exp = (0,) * c.num_inputs
     add = operator.add
     polys: list[Poly] = []
@@ -358,7 +385,9 @@ def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
         if len(p) > max_terms:
             raise TermBudgetExceeded(f"node {t} expansion passed {max_terms} terms")
         push(p)
-    return polys[c.output]
+    poly = polys[c.output]
+    _last_expansion = (c, max_terms, poly)
+    return dict(poly)
 
 
 def poly_eval(p: Poly, point: Sequence[int]) -> int:

@@ -96,6 +96,8 @@ def verify_design(d: Design) -> DesignViolation | None:
             )
     if p.k_cap >= p.r:  # two r-subsets share at most r elements
         return None
+    if p.k_cap == p.r - 1:  # two distinct r-subsets share at most r - 1
+        return _first_repeat(d.rows, p.r)
     for i in range(len(d.rows)):
         for j in range(i + 1, len(d.rows)):
             inter = bin(d.rows[i] & d.rows[j]).count("1")
@@ -106,6 +108,23 @@ def verify_design(d: Design) -> DesignViolation | None:
                     detail=f"|T_{i} & T_{j}| = {inter} > {p.k_cap}",
                 )
     return None
+
+
+def _first_repeat(rows: tuple[int, ...], r: int) -> DesignViolation | None:
+    """The first pair (i, j), i < j, in canonical scan order with equal
+    rows, in one pass: i is the least first index of a repeated row and j
+    that row's second index."""
+    first: dict[int, int] = {}
+    pair = None
+    for j, row in enumerate(rows):
+        i = first.setdefault(row, j)
+        if i != j and (pair is None or i < pair[0]):
+            pair = (i, j)
+    if pair is None:
+        return None
+    return DesignViolation(
+        "intersection", pair=pair, detail=f"|T_{pair[0]} & T_{pair[1]}| = {r} > {r - 1}"
+    )
 
 
 def forced_intersection(params: DesignParams) -> int:
@@ -143,6 +162,8 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
     row count achieved.  The pigeonhole bound 2r - l > k_cap fails fast, as
     do more rows than r-subsets when k_cap < r (a repeated row meets itself
     in r); with k_cap >= r no pair binds, so each row is the first draw.
+    With k_cap = r - 1 a row is admissible iff it is new, which a set
+    answers without scanning the rows.
     """
     if params.m_prime >= 2 and forced_intersection(params) > params.k_cap:
         raise ConstructionFailed(
@@ -157,21 +178,25 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
         derive_seed("design", seed, params.m_prime, params.l, params.r, params.k_cap)
     )
 
+    distinct = params.k_cap == params.r - 1
     best = 0
     for _ in range(_ATTEMPTS):
         rows: list[int] = []
+        seen: set[int] = set()
         for _ in range(params.m_prime):
             found: int | None = None
             for _ in range(_RESTARTS):
                 cand = 0
                 for j in rng.sample(range(params.l), params.r):
                     cand |= 1 << j
-                if not binds or _admissible(cand, rows, params.k_cap):
+                if (not binds or (cand not in seen if distinct
+                                  else _admissible(cand, rows, params.k_cap))):
                     found = cand
                     break
             if found is None:
                 break
             rows.append(found)
+            seen.add(found)
         best = max(best, len(rows))
         if len(rows) == params.m_prime:
             break

@@ -126,8 +126,9 @@ class Verdict(NamedTuple):
     witness: tuple = ()
 
 
-@dataclass(frozen=True)
-class RunReport:
+# RunReport and VerifyResult are named tuples for the same reason: a
+# verifier call builds one of each.
+class RunReport(NamedTuple):
     accept: bool
     verdicts: tuple[Verdict, ...]
     mode: str
@@ -170,8 +171,7 @@ class VerifyConfig:
         return (1, 1 << self.sample_width)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     accept: bool
     mode: str
     queries: tuple[Query, ...]
@@ -336,11 +336,13 @@ def _law_queries(suite: tuple, laws: Sequence[tuple], X: tuple, r: int) -> None:
     queries, columns, slots = suite
     x = len(columns)
     columns.append(X)
+    new = tuple.__new__  # as Query._make builds, without its length check
     for kind, head, tail, _, vmap, factor in laws:
         rel, coeffs = (REL_EQUAL, ()) if factor is None else (REL_SCALED, (factor,))
         slots.append((x, len(columns)))
-        columns.append(act(vmap, X))
-        queries.append(Query(kind, head + (r,) + tail, rel, coeffs, (X, columns[-1])))
+        Y = act(vmap, X)
+        columns.append(Y)
+        queries.append(new(Query, (kind, head + (r,) + tail, rel, coeffs, (X, Y))))
 
 
 # ---------------------------------------------------------------------------
@@ -495,24 +497,24 @@ def _primary_vanish_point(rng, m, k, box) -> tuple:
 # query execution
 
 
-def _relation_holds(q: Query, vals: Sequence[int], p: int = 0) -> bool:
-    """The query's relation on exact values, or on residues mod p if p > 0."""
-    rel = q.relation
-    if rel == REL_NONZERO:
-        diff = vals[0]
-    elif rel == REL_EQUAL:
-        diff = vals[1] - vals[0]
+def _relation_holds(rel: str, coeffs: tuple, values: Sequence[int],
+                    slots: Sequence[int], p: int = 0) -> bool:
+    """Whether the relation holds on v_i = values[slots[i]], exactly, or on
+    residues mod p if p > 0.  The relations are tested in the order of how
+    often a suite asks for them."""
+    if rel == REL_EQUAL:
+        diff = values[slots[1]] - values[slots[0]]
     elif rel == REL_SCALED:
-        diff = vals[1] - q.coeffs[0] * vals[0]
-    elif rel == REL_LINEAR:
-        diff = vals[0] - sum(c * v for c, v in zip(q.coeffs, vals[1:]))
+        diff = values[slots[1]] - coeffs[0] * values[slots[0]]
+    elif rel == REL_NONZERO:
+        return bool(values[slots[0]] % p if p else values[slots[0]])
     elif rel == REL_CONST:
-        diff = vals[0] - q.coeffs[0]
+        diff = values[slots[0]] - coeffs[0]
+    elif rel == REL_LINEAR:
+        diff = values[slots[0]] - sum(c * values[s] for c, s in zip(coeffs, slots[1:]))
     else:
-        raise UsageError(f"unknown relation {q.relation!r}")
-    if p:
-        diff %= p
-    return bool(diff) if rel == REL_NONZERO else not diff
+        raise UsageError(f"unknown relation {rel!r}")
+    return not (diff % p if p else diff)
 
 
 def query_verdict(
@@ -528,9 +530,10 @@ def query_verdict(
     """
     settles = q.relation == REL_NONZERO  # the verdict that stops the loop
     ok, res = not settles, []
+    slots = range(len(vals))
     for p in moduli:
         res = [v % p for v in vals] if p else vals
-        ok = _relation_holds(q, res, p)
+        ok = _relation_holds(q.relation, q.coeffs, res, slots, p)
         if ok == settles:
             break
     return ok, res
@@ -559,9 +562,11 @@ def run_queries(
     primes (0 in the exact ring, 1 with no prime).  A relation holds modulo
     every prime iff it holds modulo rad, so each query is decided once; with
     p drawn twice, a difference divisible by p but not p^2 would fail modulo
-    the product of all the primes.  Only a failed modular query walks its
-    primes, through query_verdict, for the settling prime's residues, which
-    are those of the exact values, since Z/rad -> Z/p is a ring map.
+    the product of all the primes.  The relation is read off the run's
+    values at the query's slots; only a failed query gathers its values and
+    walks its primes, through query_verdict, for the settling prime's
+    residues, which are those of the exact values, since Z/rad -> Z/p is a
+    ring map.
     """
     if ring not in ("exact", "modular"):
         raise UsageError(f"unknown ring mode {ring!r}")
@@ -583,13 +588,16 @@ def run_queries(
         columns = list(column)
     values = run_many(lower(c), columns, rad)
     verdicts = []
+    push, new, holds = verdicts.append, tuple.__new__, _relation_holds
+    accept = True
     for idx, (q, cols) in enumerate(zip(queries, slots)):
-        vals = [values[i] for i in cols]
-        if _relation_holds(q, vals, rad):
-            verdicts.append(Verdict(idx, q.kind, True))
+        kind, _, rel, coeffs, _ = q
+        if holds(rel, coeffs, values, cols, rad):
+            push(new(Verdict, (idx, kind, True, ())))
         else:
-            verdicts.append(Verdict(idx, q.kind, False, tuple(query_verdict(q, vals, moduli)[1])))
-    accept = all(v.passed for v in verdicts)
+            res = query_verdict(q, [values[i] for i in cols], moduli)[1]
+            push(new(Verdict, (idx, kind, False, tuple(res))))
+            accept = False
     return RunReport(accept, tuple(verdicts), ring, primes)
 
 

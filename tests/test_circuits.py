@@ -136,6 +136,53 @@ def test_expand_term_budget():
     assert len(expand_to_polynomial(c, max_terms=100)) == 33
 
 
+def _binomial_power_circuit() -> Circuit:
+    """(x + 1)^32: 33 terms, first past 10 terms at node 6."""
+    lines = ["ninputs 1", "g1 = input 0", "g2 = const 1", "g3 = add g1 g2"]
+    lines += [f"g{t + 1} = mul g{t} g{t}" for t in range(3, 8)]
+    return parse_circuit("\n".join(lines + ["output g8"]) + "\n")
+
+
+def _budget_message(c: Circuit, budget: int) -> str:
+    with pytest.raises(TermBudgetExceeded) as ei:
+        expand_to_polynomial(c, max_terms=budget)
+    return str(ei.value)
+
+
+def test_expansion_memo_reexpands_under_a_smaller_budget():
+    c = _binomial_power_circuit()
+    fresh = _budget_message(_binomial_power_circuit(), 10)
+    assert len(expand_to_polynomial(c, max_terms=100)) == 33  # remembered
+    assert _budget_message(c, 10) == fresh == "node 6 expansion passed 10 terms"
+    assert len(expand_to_polynomial(c, max_terms=33)) == 33
+    assert _budget_message(c, 32) == "node 7 expansion passed 32 terms"
+
+
+def test_expansion_memo_hands_out_copies():
+    c = _binomial_power_circuit()
+    first = expand_to_polynomial(c)
+    want = dict(first)
+    first.clear()
+    second = expand_to_polynomial(c, max_terms=200_000)  # a larger budget hits
+    assert second == want
+    second[(99,)] = 1
+    del second[(0,)]
+    assert expand_to_polynomial(c) == want
+
+
+def test_expansion_memo_is_keyed_by_the_circuit_object():
+    c = parse_circuit(XY_TEXT)
+    twin = parse_circuit(XY_TEXT)
+    other = parse_circuit(XY_TEXT.replace("const 3", "const 4"))
+    assert twin == c and twin is not c
+    want = {(1, 1): 1, (0, 0): 3}
+    assert expand_to_polynomial(c) == want
+    assert expand_to_polynomial(twin) == want
+    assert expand_to_polynomial(other) == {(1, 1): 1, (0, 0): 4}
+    assert expand_to_polynomial(c) == want
+    assert expand_to_polynomial(twin) == want
+
+
 def test_poly_helpers():
     poly = {(2, 0): 3, (0, 1): -1}
     assert poly_total_degree(poly) == 2

@@ -117,6 +117,37 @@ def test_verify_intersection_reports_first_pair():
     assert "> 1" in v.detail
 
 
+def _first_pair_by_scan(d: Design):
+    """Reference: the first (i, j) in canonical scan order whose rows share
+    more than k_cap elements."""
+    for i, j in itertools.combinations(range(len(d.rows)), 2):
+        if bin(d.rows[i] & d.rows[j]).count("1") > d.params.k_cap:
+            return i, j
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0b00111, 0b01011, 0b10101, 0b11100, 0b01110]),
+                min_size=1, max_size=9))
+def test_distinct_rows_rule_reports_the_scan_order_pair(rows):
+    # k_cap = r - 1: only equal rows violate, and the one-pass repeat search
+    # reports the same pair and detail as the pair scan
+    d = Design(DesignParams(len(rows), 5, 3, 2), tuple(rows))
+    pair = _first_pair_by_scan(d)
+    v = verify_design(d)
+    if pair is None:
+        assert v is None
+    else:
+        assert v == designs.DesignViolation(
+            "intersection", pair=pair, detail=f"|T_{pair[0]} & T_{pair[1]}| = 3 > 2")
+
+
+def test_distinct_rows_rule_prefers_the_least_first_index():
+    # rows A B B A: the pair (0, 3) comes before (1, 2) in scan order
+    d = Design(DesignParams(4, 4, 2, 1), (0b0011, 0b0101, 0b0101, 0b0011))
+    assert verify_design(d).pair == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -192,6 +223,24 @@ def test_backtracking_failure_frozen(monkeypatch):
         build_design_greedy(DesignParams(4, 6, 3, 1))
     assert str(ei.value) == (
         "no design found (backtracking over 20 rows, 42 nodes, best 3 rows)")
+
+
+def test_distinct_rows_design_label_frozen():
+    # k_cap = r - 1 admits a row by set membership; the label is the bytes
+    # the row-by-row intersection scan gave
+    d = build_design_greedy(DesignParams(12, 6, 3, 2), seed=3)
+    assert encode_design(d).hex() == "000c000600030002aa6a632c7c5957495a"
+
+
+def test_distinct_rows_design_builds_fast():
+    # 12,000 of the 12,870 8-subsets of 16; a pair scan took minutes
+    p = DesignParams(12000, 16, 8, 7)
+    t0 = time.monotonic()
+    d = build_design_greedy(p)
+    assert len(set(d.rows)) == 12000
+    assert verify_design(d) is None
+    assert verify_design(Design(p, d.rows[:-1] + d.rows[:1])).pair == (0, 11999)
+    assert time.monotonic() - t0 < 10.0
 
 
 def test_provenance_instance_builds_fast():

@@ -50,8 +50,10 @@ from flipcert.symtests import (
     REL_SCALED,
     RunReport,
     Verdict,
+    _relation_holds,
     gen_queries_efun,
     gen_queries_perm,
+    query_verdict,
     run_queries,
 )
 from flipcert.util import derive_seed
@@ -482,6 +484,77 @@ def test_run_queries_with_repeated_primes(monkeypatch, primes):
     assert got.verdicts[7].witness == (5, 6)
     if settled_at_r:
         assert got.verdicts[6].witness == (p % r,)
+
+
+def _oracle_verdict(q: Query, vals: list, primes: tuple) -> tuple[bool, list]:
+    """(passed, values at the settling prime) by the oracle relations."""
+    if not primes:
+        return _oracle_relation_holds(q, vals), vals
+    settles = q.relation == REL_NONZERO
+    res: list = []
+    for p in primes:
+        res = [v % p for v in vals]
+        if _oracle_relation_holds_mod(q, vals, p) == settles:
+            return settles, res
+    return not settles, res
+
+
+RELATION_CASES = (
+    (REL_EQUAL, ()), (REL_SCALED, (3,)), (REL_NONZERO, ()), (REL_CONST, (4,)),
+    (REL_LINEAR, (2, -1, 5)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.sampled_from(RELATION_CASES),
+    vals=st.lists(st.integers(-40, 40), min_size=4, max_size=4),
+    primes=st.sampled_from(((), (2, 3, 5), (5, 5, 7), (7,), (3, 2))),
+    spread=st.permutations(range(6)),
+)
+def test_relation_rule_agrees_with_query_verdict(case, vals, primes, spread):
+    # the rule reads the query's values where run_queries keeps them, in one
+    # value list at the query's slots, and decides modulo the product of
+    # the distinct primes; small values make every relation hold sometimes
+    rel, coeffs = case
+    n = len(coeffs) + 1 if rel == REL_LINEAR else 1 + (rel in (REL_EQUAL, REL_SCALED))
+    vals = vals[:n]
+    q = Query("k", (), rel, coeffs, tuple((v,) for v in vals))
+    slots = spread[:n]
+    values = [1000 + i for i in range(6)]
+    for slot, v in zip(slots, vals):
+        values[slot] = v
+    moduli = primes or (0,)  # no prime: the exact ring
+    rad = prod(set(moduli))
+    want = _oracle_verdict(q, vals, primes)
+    assert _relation_holds(rel, coeffs, values, slots, rad) == want[0]
+    assert query_verdict(q, vals, moduli) == want
+    if not primes:  # in the exact ring a failed query reports its values
+        got = run_queries(circuit_from_ops(1, [("input", 0)]), [q])
+        assert got.verdicts == (Verdict(0, "k", want[0], () if want[0] else tuple(vals)),)
+
+
+def test_failed_modular_queries_report_the_settling_residues():
+    # each relation fails modulo the second drawn prime only, or for the
+    # nonzero relation vanishes modulo every prime
+    c = circuit_from_ops(1, [("input", 0)])
+    p, r, s = run_queries(c, [], ring="modular", prime_bits=16, seed=4).primes
+    rad = p * r * s
+    queries = (
+        Query("equal", (), REL_EQUAL, (), ((5,), (5 + p * s,))),
+        Query("scaled", (), REL_SCALED, (3,), ((7,), (21 + 2 * p * s,))),
+        Query("nonzero", (), REL_NONZERO, (), ((2 * rad,),)),
+        Query("const", (), REL_CONST, (4,), ((4 + p * s,),)),
+        Query("linear", (), REL_LINEAR, (2, 3), ((2 * 9 + 3 * 11 + p * s,), (9,), (11,))),
+    )
+    got = run_queries(c, queries, ring="modular", prime_bits=16, seed=4)
+    assert got == oracle_run_queries(c, queries, ring="modular", prime_bits=16, seed=4)
+    assert not any(v.passed for v in got.verdicts)
+    for q, v in zip(queries, got.verdicts):
+        vals = [P[0] for P in q.points]
+        settle = s if q.relation == REL_NONZERO else r
+        assert v.witness == tuple(x % settle for x in vals)
+        assert (False, list(v.witness)) == query_verdict(q, vals, (p, r, s))
 
 
 def test_run_queries_checks_arity_before_evaluating(monkeypatch):

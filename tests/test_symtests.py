@@ -784,3 +784,40 @@ def test_drawn_var_maps_match_the_spelled_out_maps():
     for shape, g, side in ACTIONS:
         if isinstance(g, (Diagonal, ElementaryAdd)):
             assert var_map(g, shape, side) == _reference_var_map(g, shape, side)
+
+
+# ---------------------------------------------------------------------------
+# result records
+
+
+def test_result_records_keep_their_fields_defaults_and_repr():
+    assert symtests.RunReport._fields == ("accept", "verdicts", "mode", "primes")
+    assert symtests.RunReport._field_defaults == {"primes": ()}
+    assert symtests.VerifyResult._fields == (
+        "accept", "mode", "queries", "verdicts", "error_bound", "notes")
+    assert symtests.VerifyResult._field_defaults == {"notes": ()}
+    verdicts = (symtests.Verdict(0, P_NONZERO, True), symtests.Verdict(1, "k", False, (3, -4)))
+    report = symtests.RunReport(False, verdicts, "modular", (7,))
+    assert repr(report) == (
+        "RunReport(accept=False, verdicts=(Verdict(index=0, kind='PNonZero', passed=True,"
+        " witness=()), Verdict(index=1, kind='k', passed=False, witness=(3, -4))),"
+        " mode='modular', primes=(7,))")
+    assert report == symtests.RunReport(False, verdicts, "modular", (7,))
+    assert report != symtests.RunReport(False, verdicts, "modular")
+    result = symtests.VerifyResult(False, "sampled", (), verdicts, 0.5)
+    assert repr(result) == (
+        "VerifyResult(accept=False, mode='sampled', queries=(), verdicts=" + repr(verdicts)
+        + ", error_bound=0.5, notes=())")
+    assert result.transcript() == "QUERY 0 PNonZero pass\nQUERY 1 k fail 3 -4\nREJECT\n"
+    assert result == symtests.VerifyResult(False, "sampled", (), verdicts, 0.5, ())
+    assert hash(result) == hash(symtests.VerifyResult(False, "sampled", (), verdicts, 0.5))
+
+
+def test_verifier_results_equal_a_rebuilt_record():
+    c = perm_circuit(3)
+    for cfg in (VerifyConfig(seed=2), VerifyConfig(seed=2, ring="modular"),
+                VerifyConfig(seed=2, mode="exhaustive")):
+        res = verify_claims_perm(c, 3, cfg)
+        assert res.accept and res == symtests.VerifyResult(*res)
+        assert res.transcript().endswith("ACCEPT\n")
+        assert all(type(v) is symtests.Verdict for v in res.verdicts)
