@@ -2,19 +2,18 @@
 
 is_prime and random_prime serve the modular query runs, which reduce plain
 integers mod the product of the distinct drawn primes in circuits.run_many:
-once per output after an exact run, or at every step when the program's
-bit bound passes circuits.EXACT_BITS.  With the run exact and each query
+once per output after an exact run, or at every step when the program's bit
+bound passes circuits.EXACT_BITS.  With the run exact and each query
 decided once modulo that product, modular perm(4) costs about 0.41 ms a
-suite against 0.30 ms in the exact ring (scripts/bench_sampled.py minima,
-Python 3.11 on a 2-core Xeon VM; 0.46 and 0.35 ms in a slow spell of the
-shared host), and most of the difference is drawing the three 31-bit
+suite against 0.30 ms in the exact ring (scripts/bench.py --section sampled
+minima, Python 3.11 on a 2-core Xeon VM; 0.46 and 0.35 ms in a slow spell
+of the shared host), and most of the difference is drawing the three 31-bit
 primes, 24 to 39 us each: the gcd with the odd primes below 256 keeps four
 odd candidates in five from Miller-Rabin, and the three pow() calls that
 certify a 31-bit prime (bases 2, 7, 61) cost 7 to 8.5 us apiece at that
-width.  No circuit is evaluated over a field
-object.  The field classes exist for the trace machinery (the trace-tools
-command), and their elements combine only with elements of the same field,
-never with int operands.
+width.  No circuit is evaluated over a field object.  The field classes
+exist for the trace machinery (the trace-tools command), and their elements
+combine only with elements of the same field, never with int operands.
 
 Extension elements are kept as coefficient tuples over the prime field in the
 power basis of a monic irreducible modulus, the only basis a field has.  The

@@ -354,9 +354,9 @@ def build_hitting_set_greedy(
     """
     if pool_size < 1:
         raise UsageError(f"pool size must be at least 1, got {pool_size}")
-    members = nonzero_members(cls)
     if cls.num_inputs == 0:
         raise UsageError("hitting sets need at least one variable")
+    members = nonzero_members(cls)
     rng = random.Random(derive_seed("pool", seed, cls.label(), box[0], box[1]))
     pool: list[tuple[int, ...]] = []
     taken = set()

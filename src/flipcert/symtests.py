@@ -722,12 +722,14 @@ class _Table:
     def outcome(self, poly: dict, first_ok: bool, *last_oks: bool) -> tuple:
         """(accept, verdict tuple) of poly's outcome, built on its first
         sight and shared from then on."""
-        key = (self.failures(poly), first_ok) + last_oks
+        fail = self.failures(poly)
+        key = (fail, first_ok) + last_oks
         out = self.outcomes.get(key)
         if out is None:
             verdicts: list[Verdict] = []
             _record(verdicts, self.first, first_ok)
-            _check_suite(verdicts, poly, self.suite, self)
+            for i, (kind, note, _, _) in enumerate(self.suite):
+                _record(verdicts, kind, not fail >> i & 1, note)
             for kind, ok in zip(self.last, last_oks):
                 _record(verdicts, kind, ok)
             accept = all(v.passed for v in verdicts)
@@ -742,18 +744,16 @@ class _Table:
 
 @lru_cache(maxsize=8)
 def _perm_table(n: int, cfg: VerifyConfig) -> _Table:
+    """The permanent's laws, each diagonal on both sides."""
     rng = random.Random(derive_seed("Pexh", n, cfg.seed))
     suite = _checks(_perm_laws(n, [(mu, mu) for mu in _diagonals(n, rng, cfg.box())]))
     return _Table(suite, P_NONZERO, (NORMALIZE,) * cfg.normalize)
 
 
-def _perm_suite(n: int, cfg: VerifyConfig) -> tuple:
-    """The permanent's laws, each diagonal on both sides."""
-    return _perm_table(n, cfg).suite
-
-
 @lru_cache(maxsize=8)
 def _efun_table(m: int, k: int, cfg: VerifyConfig) -> _Table:
+    """The E-function's laws: row additions at y = 1 and at a drawn y; the
+    prime and drawn diagonals, or in literal mode -1 on rows 1 and 2."""
     rng = random.Random(derive_seed("Eexh", m, k, cfg.seed))
     box = cfg.box()
     adds = [(i, j, y) for i, j in permutations(range(1, m + 1), 2)
@@ -765,24 +765,6 @@ def _efun_table(m: int, k: int, cfg: VerifyConfig) -> _Table:
         diagonals = [(-1, -1) + (1,) * (m - 2)] if m >= 2 else []
     suite = _checks(_efun_laws(m, k, adds, diagonals, corrected))
     return _Table(suite, E_NONZERO, (E_PRIMARY_VANISH,) + (NORMALIZE,) * cfg.normalize)
-
-
-def _efun_suite(m: int, k: int, cfg: VerifyConfig) -> tuple:
-    """The E-function's laws: row additions at y = 1 and at a drawn y; the
-    prime and drawn diagonals, or in literal mode -1 on rows 1 and 2."""
-    return _efun_table(m, k, cfg).suite
-
-
-def _check_suite(
-    verdicts: list[Verdict], poly: dict, suite: tuple, table: _Table | None = None
-) -> None:
-    """Record, per check, whether p(g X) == factor * p(X) identically.
-
-    `table` is the suite's; by default a new one serves this call alone.
-    p must hold no zero coefficient, which an expansion never does."""
-    fail = (_Table(suite) if table is None else table).failures(poly)
-    for i, (kind, note, _, _) in enumerate(suite):
-        _record(verdicts, kind, not fail >> i & 1, note)
 
 
 # Each returns (accept, verdicts, notes).

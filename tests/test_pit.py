@@ -237,6 +237,15 @@ def test_pool_exhausted_on_tiny_box():
         build_hitting_set_greedy(ExplicitClass((x1,)), seed=0, pool_size=4, box=(1, 1))
 
 
+def test_hitting_set_rejects_a_zero_input_class_before_enumerating():
+    class NoInputs(ExplicitClass):
+        def members(self):
+            raise AssertionError("members enumerated before the usage check")
+
+    with pytest.raises(UsageError, match="at least one variable"):
+        build_hitting_set_greedy(NoInputs(()), seed=0, pool_size=4, box=(1, 8))
+
+
 def test_hitting_set_serialization_roundtrip():
     cls = EnumeratedClass(1, 3, (-1, 1))
     hs = build_hitting_set_greedy(cls, seed=0, pool_size=16, box=(1, 64))

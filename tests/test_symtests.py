@@ -52,9 +52,9 @@ from flipcert.symtests import (
     REL_SCALED,
     Query,
     VerifyConfig,
-    _check_suite,
-    _efun_suite,
-    _perm_suite,
+    _efun_table,
+    _perm_table,
+    _Table,
     acted,
     canonicalize_queries,
     gen_queries_efun,
@@ -379,6 +379,16 @@ def _target_poly(target: str, dims: tuple) -> dict:
 TARGET_POLYS = {(t, dims): _target_poly(t, dims) for t, dims, _ in SUITE_CASES}
 
 
+def _suite(target: str, dims: tuple, cfg: VerifyConfig) -> tuple:
+    return (_perm_table(*dims, cfg) if target == "perm" else _efun_table(*dims, cfg)).suite
+
+
+def _passes(suite: tuple, poly: dict) -> list[bool]:
+    """Whether poly passes each check, read from a table of its own."""
+    fail = _Table(suite).failures(poly)
+    return [not fail >> i & 1 for i in range(len(suite))]
+
+
 def _sparse_polys(nvars: int):
     exps = st.tuples(*[st.integers(0, 2)] * nvars)
     coeffs = st.integers(-5, 5).filter(bool)
@@ -395,7 +405,7 @@ def test_check_rule_matches_the_acted_reference(data):
     target, dims, mode = data.draw(st.sampled_from(SUITE_CASES))
     cfg = VerifyConfig(mode="exhaustive", det_factor_mode=mode,
                        seed=data.draw(st.integers(0, 2**32)))
-    suite = _perm_suite(*dims, cfg) if target == "perm" else _efun_suite(*dims, cfg)
+    suite = _suite(target, dims, cfg)
     # row additions build p(g X) through `acted` themselves, and are slow
     # on E(2,3); every other check is decided one monomial at a time
     suite = tuple(chk for chk in suite if chk[2][2] is None)
@@ -417,13 +427,9 @@ def test_check_rule_matches_the_acted_reference(data):
         sign = data.draw(st.sampled_from((1, -1)))
         poly = noise if vmap is None else poly_sub(noise, poly_scaled(acted(noise, vmap), sign))
     assert all(poly.values())  # the invariant the rule relies on
-    verdicts = []
-    _check_suite(verdicts, poly, suite)
-    want = [
-        (i, kind, acted(poly, vmap) == poly_scaled(poly, factor), note)
-        for i, (kind, note, vmap, factor) in enumerate(suite)
+    assert _passes(suite, poly) == [
+        acted(poly, vmap) == poly_scaled(poly, factor) for _, _, vmap, factor in suite
     ]
-    assert [tuple(v) for v in verdicts] == want
 
 
 def test_check_rule_sees_every_check_pass_and_fail():
@@ -431,19 +437,15 @@ def test_check_rule_sees_every_check_pass_and_fail():
     # every diagonal law; E(2,3)'s swap law is the one check with f = -1
     for target, dims, mode in SUITE_CASES:
         cfg = VerifyConfig(mode="exhaustive", det_factor_mode=mode)
-        suite = _perm_suite(*dims, cfg) if target == "perm" else _efun_suite(*dims, cfg)
+        suite = _suite(target, dims, cfg)
         tp = TARGET_POLYS[target, dims]
-        verdicts = []
-        _check_suite(verdicts, tp, suite)
-        assert all(v.passed for v in verdicts), (target, dims, mode)
+        assert all(_passes(suite, tp)), (target, dims, mode)
         e0 = next(iter(tp))
         bumped = poly_sub(tp, {(sum(e0) + 1,) + (0,) * (len(e0) - 1): 1})
-        verdicts = []
-        _check_suite(verdicts, bumped, suite)
-        diag = [v.passed for v, chk in zip(verdicts, suite) if chk[2][1] is not None]
+        diag = [ok for ok, chk in zip(_passes(suite, bumped), suite) if chk[2][1] is not None]
         assert not any(diag), (target, dims, mode)
         assert diag or (mode, dims[0]) == ("literal", 1)  # literal m = 1: no row law
-    suite = _efun_suite(2, 3, VerifyConfig(mode="exhaustive"))
+    suite = _efun_table(2, 3, VerifyConfig(mode="exhaustive")).suite
     assert [f for _, _, vmap, f in suite if vmap[0] is not None].count(-1) == 1
 
 
@@ -569,7 +571,7 @@ def test_exhaustive_tables_do_not_leak_between_suites():
 )
 def test_exhaustive_suites_frozen(target, dims, mode, frozen):
     cfg = VerifyConfig(mode="exhaustive", det_factor_mode=mode)
-    suite = _perm_suite(*dims, cfg) if target == "perm" else _efun_suite(*dims, cfg)
+    suite = _suite(target, dims, cfg)
     text = "".join(f"{kind}|{'|'.join(note)}|{factor}|{vmap}\n"
                    for kind, note, vmap, factor in suite)
     assert (len(suite), hashlib.sha256(text.encode()).hexdigest()[:16]) == frozen
