@@ -4,8 +4,10 @@
 sampled    microseconds per sampled verify_claims_* call, for each target
            of the sampled-verify workload (perm(2..4), E(1,2), E(2,2),
            E(1,3), and the rejects det(2), det(3) and 2*perm(2)) in each
-           ring (exact, modular): one call warms the caches, then --runs
-           timed calls (default 9).  A wrong verdict fails the section.
+           ring (exact, modular).  Each pass makes one call per cell, so a
+           slow spell of the host spreads over every cell; the first pass
+           warms the caches, then --runs passes are timed (default 9).  A
+           wrong verdict fails the section.
 enumerate  enumerate_s, seconds to enumerate the 61,803-member F1b class
            (n=4, bound 5, alphabet {-1,0,1}) by draining
            EnumeratedClass.members(), --runs times (default 2); and f1b_s,
@@ -15,8 +17,15 @@ enumerate  enumerate_s, seconds to enumerate the 61,803-member F1b class
            member count, a failed F-gate or a wrong class size fails the
            section.  F1b's seconds are printed in harness-f's report, so
            whether they stay above 10 s decides the report's padded text.
+designs    milliseconds to build (seed 0), verify and decode a design, --runs
+           times (default 5), at (m', l, r, k_cap) = (12000, 16, 8, 7) and
+           (800, 20, 6, 4), where the overlap rule maps subsets, and
+           (60, 24, 8, 4) and (4, 6, 3, 1), where it scans.  A design that
+           does not verify, a label whose SHA-256 moved, a wrong decode, or a
+           copy whose last row repeats the first not reported as pair
+           (0, m' - 1) fails the section.
 
---section picks sections (repeatable; default both).  Each --src names a
+--section picks sections (repeatable; default all).  Each --src names a
 source tree (the directory holding the flipcert package); the default is
 this checkout's src.  Each section times every tree in its own child
 process, --rounds times, alternating which tree goes first, so two commits
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import platform
@@ -62,25 +72,34 @@ TARGETS = (
     ("2perm2", "perm", (2,), lambda b: b.scale_circuit(b.perm_circuit(2), 2), False),
 )
 MEMBERS = 61_803  # the F1b class's size
+# (m', l, r, k_cap): SHA-256 of the label build_design_greedy gives at seed 0
+DESIGNS = {
+    (12000, 16, 8, 7): "4610182784d0abe258b6afb7aed266e12e15981ad3ff036843633bcc07c586d0",
+    (800, 20, 6, 4): "e97dbe372bcb431c4dec435fc682cf2cf44195f7704739b9fa60266bcb13baea",
+    (60, 24, 8, 4): "272fee15b8f96ebbf0fc7c66a9e2b2edc720a3e46809dfd0dfbc163b1231d41a",
+    (4, 6, 3, 1): "d40d520489d94e589608b890a7f70f491e1a801f18974871c40d686110f9d2f0",
+}
 
 
 def time_sampled(runs: int, seed: int) -> dict[str, list[float]]:
     from flipcert import builders, symtests
 
-    samples = {}
+    cells = []
     for label, kind, dims, build, accept in TARGETS:
         c = build(builders)
         verify = symtests.verify_claims_perm if kind == "perm" else symtests.verify_claims_efun
         for ring in RINGS:
             cfg = symtests.VerifyConfig(seed=seed, ring=ring)
-            times = samples[f"{label} {ring}"] = []
-            for i in range(runs + 1):  # the first call warms the caches
-                t0 = time.perf_counter()
-                res = verify(c, *dims, cfg)
-                if i:
-                    times.append(round((time.perf_counter() - t0) * 1e6, 1))
-                if res.accept != accept:
-                    raise SystemExit(f"{label} ring={ring}: verdict {res.accept}, expected {accept}")
+            cells.append((label, ring, verify, c, dims, cfg, accept))
+    samples: dict[str, list[float]] = {f"{label} {ring}": [] for label, ring, *_ in cells}
+    for i in range(runs + 1):  # the first pass warms the caches
+        for label, ring, verify, c, dims, cfg, accept in cells:
+            t0 = time.perf_counter()
+            res = verify(c, *dims, cfg)
+            if i:
+                samples[f"{label} {ring}"].append(round((time.perf_counter() - t0) * 1e6, 1))
+            if res.accept != accept:
+                raise SystemExit(f"{label} ring={ring}: verdict {res.accept}, expected {accept}")
     return samples
 
 
@@ -114,10 +133,41 @@ def time_enumerate(runs: int, seed: int) -> dict[str, list[float]]:
     return samples
 
 
+def time_designs(runs: int, seed: int) -> dict[str, list[float]]:
+    from flipcert import designs
+
+    samples: dict[str, list[float]] = {}
+    for fields, digest in DESIGNS.items():
+        params, name = designs.DesignParams(*fields), "/".join(map(str, fields))
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            d = designs.build_design_greedy(params)
+            t1 = time.perf_counter()
+            violation = designs.verify_design(d)
+            t2 = time.perf_counter()
+            label = designs.encode_design(d)
+            t3 = time.perf_counter()
+            back = designs.decode_design(label)
+            t4 = time.perf_counter()
+            for metric, seconds in (("build", t1 - t0), ("verify", t2 - t1), ("decode", t4 - t3)):
+                samples.setdefault(f"{name} {metric}", []).append(round(seconds * 1e3, 3))
+            if violation is not None or back != d:
+                raise SystemExit(f"{fields}: built design gives {violation}, "
+                                 f"decodes equal {back == d}")
+            got = hashlib.sha256(label).hexdigest()
+            if got != digest:
+                raise SystemExit(f"{fields}: label SHA-256 {got}, expected {digest}")
+        repeat = designs.verify_design(designs.Design(params, d.rows[:-1] + d.rows[:1]))
+        if repeat is None or repeat.pair != (0, params.m_prime - 1):
+            raise SystemExit(f"{fields}: last row repeating the first gives {repeat}")
+    return samples
+
+
 # name: (timer, default runs per child, unit, digits printed)
 SECTIONS = {
     "sampled": (time_sampled, 9, "us", 1),
     "enumerate": (time_enumerate, 2, "s", 3),
+    "designs": (time_designs, 5, "ms", 3),
 }
 
 
@@ -134,7 +184,7 @@ def describe(src: str) -> str:
 def print_row(label: str, values: list[float], unit: str, digits: int, ratio_digits: int) -> None:
     row = "".join(f"{v:>{21 - len(unit)}.{digits}f} {unit}" for v in values)
     ratio = f"   x{values[-1] / values[0]:.{ratio_digits}f}" if len(values) > 1 else ""
-    print(f"{label:18}{row}{ratio}")
+    print(f"{label:20}{row}{ratio}")
 
 
 def main() -> int:
@@ -197,7 +247,7 @@ def main() -> int:
             tree["min"] = {metric: min(values) for metric, values in tree["samples"].items()}
         report["sections"][name] = {"unit": unit, "trees": trees}
 
-        print(f"{name:18}" + "".join(f"{c:>22}" for c in commits))
+        print(f"{name:20}" + "".join(f"{c:>22}" for c in commits))
         for metric in trees[0]["min"]:
             print_row(metric, [t["min"][metric] for t in trees], unit, digits, 2)
         print_row("peak RSS", [max(t["peak_rss_mb"]) for t in trees], "MB", 2, 3)

@@ -385,7 +385,7 @@ def build_hitting_set_greedy(
     while covered != want:
         best, best_gain = None, 0
         for j, mask in enumerate(hits):
-            gain = bin(mask & ~covered).count("1")
+            gain = (mask & ~covered).bit_count()
             if gain > best_gain:
                 best, best_gain = j, gain
         if best is None:

@@ -1,5 +1,6 @@
 """scripts/bench.py on stub flipcert trees: its gates, its JSON and its
-argument checks, without enumerating any real class."""
+argument checks, without enumerating any real class.  The designs section
+runs a copy of the real designs module, whose labels its digests pin."""
 
 from __future__ import annotations
 
@@ -12,13 +13,18 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flipcert"
 SAMPLED_ROWS = [f"{label} {ring}"
                 for label in ("perm2", "perm3", "perm4", "efun1x2", "efun2x2", "efun1x3",
                               "det2", "det3", "2perm2")
                 for ring in ("exact", "modular")]
+DESIGN_ROWS = [f"{fields} {metric}"
+               for fields in ("12000/16/8/7", "800/20/6/4", "60/24/8/4", "4/6/3/1")
+               for metric in ("build", "verify", "decode")]
 
-# A flipcert package with just what the two sections call.  Circuits are
-# tags; det and scaled circuits are rejected, everything else accepted.
+# A flipcert package with just what the sections call.  Circuits are tags;
+# det and scaled circuits are rejected, everything else accepted.  The
+# designs section gets the real designs module and what it imports.
 STUB = {
     "__init__.py": "",
     "builders.py": """
@@ -54,6 +60,7 @@ STUB = {
             f1b = SimpleNamespace(name="F1b", seconds=12.5)
             return SimpleNamespace(all_pass=ALL_PASS, class_size=CLASS_SIZE, properties=[f1b])
     """,
+    **{name: (PACKAGE / name).read_text() for name in ("designs.py", "errors.py", "util.py")},
 }
 
 
@@ -78,23 +85,26 @@ def test_good_stub_writes_both_sections(tmp_path):
     out = tmp_path / "bench.json"
     proc = _bench("--src", str(a), "--src", str(b), "--rounds", "2", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    labels = [line[:18].rstrip() for line in proc.stdout.splitlines() if line]
+    labels = [line[:20].rstrip() for line in proc.stdout.splitlines() if line]
     assert labels == (["sampled"] + SAMPLED_ROWS + ["peak RSS"]
-                      + ["enumerate", "enumerate_s", "f1b_s", "peak RSS"])
-    rows = {line[:18].rstrip(): line[18:].split() for line in proc.stdout.splitlines() if line}
+                      + ["enumerate", "enumerate_s", "f1b_s", "peak RSS"]
+                      + ["designs"] + DESIGN_ROWS + ["peak RSS"])
+    rows = {line[:20].rstrip(): line[20:].split() for line in proc.stdout.splitlines() if line}
     assert rows["perm2 exact"][1::2] == ["us", "us"] and rows["perm2 exact"][-1].startswith("x")
     assert rows["f1b_s"] == ["12.500", "s", "12.500", "s", "x1.00"]
+    assert rows["4/6/3/1 build"][1::2] == ["ms", "ms"]
     assert rows["peak RSS"][1::2] == ["MB", "MB"]
 
     report = json.loads(out.read_text())
     assert {k: report[k] for k in ("script", "runs", "rounds", "seed")} == {
-        "script": "scripts/bench.py", "runs": {"sampled": 1, "enumerate": 1},
+        "script": "scripts/bench.py", "runs": {"sampled": 1, "enumerate": 1, "designs": 1},
         "rounds": 2, "seed": 1,
     }
     assert {"python", "nproc", "machine"} <= set(report)
-    assert list(report["sections"]) == ["sampled", "enumerate"]
+    assert list(report["sections"]) == ["sampled", "enumerate", "designs"]
     for name, unit, metrics in (("sampled", "us", SAMPLED_ROWS),
-                                ("enumerate", "s", ["enumerate_s", "f1b_s"])):
+                                ("enumerate", "s", ["enumerate_s", "f1b_s"]),
+                                ("designs", "ms", DESIGN_ROWS)):
         section = report["sections"][name]
         assert section["unit"] == unit
         assert len(section["trees"]) == 2
@@ -127,6 +137,29 @@ def test_one_section_and_one_tree(tmp_path):
 def test_each_gate_exits_1(tmp_path, edits, message):
     good, bad = _stub(tmp_path / "good"), _stub(tmp_path / "bad", **edits)
     proc = _bench("--src", str(good), "--src", str(bad))
+    assert proc.returncode == 1
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("build_design_greedy = lambda p, _build=build_design_greedy: Design("
+         "p, _build(p).rows[:-1] + _build(p).rows[:1])",
+         "(12000, 16, 8, 7): built design gives DesignViolation(kind='intersection'"),
+        ("build_design_greedy = lambda p, _build=build_design_greedy: _build(p, seed=1)",
+         "(12000, 16, 8, 7): label SHA-256 "),
+        ("decode_design = lambda data, _decode=decode_design: Design("
+         "_decode(data).params, _decode(data).rows[::-1])",
+         "(12000, 16, 8, 7): built design gives None, decodes equal False"),
+        ("verify_design = lambda d, _verify=verify_design: _verify(d) and DesignViolation("
+         "'intersection', pair=(0, 1))",
+         "(12000, 16, 8, 7): last row repeating the first gives"),
+    ],
+    ids=["not-verifying", "label-moved", "wrong-decode", "wrong-repeat-pair"],
+)
+def test_each_designs_gate_exits_1(tmp_path, edit, message):
+    proc = _bench("--src", str(_stub(tmp_path, designs=edit)), "--section", "designs")
     assert proc.returncode == 1
     assert message in proc.stderr
 

@@ -5,6 +5,7 @@ the golden label bytes are derived by hand from the header layout.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
 from math import comb
@@ -126,20 +127,39 @@ def _first_pair_by_scan(d: Design):
     return None
 
 
+@st.composite
+def _designs_around_the_threshold(draw):
+    """Rows of the right size from a small universe, k_cap from 0 to r + 1,
+    and a row count on the scan side or the map side of the overlap rule's
+    threshold; returned with whether it is the map side."""
+    l = draw(st.integers(1, 6))
+    r = draw(st.integers(1, l))
+    k_cap = draw(st.integers(0, r + 1))
+    threshold = designs._MAP_RATIO * comb(r, k_cap + 1)
+    mapped = threshold <= 1 or draw(st.booleans())
+    m = draw(st.integers(max(threshold, 1), threshold + 12) if mapped
+             else st.integers(1, threshold - 1))
+    pool = [sum(1 << e for e in c) for c in itertools.combinations(range(l), r)]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    return Design(DesignParams(m, l, r, k_cap), tuple(rows)), mapped
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from([0b00111, 0b01011, 0b10101, 0b11100, 0b01110]),
-                min_size=1, max_size=9))
-def test_distinct_rows_rule_reports_the_scan_order_pair(rows):
-    # k_cap = r - 1: only equal rows violate, and the one-pass repeat search
-    # reports the same pair and detail as the pair scan
-    d = Design(DesignParams(len(rows), 5, 3, 2), tuple(rows))
+@given(_designs_around_the_threshold())
+def test_verify_matches_the_pair_scan(case):
+    # verify's one pass reports the brute-force scan's first pair and its
+    # detail, whether the overlap rule maps subsets or scans rows
+    d, mapped = case
+    assert (designs._Placed(d.params).first is not None) == mapped
     pair = _first_pair_by_scan(d)
     v = verify_design(d)
     if pair is None:
         assert v is None
     else:
+        i, j = pair
+        inter = bin(d.rows[i] & d.rows[j]).count("1")
         assert v == designs.DesignViolation(
-            "intersection", pair=pair, detail=f"|T_{pair[0]} & T_{pair[1]}| = 3 > 2")
+            "intersection", pair=pair, detail=f"|T_{i} & T_{j}| = {inter} > {d.params.k_cap}")
 
 
 def test_distinct_rows_rule_prefers_the_least_first_index():
@@ -241,6 +261,35 @@ def test_distinct_rows_design_builds_fast():
     assert verify_design(d) is None
     assert verify_design(Design(p, d.rows[:-1] + d.rows[:1])).pair == (0, 11999)
     assert time.monotonic() - t0 < 10.0
+
+
+@pytest.mark.parametrize(
+    "fields, seed, label",
+    [
+        # the overlap rule maps subsets: 8 C(r, k_cap+1) <= m'
+        ((30, 7, 3, 2), 1,
+         "001e0007000300022d49c640e2ea628b6192c4695a31e1a06c32698acc958474652a80"),
+        ((5, 4, 2, 3), 0, "0005000400020003a9ac60"),
+        ((16, 40, 2, 0), 0,
+         "sha256:c918190f876790f23354eb9a2a9f4df69dabe814f4690f7cf222b5a2cfcec2c5"),
+        ((800, 20, 6, 4), 0,
+         "sha256:e97dbe372bcb431c4dec435fc682cf2cf44195f7704739b9fa60266bcb13baea"),
+        # it scans the rows
+        ((6, 9, 3, 1), 2, "0006000900030001312c20c0dc4504"),
+        ((30, 12, 4, 2), 0, "001e000c00040002a14928a880d830c42a382232134341852c094c40968450a9903984"
+                            "431c8271044301b605a210e2146d4024a191"),
+        ((60, 24, 8, 4), 0,
+         "sha256:272fee15b8f96ebbf0fc7c66a9e2b2edc720a3e46809dfd0dfbc163b1231d41a"),
+    ],
+)
+def test_built_labels_frozen(fields, seed, label):
+    # labels built while the admission was three rules (the first draw when
+    # k_cap >= r, a set of rows when k_cap = r - 1, a pair scan otherwise)
+    got = encode_design(build_design_greedy(DesignParams(*fields), seed=seed))
+    if label.startswith("sha256:"):
+        assert "sha256:" + hashlib.sha256(got).hexdigest() == label
+    else:
+        assert got.hex() == label
 
 
 def test_provenance_instance_builds_fast():
@@ -374,6 +423,17 @@ def test_decode_nonzero_padding():
     label[-1] |= 1  # last two bits of the body byte are padding
     with pytest.raises(MalformedEncoding):
         decode_design(bytes(label))
+
+
+@pytest.mark.parametrize("l", range(1, 8))
+def test_decode_rejects_every_padding_bit(l):
+    # one row of l bits leaves 8 - l padding bits; each one alone is refused
+    label = encode_design(Design(DesignParams(1, l, 1, 0), (1,)))
+    assert decode_design(label).rows == (1,)
+    for bit in range(8 - l):
+        bad = label[:-1] + bytes([label[-1] | 1 << bit])
+        with pytest.raises(MalformedEncoding, match="nonzero padding bits"):
+            decode_design(bad)
 
 
 def test_decode_is_structural_not_semantic():
