@@ -141,7 +141,10 @@ def time_designs(runs: int, seed: int) -> dict[str, list[float]]:
         params, name = designs.DesignParams(*fields), "/".join(map(str, fields))
         for _ in range(runs):
             t0 = time.perf_counter()
-            d = designs.build_design_greedy(params)
+            try:
+                d = designs.build_design_greedy(params)
+            except AssertionError as exc:  # the builder verifies what it builds
+                raise SystemExit(f"{fields}: built design gives {exc}") from None
             t1 = time.perf_counter()
             violation = designs.verify_design(d)
             t2 = time.perf_counter()

@@ -370,14 +370,7 @@ def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
                 else:
                     del p[exp]
         elif op == OP_SUB:
-            p = dict(polys[a])
-            get = p.get
-            for exp, coeff in polys[b].items():
-                nv = get(exp, 0) - coeff
-                if nv:
-                    p[exp] = nv
-                else:
-                    del p[exp]
+            p = poly_sub(polys[a], polys[b])
         elif op == OP_INPUT:
             p = {zero_exp[:a] + (1,) + zero_exp[a + 1 :]: 1}
         else:
@@ -453,10 +446,8 @@ def poly_scale_vars(p: Poly, factors: Sequence[int]) -> Poly:
         for v, e in enumerate(exps):
             if e:
                 c *= factors[v] ** e
-        if c:
-            out[exps] = out.get(exps, 0) + c
-            if not out[exps]:
-                del out[exps]
+        if c:  # every key is kept, so no two terms meet
+            out[exps] = c
     return out
 
 

@@ -219,7 +219,6 @@ GroupElement = (
     ElementaryAdd | Diagonal | PermSwap | RowCycle | ColSwap | ColCycle | PosThreeCycle
 )
 _K_KINDS = (ColSwap, ColCycle, PosThreeCycle)
-_FIXED_KINDS = (PermSwap, RowCycle) + _K_KINDS  # no drawn entries
 
 
 def column_permutation(g: GroupElement, m: int, k: int) -> tuple[int, ...]:
@@ -267,18 +266,12 @@ def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     every (d, s) in pairs, where add = (pairs, y).  'left' acts on rows,
     'right' on columns.
 
-    An element that carries no drawn entries (a permutation) has one map per
-    (g, shape, side), resolved once through a bounded cache; the suites ask
-    for the same few again every round.  Diagonal and ElementaryAdd carry
-    drawn entries, so their maps are built on each call, a diagonal's scale
-    through a cached per-shape row or column index.
+    No map is cached here.  A permutation's dest is built once per shape by
+    the suites' cached laws (symtests._perm_swaps and _efun_fixed_laws) and
+    read by act through _mover's cache; Diagonal and ElementaryAdd carry
+    drawn entries, so their maps are built per call from cached per-shape
+    parts, scale_reader's index and add_pairs.
     """
-    if isinstance(g, _FIXED_KINDS):
-        return _fixed_var_map(g, shape, side)
-    return _build_var_map(g, shape, side)
-
-
-def _build_var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     if side not in ("left", "right"):
         raise UsageError(f"side must be 'left' or 'right', got {side!r}")
     block = shape[0] == BLOCK
@@ -322,9 +315,6 @@ def _build_var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
         return None, None, (add_pairs(g.i, g.j, shape, side), g.y)
 
     raise ShapeMismatch(f"unsupported action {type(g).__name__} on side {side!r}")
-
-
-_fixed_var_map = lru_cache(maxsize=1024)(_build_var_map)
 
 
 def _reader(index: Sequence[int]):

@@ -305,17 +305,6 @@ class HitReport:
     seconds: float
 
 
-def nonzero_members(cls: CircuitClass) -> list[Circuit]:
-    """Members whose expansion is not the zero polynomial, in canonical
-
-    enumeration order."""
-    out = []
-    for c in cls.members():
-        if expand_to_polynomial(c, max_terms=MAX_TERMS):
-            out.append(c)
-    return out
-
-
 def verify_hitting_set(hs: HittingSet) -> HitReport:
     """Exhaustive check: every nonzero member must be nonzero somewhere on
 
@@ -347,7 +336,8 @@ def build_hitting_set_greedy(
     pool_size: int = 64,
     box: tuple[int, int] = (1, 1 << 16),
 ) -> HittingSet:
-    """Greedy set cover over a seeded candidate pool.
+    """Greedy set cover over a seeded candidate pool, drawn before one pass
+    over the class's nonzero members that keeps no member list.
 
     Ties break toward the earliest pool index; PoolExhausted when no
     candidate hits any still-uncovered member.
@@ -356,7 +346,6 @@ def build_hitting_set_greedy(
         raise UsageError(f"pool size must be at least 1, got {pool_size}")
     if cls.num_inputs == 0:
         raise UsageError("hitting sets need at least one variable")
-    members = nonzero_members(cls)
     rng = random.Random(derive_seed("pool", seed, cls.label(), box[0], box[1]))
     pool: list[tuple[int, ...]] = []
     taken = set()
@@ -368,9 +357,12 @@ def build_hitting_set_greedy(
         if pt not in taken:
             taken.add(pt)
             pool.append(pt)
-    # bit mi of hits[j] records that member mi is nonzero at pool[j]
+    # bit mi of hits[j] records that nonzero member mi is nonzero at pool[j]
     hits = [0] * len(pool)
-    for mi, c in enumerate(members):
+    mi = 0
+    for c in cls.members():
+        if not expand_to_polynomial(c, max_terms=MAX_TERMS):
+            continue
         if c.num_inputs != cls.num_inputs:
             raise ArityMismatch(
                 f"member {mi} takes {c.num_inputs} inputs, class has {cls.num_inputs}"
@@ -379,7 +371,8 @@ def build_hitting_set_greedy(
         for j, v in enumerate(run_many(lower(c), pool)):
             if v:
                 hits[j] |= bit
-    want = (1 << len(members)) - 1
+        mi += 1
+    want = (1 << mi) - 1
     covered = 0
     chosen: list[tuple[int, ...]] = []
     while covered != want:
@@ -389,9 +382,7 @@ def build_hitting_set_greedy(
             if gain > best_gain:
                 best, best_gain = j, gain
         if best is None:
-            raise PoolExhausted(
-                f"pool of {pool_size} cannot cover {len(members)} members"
-            )
+            raise PoolExhausted(f"pool of {pool_size} cannot cover {mi} members")
         chosen.append(pool[best])
         covered |= hits[best]
     return HittingSet(tuple(chosen), cls)

@@ -149,6 +149,12 @@ class VerifyConfig:
     det_factor_mode: str = "det-corrected"  # "det-corrected" | "literal"
 
     def __post_init__(self):
+        if self.mode not in ("sampled", "exhaustive"):
+            raise UsageError(f"unknown mode {self.mode!r}")
+        if self.ring not in ("exact", "modular"):
+            raise UsageError(f"unknown ring {self.ring!r}")
+        if self.det_factor_mode not in ("det-corrected", "literal"):
+            raise UsageError(f"unknown det_factor_mode {self.det_factor_mode!r}")
         if self.sample_width < 1:
             raise UsageError("sample width must be >= 1")
         if min(self.rounds, self.nonzero_count, self.prime_count) < 0:
@@ -831,7 +837,7 @@ def _verify_claims(
     if cfg.mode == "exhaustive":
         accept, verdicts, more = exhaustive(c, *dims, cfg)
         queries = ()
-    elif cfg.mode == "sampled":
+    else:
         queries, columns, slots = _sampled_suite(
             target, dims, cfg.det_factor_mode, cfg.seed, cfg.rounds, cfg.box(),
             cfg.nonzero_count, cfg.normalize)
@@ -839,8 +845,6 @@ def _verify_claims(
                              cfg.seed, columns, slots)
         accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
         bound = sampled_error_bound(c.size, cfg.box(), cfg.rounds)
-    else:
-        raise UsageError(f"unknown mode {cfg.mode!r}")
     return VerifyResult(accept, cfg.mode, queries, tuple(verdicts), bound, notes + more)
 
 

@@ -144,9 +144,10 @@ def test_each_gate_exits_1(tmp_path, edits, message):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        ("build_design_greedy = lambda p, _build=build_design_greedy: Design("
-         "p, _build(p).rows[:-1] + _build(p).rows[:1])",
-         "(12000, 16, 8, 7): built design gives DesignViolation(kind='intersection'"),
+        ("verify_design = lambda d, _verify=verify_design: _verify(d) or DesignViolation("
+         "'intersection', pair=(0, 1))",
+         "(12000, 16, 8, 7): built design gives builder produced an invalid design: "
+         "DesignViolation(kind='intersection'"),
         ("build_design_greedy = lambda p, _build=build_design_greedy: _build(p, seed=1)",
          "(12000, 16, 8, 7): label SHA-256 "),
         ("decode_design = lambda data, _decode=decode_design: Design("

@@ -28,7 +28,7 @@ from flipcert.circuits import (
     parse_circuit,
     serialize_circuit,
 )
-from flipcert.errors import ParseError, PoolExhausted, UsageError
+from flipcert.errors import ArityMismatch, ParseError, PoolExhausted, UsageError
 from flipcert.pit import (
     EnumeratedClass,
     ExplicitClass,
@@ -36,7 +36,6 @@ from flipcert.pit import (
     class_size,
     disjoint_hitting_families,
     hitting_set_axioms_report,
-    nonzero_members,
     parse_hitting_set,
     pit_error_bound,
     pit_random,
@@ -196,10 +195,10 @@ def test_negative_degree_hint_is_a_usage_error():
 def test_univariate_hitting_set_frozen():
     cls = EnumeratedClass(1, 4, (-2, -1, 1, 2))
     assert class_size(cls) == 2060
-    assert len(nonzero_members(cls)) == 1537
     hs = build_hitting_set_greedy(cls, seed=0, pool_size=64, box=(1, 1 << 16))
     assert hs.points == ((44033,),)
     report = verify_hitting_set(hs)
+    assert report.nonzero_members == 1537
     assert report.valid
     assert report.evaluations == 1537
 
@@ -230,11 +229,24 @@ def test_verify_returns_first_violator():
     assert report.violator == x1  # x - 1 vanishes at the only point
 
 
+# zero members are skipped, so member indices and counts are of nonzero ones
+ZERO = "ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n"
+
+
+def test_hitting_set_arity_mismatch_counts_nonzero_members():
+    x1 = parse_circuit("ninputs 1\ng1 = input 0\noutput g1\n")
+    y = parse_circuit("ninputs 2\ng1 = input 0\ng2 = input 1\ng3 = mul g1 g2\noutput g3\n")
+    cls = ExplicitClass((parse_circuit(ZERO), x1, y))
+    with pytest.raises(ArityMismatch, match="^member 1 takes 2 inputs, class has 1$"):
+        build_hitting_set_greedy(cls, seed=0, pool_size=4, box=(1, 8))
+
+
 def test_pool_exhausted_on_tiny_box():
     x1 = parse_circuit("ninputs 1\ng1 = input 0\ng2 = const 1\ng3 = sub g1 g2\noutput g3\n")
     # every candidate point in (1,1) is the root of x-1
-    with pytest.raises(PoolExhausted):
-        build_hitting_set_greedy(ExplicitClass((x1,)), seed=0, pool_size=4, box=(1, 1))
+    cls = ExplicitClass((parse_circuit(ZERO), x1))
+    with pytest.raises(PoolExhausted, match="^pool of 4 cannot cover 1 members$"):
+        build_hitting_set_greedy(cls, seed=0, pool_size=4, box=(1, 1))
 
 
 def test_hitting_set_rejects_a_zero_input_class_before_enumerating():

@@ -260,6 +260,22 @@ def test_verify_rejects_bad_mode():
         verify_claims_perm(perm_circuit(2), 2, VerifyConfig(mode="psychic"))
 
 
+# an unknown value is refused where the config is made, before any suite runs
+def test_config_rejects_an_unknown_mode():
+    with pytest.raises(UsageError, match="unknown mode 'psychic'"):
+        VerifyConfig(mode="psychic")
+
+
+def test_config_rejects_an_unknown_ring():
+    with pytest.raises(UsageError, match="unknown ring 'bogus'"):
+        VerifyConfig(mode="exhaustive", ring="bogus")
+
+
+def test_config_rejects_an_unknown_det_factor_mode():
+    with pytest.raises(UsageError, match="unknown det_factor_mode 'bogus'"):
+        VerifyConfig(mode="exhaustive", det_factor_mode="bogus")
+
+
 # ---------------------------------------------------------------------------
 # one variable map per group element
 
@@ -768,24 +784,46 @@ def test_act_on_one_variable_returns_a_tuple():
 
 
 def _reference_var_map(g, shape: tuple, side: str) -> tuple:
-    """A diagonal's or a row addition's map, spelled out per variable."""
+    """Every element's map, spelled out per variable."""
     nrows = shape[1]
-    ncols = nrows * (shape[2] if shape[0] == BLOCK else 1)
+    k = shape[2] if shape[0] == BLOCK else 1
+    ncols = nrows * k
     if isinstance(g, Diagonal):
         line = (lambda v: v // ncols) if side == "left" else (lambda v: v % ncols)
         return None, tuple(g.entries[line(v)] for v in range(nrows * ncols)), None
-    i, j = g.i - 1, g.j - 1
-    if side == "left":
-        pairs = tuple((i * ncols + c, j * ncols + c) for c in range(ncols))
-    else:
-        pairs = tuple((r * ncols + j, r * ncols + i) for r in range(nrows))
-    return None, None, (pairs, g.y)
+    if isinstance(g, ElementaryAdd):
+        i, j = g.i - 1, g.j - 1
+        if side == "left":
+            pairs = tuple((i * ncols + c, j * ncols + c) for c in range(ncols))
+        else:
+            pairs = tuple((r * ncols + j, r * ncols + i) for r in range(nrows))
+        return None, None, (pairs, g.y)
+    # moves[old] = new index of a moved row (left) or column (right)
+    if isinstance(g, PermSwap):
+        moves = {g.i - 1: g.i, g.i: g.i - 1}
+    elif isinstance(g, RowCycle):
+        moves = {g.a - 1: g.b - 1, g.b - 1: g.c - 1, g.c - 1: g.a - 1}
+    elif isinstance(g, ColSwap):  # choices 1 and 2 at position i
+        moves = {(g.i - 1) * k: (g.i - 1) * k + 1, (g.i - 1) * k + 1: (g.i - 1) * k}
+    elif isinstance(g, ColCycle):
+        moves = {(g.i - 1) * k + j: (g.i - 1) * k + (j + 1) % k for j in range(k)}
+    else:  # PosThreeCycle moves whole k-column groups a -> b -> c -> a
+        to = {g.a: g.b, g.b: g.c, g.c: g.a}
+        moves = {(p - 1) * k + j: (to[p] - 1) * k + j for p in to for j in range(k)}
+    dest = []
+    for v in range(nrows * ncols):
+        r, c = divmod(v, ncols)
+        if side == "left":
+            r = moves.get(r, r)
+        else:
+            c = moves.get(c, c)
+        dest.append(r * ncols + c)
+    return tuple(dest), None, None
 
 
-def test_drawn_var_maps_match_the_spelled_out_maps():
+def test_var_maps_match_the_spelled_out_maps():
     for shape, g, side in ACTIONS:
-        if isinstance(g, (Diagonal, ElementaryAdd)):
-            assert var_map(g, shape, side) == _reference_var_map(g, shape, side)
+        assert var_map(g, shape, side) == _reference_var_map(g, shape, side), (shape, g, side)
 
 
 # ---------------------------------------------------------------------------
