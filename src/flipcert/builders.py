@@ -24,10 +24,6 @@ class _Builder:
             self._input_at[idx] = len(self.nodes) - 1
         return self._input_at[idx]
 
-    def const(self, v: int) -> int:
-        self.nodes.append((OP_CONST, v, 0))
-        return len(self.nodes) - 1
-
     def op(self, op: int, a: int, b: int) -> int:
         self.nodes.append((op, a, b))
         return len(self.nodes) - 1
@@ -46,47 +42,43 @@ def _product_term(b: _Builder, entries: list[int]) -> int:
     return b.chain(OP_MUL, [b.input(e) for e in entries])
 
 
-def perm_circuit(n: int) -> Circuit:
-    """Permanent of an n x n matrix, sum over all permutation products."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    b = _Builder(n * n)
-    terms = [
-        _product_term(b, [i * n + s for i, s in enumerate(sigma)])
-        for sigma in itertools.permutations(range(n))
-    ]
-    return b.finish(b.chain(OP_ADD, terms))
+def _leibniz(b: _Builder, n: int, entry, signed: bool = True) -> int:
+    """Leibniz sum over an n x n matrix whose (r, c) entry is input entry(r, c):
 
-
-def _signed_expansion(b: _Builder, n: int, entry) -> int:
-    """Determinant of an n x n matrix whose (r, c) entry is input entry(r, c):
-
-    product terms in permutation order, then evens minus odds."""
+    product terms in permutation order, each added to evens (every term
+    when unsigned) or odds by its inversion parity; then the evens summed,
+    minus the odds summed."""
     evens, odds = [], []
     for sigma in itertools.permutations(range(n)):
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j]
-        )
         term = _product_term(b, [entry(i, s) for i, s in enumerate(sigma)])
-        (odds if inv % 2 else evens).append(term)
+        odd = signed and sum(a > c for a, c in itertools.combinations(sigma, 2)) % 2
+        (odds if odd else evens).append(term)
     pos = b.chain(OP_ADD, evens)
     if not odds:
         return pos
     return b.op(OP_SUB, pos, b.chain(OP_ADD, odds))
 
 
-def det_circuit(n: int) -> Circuit:
-    """Determinant via signed permutation expansion: evens minus odds."""
+def perm_circuit(n: int) -> Circuit:
+    """Permanent of an n x n matrix: the unsigned Leibniz sum."""
     if n < 1:
         raise UsageError("n must be >= 1")
     b = _Builder(n * n)
-    return b.finish(_signed_expansion(b, n, lambda r, c: r * n + c))
+    return b.finish(_leibniz(b, n, lambda r, c: r * n + c, signed=False))
+
+
+def det_circuit(n: int) -> Circuit:
+    """Determinant via the signed Leibniz sum: evens minus odds."""
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    b = _Builder(n * n)
+    return b.finish(_leibniz(b, n, lambda r, c: r * n + c))
 
 
 def _det_of_selection(b: _Builder, m: int, k: int, sigma: tuple[int, ...]) -> int:
     # determinant of the m x m submatrix picking choice sigma[i] at position i
     cols = [i * k + sigma[i] for i in range(m)]
-    return _signed_expansion(b, m, lambda r, c: r * (k * m) + cols[c])
+    return _leibniz(b, m, lambda r, c: r * (k * m) + cols[c])
 
 
 def efun_circuit(m: int, k: int) -> Circuit:

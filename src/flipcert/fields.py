@@ -13,7 +13,8 @@ odd candidates in five from Miller-Rabin, and the three pow() calls that
 certify a 31-bit prime (bases 2, 7, 61) cost 7 to 8.5 us apiece at that
 width.  No circuit is evaluated over a field object.  The field classes
 exist for the trace machinery (the trace-tools command), and their elements
-combine only with elements of the same field, never with int operands.
+combine only with elements of the same field: an element of another field
+raises UsageError, any other operand (an int among them) TypeError.
 
 Extension elements are kept as coefficient tuples over the prime field in the
 power basis of a monic irreducible modulus, the only basis a field has.  The
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import SingularTraceForm, UsageError
@@ -104,28 +104,22 @@ class PrimeFieldElement:
     field: "PrimeField"
 
     def _peer(self, other) -> "PrimeFieldElement":
-        if isinstance(other, PrimeFieldElement):
-            if other.field.q != self.field.q:
-                raise UsageError("mixed prime fields")
-            return other
-        return NotImplemented
+        if not isinstance(other, PrimeFieldElement):
+            raise TypeError(f"{self.field.name} element with {type(other).__name__}")
+        if other.field.q != self.field.q:
+            raise UsageError("mixed prime fields")
+        return other
 
     def __add__(self, other):
         o = self._peer(other)
-        if o is NotImplemented:
-            return o
         return PrimeFieldElement((self.value + o.value) % self.field.q, self.field)
 
     def __sub__(self, other):
         o = self._peer(other)
-        if o is NotImplemented:
-            return o
         return PrimeFieldElement((self.value - o.value) % self.field.q, self.field)
 
     def __mul__(self, other):
         o = self._peer(other)
-        if o is NotImplemented:
-            return o
         return PrimeFieldElement(self.value * o.value % self.field.q, self.field)
 
     def __neg__(self):
@@ -276,8 +270,10 @@ def poly_is_irreducible(f: Sequence[int], q: int) -> bool:
 
 
 def _digit_vectors(q: int, l: int) -> Iterator[tuple[int, ...]]:
-    """Each code 0 .. q^l - 1 as its l base-q digits, least significant first."""
-    return (digits[::-1] for digits in product(range(q), repeat=l))
+    """Each code 0 .. q^l - 1 as its l base-q digits, least significant first,
+
+    made one code at a time: no pool of q entries is ever built."""
+    return (tuple(code // q**i % q for i in range(l)) for code in range(q**l))
 
 
 def find_irreducible(q: int, l: int) -> tuple[int, ...]:
@@ -306,17 +302,15 @@ class ExtFieldElement:
     coeffs: tuple[int, ...]
     field: "ExtField"
 
-    def _peer(self, other):
-        if isinstance(other, ExtFieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise UsageError("mixed extension fields")
-            return other
-        return NotImplemented
+    def _peer(self, other) -> "ExtFieldElement":
+        if not isinstance(other, ExtFieldElement):
+            raise TypeError(f"{self.field.name} element with {type(other).__name__}")
+        if other.field is not self.field and other.field != self.field:
+            raise UsageError("mixed extension fields")
+        return other
 
     def __add__(self, other):
         o = self._peer(other)
-        if o is NotImplemented:
-            return o
         q = self.field.q
         return ExtFieldElement(
             tuple((a + b) % q for a, b in zip(self.coeffs, o.coeffs)), self.field
@@ -324,8 +318,6 @@ class ExtFieldElement:
 
     def __sub__(self, other):
         o = self._peer(other)
-        if o is NotImplemented:
-            return o
         q = self.field.q
         return ExtFieldElement(
             tuple((a - b) % q for a, b in zip(self.coeffs, o.coeffs)), self.field
@@ -333,8 +325,6 @@ class ExtFieldElement:
 
     def __mul__(self, other):
         o = self._peer(other)
-        if o is NotImplemented:
-            return o
         F = self.field
         prod = _poly_mod(_poly_mul(self.coeffs, o.coeffs, F.q), F.modulus, F.q)
         return ExtFieldElement(F._pad(prod), F)

@@ -3,8 +3,8 @@
 The permanent is computed two independent ways (Ryser and, for n <= 6, the
 naive permutation expansion) and the two routes are compared at runtime; a
 disagreement is an internal error worth crashing on.  The E-function oracle
-multiplies determinants of all selected m x m submatrices of a block
-assignment, one per choice vector sigma in [k]^m.
+multiplies the Bareiss determinants of all selected m x m submatrices of a
+block assignment, one per choice vector sigma in [k]^m.
 
 Group elements are small frozen descriptors.  Left action means row
 operations (square or block, acting by an nrows-sized matrix); right action
@@ -50,17 +50,15 @@ def _rows_of(M, what: str) -> tuple[tuple, ...]:
     return rows
 
 
-def _leibniz(rows, signed: bool):
-    """Sum over permutations p of prod_i rows[i][p[i]], each odd p's term
-    negated when `signed`: the permanent, or the determinant."""
+def _leibniz_permanent(rows):
+    """Sum over permutations p of prod_i rows[i][p[i]]: the permanent by its
+    definition, the cross-check of Ryser's route up to order 6."""
     n = len(rows)
     acc = None
     for perm in itertools.permutations(range(n)):
         term = rows[0][perm[0]]
         for i in range(1, n):
             term = term * rows[i][perm[i]]
-        if signed and sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
-            term = -term
         acc = term if acc is None else acc + term
     return acc
 
@@ -90,7 +88,7 @@ def permanent(M):
     rows = _rows_of(M, "permanent")
     val = _ryser_permanent(rows)
     if len(rows) <= _NAIVE_CAP:
-        ref = _leibniz(rows, signed=False)
+        ref = _leibniz_permanent(rows)
         if ref != val:
             raise AssertionError("permanent routes disagree; arithmetic bug")
     return val
@@ -119,15 +117,13 @@ def _bareiss_determinant(rows):
 
 
 def determinant(M):
-    """Exact determinant: permutation expansion up to order 6, fraction-free
+    """Exact determinant by fraction-free (Bareiss 1968) elimination at every
 
-    elimination (integer/Fraction entries) above that."""
+    order; entries must be int or Fraction, others raise UsageError."""
     rows = _rows_of(M, "determinant")
-    if len(rows) <= _NAIVE_CAP:
-        return _leibniz(rows, signed=True)
-    if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
-        return _bareiss_determinant(rows)
-    raise UsageError("determinant above order 6 needs int or Fraction entries")
+    if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+        raise UsageError("determinant needs int or Fraction entries")
+    return _bareiss_determinant(rows)
 
 
 def efun(X: MatrixAssignment, budget: int = 4096):

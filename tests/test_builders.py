@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
+
+import pytest
 
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
-from flipcert.circuits import evaluate, expand_to_polynomial, poly_total_degree
+from flipcert.circuits import (
+    evaluate,
+    expand_to_polynomial,
+    poly_total_degree,
+    serialize_circuit,
+)
 from flipcert.matrices import MatrixAssignment
 from flipcert.oracles import determinant, efun, efun_degree, permanent
 
@@ -17,6 +25,33 @@ def test_builder_sizes_frozen():
     assert det_circuit(2).size == 7
     assert efun_circuit(1, 2).size == 3
     assert efun_circuit(2, 2).size == 23
+
+
+CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
+
+# the builder call behind each shipped file, as scripts/make_reference_circuits.py
+# writes it
+REFERENCE_BUILDS = {
+    "perm2.ac": lambda: perm_circuit(2),
+    "perm3.ac": lambda: perm_circuit(3),
+    "perm4.ac": lambda: perm_circuit(4),
+    "det2.ac": lambda: det_circuit(2),
+    "det3.ac": lambda: det_circuit(3),
+    "efun_1_2.ac": lambda: efun_circuit(1, 2),
+    "efun_2_2.ac": lambda: efun_circuit(2, 2),
+    "efun_1_3.ac": lambda: efun_circuit(1, 3),
+    "perm2_scaled2.ac": lambda: scale_circuit(perm_circuit(2), 2),
+}
+
+
+def test_every_shipped_circuit_has_its_builder():
+    assert sorted(p.name for p in CIRCUITS.glob("*.ac")) == sorted(REFERENCE_BUILDS)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BUILDS))
+def test_builder_layout_matches_shipped_file(name):
+    # node for node: the frozen digests and stream hashes read these layouts
+    assert serialize_circuit(REFERENCE_BUILDS[name]()) == (CIRCUITS / name).read_text()
 
 
 def test_perm_circuit_matches_oracle():

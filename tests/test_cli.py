@@ -613,6 +613,13 @@ def test_trace_tools_degree_one(capsys):
     assert (rc, out) == (0, "field 2 1 0 1\ngram 1\ndual 1\ntrace(gen) 0\ncoeffs(gen) 0\n")
 
 
+def test_trace_tools_large_prime_exits_0(capsys):
+    # a valid argv never exits 1, the reject code, by running out of memory
+    rc, out, _ = run(capsys, ["trace-tools", "--q", "2147483647", "--l", "2"])
+    assert rc == 0
+    assert out.splitlines()[0] == "field 2147483647 2 1 0 1"
+
+
 def test_trace_tools_rejects_reducible_modulus(capsys):
     rc, _, err = run(capsys, ["trace-tools", "--q", "2", "--l", "2",
                               "--modulus", "1,0,1"])  # x^2+1 = (x+1)^2 over F2

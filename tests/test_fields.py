@@ -8,6 +8,8 @@ F_9 forces t^2+1, F_8 forces t^3+t+1.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import operator
 import random
 
 import pytest
@@ -195,6 +197,43 @@ def test_find_irreducible_frozen():
     assert find_irreducible(2, 2) == (1, 1, 1)  # t^2 + t + 1
     assert find_irreducible(3, 2) == (1, 0, 1)  # t^2 + 1
     assert find_irreducible(2, 3) == (1, 1, 0, 1)  # t^3 + t + 1
+
+
+def test_find_irreducible_large_prime():
+    # q = 2^31 - 1 is 3 mod 4, so t^2 + 1 is the first irreducible; the scan
+    # must not build a q-entry pool to reach it
+    assert find_irreducible(2**31 - 1, 2) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("q,l", [(2, 1), (2, 3), (3, 2), (5, 3), (7, 1)])
+def test_digit_vectors_little_endian_order(q, l):
+    # the old itertools.product order, each tuple reversed
+    want = [d[::-1] for d in itertools.product(range(q), repeat=l)]
+    assert list(fields._digit_vectors(q, l)) == want
+
+
+def _two_fields():
+    """Two prime fields and two extension fields, an element of each."""
+    P, P2 = PrimeField(7), PrimeField(11)
+    E, E2 = ExtField(3, 2), ExtField(5, 2)
+    return (P.element(3), P2.element(3)), (E.gen(), E2.gen())
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_elements_refuse_int_operands(op):
+    # no operator falls back to int arithmetic, on either side
+    for x, _ in _two_fields():
+        with pytest.raises(TypeError):
+            op(x, 1)
+        with pytest.raises(TypeError):
+            op(1, x)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_elements_refuse_another_fields_elements(op):
+    for x, y in _two_fields():
+        with pytest.raises(UsageError):
+            op(x, y)
 
 
 def test_find_irreducible_refuses_composite_q():

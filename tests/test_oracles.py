@@ -6,12 +6,14 @@ runtime; the tests here pin concrete values computed by hand.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from flipcert.errors import BudgetExceeded, ShapeMismatch, SizeLimit
+from flipcert.errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
+from flipcert.fields import PrimeField
 from flipcert.matrices import MatrixAssignment
 from flipcert.oracles import (
     ColCycle,
@@ -54,6 +56,50 @@ def test_determinant_hand_values():
     n = 7
     I = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     assert determinant(I) == 1
+
+
+def _leibniz_det(M):
+    """The determinant by its definition: signed sum over permutations."""
+    n = len(M)
+    acc = 0
+    for p in itertools.permutations(range(n)):
+        term = -1 if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else 1
+        for i in range(n):
+            term = term * M[i][p[i]]
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_determinant_matches_the_leibniz_sum(n):
+    rng = random.Random(n)
+    ints = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+    fracs = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(n)]
+             for _ in range(n)]
+    mixed = [[v if (i + j) % 2 else Fraction(v, 3) for j, v in enumerate(row)]
+             for i, row in enumerate(ints)]
+    cases = [ints, fracs, mixed]
+    if n >= 2:
+        pivot0 = [row[:] for row in ints]
+        pivot0[0][0] = 0  # elimination must swap rows before its first step
+        twice = [row[:] for row in ints]
+        twice[-1] = [2 * v for v in ints[0]]  # singular: the last row is 2 x row 0
+        no_pivot = [[0] + row[1:] for row in ints]  # singular: no pivot in column 0
+        cases += [pivot0, twice, no_pivot]
+    for M in cases:
+        assert determinant(M) == _leibniz_det(M)
+    if n >= 2:
+        assert determinant(cases[-2]) == determinant(cases[-1]) == 0
+
+
+def test_determinant_refuses_other_entries():
+    # elimination's floor division is exact on int and Fraction entries only,
+    # so field elements and floats are refused at every order
+    F = PrimeField(7)
+    with pytest.raises(UsageError, match="int or Fraction"):
+        determinant([[F.element(1), F.element(2)], [F.element(3), F.element(4)]])
+    with pytest.raises(UsageError, match="int or Fraction"):
+        determinant([[1.0, 2], [3, 4]])
 
 
 def test_efun_values_and_degree():
