@@ -64,6 +64,7 @@ from .pit import (
     verify_hitting_set,
 )
 from .symtests import VerifyConfig, verify_claims_efun, verify_claims_perm
+from .util import sample_box
 
 
 def _read(path: str) -> str:
@@ -109,6 +110,20 @@ def _replacing(path: str):
         raise
 
 
+@contextmanager
+def _any_digits():
+    """Lift Python's int-to-str digit limit while a report prints exact
+    values, which a valid circuit can make as long as it likes.  Parsing
+    keeps the limit: a number in an input file or flag is text to convert,
+    and the limit caps the quadratic cost of converting it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -125,13 +140,6 @@ def _read_label(path: str) -> bytes:
         return bytes.fromhex(_read(path).strip())
     except ValueError:
         raise UsageError(f"{path} is not a hex design label") from None
-
-
-def _box(width: int) -> tuple[int, int]:
-    """The sampling box [1, 2^width] of --width; width 0 would leave {1}."""
-    if width < 1:
-        raise UsageError(f"--width must be >= 1, got {width}")
-    return (1, 1 << width)
 
 
 def _verify_config(args) -> VerifyConfig:
@@ -202,7 +210,9 @@ def _cert_config_from_file(path: str | None, args, design_r: int) -> CertConfig:
 def cmd_eval(args) -> int:
     c = _load_circuit(args.circuit)
     point = _ints(args.point)
-    print(evaluate(c, point))
+    value = evaluate(c, point)
+    with _any_digits():
+        print(value)
     return 0
 
 
@@ -212,11 +222,12 @@ def cmd_pit(args) -> int:
         c,
         trials=args.trials,
         seed=args.seed,
-        box=_box(args.width),
+        box=sample_box(args.width),
         degree_hint=args.degree_hint,
     )
     if res.verdict == "nonzero":
-        print(f"nonzero at {res.witness_point} (value {res.witness_value})")
+        with _any_digits():
+            print(f"nonzero at {res.witness_point} (value {res.witness_value})")
         return 1
     print(f"zero (false-zero bound {res.error_bound:.3g}, {res.trials_run} trials)")
     return 0
@@ -268,7 +279,7 @@ def cmd_count_designs(args) -> int:
 def cmd_build_hitting_set(args) -> int:
     cls = _enumerated_class(args)
     hs = build_hitting_set_greedy(
-        cls, seed=args.seed, pool_size=args.pool, box=_box(args.width)
+        cls, seed=args.seed, pool_size=args.pool, box=sample_box(args.width)
     )
     report = hitting_set_axioms_report(hs)
     # wall-clock lines go to stderr so stdout stays byte-stable per argv
@@ -549,4 +560,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # unreachable: in subprocess tests only

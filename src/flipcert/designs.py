@@ -233,7 +233,7 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
     d = Design(params, tuple(rows))
     violation = verify_design(d)
     if violation is not None:
-        raise AssertionError(f"builder produced an invalid design: {violation}")
+        raise AssertionError(f"builder produced an invalid design: {violation}")  # unreachable: same overlap rule
     return d
 
 

@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import SingularTraceForm, UsageError
+from .errors import BudgetError, SingularTraceForm, UsageError
 
 # Miller-Rabin is deterministic below the smallest strong pseudoprime to all
 # of its bases: 4,759,123,141 for 2, 7, 61 (Jaeschke 1993; every 31-bit
@@ -146,9 +147,6 @@ class PrimeFieldElement:
     def __hash__(self) -> int:
         return hash((self.field.q, self.value))
 
-    def __repr__(self) -> str:
-        return f"{self.value}"
-
 
 class PrimeField:
     """F_q for prime q."""
@@ -163,15 +161,6 @@ class PrimeField:
 
     def element(self, v: int) -> PrimeFieldElement:
         return PrimeFieldElement(v % self.q, self)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self) -> str:
-        return self.name
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +217,11 @@ def _poly_powmod(a, e, f, q):
 
 
 def _poly_gcd(a, b, q):
+    # the monic gcd; b is nonzero (a monic modulus)
     while b:
         lead_inv = pow(b[-1], -1, q)
         bm = tuple(c * lead_inv % q for c in b)
         a, b = b, _poly_mod(a, bm, q)
-    if not a:
-        return ()
     lead_inv = pow(a[-1], -1, q)
     return tuple(c * lead_inv % q for c in a)
 
@@ -276,20 +264,32 @@ def _digit_vectors(q: int, l: int) -> Iterator[tuple[int, ...]]:
     return (tuple(code // q**i % q for i in range(l)) for code in range(q**l))
 
 
+# find_irreducible's scan length.  Every prime q < 200 at 2 <= l <= 6 needs
+# at most 210 candidates (q = 197, l = 6), but every t^l + c is reducible at
+# (2^31 - 1, 4) and (65519, 3), so the first irreducible there lies past
+# 2^31 and 65519 candidates; 10,000 Rabin tests take 3.6 to 10 s there
+# (2-core Xeon VM, Python 3.11.7).
+MAX_IRREDUCIBLE_SCAN = 10_000
+
+
 def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     """First monic irreducible of degree l, scanning the non-leading
-    coefficients (f_0, ..., f_{l-1}) in little-endian numeric order."""
+    coefficients (f_0, ..., f_{l-1}) in little-endian numeric order; a
+    BudgetError after MAX_IRREDUCIBLE_SCAN candidates."""
     if l < 1:
         raise UsageError(f"extension degree must be >= 1, got {l}")
     if not is_prime(q):
         raise UsageError(f"{q} is not prime")
     if l == 1:
         return (0, 1)
-    for coeffs in _digit_vectors(q, l):
+    for coeffs in islice(_digit_vectors(q, l), MAX_IRREDUCIBLE_SCAN):
         f = coeffs + (1,)
         if poly_is_irreducible(f, q):
             return f
-    raise UsageError(f"no irreducible of degree {l} over F_{q}")  # unreachable for prime q
+    raise BudgetError(
+        f"no irreducible of degree {l} over F_{q} among the first "
+        f"{MAX_IRREDUCIBLE_SCAN} candidates; give one with --modulus"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +329,6 @@ class ExtFieldElement:
         prod = _poly_mod(_poly_mul(self.coeffs, o.coeffs, F.q), F.modulus, F.q)
         return ExtFieldElement(F._pad(prod), F)
 
-    def __neg__(self):
-        q = self.field.q
-        return ExtFieldElement(tuple(-a % q for a in self.coeffs), self.field)
-
     def __pow__(self, e: int):
         F = self.field
         if e < 0:
@@ -351,29 +347,6 @@ class ExtFieldElement:
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtFieldElement)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.field.modulus, self.coeffs))
-
-    def __repr__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append("t" if c == 1 else f"{c}*t")
-            else:
-                terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-        return " + ".join(terms) if terms else "0"
 
 
 class ExtField:
@@ -433,9 +406,6 @@ class ExtField:
     def __hash__(self) -> int:
         return hash(("ExtField", self.q, self.l, self.modulus))
 
-    def __repr__(self) -> str:
-        return f"{self.name}(mod {list(self.modulus)})"
-
 
 def frobenius_trace(x: ExtFieldElement) -> PrimeFieldElement:
     """Trace to the prime field: x + x^q + ... + x^(q^(l-1))."""
@@ -446,7 +416,7 @@ def frobenius_trace(x: ExtFieldElement) -> PrimeFieldElement:
         acc = acc + y
         y = y.frobenius()
     if any(acc.coeffs[1:]):
-        raise SingularTraceForm("trace landed outside the prime field")  # impossible
+        raise SingularTraceForm("trace landed outside the prime field")  # unreachable: Frobenius fixes a trace
     return F.base.element(acc.coeffs[0])
 
 
@@ -458,14 +428,14 @@ def trace_form_gram(F: ExtField) -> list[list[int]]:
 
 
 def _matrix_inverse_mod(rows: Sequence[Sequence[int]], q: int):
-    """Inverse of a square matrix over F_q, or None if singular."""
+    """Inverse of a square matrix over F_q; SingularTraceForm if singular."""
     n = len(rows)
     a = [[rows[i][j] % q for j in range(n)] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, n) if a[i][c] % q), None)
         if piv is None:
-            return None
+            raise SingularTraceForm(f"the trace form's Gram matrix is singular mod {q}")
         a[r], a[piv] = a[piv], a[r]
         inv = pow(a[r][c], -1, q)
         a[r] = [v * inv % q for v in a[r]]
@@ -484,10 +454,7 @@ def dual_basis(F: ExtField) -> tuple[ExtFieldElement, ...]:
     happen for a separable extension with a genuine basis, but the check is
     what makes the construction trustworthy).
     """
-    G = trace_form_gram(F)
-    Ginv = _matrix_inverse_mod(G, F.q)
-    if Ginv is None:
-        raise SingularTraceForm(f"trace form is degenerate on {F.name}")
+    Ginv = _matrix_inverse_mod(trace_form_gram(F), F.q)
     out = []
     for i in range(F.l):
         acc = F.zero

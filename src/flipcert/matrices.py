@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import IndexOutOfRange, ParseError, ShapeMismatch, UsageError
+from .errors import ParseError, ShapeMismatch, UsageError
 
 SQUARE = "square"
 BLOCK = "block"
@@ -44,31 +44,11 @@ class MatrixAssignment:
     @staticmethod
     def from_flat(shape: tuple, values: Sequence) -> "MatrixAssignment":
         """Inverse of flatten(): row-major values back into rows of `shape`."""
-        w = shape[1] * (shape[2] if shape[0] == BLOCK else 1)
+        w = row_width(shape)
         return MatrixAssignment(shape, tuple(zip(*[iter(values)] * w)))  # runs of w
-
-    @property
-    def nrows(self) -> int:
-        return self.shape[1]
-
-    @property
-    def ncols(self) -> int:
-        if self.shape[0] == SQUARE:
-            return self.shape[1]
-        _, m, k = self.shape
-        return m * k
 
     def column(self, c: int) -> tuple:
         return tuple(row[c] for row in self.entries)
-
-    def block_column(self, j: int, i: int) -> tuple:
-        """Column for choice j at position i, 1-indexed."""
-        if self.shape[0] != BLOCK:
-            raise UsageError("block_column only applies to block assignments")
-        _, m, k = self.shape
-        if not (1 <= j <= k and 1 <= i <= m):
-            raise IndexOutOfRange(f"column ({j},{i}) outside a {m}x{k} block shape")
-        return self.column((i - 1) * k + (j - 1))
 
     def selected_submatrix(self, sigma: Sequence[int]) -> tuple[tuple, ...]:
         """m x m matrix whose i-th column is choice sigma[i] at position i+1.
@@ -93,6 +73,11 @@ class MatrixAssignment:
         for row in self.entries:
             lines.append(" ".join(str(v) for v in row))
         return "\n".join(lines) + "\n"
+
+
+def row_width(shape: tuple) -> int:
+    """Entries per row: n for (SQUARE, n), k * m for (BLOCK, m, k)."""
+    return shape[1] * (shape[2] if shape[0] == BLOCK else 1)
 
 
 def matrix_from_text(text: str) -> MatrixAssignment:

@@ -66,7 +66,7 @@ from .symtests import (
     serialize_point,
     serialize_query,
 )
-from .util import Stopwatch, derive_seed
+from .util import Stopwatch, derive_seed, sample_box
 
 F2_MIN_DISJOINT = 2  # mutually point-disjoint certificates F2 asks for
 
@@ -111,8 +111,7 @@ class CertConfig:
             raise UsageError("seed_bits outside [0, 20]")
         if self.rounds_per_tape < 1 or self.nonzero_count < 0:
             raise UsageError("bad query counts")
-        if self.sample_width < 1 or self.band < 0:
-            raise UsageError("bad sample box")
+        sample_box(self.sample_width, self.band)
         if self.det_factor_mode not in ("det-corrected", "literal"):
             raise UsageError(f"unknown det_factor_mode {self.det_factor_mode!r}")
         if self.target == "efun":
@@ -129,9 +128,7 @@ class CertConfig:
         return self.n * self.n if self.target == "perm" else self.m * self.m * self.k
 
     def box(self) -> tuple[int, int]:
-        width = 1 << self.sample_width
-        lo = 1 + self.band * width
-        return (lo, lo + width - 1)
+        return sample_box(self.sample_width, self.band)
 
     def pairs(self) -> dict[str, object]:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -29,22 +29,18 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
-from .matrices import BLOCK, SQUARE, MatrixAssignment
+from .matrices import BLOCK, MatrixAssignment, row_width
 
 _NAIVE_CAP = 6
 _ORDER_CAP = 12  # largest matrix order permanent and determinant accept
 
 
 def _rows_of(M, what: str) -> tuple[tuple, ...]:
-    """M's rows, once it is known square and within _ORDER_CAP for `what`."""
-    if isinstance(M, MatrixAssignment):
-        if M.shape[0] != SQUARE:
-            raise UsageError("need a square assignment")
-        rows = M.entries
-    else:
-        rows = tuple(tuple(r) for r in M)
-        if not rows or any(len(r) != len(rows) for r in rows):
-            raise UsageError("need a nonempty square matrix")
+    """M's rows, a sequence of rows, once it is known square and within
+    _ORDER_CAP for `what`."""
+    rows = tuple(tuple(r) for r in M)
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise UsageError("need a nonempty square matrix")
     if len(rows) > _ORDER_CAP:
         raise SizeLimit(f"{what} of order {len(rows)} exceeds the cap {_ORDER_CAP}")
     return rows
@@ -90,7 +86,7 @@ def permanent(M):
     if len(rows) <= _NAIVE_CAP:
         ref = _leibniz_permanent(rows)
         if ref != val:
-            raise AssertionError("permanent routes disagree; arithmetic bug")
+            raise AssertionError("permanent routes disagree; arithmetic bug")  # unreachable: both are perm(rows)
     return val
 
 
@@ -146,11 +142,6 @@ def efun(X: MatrixAssignment, budget: int = 4096):
             return d
         acc = d if acc is None else acc * d
     return acc
-
-
-def efun_degree(m: int, k: int) -> int:
-    """Total degree of the E-function: m * k^m."""
-    return m * k**m
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +262,7 @@ def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     if side not in ("left", "right"):
         raise UsageError(f"side must be 'left' or 'right', got {side!r}")
     block = shape[0] == BLOCK
-    nrows = shape[1]
-    ncols = nrows * shape[2] if block else nrows
+    nrows, ncols = shape[1], row_width(shape)
 
     if isinstance(g, _K_KINDS):
         if side != "right" or not block:
@@ -331,15 +321,14 @@ def scale_reader(shape: tuple, side: str):
     its scale: each variable's row entry on the left, column entry on the
     right.  It and add_pairs are the parts of a drawn element's map that do
     not depend on its draws; the sampled suites build their laws on them."""
-    ncols = shape[1] * (shape[2] if shape[0] == BLOCK else 1)
+    ncols = row_width(shape)
     return _reader([v // ncols if side == "left" else v % ncols for v in range(shape[1] * ncols)])
 
 
 @lru_cache(maxsize=256)
 def add_pairs(i: int, j: int, shape: tuple, side: str) -> tuple:
     """The (d, s) pairs of ElementaryAdd(i, j, y)'s map, for every y."""
-    nrows = shape[1]
-    ncols = nrows * (shape[2] if shape[0] == BLOCK else 1)
+    nrows, ncols = shape[1], row_width(shape)
     dim = nrows if side == "left" else ncols
     if i == j or not (1 <= i <= dim and 1 <= j <= dim):
         raise ShapeMismatch(f"ElementaryAdd({i},{j}) against dimension {dim}")

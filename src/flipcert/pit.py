@@ -29,7 +29,7 @@ from .circuits import (
 )
 from .errors import ArityMismatch, ParseError, PoolExhausted, UsageError
 from .fields import int_bitlength
-from .util import Stopwatch, derive_seed, rand_point
+from .util import Stopwatch, derive_seed, rand_point, sample_box
 
 MAX_TERMS = 10_000  # expansion budget of the zero test on class members
 
@@ -394,21 +394,20 @@ def disjoint_hitting_families(
     """Up to `count` hitting sets with pairwise disjoint point sets, built
 
     from disjoint coordinate bands; stops early if a band's pool is too
-    weak.  Family f draws every coordinate from [1 + f*2^16, (f+1)*2^16]."""
-    band = 1 << 16
+    weak.  Family f draws every coordinate from band f of width 16,
+    [1 + f*2^16, (f+1)*2^16]."""
     families: list[HittingSet] = []
     for f in range(count):
-        box = (1 + f * band, (f + 1) * band)
         try:
             hs = build_hitting_set_greedy(
-                cls, seed=derive_seed("family", seed, f), box=box
+                cls, seed=derive_seed("family", seed, f), box=sample_box(16, f)
             )
         except PoolExhausted:
             break
         families.append(hs)
     all_points = [pt for hs in families for pt in hs.points]
     if len(set(all_points)) != len(all_points):
-        raise AssertionError("banded families collided; banding bug")
+        raise AssertionError("banded families collided; banding bug")  # unreachable: bands are disjoint
     return families
 
 

@@ -79,7 +79,7 @@ from .oracles import (
     var_map,
 )
 from .pit import pit_error_bound as sampled_error_bound
-from .util import derive_seed, rand_point
+from .util import derive_seed, rand_point, sample_box
 
 # query kinds
 P_NONZERO = "PNonZero"
@@ -155,8 +155,7 @@ class VerifyConfig:
             raise UsageError(f"unknown ring {self.ring!r}")
         if self.det_factor_mode not in ("det-corrected", "literal"):
             raise UsageError(f"unknown det_factor_mode {self.det_factor_mode!r}")
-        if self.sample_width < 1:
-            raise UsageError("sample width must be >= 1")
+        sample_box(self.sample_width)
         if min(self.rounds, self.nonzero_count, self.prime_count) < 0:
             raise UsageError("rounds, nonzero and prime counts must be >= 0")
         if self.mode == "sampled" and self.rounds < 1:
@@ -174,7 +173,7 @@ class VerifyConfig:
             raise UsageError(f"prime bits must be 16..81, got {self.prime_bits}")
 
     def box(self) -> tuple[int, int]:
-        return (1, 1 << self.sample_width)
+        return sample_box(self.sample_width)
 
 
 class VerifyResult(NamedTuple):

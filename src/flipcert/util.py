@@ -1,5 +1,5 @@
-"""Small shared helpers: stable seed derivation, box draws and wall-clock
-timing."""
+"""Small shared helpers: stable seed derivation, the sample box, box draws
+and wall-clock timing."""
 
 from __future__ import annotations
 
@@ -17,6 +17,23 @@ def derive_seed(*parts) -> int:
     """
     blob = "\x1f".join(map(str, parts)).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+
+
+# The widest sample box, 2^1024 entries a side.  The widest default is 62
+# bits; a box of 2^100000000000 died with MemoryError before any draw.
+MAX_SAMPLE_WIDTH = 1024
+
+
+def sample_box(width: int, band: int = 0) -> tuple[int, int]:
+    """The box [1 + band * 2^width, (band + 1) * 2^width] of 2^width
+    integers; band b's boxes are disjoint from every other band's.  The one
+    rule for --width, a config's sample_width and the hitting-set bands."""
+    if not 1 <= width <= MAX_SAMPLE_WIDTH:
+        raise UsageError(f"sample width must be 1..{MAX_SAMPLE_WIDTH}, got {width}")
+    if band < 0:
+        raise UsageError(f"sample band must be >= 0, got {band}")
+    span = 1 << width
+    return (1 + band * span, (band + 1) * span)
 
 
 def rand_point(rng, size: int, box: tuple[int, int]) -> tuple[int, ...]:

@@ -14,8 +14,9 @@ from flipcert.circuits import (
     poly_total_degree,
     serialize_circuit,
 )
+from flipcert.errors import UsageError
 from flipcert.matrices import MatrixAssignment
-from flipcert.oracles import determinant, efun, efun_degree, permanent
+from flipcert.oracles import determinant, efun, permanent
 
 
 def test_builder_sizes_frozen():
@@ -87,7 +88,7 @@ def test_efun_circuit_matches_oracle():
 def test_efun_expansion_degree_law():
     for m, k in ((1, 2), (2, 2), (1, 3)):
         poly = expand_to_polynomial(efun_circuit(m, k))
-        assert poly_total_degree(poly) == efun_degree(m, k)
+        assert poly_total_degree(poly) == m * k**m
 
 
 def test_efun_22_expansion_is_15_terms():
@@ -100,3 +101,11 @@ def test_scale_circuit():
     c = scale_circuit(perm_circuit(2), 5)
     assert c.size == perm_circuit(2).size + 2
     assert evaluate(c, (1, 2, 3, 4)) == 5 * 10
+
+
+@pytest.mark.parametrize("build", (lambda: perm_circuit(0), lambda: det_circuit(0),
+                                   lambda: efun_circuit(0, 2), lambda: efun_circuit(2, 0)),
+                         ids=("perm", "det", "efun-m", "efun-k"))
+def test_builders_refuse_an_empty_matrix(build):
+    with pytest.raises(UsageError, match=">= 1"):
+        build()

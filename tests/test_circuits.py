@@ -80,6 +80,50 @@ def test_parse_errors():
         parse_circuit("ninputs 1\ng1 = input 0\ng2 = add g1\noutput g2\n")
 
 
+# each malformed text with its error type and the message it must carry
+PARSE_ERRORS = {
+    "negative ninputs": ("ninputs -1\ng1 = const 1\noutput g1\n", ParseError,
+                         "line 1: negative input count"),
+    "after output": ("ninputs 1\ng1 = input 0\noutput g1\ng2 = input 0\n", ParseError,
+                     "line 4: content after the output line"),
+    "output arity": ("ninputs 1\ng1 = input 0\noutput g1 g1\n", BadArity,
+                     "line 3: output takes one node id"),
+    "bad node id": ("ninputs 1\ngx = input 0\noutput gx\n", ParseError,
+                    "line 2: bad node id 'gx'"),
+    "ids not increasing": ("ninputs 1\ng2 = input 0\ng1 = const 1\noutput g1\n",
+                           ParseError, "line 3: node ids must strictly increase"),
+    "const arity": ("ninputs 1\ng1 = const 1 2\noutput g1\n", BadArity,
+                    "line 2: const takes one integer"),
+    "input arity": ("ninputs 1\ng1 = input\noutput g1\n", BadArity,
+                    "line 2: input takes one index"),
+    "unknown op": ("ninputs 1\ng1 = pow 0\noutput g1\n", ParseError,
+                   "line 2: unknown op 'pow'"),
+    "no output": ("ninputs 1\ng1 = input 0\n", ParseError, "missing output line"),
+    "empty": ("# nothing\n\n", ParseError, "missing ninputs line"),
+    # Python's int() refuses a 5,000-digit literal; the circuit text must too
+    "huge const": (f"ninputs 0\ng1 = const {'7' * 5000}\noutput g1\n", ParseError,
+                   "line 2: expected an integer"),
+}
+
+
+@pytest.mark.parametrize("text, error, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+def test_parse_error_table(text, error, message):
+    with pytest.raises(error) as info:
+        parse_circuit(text)
+    assert str(info.value).startswith(message)
+
+
+def test_parse_skips_comments_and_blank_lines():
+    text = "# x squared\nninputs 1\n\ng1 = input 0  # x\ng2 = mul g1 g1\noutput g2\n"
+    assert serialize_circuit(parse_circuit(text)) == (
+        "ninputs 1\ng0 = input 0\ng1 = mul g0 g0\noutput g1\n")
+
+
+def test_circuit_needs_a_node():
+    with pytest.raises(UsageError, match="at least one node"):
+        Circuit(0, (), 0)
+
+
 def test_dag_violation_direct_construction():
     x0, one = (OP_INPUT, 0, 0), (OP_CONST, 1, 0)
     bad = (
@@ -134,6 +178,13 @@ def test_expand_term_budget():
     with pytest.raises(TermBudgetExceeded):
         expand_to_polynomial(c, max_terms=10)
     assert len(expand_to_polynomial(c, max_terms=100)) == 33
+
+
+def test_term_budget_checked_after_a_sum():
+    # x0 + x1 has two terms: the budget check after an ADD node fires
+    c = parse_circuit("ninputs 2\ng1 = input 0\ng2 = input 1\ng3 = add g1 g2\noutput g3\n")
+    with pytest.raises(TermBudgetExceeded, match="node 2 expansion passed 1 terms"):
+        expand_to_polynomial(c, max_terms=1)
 
 
 def _binomial_power_circuit() -> Circuit:
@@ -207,6 +258,7 @@ def test_poly_constant_ratio():
     assert poly_constant_ratio(p, q) == Fraction(2)
     assert poly_constant_ratio(q, p) == Fraction(1, 2)
     assert poly_constant_ratio(p, {(1, 0): 1}) is None
+    assert poly_constant_ratio(p, {(1, 0): 1, (0, 1): 1}) is None  # same support
     assert poly_constant_ratio({}, {}) == 1
     assert poly_constant_ratio({}, q) == 0
 

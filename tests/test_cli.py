@@ -8,19 +8,27 @@ the exception, its gate budgets are timed by design).
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from flipcert import cli, fields
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit
 from flipcert.circuits import serialize_circuit
 from flipcert.cli import build_parser, main
+from flipcert.config import config_hash, parse_config
+from flipcert.designs import Design, DesignParams, build_design_greedy, encode_design
+from flipcert.errors import UsageError
+from flipcert.util import MAX_SAMPLE_WIDTH, sample_box
 
 XY_TEXT = "ninputs 2\ng1 = input 0\ng2 = input 1\ng3 = mul g1 g2\noutput g3\n"
 SQUARE2 = "square 2\n1 2\n3 4\n"
 BLOCK22 = "block 2 2\n1 2 3 4\n5 6 7 8\n"
+DESIGN_HEX = encode_design(build_design_greedy(DesignParams(4, 6, 3, 1))).hex() + "\n"
 
 
 def run(capsys, argv):
@@ -78,6 +86,29 @@ def test_pit_zero_exits_0(tmp_path, capsys):
     path.write_text("ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n")
     rc, out, _ = run(capsys, ["pit", "--circuit", str(path)])
     assert rc == 0 and out.startswith("zero (false-zero bound")
+
+
+# x squared twelve times: x^4096, 13 nodes, whose value at a 62-bit point
+# has about 76,000 digits
+SQ12_TEXT = "ninputs 1\ng0 = input 0\n" + "".join(
+    f"g{t} = mul g{t - 1} g{t - 1}\n" for t in range(1, 13)) + "output g12\n"
+
+
+def test_pit_and_eval_print_values_past_the_digit_limit(tmp_path, capsys):
+    # int-to-str conversion refused them (ValueError, exit 1); the limit is
+    # lifted only while the report prints
+    path = tmp_path / "sq12.ac"
+    path.write_text(SQ12_TEXT)
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, ["pit", "--circuit", str(path)])
+    assert rc == 1 and err == ""
+    witness, value = re.fullmatch(r"nonzero at \((\d+),\) \(value (\d+)\)\n", out).groups()
+    exact = int(witness) ** 4096  # compared without a string conversion
+    assert 10 ** (len(value) - 1) <= exact < 10 ** len(value) and len(value) > 70_000
+    assert int(value[-30:]) == exact % 10**30
+    rc, out, err = run(capsys, ["eval", "--circuit", str(path), "--point", "100"])
+    assert (rc, out, err) == (0, "1" + "0" * 8192 + "\n", "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_pit_degree_hint_past_the_box_width_bounds_at_1(tmp_path, capsys):
@@ -187,6 +218,18 @@ BAD_FLAG_ARGV = {
                              "--rows", "2", "--budget", "-1"],
     "count-designs-budget-0": ["count-designs", "--l", "2", "--r", "1", "--kcap", "1",
                                "--rows", "2", "--budget", "0"],
+    # one past MAX_SAMPLE_WIDTH: 2^100000000000 died with MemoryError, exit 1
+    "pit-width-cap": ["pit", "--circuit", "{det2}", "--width", "1025"],
+    "verify-perm-width-cap": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
+                              "--width", "1025"],
+    "verify-efun-width-cap": ["verify-efun", "--m", "2", "--k", "2",
+                              "--circuit", "{efun22}", "--width", "1025"],
+    "build-hitting-set-width-cap": ["build-hitting-set", "--ninputs", "1", "--bound", "3",
+                                    "--alphabet=-1,1", "--width", "1025"],
+    "derive-cert-width-cap": ["derive-cert", "--design", "{design}", "--width", "1025"],
+    "eval-point": ["eval", "--circuit", "{det2}", "--point", "1,2,x,4"],
+    # int() refuses a 5,000-digit literal, the guard against slow conversion
+    "pit-huge-const": ["pit", "--circuit", "{huge}"],
 }
 
 # the error of a bad dimension names it, ahead of any arity complaint
@@ -198,6 +241,13 @@ NAMED_IN_ERROR = {
     "verify-perm-prime-count-huge": "prime count must be 1..64, got 100000000",
     "efun-oracle-budget": "budget must be at least 1, got -1",
     "count-designs-budget-0": "budget must be at least 1, got 0",
+    "pit-width-cap": "sample width must be 1..1024, got 1025",
+    "verify-perm-width-cap": "sample width must be 1..1024, got 1025",
+    "verify-efun-width-cap": "sample width must be 1..1024, got 1025",
+    "build-hitting-set-width-cap": "sample width must be 1..1024, got 1025",
+    "derive-cert-width-cap": "sample width must be 1..1024, got 1025",
+    "eval-point": "expected comma-separated integers, got '1,2,x,4'",
+    "pit-huge-const": "line 2: expected an integer",
 }
 
 
@@ -214,10 +264,63 @@ def test_bad_count_or_width_exits_2(tmp_path, capsys, label, argv):
     paths["xm1"].write_text("ninputs 1\ng1 = input 0\ng2 = const 1\ng3 = sub g1 g2\noutput g3\n")
     paths["block22"] = tmp_path / "block22.mat"
     paths["block22"].write_text(BLOCK22)
+    paths["huge"] = tmp_path / "huge.ac"
+    paths["huge"].write_text(f"ninputs 0\ng1 = const {'9' * 5000}\noutput g1\n")
+    paths["design"] = tmp_path / "design.hex"
+    paths["design"].write_text(DESIGN_HEX)
     rc, out, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert NAMED_IN_ERROR.get(label, "") in err
+
+
+# every --width runs through util.sample_box: MAX_SAMPLE_WIDTH = 1024 passes
+# validation, and 1025 fails it (the CLI cases above), for each subcommand
+WIDTH_CHECKS = {
+    "pit": (["--circuit", "c.ac"], lambda args: sample_box(args.width)),
+    "build-hitting-set": (["--ninputs", "1", "--bound", "3", "--alphabet=-1,1"],
+                          lambda args: sample_box(args.width)),
+    "verify-perm": (["--n", "2", "--circuit", "c.ac"],
+                    lambda args: cli._verify_config(args).box()),
+    "verify-efun": (["--m", "2", "--k", "2", "--circuit", "c.ac"],
+                    lambda args: cli._verify_config(args).box()),
+    "derive-cert": (["--design", "d.hex"],
+                    lambda args: cli._cert_config_from_file(None, args, 3).box()),
+}
+
+
+@pytest.mark.parametrize("command", WIDTH_CHECKS)
+@pytest.mark.parametrize("width", (MAX_SAMPLE_WIDTH, MAX_SAMPLE_WIDTH + 1))
+def test_width_cap_through_validation(command, width):
+    flags, validate = WIDTH_CHECKS[command]
+    args = build_parser().parse_args([command, *flags, "--width", str(width)])
+    if width <= MAX_SAMPLE_WIDTH:
+        assert validate(args) == (1, 1 << width)
+    else:
+        with pytest.raises(UsageError, match=f"got {width}"):
+            validate(args)
+
+
+def test_decode_refuses_a_certificate_width_past_the_cap(cert_path, det2_path, tmp_path,
+                                                         capsys):
+    # the config hash is recomputed, so only the width check can refuse it
+    bad = tmp_path / "wide.txt"
+    bad.write_text(_recertified(cert_path, "sample_width=62", "sample_width=1025"))
+    rc, out, err = run(capsys, ["decode", "--cert", str(bad), "--circuit", det2_path])
+    assert rc == 2 and out == ""
+    assert "sample width must be 1..1024, got 1025" in err and "Traceback" not in err
+
+
+def _recertified(cert_path: str, old: str, new: str) -> str:
+    """The certificate text with `old` replaced by `new` in its config
+    block and the config hash recomputed to match."""
+    lines = open(cert_path).read().splitlines()
+    start, end = lines.index("config {"), lines.index("}")
+    block = [new if line == old else line for line in lines[start + 1:end]]
+    assert block != lines[start + 1:end]
+    lines[start + 1:end] = block
+    lines[1] = f"config-hash {config_hash(parse_config(chr(10).join(block)))}"
+    return "".join(line + "\n" for line in lines)
 
 
 # --prime-bits runs from random_prime's 16-bit floor to 81, where every drawn
@@ -290,6 +393,15 @@ def test_verify_design_rejects_non_hex(tmp_path, capsys):
     path.write_text("zz\n")
     rc, _, err = run(capsys, ["verify-design", "--label", str(path)])
     assert rc == 2 and "not a hex design label" in err
+
+
+def test_verify_design_reports_a_violation(tmp_path, capsys):
+    # a label that decodes, with a row of two elements where r = 3
+    params = DesignParams(2, 6, 3, 1)
+    path = tmp_path / "label.hex"
+    path.write_text(encode_design(Design(params, (0b000111, 0b011000))).hex() + "\n")
+    rc, out, err = run(capsys, ["verify-design", "--label", str(path)])
+    assert (rc, out, err) == (1, "invalid: cardinality |T_1| = 2, expected 3\n", "")
 
 
 def test_count_designs(capsys):
@@ -463,6 +575,17 @@ def test_derive_cert_config_file_overrides_flags(label_path, tmp_path, capsys):
     assert "bound=5" in lines and "bound=8" not in lines
 
 
+def test_derive_cert_keeps_a_config_files_truth_table(label_path, tmp_path, capsys):
+    # a table in the file is committed as given; --table-seed is not read
+    config = tmp_path / "cert.cfg"
+    config.write_text("truth_table=01101001\n")
+    cert = tmp_path / "cert.txt"
+    rc, _, err = run(capsys, ["derive-cert", "--design", label_path, "--config", str(config),
+                              "--table-seed", "5", "--out", str(cert)])
+    assert rc == 0, err
+    assert "truth_table=01101001" in cert.read_text().splitlines()
+
+
 def test_derive_cert_efun_flags_without_n(label_path, capsys):
     # an omitted --n follows the target: 0 for efun, 2 for perm
     rc, out, err = run(capsys, ["derive-cert", "--design", label_path,
@@ -504,6 +627,15 @@ def test_decode_perm2_is_negative(cert_path, perm2_path, capsys):
     rc, out, _ = run(capsys, ["decode", "--cert", cert_path,
                               "--circuit", perm2_path])
     assert rc == 1 and out.startswith("negative:")
+
+
+def test_decode_refuses_an_unknown_regime_in_a_certificate(cert_path, det2_path,
+                                                           tmp_path, capsys):
+    bad = tmp_path / "regime.txt"
+    bad.write_text(_recertified(cert_path, "regime=size", "regime=depth"))
+    rc, out, err = run(capsys, ["decode", "--cert", str(bad), "--circuit", det2_path])
+    assert rc == 2 and out == ""
+    assert "unknown regime 'depth'" in err and "Traceback" not in err
 
 
 def test_decode_tampered_cert_exits_2(cert_path, det2_path, tmp_path, capsys):
@@ -568,6 +700,39 @@ def test_trivial_table_out_matches_the_printed_rows(tmp_path, capsys):
     assert [f.name for f in tmp_path.iterdir()] == ["table.txt"]
 
 
+TABLE_ARGV = ["trivial-table", "--ninputs", "4", "--bound", "2", "--alphabet=1", "--n", "2"]
+
+
+def test_output_files_that_cannot_be_written_exit_2(tmp_path, capsys):
+    # a missing directory, for a plain write and for a replacing one; a
+    # directory in place of the file
+    design = ["gen-design", "--l", "6", "--r", "3", "--kcap", "1", "--rows", "4"]
+    for argv in (design + ["--out", str(tmp_path / "missing" / "d.hex")],
+                 TABLE_ARGV + ["--out", str(tmp_path / "missing" / "t.txt")],
+                 TABLE_ARGV + ["--out", str(tmp_path)]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and f"error: cannot write {argv[-1]}: " in err, argv
+        assert "Traceback" not in err
+    assert "not a regular file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_replacing_write_failure_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    # the sibling file is removed and the old table kept when the final move fails
+    table = tmp_path / "table.txt"
+    table.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    rc, out, err = run(capsys, TABLE_ARGV + ["--out", str(table)])
+    assert rc == 2 and out == ""
+    assert err == f"error: cannot write {table}: no space left on device\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["table.txt"]
+    assert table.read_text() == "old\n"
+
+
 def test_trivial_table_out_left_unwritten_when_the_target_is_computable(tmp_path, capsys):
     # x0 * x1 computes E(1,2); the members before it are streamed first
     table = tmp_path / "table.txt"
@@ -618,6 +783,17 @@ def test_trace_tools_large_prime_exits_0(capsys):
     rc, out, _ = run(capsys, ["trace-tools", "--q", "2147483647", "--l", "2"])
     assert rc == 0
     assert out.splitlines()[0] == "field 2147483647 2 1 0 1"
+
+
+def test_trace_tools_stops_its_modulus_scan(monkeypatch, capsys):
+    # every t^4 + c is reducible over F_(2^31 - 1): the scan ran for about
+    # 2^31 Rabin tests; past its budget it exits 3 and points at --modulus
+    monkeypatch.setattr(fields, "MAX_IRREDUCIBLE_SCAN", 50)
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, ["trace-tools", "--q", "2147483647", "--l", "4"])
+    assert rc == 3 and out == ""
+    assert err.startswith("budget: no irreducible of degree 4") and "--modulus" in err
+    assert time.monotonic() - t0 < 10
 
 
 def test_trace_tools_rejects_reducible_modulus(capsys):

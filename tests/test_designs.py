@@ -70,6 +70,8 @@ def test_from_provenance():
         DesignParams.from_provenance(16, 0, 2, 6)
     with pytest.raises(UsageError):
         DesignParams.from_provenance(16, 2, 2, 6)  # needs c < a
+    with pytest.raises(UsageError, match="base size m must be >= 2"):
+        DesignParams.from_provenance(1, 1, 2, 6)
 
 
 def test_forced_intersection():
@@ -243,6 +245,26 @@ def test_backtracking_failure_frozen(monkeypatch):
         build_design_greedy(DesignParams(4, 6, 3, 1))
     assert str(ei.value) == (
         "no design found (backtracking over 20 rows, 42 nodes, best 3 rows)")
+
+
+def test_build_gives_up_past_the_backtracking_universe():
+    # three disjoint 15-subsets of a 30-universe do not exist, the fast
+    # checks do not see it, and C(30, 15) rows are too many to backtrack over
+    with pytest.raises(ConstructionFailed) as ei:
+        build_design_greedy(DesignParams(3, 30, 15, 0), seed=0)
+    assert str(ei.value) == "stuck after 1 rows (randomized attempts exhausted)"
+    assert ei.value.rows_achieved == 1
+
+
+def test_backtracking_cap_falls_at_the_end_of_a_level(monkeypatch):
+    # (3, 4, 2, 0): rows {0,1} then {2,3} leave the third level no candidate;
+    # closing it counts its 6 skipped rows, 7 + 6 nodes, past the cap of 10
+    monkeypatch.setattr(designs, "_ATTEMPTS", 0)
+    monkeypatch.setattr(designs, "_BACKTRACK_NODES", 10)
+    with pytest.raises(ConstructionFailed) as ei:
+        build_design_greedy(DesignParams(3, 4, 2, 0))
+    assert str(ei.value) == (
+        "no design found (backtracking over 6 rows, 10 nodes, best 2 rows)")
 
 
 def test_distinct_rows_design_label_frozen():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipcert import fields
-from flipcert.errors import UsageError
+from flipcert.errors import BudgetError, SingularTraceForm, UsageError
 from flipcert.fields import (
     ExtField,
     PrimeField,
@@ -187,6 +187,16 @@ def test_prime_field_arithmetic():
     assert a**6 == F.one
 
 
+def test_prime_field_element_edges():
+    F = PrimeField(7)
+    assert not F.zero and F.one
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
+    # equal elements of two constructions of F_7 hash equal
+    a, b = F.element(3), PrimeField(7).element(10)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(UsageError):
         PrimeField(6)
@@ -252,6 +262,92 @@ def test_poly_is_irreducible_rejects_reducible():
     # t^2 + 1 = (t+1)^2 over F_2
     assert not poly_is_irreducible((1, 0, 1), 2)
     assert poly_is_irreducible((1, 1, 1), 2)
+    # a constant, and a polynomial that is not monic
+    assert not poly_is_irreducible((1,), 2)
+    assert not poly_is_irreducible((1, 2), 3)
+
+
+def _poly_times(a, b, q):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % q
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q, l, first, factors", (
+    # t^4 + t + 1; (t^2 + 1)(t^2 + t + 2) over F_3
+    (2, 4, (1, 1, 0, 0, 1), None),
+    (3, 4, None, ((1, 0, 1), (2, 1, 1))),
+    # t^6 + t + 1; (t^3 + t + 1)(t^3 + t^2 + 1) over F_2
+    (2, 6, (1, 1, 0, 0, 0, 0, 1), None),
+    (2, 6, None, ((1, 1, 0, 1), (1, 0, 1, 1))),
+))
+def test_rabin_test_at_composite_degree(q, l, first, factors):
+    # at composite l Rabin's test also takes gcd(x^(q^(l/p)) - x, f) for
+    # each prime p | l: a product of irreducibles whose degrees divide l
+    # passes x^(q^l) = x and fails only there
+    if first is not None:
+        assert find_irreducible(q, l) == first
+        assert poly_is_irreducible(first, q)
+    else:
+        f = _poly_times(*factors, q)
+        assert len(f) == l + 1 and fields._poly_powmod((0, 1), q**l, f, q) == (0, 1)
+        assert not poly_is_irreducible(f, q)
+
+
+def test_find_irreducible_stops_after_its_scan(monkeypatch):
+    # t^4, t^4 + 1 and t^4 + t are reducible over F_2: t^4 + t + 1 is the
+    # fourth candidate
+    monkeypatch.setattr(fields, "MAX_IRREDUCIBLE_SCAN", 3)
+    with pytest.raises(BudgetError, match="first 3 candidates; give one with --modulus"):
+        find_irreducible(2, 4)
+    monkeypatch.setattr(fields, "MAX_IRREDUCIBLE_SCAN", 4)
+    assert find_irreducible(2, 4) == (1, 1, 0, 0, 1)
+
+
+EXT_FIELD_ERRORS = {
+    "degree-0": (lambda: ExtField(2, 0), "extension degree must be >= 1, got 0"),
+    "modulus-degree": (lambda: ExtField(2, 2, (1, 1)), "monic of degree l"),
+    "modulus-monic": (lambda: ExtField(3, 2, (1, 0, 2)), "monic of degree l"),
+    "coordinates": (lambda: ExtField(3, 2).element((1, 2, 0)), "too many coordinates"),
+    "from-coeffs": (lambda: element_from_coeffs(ExtField(3, 2), (1,)),
+                    "need exactly 2 coordinates"),
+}
+
+
+@pytest.mark.parametrize("call, message", EXT_FIELD_ERRORS.values(),
+                         ids=EXT_FIELD_ERRORS.keys())
+def test_ext_field_input_checks(call, message):
+    with pytest.raises(UsageError, match=message):
+        call()
+
+
+def test_ext_field_hash_and_equality_across_constructions():
+    # two constructions of F_9 are equal and hash equal, and so are their
+    # elements, whose generated hash hashes the field
+    F, G = ExtField(3, 2), ExtField(3, 2)
+    assert F is not G and F == G and hash(F) == hash(G)
+    assert F.gen() == G.gen() and hash(F.gen()) == hash(G.gen())
+    assert len({F.gen(), G.gen(), F.one}) == 2
+    assert ExtField(3, 2, (2, 2, 1)) != F  # another modulus
+
+
+def test_ext_field_negative_powers():
+    F = ExtField(5, 2)
+    for x in F.elements():
+        if not x:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            continue
+        assert x ** -1 == x.inverse()
+        assert x ** -3 * x**3 == F.one
+
+
+def test_singular_gram_matrix_is_refused():
+    with pytest.raises(SingularTraceForm, match="singular mod 7"):
+        fields._matrix_inverse_mod([[1, 2], [3, 6]], 7)
+    assert fields._matrix_inverse_mod([[2, 0], [0, 3]], 7) == [[4, 0], [0, 5]]
 
 
 def test_ext_field_rejects_reducible_modulus():

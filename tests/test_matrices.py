@@ -4,25 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from flipcert.errors import IndexOutOfRange, ParseError, ShapeMismatch
-from flipcert.matrices import MatrixAssignment, matrix_from_text
+from flipcert.errors import ParseError, ShapeMismatch, UsageError
+from flipcert.matrices import MatrixAssignment, matrix_from_text, row_width
 
 
 def test_square_basics():
     X = MatrixAssignment.square([[1, 2], [3, 4]])
     assert X.shape == ("square", 2)
-    assert X.nrows == 2 and X.ncols == 2
     assert X.flatten() == (1, 2, 3, 4)
-
-
-def test_block_column_addressing():
-    # m=2, k=3: storage column of choice j for vector i is (i-1)*k + (j-1)
-    X = MatrixAssignment.block(2, 3, [[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
-    assert X.shape == ("block", 2, 3)
-    assert X.block_column(1, 1) == (1, 7)
-    assert X.block_column(3, 2) == (6, 12)
-    with pytest.raises(IndexOutOfRange):
-        X.block_column(4, 1)
 
 
 def test_selected_submatrix():
@@ -37,6 +26,16 @@ def test_shape_validation():
         MatrixAssignment.square([[1, 2], [3]])
     with pytest.raises(ShapeMismatch):
         MatrixAssignment.block(2, 2, [[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(UsageError, match="m >= 1 and k >= 1"):
+        MatrixAssignment.block(0, 2, [])
+
+
+@pytest.mark.parametrize("shape, width", ((("square", 3), 3), (("block", 2, 3), 6),
+                                          (("block", 3, 1), 3)))
+def test_row_width(shape, width):
+    assert row_width(shape) == width
+    values = tuple(range(shape[1] * width))
+    assert MatrixAssignment.from_flat(shape, values).entries[0] == values[:width]
 
 
 def test_text_roundtrip_square():

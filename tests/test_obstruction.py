@@ -87,6 +87,12 @@ def test_config_range_validation():
         toy_config(nonzero_count=-1)
     with pytest.raises(UsageError):
         toy_config(sample_width=0)
+    with pytest.raises(UsageError, match="sample width must be 1..1024, got 1025"):
+        toy_config(sample_width=1025)
+    with pytest.raises(UsageError, match="sample band must be >= 0, got -1"):
+        toy_config(band=-1)
+    with pytest.raises(UsageError, match="unknown regime 'depth'"):
+        toy_config(regime="depth")
     with pytest.raises(UsageError):
         toy_config(det_factor_mode="magic")
     with pytest.raises(UsageError):
@@ -97,6 +103,7 @@ def test_config_box_is_banded():
     cfg = toy_config(sample_width=4, band=0)
     assert cfg.box() == (1, 16)
     assert toy_config(sample_width=4, band=3).box() == (49, 64)
+    assert toy_config(sample_width=1024).box() == (1, 1 << 1024)
 
 
 def test_config_labels_and_vars():
@@ -214,6 +221,23 @@ def test_parse_rejects_truncation():
     text = "".join(line + "\n" for line in lines[:4])  # cut inside config
     with pytest.raises(MalformedEncoding):
         parse_certificate(text)
+
+
+# each line of the certificate's head, broken, and the error it must give
+BROKEN_HEADS = {
+    "config-hash": (1, "hash 00", "missing config-hash"),
+    "design": (2, "label 00", "missing design block"),
+    "design-hex": (2, "design zz", "design block is not hex"),
+    "config": (3, "config", "missing config block"),
+}
+
+
+@pytest.mark.parametrize("at, line, message", BROKEN_HEADS.values(), ids=BROKEN_HEADS.keys())
+def test_parse_rejects_a_broken_head(at, line, message):
+    lines = serialize_certificate(derive_certificate(toy_design(), toy_config())).splitlines()
+    lines[at] = line
+    with pytest.raises(MalformedEncoding, match=message):
+        parse_certificate("".join(ln + "\n" for ln in lines))
 
 
 def test_parse_rejects_config_edit():

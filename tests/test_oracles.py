@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,13 +23,15 @@ from flipcert.oracles import (
     ElementaryAdd,
     PermSwap,
     PosThreeCycle,
+    RowCycle,
+    add_pairs,
     apply_group,
     column_permutation,
     determinant,
     efun,
-    efun_degree,
     k_generators,
     permanent,
+    var_map,
 )
 
 
@@ -106,9 +109,6 @@ def test_efun_values_and_degree():
     # m=1, k=2: E(X) = x11 * x12 (two 1x1 determinants)
     X = MatrixAssignment.block(1, 2, [[3, 5]])
     assert efun(X) == 15
-    assert efun_degree(1, 2) == 2
-    assert efun_degree(2, 2) == 8
-    assert efun_degree(2, 3) == 18
     # zero primary minor forces E = 0
     Y = MatrixAssignment.block(1, 2, [[0, 5]])
     assert efun(Y) == 0
@@ -220,3 +220,49 @@ def test_perm_symmetry_laws_oracle_level():
     D = Diagonal((2, 3, 4))
     scaled = apply_group(D, M, "right")
     assert permanent([list(r) for r in scaled.entries]) == 24 * base
+
+
+SQ2, BL22 = ("square", 2), ("block", 2, 2)
+
+# every guard of the oracles and the group maps: its call, error and message
+ORACLE_GUARDS = {
+    "permanent-empty": (lambda: permanent([]), UsageError, "nonempty square"),
+    "permanent-ragged": (lambda: permanent([[1, 2]]), UsageError, "nonempty square"),
+    "efun-square": (lambda: efun(MatrixAssignment.square([[1]])), UsageError,
+                    "block assignment"),
+    "colswap-k-1": (lambda: column_permutation(ColSwap(1), 2, 1), ShapeMismatch,
+                    "k >= 2"),
+    "colswap-position": (lambda: column_permutation(ColSwap(3), 2, 2), ShapeMismatch,
+                         "position 3 outside 1..2"),
+    "colcycle-position": (lambda: column_permutation(ColCycle(0), 2, 3), ShapeMismatch,
+                          "position 0 outside 1..2"),
+    "posthreecycle-repeat": (lambda: column_permutation(PosThreeCycle(1, 1, 2), 3, 2),
+                             ShapeMismatch, "invalid for m=3"),
+    "posthreecycle-range": (lambda: column_permutation(PosThreeCycle(1, 2, 4), 3, 2),
+                            ShapeMismatch, "invalid for m=3"),
+    "column-not-wreath": (lambda: column_permutation(PermSwap(1), 2, 2), ShapeMismatch,
+                          "PermSwap is not a block column action"),
+    "side": (lambda: var_map(PermSwap(1), SQ2, "up"), UsageError, "side must be"),
+    "permswap-range": (lambda: var_map(PermSwap(2), SQ2, "left"), ShapeMismatch,
+                       "PermSwap(2) needs adjacent pair within 2"),
+    "rowcycle-repeat": (lambda: var_map(RowCycle(1, 2, 2), ("square", 3), "left"),
+                        ShapeMismatch, "invalid for size 3"),
+    "rowcycle-range": (lambda: var_map(RowCycle(1, 2, 3), SQ2, "right"), ShapeMismatch,
+                       "invalid for size 2"),
+    "diagonal-length": (lambda: var_map(Diagonal((1, 2, 3)), BL22, "left"), ShapeMismatch,
+                        "diagonal of length 3 against dimension 2"),
+    "not-an-element": (lambda: var_map(None, SQ2, "left"), ShapeMismatch,
+                       "unsupported action NoneType"),
+    "add-same-row": (lambda: add_pairs(1, 1, SQ2, "left"), ShapeMismatch,
+                     "ElementaryAdd(1,1) against dimension 2"),
+    "add-range": (lambda: add_pairs(1, 5, BL22, "right"), ShapeMismatch,
+                  "ElementaryAdd(1,5) against dimension 4"),
+    "k-generators": (lambda: k_generators(0, 2), UsageError, "m >= 1 and k >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", ORACLE_GUARDS.values(),
+                         ids=ORACLE_GUARDS.keys())
+def test_oracle_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -15,6 +15,7 @@ import itertools
 import pytest
 
 from circuit_ops import circuit_from_ops
+from flipcert import pit
 from flipcert.builders import perm_circuit
 from flipcert.circuits import (
     OP_ADD,
@@ -290,6 +291,28 @@ def test_disjoint_families():
             assert not (set(flat[i]) & set(flat[j]))
     for hs in fams[:3]:
         assert verify_hitting_set(hs).valid
+
+
+def test_disjoint_families_stop_at_a_band_whose_pool_fails(monkeypatch):
+    # the first band whose pool cannot cover the class ends the list
+    real = pit.build_hitting_set_greedy
+
+    def weak_from_band_2(cls, seed, box):
+        if box[0] > 2 << 16:
+            raise PoolExhausted("weak band")
+        return real(cls, seed=seed, box=box)
+
+    monkeypatch.setattr(pit, "build_hitting_set_greedy", weak_from_band_2)
+    fams = disjoint_hitting_families(EnumeratedClass(1, 3, (-1, 1)), count=5, seed=0)
+    assert [{(v - 1) >> 16 for pt in hs.points for v in pt} for hs in fams] == [{0}, {1}]
+
+
+def test_class_and_file_checks():
+    with pytest.raises(UsageError, match="unknown regime 'depth'"):
+        EnumeratedClass(1, 3, (-1, 1), regime="depth")
+    text = "hitting-set v1\nclass enumerated n=1 bound=3 regime=size alphabet=-1,1\n"
+    with pytest.raises(ParseError, match="point arity 2 mismatches class 1"):
+        parse_hitting_set(text + "points 1\n1 2\n")
 
 
 def test_axioms_report_fields():

@@ -57,10 +57,13 @@ from flipcert.symtests import (
     _Table,
     acted,
     canonicalize_queries,
+    embed_principal,
     gen_queries_efun,
     gen_queries_perm,
     gen_queries_selfreduce,
     perm_symmetry_nullspace,
+    query_verdict,
+    run_queries,
     sampled_error_bound,
     serialize_query,
     verify_claims_efun,
@@ -463,6 +466,49 @@ def test_check_rule_sees_every_check_pass_and_fail():
         assert diag or (mode, dims[0]) == ("literal", 1)  # literal m = 1: no row law
     suite = _efun_table(2, 3, VerifyConfig(mode="exhaustive")).suite
     assert [f for _, _, vmap, f in suite if vmap[0] is not None].count(-1) == 1
+
+
+def _swap_fixed_polys():
+    """Sparse polynomials in E(2,3)'s 12 variables with at least one
+    monomial the row swap fixes: row 2's exponents equal row 1's, as in
+    x_{1,c} x_{2,c}."""
+    row = st.tuples(*[st.integers(0, 2)] * 6).filter(any)
+    fixed = st.dictionaries(row.map(lambda e: e + e), st.integers(-5, 5).filter(bool),
+                            min_size=1, max_size=2)
+    return st.tuples(_sparse_polys(12), fixed).map(lambda parts: {**parts[0], **parts[1]})
+
+
+@settings(max_examples=50, deadline=None)
+@given(poly=_swap_fixed_polys(), seed=st.integers(0, 3))
+def test_odd_swap_sign_on_a_fixed_monomial(poly, seed):
+    # at E(2,3), k^m = 9 is odd, so the row swap law reads p(gX) = -p(X); a
+    # monomial the swap fixes fails it by itself, c_e != -c_e.  The table's
+    # mask equals a reference that builds p(gX) for every check
+    table = _efun_table(2, 3, VerifyConfig(mode="exhaustive", seed=seed))
+    want = 0
+    for i, (_, _, vmap, factor) in enumerate(table.suite):
+        if acted(poly, vmap) != poly_scaled(poly, factor):
+            want |= 1 << i
+    assert table.failures(poly) == want
+    [swap] = [i for i, (_, _, vmap, f) in enumerate(table.suite) if vmap[0] and f == -1]
+    assert want >> swap & 1
+
+
+SUITE_GUARDS = {
+    "embed": (lambda: embed_principal([[1, 2], [3, 4]], 1), "cannot embed 2x2 into 1x1"),
+    "det-mode": (lambda: gen_queries_efun(2, 2, seed=0, det_factor_mode="magic"),
+                 "unknown det_factor_mode 'magic'"),
+    "relation": (lambda: query_verdict(Query("K", (), "bogus", (), ((1,),)), [1]),
+                 "unknown relation 'bogus'"),
+    "ring": (lambda: run_queries(perm_circuit(2), (), ring="p-adic"),
+             "unknown ring mode 'p-adic'"),
+}
+
+
+@pytest.mark.parametrize("call, message", SUITE_GUARDS.values(), ids=SUITE_GUARDS.keys())
+def test_suite_guards(call, message):
+    with pytest.raises(UsageError, match=message):
+        call()
 
 
 def _widths():
