@@ -70,6 +70,7 @@ from .errors import (
     UsageError,
 )
 from .fields import int_bitlength
+from .util import int_token, quoted
 
 OP_INPUT, OP_CONST, OP_ADD, OP_SUB, OP_MUL = range(5)
 OP_NAMES = ("input", "const", "add", "sub", "mul")  # the text form's op names
@@ -126,7 +127,7 @@ def parse_circuit(text: str) -> Circuit:
         if num_inputs is None:
             if toks[0] != "ninputs" or len(toks) != 2:
                 raise ParseError(f"line {lineno}: expected 'ninputs <n>' first")
-            num_inputs = _int_tok(toks[1], lineno)
+            num_inputs = int_token(toks[1], f"line {lineno}")
             if num_inputs < 0:
                 raise ParseError(f"line {lineno}: negative input count")
             continue
@@ -143,7 +144,7 @@ def parse_circuit(text: str) -> Circuit:
         try:
             id_num = int(gid[1:])
         except ValueError:
-            raise ParseError(f"line {lineno}: bad node id {gid!r}") from None
+            raise ParseError(f"line {lineno}: bad node id {quoted(gid)}") from None
         if id_num <= last_id:
             raise ParseError(f"line {lineno}: node ids must strictly increase")
         last_id = id_num
@@ -151,18 +152,18 @@ def parse_circuit(text: str) -> Circuit:
         if op == "input":
             if len(args) != 1:
                 raise BadArity(f"line {lineno}: input takes one index")
-            node = (OP_INPUT, _int_tok(args[0], lineno), 0)
+            node = (OP_INPUT, int_token(args[0], f"line {lineno}"), 0)
         elif op == "const":
             if len(args) != 1:
                 raise BadArity(f"line {lineno}: const takes one integer")
-            node = (OP_CONST, _int_tok(args[0], lineno), 0)
+            node = (OP_CONST, int_token(args[0], f"line {lineno}"), 0)
         elif op in ("add", "sub", "mul"):
             if len(args) != 2:
                 raise BadArity(f"line {lineno}: {op} takes two node ids")
             a, b = (_ref(t, ids, lineno) for t in args)
             node = (OP_NAMES.index(op), a, b)
         else:
-            raise ParseError(f"line {lineno}: unknown op {op!r}")
+            raise ParseError(f"line {lineno}: unknown op {quoted(op)}")
         ids[gid] = len(nodes)
         nodes.append(node)
     if num_inputs is None:
@@ -172,17 +173,10 @@ def parse_circuit(text: str) -> Circuit:
     return Circuit(num_inputs, tuple(nodes), output)
 
 
-def _int_tok(tok: str, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected an integer, got {tok!r}") from None
-
-
 def _ref(tok: str, ids: Mapping[str, int], lineno: int) -> int:
     if tok in ids:
         return ids[tok]
-    raise DagViolation(f"line {lineno}: reference to undeclared node {tok!r}")
+    raise DagViolation(f"line {lineno}: reference to undeclared node {quoted(tok)}")
 
 
 def serialize_circuit(c: Circuit) -> str:

@@ -15,7 +15,16 @@ from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 from .circuits import evaluate, parse_circuit, serialize_circuit
-from .config import format_config, parse_config
+from .config import (
+    BOUND,
+    REGIME,
+    add_flag,
+    add_flags,
+    format_config,
+    from_args,
+    given,
+    parse_config,
+)
 from .designs import (
     DesignParams,
     build_design_greedy,
@@ -26,6 +35,7 @@ from .designs import (
 )
 from .errors import (
     BudgetError,
+    BudgetExceeded,
     ConstructionFailed,
     FlipcertError,
     NoFailingQuery,
@@ -63,8 +73,8 @@ from .pit import (
     serialize_hitting_set,
     verify_hitting_set,
 )
-from .symtests import VerifyConfig, verify_claims_efun, verify_claims_perm
-from .util import sample_box
+from .symtests import SAMPLE_WIDTH, VerifyConfig, verify_claims_efun, verify_claims_perm
+from .util import quoted, sample_box
 
 
 def _read(path: str) -> str:
@@ -110,16 +120,22 @@ def _replacing(path: str):
         raise
 
 
-@contextmanager
-def _any_digits():
-    """Lift Python's int-to-str digit limit while a report prints exact
-    values, which a valid circuit can make as long as it likes.  Parsing
-    keeps the limit: a number in an input file or flag is text to convert,
-    and the limit caps the quadratic cost of converting it."""
+# the widest value a report prints, about 158,000 digits: int-to-decimal
+# takes quadratic time, 27.5 s for 1.2 million digits (CPython 3.11)
+MAX_PRINT_BITS = 1 << 19
+
+
+def _decimal(value: int) -> str:
+    """An exact value in decimal, past Python's int-to-str digit limit but
+    within MAX_PRINT_BITS.  Parsing keeps the limit: a number in an input
+    file or flag is text to convert, and the limit caps that cost."""
+    if value.bit_length() > MAX_PRINT_BITS:
+        raise BudgetExceeded(f"value of {value.bit_length()} bits is past the "
+                             f"{MAX_PRINT_BITS}-bit print budget")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        yield
+        return str(value)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -128,7 +144,7 @@ def _ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+        raise UsageError(f"expected comma-separated integers, got {quoted(text)}") from None
 
 
 def _load_circuit(path: str):
@@ -142,21 +158,6 @@ def _read_label(path: str) -> bytes:
         raise UsageError(f"{path} is not a hex design label") from None
 
 
-def _verify_config(args) -> VerifyConfig:
-    return VerifyConfig(
-        seed=args.seed,
-        rounds=args.rounds,
-        nonzero_count=args.nonzero,
-        sample_width=args.width,
-        normalize=not args.no_normalize,
-        mode=args.mode,
-        ring=args.ring,
-        prime_bits=args.prime_bits,
-        prime_count=args.prime_count,
-        det_factor_mode=getattr(args, "det_mode", "det-corrected"),
-    )
-
-
 def _print_verify(res) -> int:
     print(res.transcript())
     if res.mode == "sampled":
@@ -167,37 +168,32 @@ def _print_verify(res) -> int:
 
 
 def _enumerated_class(args) -> EnumeratedClass:
-    return EnumeratedClass(
-        num_inputs=args.ninputs,
-        bound=args.bound,
-        alphabet=_ints(args.alphabet),
-        regime=args.regime,
-    )
+    return from_args(EnumeratedClass, args, num_inputs=args.ninputs,
+                     alphabet=_ints(args.alphabet))
 
 
 def _design_params(args) -> DesignParams:
     return DesignParams(m_prime=args.rows, l=args.l, r=args.r, k_cap=args.kcap)
 
 
-def _default_n(target: str) -> int:
-    """n when --n is omitted: a perm target is 2 x 2, an efun target has none."""
-    return 2 if target == "perm" else 0
+def _cert_values(args, file_pairs=()) -> dict:
+    """CLI-side config assembly: the declared defaults, overridden by the
+    flags the argv set, overridden in turn by a config file's pairs.  An n
+    set by none of them follows the merged target: a perm target is 2 x 2,
+    an efun target has none.  The truth table is left to the caller."""
+    values = {name: opt.default for name, opt in CertConfig.declared.items()
+              if name not in ("n", "truth_table")}
+    values.update(given(CertConfig, args))
+    values.update(file_pairs)
+    values.setdefault("n", 2 if values["target"] == "perm" else 0)
+    return values
 
 
 def _cert_config_from_file(path: str | None, args, design_r: int) -> CertConfig:
-    """CLI-side config assembly: the dataclass defaults, overridden by the
-
-    flags named after a config key, overridden in turn by the file's pairs.
-    An n set by neither follows the merged target.  The merged pairs are
-    decoded as strictly as a certificate's own config block; an empty truth
-    table is then committed from --table-seed."""
-    defaults = CertConfig(target="perm", n=1).pairs()
-    pairs = {key: value for key, value in defaults.items() if key != "n"}
-    flags = ((key, getattr(args, key, None)) for key in defaults)
-    pairs.update((key, value) for key, value in flags if value is not None)
-    if path:
-        pairs.update(parse_config(_read(path)))
-    pairs.setdefault("n", _default_n(pairs["target"]))
+    """The merged pairs are decoded as strictly as a certificate's own
+    config block; an empty truth table is then committed from --table-seed."""
+    pairs = _cert_values(args, parse_config(_read(path)) if path else ())
+    pairs.setdefault("truth_table", "")
     config = CertConfig.from_pairs(parse_config(format_config(pairs)))
     if config.truth_table:
         return config
@@ -210,9 +206,7 @@ def _cert_config_from_file(path: str | None, args, design_r: int) -> CertConfig:
 def cmd_eval(args) -> int:
     c = _load_circuit(args.circuit)
     point = _ints(args.point)
-    value = evaluate(c, point)
-    with _any_digits():
-        print(value)
+    print(_decimal(evaluate(c, point)))
     return 0
 
 
@@ -226,8 +220,7 @@ def cmd_pit(args) -> int:
         degree_hint=args.degree_hint,
     )
     if res.verdict == "nonzero":
-        with _any_digits():
-            print(f"nonzero at {res.witness_point} (value {res.witness_value})")
+        print(f"nonzero at {res.witness_point} (value {_decimal(res.witness_value)})")
         return 1
     print(f"zero (false-zero bound {res.error_bound:.3g}, {res.trials_run} trials)")
     return 0
@@ -235,12 +228,13 @@ def cmd_pit(args) -> int:
 
 def cmd_verify_perm(args) -> int:
     c = _load_circuit(args.circuit)
-    return _print_verify(verify_claims_perm(c, args.n, _verify_config(args)))
+    return _print_verify(verify_claims_perm(c, args.n, from_args(VerifyConfig, args)))
 
 
 def cmd_verify_efun(args) -> int:
     c = _load_circuit(args.circuit)
-    return _print_verify(verify_claims_efun(c, args.m, args.k, _verify_config(args)))
+    cfg = from_args(VerifyConfig, args)
+    return _print_verify(verify_claims_efun(c, args.m, args.k, cfg))
 
 
 def cmd_efun_oracle(args) -> int:
@@ -342,11 +336,7 @@ def cmd_trivial_table(args) -> int:
     if args.head < 0:
         raise UsageError(f"--head must be >= 0, got {args.head}")
     cls = _enumerated_class(args)
-    n = _default_n(args.target) if args.n is None else args.n
-    config = CertConfig(
-        target=args.target, n=n, m=args.m, k=args.k, bound=args.bound,
-        regime=args.regime, truth_table=(0, 0), seed_bits=1,
-    )
+    config = CertConfig(**{**_cert_values(args), "truth_table": (0, 0), "seed_bits": 1})
     head = []  # the first --head rows, printed when there is no --out
 
     def keep(row) -> None:
@@ -399,30 +389,11 @@ def cmd_perm_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # parser plumbing
 
-def _add_verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--nonzero", type=int, default=3)
-    p.add_argument("--width", type=int, default=62)
-    p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--mode", choices=("sampled", "exhaustive"), default="sampled")
-    p.add_argument("--ring", choices=("exact", "modular"), default="exact")
-    p.add_argument("--prime-bits", type=int, default=31)
-    p.add_argument("--prime-count", type=int, default=3)
-
-
-def _add_target_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", choices=("perm", "efun"), default="perm")
-    p.add_argument("--n", type=int, default=None)  # see _default_n
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-
-
 def _add_class_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ninputs", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    add_flag(p, BOUND, required=True)
     p.add_argument("--alphabet", required=True)
-    p.add_argument("--regime", choices=("size", "bitsize"), default="size")
+    add_flag(p, REGIME)
 
 
 def _add_design_flags(p: argparse.ArgumentParser) -> None:
@@ -449,23 +420,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width", type=int, default=62)
+    p.add_argument("--width", type=int, default=62, help=SAMPLE_WIDTH.span())
     p.add_argument("--degree-hint", type=int, default=None)
     p.set_defaults(func=cmd_pit)
 
     p = sub.add_parser("verify-perm", help="permanent symmetry suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--circuit", required=True)
-    _add_verify_flags(p)
+    add_flags(p, VerifyConfig, skip=("det_factor_mode",))
     p.set_defaults(func=cmd_verify_perm)
 
     p = sub.add_parser("verify-efun", help="product-of-determinants symmetry suite")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--circuit", required=True)
-    p.add_argument("--det-mode", choices=("det-corrected", "literal"),
-                   default="det-corrected", dest="det_mode")
-    _add_verify_flags(p)
+    add_flags(p, VerifyConfig)
     p.set_defaults(func=cmd_verify_efun)
 
     p = sub.add_parser("efun-oracle", help="evaluate E(X) on a block matrix file")
@@ -496,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pool", type=int, default=64)
-    p.add_argument("--width", type=int, default=16)
+    p.add_argument("--width", type=int, default=16, help=SAMPLE_WIDTH.span())
     p.add_argument("--out")
     p.set_defaults(func=cmd_build_hitting_set)
 
@@ -507,11 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive-cert", help="derive an obstruction certificate")
     p.add_argument("--design", required=True, help="hex design label file")
     p.add_argument("--config", default=None, help="key=value config file")
-    _add_target_flags(p)
-    p.add_argument("--regime", choices=("size", "bitsize"), default="size")
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--seed-bits", type=int, default=4, dest="seed_bits")
-    p.add_argument("--width", type=int, default=62, dest="sample_width")
+    add_flags(p, CertConfig)
     p.add_argument("--table-seed", type=int, default=0, dest="table_seed")
     p.add_argument("--out")
     p.set_defaults(func=cmd_derive_cert)
@@ -530,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trivial-table", help="one counterexample row per class circuit")
     _add_class_flags(p)
-    _add_target_flags(p)
+    add_flags(p, CertConfig, skip=("regime", "bound", "seed_bits", "sample_width"))
     p.add_argument("--head", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_trivial_table)

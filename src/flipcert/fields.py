@@ -270,14 +270,23 @@ def _digit_vectors(q: int, l: int) -> Iterator[tuple[int, ...]]:
 # 2^31 and 65519 candidates; 10,000 Rabin tests take 3.6 to 10 s there
 # (2-core Xeon VM, Python 3.11.7).
 MAX_IRREDUCIBLE_SCAN = 10_000
+# the largest extension degree; `trace-tools --q 2` took 4.5 s at l = 24,
+# 17 s at 32 and over a minute at 64, its trace form costing about l^4
+MAX_EXT_DEGREE = 32
+
+
+def _check_degree(l: int) -> None:
+    if l < 1:
+        raise UsageError(f"extension degree must be >= 1, got {l}")
+    if l > MAX_EXT_DEGREE:
+        raise UsageError(f"extension degree must be at most {MAX_EXT_DEGREE}, got {l}")
 
 
 def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     """First monic irreducible of degree l, scanning the non-leading
     coefficients (f_0, ..., f_{l-1}) in little-endian numeric order; a
     BudgetError after MAX_IRREDUCIBLE_SCAN candidates."""
-    if l < 1:
-        raise UsageError(f"extension degree must be >= 1, got {l}")
+    _check_degree(l)
     if not is_prime(q):
         raise UsageError(f"{q} is not prime")
     if l == 1:
@@ -357,8 +366,7 @@ class ExtField:
     """
 
     def __init__(self, q: int, l: int, modulus: Sequence[int] | None = None):
-        if l < 1:
-            raise UsageError(f"extension degree must be >= 1, got {l}")
+        _check_degree(l)
         self.base = PrimeField(q)
         self.q = q
         self.l = l

@@ -37,7 +37,16 @@ from .circuits import (
     run_many,
 )
 from .builders import efun_circuit, perm_circuit
-from .config import config_hash, format_config, parse_bool, parse_config
+from .config import (
+    BOUND,
+    REGIME,
+    Option,
+    config_hash,
+    declare,
+    format_config,
+    parse_bool,
+    parse_config,
+)
 from .designs import (
     Design,
     build_design_greedy,
@@ -56,7 +65,11 @@ from .errors import (
 from .matrices import BLOCK, SQUARE
 from .oracles import permanent
 from .symtests import (
+    DET_MODE,
+    MAX_NONZERO,
+    MAX_ROUNDS,
     MAX_TERMS,
+    SAMPLE_WIDTH,
     Query,
     canonicalize_queries,
     gen_queries_efun,
@@ -69,55 +82,47 @@ from .symtests import (
 from .util import Stopwatch, derive_seed, sample_box
 
 F2_MIN_DISJOINT = 2  # mutually point-disjoint certificates F2 asks for
+MAX_F2_SAMPLES = 1024  # F2's sampled certificates, each a full derivation
+# the F gates' budgets reach at most a day, and a label of 2^32 bits
+MAX_BUDGET_SECONDS = 86_400.0
+MAX_BUDGET_BITS = 1 << 32
+TARGET = Option("perm", "target", "--target", choices=("perm", "efun"))
 
 
 @dataclass(frozen=True)
+@declare(target=TARGET)
 class CertConfig:
     """Everything besides the design label that derivation depends on."""
 
-    target: str  # "perm" | "efun"
-    n: int = 0
-    m: int = 0
-    k: int = 0
-    regime: str = "size"
-    bound: int = 3
-    seed_bits: int = 4
-    rounds_per_tape: int = 1
-    nonzero_count: int = 1
-    sample_width: int = 62
-    band: int = 0
-    normalize: bool = True
-    det_factor_mode: str = "det-corrected"
-    truth_table: tuple[int, ...] = ()
-    f0_budget_bits: int = 4096
-    f1a_budget_seconds: float = 60.0
-    f3_budget_seconds: float = 10.0
-    f4_budget_seconds: float = 10.0
+    target: str
+    n: int = Option(0, "dimension n", "--n")  # see cli._cert_values
+    m: int = Option(0, "dimension m", "--m")
+    k: int = Option(0, "dimension k", "--k")
+    regime: str = REGIME
+    bound: int = BOUND
+    seed_bits: int = Option(4, "seed bits", "--seed-bits", lo=0, hi=20)
+    rounds_per_tape: int = Option(1, "rounds per tape", lo=1, hi=MAX_ROUNDS)
+    nonzero_count: int = Option(1, "nonzero count", lo=0, hi=MAX_NONZERO)
+    sample_width: int = SAMPLE_WIDTH.replace(dest="sample_width")
+    band: int = Option(0, "sample band", lo=0)
+    normalize: bool = Option(True, "normalize")
+    det_factor_mode: str = DET_MODE.replace(flag=None)
+    truth_table: tuple[int, ...] = Option((), "truth table entry", choices=(0, 1))
+    f0_budget_bits: int = Option(4096, "F0 budget bits", lo=0, hi=MAX_BUDGET_BITS)
+    f1a_budget_seconds: float = Option(
+        60.0, "F1a budget seconds", lo=0, hi=MAX_BUDGET_SECONDS)
+    f3_budget_seconds: float = Option(10.0, "F3 budget seconds", lo=0, hi=MAX_BUDGET_SECONDS)
+    f4_budget_seconds: float = Option(10.0, "F4 budget seconds", lo=0, hi=MAX_BUDGET_SECONDS)
 
     def __post_init__(self):
+        self._check()
         if self.target == "perm":
             if self.n < 1 or self.m or self.k:
                 raise UsageError("perm target needs n >= 1 and no (m, k)")
-        elif self.target == "efun":
+        else:
             if self.m < 1 or self.k < 2 or self.n:
                 raise UsageError("efun target needs m >= 1, k >= 2 and no n")
-        else:
-            raise UsageError(f"unknown target {self.target!r}")
-        if self.regime not in ("size", "bitsize"):
-            raise UsageError(f"unknown regime {self.regime!r}")
-        if self.bound < 1:
-            raise UsageError("class bound must be >= 1")
-        if not 0 <= self.seed_bits <= 20:
-            raise UsageError("seed_bits outside [0, 20]")
-        if self.rounds_per_tape < 1 or self.nonzero_count < 0:
-            raise UsageError("bad query counts")
-        sample_box(self.sample_width, self.band)
-        if self.det_factor_mode not in ("det-corrected", "literal"):
-            raise UsageError(f"unknown det_factor_mode {self.det_factor_mode!r}")
-        if self.target == "efun":
             require_row_law(self.m, self.det_factor_mode)
-        if any(b not in (0, 1) for b in self.truth_table):
-            raise UsageError("truth table entries must be bits")
 
     def target_label(self) -> str:
         if self.target == "perm":
@@ -139,10 +144,10 @@ class CertConfig:
     def from_pairs(pairs: dict[str, str]) -> "CertConfig":
         """Strict inverse of pairs() on text values: every field, nothing else,
 
-        each decoded by its declared type."""
-        want = {f.name: _DECODERS[f.type] for f in fields(CertConfig)}
-        missing = want.keys() - pairs.keys()
-        extra = pairs.keys() - want.keys()
+        each decoded by the type of its declared default."""
+        want = {name: _DECODERS.get(type(opt.default), type(opt.default))
+                for name, opt in CertConfig.declared.items()}
+        missing, extra = want.keys() - pairs.keys(), pairs.keys() - want.keys()
         if missing or extra:
             raise MalformedEncoding(
                 f"config keys off: missing {sorted(missing)}, extra {sorted(extra)}"
@@ -153,14 +158,7 @@ class CertConfig:
             raise MalformedEncoding(f"bad config value: {e}") from None
 
 
-# field annotations are strings under `from __future__ import annotations`
-_DECODERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "bool": parse_bool,
-    "tuple[int, ...]": lambda text: tuple(int(ch) for ch in text),
-}
+_DECODERS = {bool: parse_bool, tuple: lambda text: tuple(int(ch) for ch in text)}
 
 
 def random_truth_table(r: int, seed: int = 0) -> tuple[int, ...]:
@@ -437,8 +435,8 @@ def harness_F(
     on nothing else.  No member is kept, so peak memory grows with the
     number of distinct polynomials, not with the class size.
     """
-    if f2_samples < 0:
-        raise UsageError(f"F2 sample count must be >= 0, got {f2_samples}")
+    if not 0 <= f2_samples <= MAX_F2_SAMPLES:
+        raise UsageError(f"F2 sample count must be 0..{MAX_F2_SAMPLES}, got {f2_samples}")
     cfg = cert.config
 
     with Stopwatch() as sw:

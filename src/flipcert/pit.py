@@ -27,14 +27,18 @@ from .circuits import (
     lower,
     run_many,
 )
+from .config import BOUND, REGIME, declare
 from .errors import ArityMismatch, ParseError, PoolExhausted, UsageError
 from .fields import int_bitlength
-from .util import Stopwatch, derive_seed, rand_point, sample_box
+from .util import Stopwatch, derive_seed, int_token, quoted, rand_point, sample_box
 
 MAX_TERMS = 10_000  # expansion budget of the zero test on class members
+MAX_TRIALS = 10_000  # pit_random's trials, each one circuit evaluation
+MAX_POOL = 4096  # a hitting-set pool's points, each run on every member
 
 
 @dataclass(frozen=True)
+@declare(bound=BOUND)
 class EnumeratedClass:
     """All canonical circuits with at most `bound` nodes (size regime) or
 
@@ -43,13 +47,10 @@ class EnumeratedClass:
     num_inputs: int
     bound: int
     alphabet: tuple[int, ...]
-    regime: str = "size"
+    regime: str = REGIME
 
     def __post_init__(self):
-        if self.regime not in ("size", "bitsize"):
-            raise UsageError(f"unknown regime {self.regime!r}")
-        if self.bound < 1:
-            raise UsageError("bound must be >= 1")
+        self._check()
         if tuple(sorted(set(self.alphabet))) != self.alphabet:
             raise UsageError("alphabet must be strictly increasing")
 
@@ -268,8 +269,8 @@ def pit_random(
     A nonzero verdict is certain (the witness is returned); a zero verdict
     carries the (degree/box)^trials false-zero bound.
     """
-    if trials < 1:
-        raise UsageError("need at least one trial")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise UsageError(f"trials must be 1..{MAX_TRIALS}, got {trials}")
     bound = pit_error_bound(c.size, box, trials, degree_hint)  # checks the hint
     rng = random.Random(derive_seed("pit", seed, trials, box[0], box[1]))
     prog = lower(c)
@@ -342,8 +343,8 @@ def build_hitting_set_greedy(
     Ties break toward the earliest pool index; PoolExhausted when no
     candidate hits any still-uncovered member.
     """
-    if pool_size < 1:
-        raise UsageError(f"pool size must be at least 1, got {pool_size}")
+    if not 1 <= pool_size <= MAX_POOL:
+        raise UsageError(f"pool size must be 1..{MAX_POOL}, got {pool_size}")
     if cls.num_inputs == 0:
         raise UsageError("hitting sets need at least one variable")
     rng = random.Random(derive_seed("pool", seed, cls.label(), box[0], box[1]))
@@ -454,7 +455,7 @@ def parse_hitting_set(text: str) -> HittingSet:
     for tok in lines[1][len("class enumerated ") :].split():
         key, eq, value = tok.partition("=")
         if not eq:
-            raise ParseError(f"bad class line: token {tok!r} is not key=value")
+            raise ParseError(f"bad class line: token {quoted(tok)} is not key=value")
         fields[key] = value
     try:
         cls = EnumeratedClass(
@@ -468,21 +469,14 @@ def parse_hitting_set(text: str) -> HittingSet:
     head = lines[2].split()
     if len(head) != 2 or head[0] != "points":
         raise ParseError("missing points count line")
-    count = _int_token(head[1], "points count")
+    count = int_token(head[1], "points count")
     body = lines[3:]
     if len(body) != count:
         raise ParseError(f"expected {count} point lines, got {len(body)}")
     pts = []
     for ln in body:
-        pt = tuple(_int_token(tok, "point coordinate") for tok in ln.split())
+        pt = tuple(int_token(tok, "point coordinate") for tok in ln.split())
         if len(pt) != cls.num_inputs:
             raise ParseError(f"point arity {len(pt)} mismatches class {cls.num_inputs}")
         pts.append(pt)
     return HittingSet(tuple(pts), cls)
-
-
-def _int_token(tok: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"{what} is not an integer: {tok!r}") from None

@@ -66,6 +66,7 @@ from .circuits import (
     poly_subst_consts,
     run_many,
 )
+from .config import Option, declare
 from .errors import ArityMismatch, UsageError
 from .fields import is_prime, random_prime
 from .matrices import BLOCK, SQUARE
@@ -79,7 +80,7 @@ from .oracles import (
     var_map,
 )
 from .pit import pit_error_bound as sampled_error_bound
-from .util import derive_seed, rand_point, sample_box
+from .util import MAX_SAMPLE_WIDTH, derive_seed, rand_point, sample_box
 
 # query kinds
 P_NONZERO = "PNonZero"
@@ -100,6 +101,10 @@ EXTRA_DIAGONALS = 2  # sampled diagonals beyond the prime one, per check set
 # the most primes a modular run draws; a count of 10^8 was still drawing
 # after 15 s
 MAX_PRIME_COUNT = 64
+# the most rounds and nonzero queries a suite draws; 10^8 of either was
+# still running on perm(2) after 6 s
+MAX_ROUNDS = 1024
+MAX_NONZERO = 1024
 
 # relations between the evaluations v_0, v_1, ... of a query's points
 REL_NONZERO = "nonzero"  # v0 != 0
@@ -135,42 +140,37 @@ class RunReport(NamedTuple):
     primes: tuple[int, ...] = ()
 
 
+# the E-function suites' two law sets (see the module docstring)
+DET_MODE = Option("det-corrected", "det_factor_mode", "--det-mode", "det_mode",
+                  choices=("det-corrected", "literal"))
+# the sample box's width in bits, shared with CertConfig
+SAMPLE_WIDTH = Option(62, "sample width", "--width", lo=1, hi=MAX_SAMPLE_WIDTH)
+# the ring a suite runs in; run_queries reads its choices too
+RING = Option("exact", "ring", "--ring", choices=("exact", "modular"))
+
+
 @dataclass(frozen=True)
+@declare()
 class VerifyConfig:
-    seed: int = 0
-    rounds: int = 2
-    nonzero_count: int = 3
-    sample_width: int = 62
-    normalize: bool = True
-    mode: str = "sampled"  # "sampled" | "exhaustive"
-    ring: str = "exact"  # "exact" | "modular"
-    prime_bits: int = 31
-    prime_count: int = 3
-    det_factor_mode: str = "det-corrected"  # "det-corrected" | "literal"
+    seed: int = Option(0, "seed", "--seed")
+    rounds: int = Option(2, "rounds", "--rounds", lo=0, hi=MAX_ROUNDS)
+    nonzero_count: int = Option(3, "nonzero count", "--nonzero", lo=0, hi=MAX_NONZERO)
+    sample_width: int = SAMPLE_WIDTH
+    normalize: bool = Option(True, "normalize", "--no-normalize")
+    mode: str = Option("sampled", "mode", "--mode", choices=("sampled", "exhaustive"))
+    ring: str = RING
+    # random_prime's floor; below 2^81 < psi_13 every drawn prime is
+    # certainly prime, and a huge width would draw for minutes
+    prime_bits: int = Option(31, "prime bits", "--prime-bits", lo=16, hi=81)
+    # with no prime, every nonzero query fails and every other passes
+    prime_count: int = Option(3, "prime count", "--prime-count", lo=1, hi=MAX_PRIME_COUNT)
+    det_factor_mode: str = DET_MODE
 
     def __post_init__(self):
-        if self.mode not in ("sampled", "exhaustive"):
-            raise UsageError(f"unknown mode {self.mode!r}")
-        if self.ring not in ("exact", "modular"):
-            raise UsageError(f"unknown ring {self.ring!r}")
-        if self.det_factor_mode not in ("det-corrected", "literal"):
-            raise UsageError(f"unknown det_factor_mode {self.det_factor_mode!r}")
-        sample_box(self.sample_width)
-        if min(self.rounds, self.nonzero_count, self.prime_count) < 0:
-            raise UsageError("rounds, nonzero and prime counts must be >= 0")
+        self._check()
         if self.mode == "sampled" and self.rounds < 1:
             # with no symmetry law left, any nonzero normalized circuit passes
             raise UsageError("sampled mode needs rounds >= 1")
-        if self.ring == "modular" and not 1 <= self.prime_count <= MAX_PRIME_COUNT:
-            # with no prime, every nonzero query fails and every other passes;
-            # a huge count would draw primes for minutes
-            raise UsageError(
-                f"prime count must be 1..{MAX_PRIME_COUNT}, got {self.prime_count}"
-            )
-        if self.ring == "modular" and not 16 <= self.prime_bits <= 81:
-            # random_prime's floor; below 2^81 < psi_13 every drawn prime is
-            # certainly prime, and a huge width would draw for minutes
-            raise UsageError(f"prime bits must be 16..81, got {self.prime_bits}")
 
     def box(self) -> tuple[int, int]:
         return sample_box(self.sample_width)
@@ -370,8 +370,8 @@ def _literal_diag_entries(rng: random.Random, m: int) -> tuple[int, ...]:
 def _draws(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) -> tuple:
     """A suite (queries, columns, slots) in generation order: each round's
     laws, then the one-point queries, each point a new column."""
-    if target == "efun" and det_mode not in ("det-corrected", "literal"):
-        raise UsageError(f"unknown det_factor_mode {det_mode!r}")
+    if target == "efun" and det_mode not in DET_MODE.choices:
+        raise DET_MODE.refuse(det_mode)
     label, nonzero = ("P", P_NONZERO) if target == "perm" else ("E", E_NONZERO)
     m, size, corrected = dims[0], dims[0] * prod(dims), det_mode == "det-corrected"
     queries, columns, slots = suite = ([], [], [])
@@ -573,7 +573,7 @@ def run_queries(
     residues, which are those of the exact values, since Z/rad -> Z/p is a
     ring map.
     """
-    if ring not in ("exact", "modular"):
+    if ring not in RING.choices:
         raise UsageError(f"unknown ring mode {ring!r}")
     moduli: tuple[int, ...] = (0,)
     primes: tuple[int, ...] = ()

@@ -1,12 +1,12 @@
-"""Small shared helpers: stable seed derivation, the sample box, box draws
-and wall-clock timing."""
+"""Small shared helpers: stable seed derivation, input tokens and how errors
+quote them, the sample box, box draws and wall-clock timing."""
 
 from __future__ import annotations
 
 import hashlib
 import time
 
-from .errors import UsageError
+from .errors import ParseError, UsageError
 
 
 def derive_seed(*parts) -> int:
@@ -19,6 +19,20 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
+def quoted(token: str) -> str:
+    """A token as an error quotes it: its repr, cut to its first 32
+    characters and its length when longer, so 5,000 digits make a short line."""
+    return repr(token) if len(token) <= 32 else f"{token[:32]!r}... ({len(token)} characters)"
+
+
+def int_token(token: str, where: str) -> int:
+    """An input file's integer token, or a ParseError naming `where`."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{where}: expected an integer, got {quoted(token)}") from None
+
+
 # The widest sample box, 2^1024 entries a side.  The widest default is 62
 # bits; a box of 2^100000000000 died with MemoryError before any draw.
 MAX_SAMPLE_WIDTH = 1024
@@ -26,12 +40,11 @@ MAX_SAMPLE_WIDTH = 1024
 
 def sample_box(width: int, band: int = 0) -> tuple[int, int]:
     """The box [1 + band * 2^width, (band + 1) * 2^width] of 2^width
-    integers; band b's boxes are disjoint from every other band's.  The one
-    rule for --width, a config's sample_width and the hitting-set bands."""
+    integers; band b >= 0's boxes are disjoint from every other band's (a
+    certificate's band is declared >= 0).  The one rule for --width, a
+    config's sample_width and the hitting-set bands."""
     if not 1 <= width <= MAX_SAMPLE_WIDTH:
         raise UsageError(f"sample width must be 1..{MAX_SAMPLE_WIDTH}, got {width}")
-    if band < 0:
-        raise UsageError(f"sample band must be >= 0, got {band}")
     span = 1 << width
     return (1 + band * span, (band + 1) * span)
 

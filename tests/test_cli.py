@@ -16,13 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from flipcert import cli, fields
+from flipcert import cli, fields, obstruction, pit
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit
 from flipcert.circuits import serialize_circuit
 from flipcert.cli import build_parser, main
-from flipcert.config import config_hash, parse_config
+from flipcert.config import config_hash, from_args, parse_config
 from flipcert.designs import Design, DesignParams, build_design_greedy, encode_design
-from flipcert.errors import UsageError
+from flipcert.errors import BudgetExceeded, UsageError
+from flipcert.obstruction import CertConfig
+from flipcert.pit import EnumeratedClass
+from flipcert.symtests import VerifyConfig
 from flipcert.util import MAX_SAMPLE_WIDTH, sample_box
 
 XY_TEXT = "ninputs 2\ng1 = input 0\ng2 = input 1\ng3 = mul g1 g2\noutput g3\n"
@@ -109,6 +112,20 @@ def test_pit_and_eval_print_values_past_the_digit_limit(tmp_path, capsys):
     rc, out, err = run(capsys, ["eval", "--circuit", str(path), "--point", "100"])
     assert (rc, out, err) == (0, "1" + "0" * 8192 + "\n", "")
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_pit_and_eval_refuse_a_value_past_the_print_budget(tmp_path, capsys):
+    # x squared 14 times at a 62-bit point has about a million bits, whose
+    # decimal form took 27.5 s; the bit length is checked before converting
+    path = tmp_path / "sq14.ac"
+    path.write_text("ninputs 1\ng0 = input 0\n" + "".join(
+        f"g{t} = mul g{t - 1} g{t - 1}\n" for t in range(1, 15)) + "output g14\n")
+    for argv in (["pit"], ["eval", "--point", str(1 << 40)]):
+        rc, out, err = run(capsys, [*argv, "--circuit", str(path)])
+        assert (rc, out) == (3, "") and err.startswith("budget: value of ")
+    assert len(cli._decimal((1 << cli.MAX_PRINT_BITS) - 1)) == 157_827
+    with pytest.raises(BudgetExceeded, match="-bit print budget"):
+        cli._decimal(1 << cli.MAX_PRINT_BITS)
 
 
 def test_pit_degree_hint_past_the_box_width_bounds_at_1(tmp_path, capsys):
@@ -230,6 +247,21 @@ BAD_FLAG_ARGV = {
     "eval-point": ["eval", "--circuit", "{det2}", "--point", "1,2,x,4"],
     # int() refuses a 5,000-digit literal, the guard against slow conversion
     "pit-huge-const": ["pit", "--circuit", "{huge}"],
+    # its error quoted all 5,000 digits, a 5,043-byte line
+    "pit-huge-const-quoted": ["pit", "--circuit", "{huge}"],
+    "eval-huge-point": ["eval", "--circuit", "{det2}", "--point", "9" * 5000],
+    # one past each loop count's cap: 10^8 rounds, nonzero queries, pool
+    # points, or an extension of degree 5000, ran past a 6 s timeout
+    "verify-perm-rounds-cap": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
+                               "--rounds", "1025"],
+    "verify-perm-nonzero-cap": ["verify-perm", "--n", "2", "--circuit", "{perm2}",
+                                "--nonzero", "1025"],
+    "verify-efun-rounds-cap": ["verify-efun", "--m", "2", "--k", "2",
+                               "--circuit", "{efun22}", "--rounds", "1025"],
+    "pit-trials-cap": ["pit", "--circuit", "{det2}", "--trials", "10001"],
+    "build-hitting-set-pool-cap": ["build-hitting-set", "--ninputs", "1", "--bound", "3",
+                                   "--alphabet=-1,1", "--pool", "4097"],
+    "trace-tools-l-cap": ["trace-tools", "--q", "2", "--l", "33"],
 }
 
 # the error of a bad dimension names it, ahead of any arity complaint
@@ -248,6 +280,15 @@ NAMED_IN_ERROR = {
     "derive-cert-width-cap": "sample width must be 1..1024, got 1025",
     "eval-point": "expected comma-separated integers, got '1,2,x,4'",
     "pit-huge-const": "line 2: expected an integer",
+    "pit-huge-const-quoted": (
+        f"line 2: expected an integer, got '{'9' * 32}'... (5000 characters)"),
+    "eval-huge-point": f"got '{'9' * 32}'... (5000 characters)",
+    "verify-perm-rounds-cap": "rounds must be 0..1024, got 1025",
+    "verify-perm-nonzero-cap": "nonzero count must be 0..1024, got 1025",
+    "verify-efun-rounds-cap": "rounds must be 0..1024, got 1025",
+    "pit-trials-cap": "trials must be 1..10000, got 10001",
+    "build-hitting-set-pool-cap": "pool size must be 1..4096, got 4097",
+    "trace-tools-l-cap": "extension degree must be at most 32, got 33",
 }
 
 
@@ -271,7 +312,7 @@ def test_bad_count_or_width_exits_2(tmp_path, capsys, label, argv):
     rc, out, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
-    assert NAMED_IN_ERROR.get(label, "") in err
+    assert NAMED_IN_ERROR.get(label, "") in err and len(err) < 200
 
 
 # every --width runs through util.sample_box: MAX_SAMPLE_WIDTH = 1024 passes
@@ -281,9 +322,9 @@ WIDTH_CHECKS = {
     "build-hitting-set": (["--ninputs", "1", "--bound", "3", "--alphabet=-1,1"],
                           lambda args: sample_box(args.width)),
     "verify-perm": (["--n", "2", "--circuit", "c.ac"],
-                    lambda args: cli._verify_config(args).box()),
+                    lambda args: from_args(VerifyConfig, args).box()),
     "verify-efun": (["--m", "2", "--k", "2", "--circuit", "c.ac"],
-                    lambda args: cli._verify_config(args).box()),
+                    lambda args: from_args(VerifyConfig, args).box()),
     "derive-cert": (["--design", "d.hex"],
                     lambda args: cli._cert_config_from_file(None, args, 3).box()),
 }
@@ -342,6 +383,143 @@ def test_prime_count_ceiling(perm2_path, capsys, count, want):
     assert rc == want
     if want:
         assert out == "" and f"prime count must be 1..64, got {count}" in err
+
+
+# every declared range, read from its declaration: the floor and the cap
+# pass validation and one past either fails it (exit 2), so no test starts
+# the run a cap holds off
+VALID_BASES = {
+    VerifyConfig: {"mode": "exhaustive"},  # sampled mode also needs rounds >= 1
+    CertConfig: {"target": "perm", "n": 2},
+    EnumeratedClass: {"num_inputs": 1, "bound": 3, "alphabet": (-1, 1)},
+}
+DECLARED_RANGES = [(cls, name, opt) for cls in VALID_BASES
+                   for name, opt in cls.declared.items() if opt.lo is not None]
+
+
+@pytest.mark.parametrize("cls, name, opt", DECLARED_RANGES,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in DECLARED_RANGES])
+def test_declared_range_through_validation(cls, name, opt):
+    lo, hi = opt.lo, opt.hi
+    edges = [(lo, True), (lo - 1, False)]
+    if hi is not None:
+        edges += [(hi, True), (hi + 1, False)]
+    for value, valid in edges:
+        values = {**VALID_BASES[cls], name: value}
+        if valid:
+            assert getattr(cls(**values), name) == value
+        else:
+            with pytest.raises(UsageError, match=f"^{opt.label} must be .*, got {value}$"):
+                cls(**values)
+
+
+@pytest.mark.parametrize("key, message", (
+    ("rounds_per_tape", "rounds per tape must be 1..1024, got 1025"),
+    ("nonzero_count", "nonzero count must be 0..1024, got 1025"),
+))
+def test_decode_refuses_a_certificate_count_past_its_cap(cert_path, det2_path, tmp_path,
+                                                         capsys, key, message):
+    # 10^8 of either was still deriving after 8 s; the hash is recomputed,
+    # so only the declared cap, read through from_pairs, can refuse it
+    bad = tmp_path / "counts.txt"
+    bad.write_text(_recertified(cert_path, f"{key}=1", f"{key}=1025"))
+    rc, out, err = run(capsys, ["decode", "--cert", str(bad), "--circuit", det2_path])
+    assert rc == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_loop_counts_past_their_caps_through_validation(cert_path):
+    # the caps of the counts only the command line sets; each cap itself
+    # passes (F2's, whose run is 1,024 derivations, only by its message)
+    assert pit.pit_random(perm_circuit(2), trials=pit.MAX_TRIALS).verdict == "nonzero"
+    cls = EnumeratedClass(1, 2, (-1, 1))
+    assert pit.build_hitting_set_greedy(cls, pool_size=pit.MAX_POOL).points
+    assert fields.ExtField(2, fields.MAX_EXT_DEGREE).l == fields.MAX_EXT_DEGREE
+    cert = obstruction.parse_certificate(open(cert_path).read())
+    cap = obstruction.MAX_F2_SAMPLES
+    with pytest.raises(UsageError, match=f"F2 sample count must be 0..{cap}, got {cap + 1}"):
+        obstruction.harness_F(cert, cls, f2_samples=cap + 1)
+
+
+# each subcommand's option strings and dests, pinned: declaring the config
+# fields once adds and drops no flag
+FLAGS = {
+    "eval": [("--circuit", "circuit"), ("--point", "point")],
+    "pit": [("--circuit", "circuit"), ("--degree-hint", "degree_hint"), ("--seed", "seed"),
+            ("--trials", "trials"), ("--width", "width")],
+    "verify-perm": [("--circuit", "circuit"), ("--mode", "mode"), ("--n", "n"),
+                    ("--no-normalize", "no_normalize"), ("--nonzero", "nonzero"),
+                    ("--prime-bits", "prime_bits"), ("--prime-count", "prime_count"),
+                    ("--ring", "ring"), ("--rounds", "rounds"), ("--seed", "seed"),
+                    ("--width", "width")],
+    "verify-efun": [("--circuit", "circuit"), ("--det-mode", "det_mode"), ("--k", "k"),
+                    ("--m", "m"), ("--mode", "mode"), ("--no-normalize", "no_normalize"),
+                    ("--nonzero", "nonzero"), ("--prime-bits", "prime_bits"),
+                    ("--prime-count", "prime_count"), ("--ring", "ring"),
+                    ("--rounds", "rounds"), ("--seed", "seed"), ("--width", "width")],
+    "efun-oracle": [("--budget", "budget"), ("--matrix", "matrix")],
+    "perm-oracle": [("--matrix", "matrix")],
+    "gen-design": [("--kcap", "kcap"), ("--l", "l"), ("--out", "out"), ("--r", "r"),
+                   ("--rows", "rows"), ("--seed", "seed")],
+    "verify-design": [("--label", "label")],
+    "count-designs": [("--budget", "budget"), ("--kcap", "kcap"), ("--l", "l"),
+                      ("--r", "r"), ("--rows", "rows")],
+    "build-hitting-set": [("--alphabet", "alphabet"), ("--bound", "bound"),
+                          ("--ninputs", "ninputs"), ("--out", "out"), ("--pool", "pool"),
+                          ("--regime", "regime"), ("--seed", "seed"), ("--width", "width")],
+    "verify-hitting-set": [("--file", "file")],
+    "derive-cert": [("--bound", "bound"), ("--config", "config"), ("--design", "design"),
+                    ("--k", "k"), ("--m", "m"), ("--n", "n"), ("--out", "out"),
+                    ("--regime", "regime"), ("--seed-bits", "seed_bits"),
+                    ("--table-seed", "table_seed"), ("--target", "target"),
+                    ("--width", "sample_width")],
+    "decode": [("--cert", "cert"), ("--circuit", "circuit")],
+    "harness-f": [("--alphabet", "alphabet"), ("--bound", "bound"), ("--cert", "cert"),
+                  ("--f2-samples", "f2_samples"), ("--ninputs", "ninputs"),
+                  ("--regime", "regime"), ("--seed", "seed")],
+    "trivial-table": [("--alphabet", "alphabet"), ("--bound", "bound"), ("--head", "head"),
+                      ("--k", "k"), ("--m", "m"), ("--n", "n"), ("--ninputs", "ninputs"),
+                      ("--out", "out"), ("--regime", "regime"), ("--target", "target")],
+    "trace-tools": [("--l", "l"), ("--modulus", "modulus"), ("--q", "q")],
+}
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_each_subcommand_keeps_its_flags_and_dests():
+    got = {command: sorted((a.option_strings[0], a.dest) for a in p._actions
+                           if a.option_strings and a.dest != "help")
+           for command, p in _subparsers().items()}
+    assert got == FLAGS
+
+
+def test_from_args_reads_the_declared_defaults_and_the_flags_set():
+    parse = build_parser().parse_args
+    args = parse(["verify-perm", "--n", "2", "--circuit", "c.ac"])
+    assert from_args(VerifyConfig, args) == VerifyConfig()
+    args = parse(["verify-efun", "--m", "2", "--k", "2", "--circuit", "c.ac", "--rounds", "5",
+                  "--no-normalize", "--det-mode", "literal", "--ring", "modular"])
+    assert from_args(VerifyConfig, args) == VerifyConfig(
+        rounds=5, normalize=False, det_factor_mode="literal", ring="modular")
+
+
+def test_help_prints_each_declared_range():
+    spans = {(opt.flag, opt.dest): opt.span() for cls in VALID_BASES
+             for opt in cls.declared.values() if opt.flag and opt.lo is not None}
+    seen = set()
+    for p in _subparsers().values():
+        for action in p._actions:
+            key = (action.option_strings[:1] or [None])[0], action.dest
+            if key in spans:
+                assert action.help == spans[key]
+                seen.add(key)
+    assert seen == spans.keys()
+    text = _subparsers()["verify-perm"].format_help()
+    assert re.search(r"--rounds ROUNDS +0\.\.1024\n", text)
 
 
 # ---------------------------------------------------------------------------
