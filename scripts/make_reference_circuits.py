@@ -12,7 +12,7 @@ import pathlib
 
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
 from flipcert.circuits import serialize_circuit
-from flipcert.matrices import MatrixAssignment
+from flipcert.matrices import BLOCK, SQUARE, matrix_text
 
 
 def main() -> int:
@@ -41,13 +41,11 @@ def main() -> int:
         print(f"wrote {name} ({circuit.size} nodes)")
 
     samples = {
-        "sample_square2.mat": MatrixAssignment.square([[1, 2], [3, 4]]),
-        "sample_block_2_2.mat": MatrixAssignment.block(
-            2, 2, [[1, 2, 3, 4], [5, 6, 7, 8]]
-        ),
+        "sample_square2.mat": ((SQUARE, 2), (1, 2, 3, 4)),
+        "sample_block_2_2.mat": ((BLOCK, 2, 2), (1, 2, 3, 4, 5, 6, 7, 8)),
     }
-    for name, X in samples.items():
-        (outdir / name).write_text(X.to_text())
+    for name, (shape, flat) in samples.items():
+        (outdir / name).write_text(matrix_text(shape, flat))
         print(f"wrote {name}")
     return 0
 

@@ -21,7 +21,7 @@ from .designs import (
 )
 from .errors import FlipcertError
 from .fields import ExtField, PrimeField, dual_basis, find_irreducible, frobenius_trace
-from .matrices import MatrixAssignment, matrix_from_text
+from .matrices import matrix_from_text, matrix_text
 from .obstruction import (
     CertConfig,
     ObstructionCertificate,
@@ -75,8 +75,8 @@ __all__ = [
     "dual_basis",
     "find_irreducible",
     "frobenius_trace",
-    "MatrixAssignment",
     "matrix_from_text",
+    "matrix_text",
     "CertConfig",
     "ObstructionCertificate",
     "decode_counterexample",

@@ -1,7 +1,8 @@
 """Constructors for the reference circuits used throughout the tests.
 
 All builders share input nodes (each matrix entry appears as one input node)
-and lay out matrix entries row-major, matching MatrixAssignment.flatten().
+and number matrix entries row-major, as a flat matrix of `matrices` holds
+them: entry (r, c) is input r * row_width + c.
 """
 
 from __future__ import annotations

@@ -210,18 +210,18 @@ EXACT_BITS = 1024
 
 def _fits_exactly(prog: Program, inputs: Sequence[Sequence[int]]) -> bool:
     """Whether every step of prog stays within EXACT_BITS bits at these
-    input columns, by a static bound from the widest entry (_bound_fits)."""
-    return _bound_fits(prog, max(map(int.bit_length, chain.from_iterable(inputs)), default=0))
+    input columns, by a static bound from the widest entry (bound_fits)."""
+    return bound_fits(prog, max(map(int.bit_length, chain.from_iterable(inputs)), default=0))
 
 
 @lru_cache(maxsize=64)
-def _bound_fits(prog: Program, width: int) -> bool:
-    """Whether every step of prog stays within EXACT_BITS bits when each
+def bound_fits(prog: Program, width: int, limit: int = EXACT_BITS) -> bool:
+    """Whether every step of prog stays within `limit` bits when each
     input has `width` bits: a constant has its own bit length, a product
     the sum of its operands' bounds and a sum or difference the larger
-    bound plus one.  Stops at the first step past EXACT_BITS.  The answer
-    depends on nothing else, so it is kept per (program, width), as the
-    suite plans are: a modular suite runs the same program at the same
+    bound plus one.  Stops at the first step past the limit.  The answer
+    depends on nothing else, so it is kept per (program, width, limit), as
+    the suite plans are: a modular suite runs the same program at the same
     widths call after call."""
     bits: list[int] = []
     push = bits.append
@@ -234,7 +234,7 @@ def _bound_fits(prog: Program, width: int) -> bool:
             n = a.bit_length()
         else:
             n = max(bits[a], bits[b]) + 1
-        if n > EXACT_BITS:
+        if n > limit:
             return False
         push(n)
     return True

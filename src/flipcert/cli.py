@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 
-from .circuits import evaluate, parse_circuit, serialize_circuit
+from .circuits import bound_fits, check_arity, evaluate, lower, parse_circuit, serialize_circuit
 from .config import (
     BOUND,
     REGIME,
@@ -52,7 +52,7 @@ from .fields import (
     frobenius_trace,
     trace_form_gram,
 )
-from .matrices import matrix_from_text
+from .matrices import SQUARE, matrix_from_text
 from .obstruction import (
     CertConfig,
     decode_counterexample,
@@ -74,7 +74,7 @@ from .pit import (
     verify_hitting_set,
 )
 from .symtests import SAMPLE_WIDTH, VerifyConfig, verify_claims_efun, verify_claims_perm
-from .util import quoted, sample_box
+from .util import any_digits, quoted, sample_box
 
 
 def _read(path: str) -> str:
@@ -83,15 +83,6 @@ def _read(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from None
-
-
-def _write(path: str, data) -> None:
-    mode = "wb" if isinstance(data, bytes) else "w"
-    try:
-        with open(path, mode) as fh:
-            fh.write(data)
-    except OSError as e:
-        raise UsageError(f"cannot write {path}: {e}") from None
 
 
 @contextmanager
@@ -123,6 +114,9 @@ def _replacing(path: str):
 # the widest value a report prints, about 158,000 digits: int-to-decimal
 # takes quadratic time, 27.5 s for 1.2 million digits (CPython 3.11)
 MAX_PRINT_BITS = 1 << 19
+# the widest step eval and pit compute: squaring a 2^21-bit value took
+# 0.27 s, and each further doubling of the width about 3 times as long
+MAX_EVAL_BITS = 1 << 22
 
 
 def _decimal(value: int) -> str:
@@ -132,12 +126,15 @@ def _decimal(value: int) -> str:
     if value.bit_length() > MAX_PRINT_BITS:
         raise BudgetExceeded(f"value of {value.bit_length()} bits is past the "
                              f"{MAX_PRINT_BITS}-bit print budget")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with any_digits():
         return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+
+
+def _check_eval_budget(c, width: int) -> None:
+    """Refuses c unrun if a step's static bit bound at `width`-bit inputs passes MAX_EVAL_BITS."""
+    if not bound_fits(lower(c), width, MAX_EVAL_BITS):
+        raise BudgetExceeded(f"a step may pass the {MAX_EVAL_BITS}-bit evaluation "
+                             f"budget at {width}-bit inputs")
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -206,19 +203,18 @@ def _cert_config_from_file(path: str | None, args, design_r: int) -> CertConfig:
 def cmd_eval(args) -> int:
     c = _load_circuit(args.circuit)
     point = _ints(args.point)
+    check_arity(c, point)
+    _check_eval_budget(c, max(map(int.bit_length, point), default=0))
     print(_decimal(evaluate(c, point)))
     return 0
 
 
 def cmd_pit(args) -> int:
     c = _load_circuit(args.circuit)
-    res = pit_random(
-        c,
-        trials=args.trials,
-        seed=args.seed,
-        box=sample_box(args.width),
-        degree_hint=args.degree_hint,
-    )
+    box = sample_box(args.width)
+    _check_eval_budget(c, box[1].bit_length())
+    res = pit_random(c, trials=args.trials, seed=args.seed, box=box,
+                     degree_hint=args.degree_hint)
     if res.verdict == "nonzero":
         print(f"nonzero at {res.witness_point} (value {_decimal(res.witness_value)})")
         return 1
@@ -238,8 +234,7 @@ def cmd_verify_efun(args) -> int:
 
 
 def cmd_efun_oracle(args) -> int:
-    X = matrix_from_text(_read(args.matrix))
-    print(efun(X, budget=args.budget))
+    print(efun(*matrix_from_text(_read(args.matrix)), budget=args.budget))
     return 0
 
 
@@ -251,7 +246,8 @@ def cmd_gen_design(args) -> int:
     for i, row in enumerate(d.row_sets()):
         print(f"T_{i + 1} = {{{','.join(str(e) for e in sorted(row))}}}")
     if args.out:
-        _write(args.out, label.hex() + "\n")
+        with _replacing(args.out) as fh:
+            fh.write(label.hex() + "\n")
     return 0
 
 
@@ -283,7 +279,8 @@ def cmd_build_hitting_set(args) -> int:
         else:
             print(f"{key}={report[key]}")
     if args.out:
-        _write(args.out, serialize_hitting_set(hs))
+        with _replacing(args.out) as fh:
+            fh.write(serialize_hitting_set(hs))
     return 0
 
 
@@ -307,7 +304,8 @@ def cmd_derive_cert(args) -> int:
     print(f"points {len(cert.points)}")
     print(f"derive seconds {cert.derive_seconds:.3f}", file=sys.stderr)
     if args.out:
-        _write(args.out, serialize_certificate(cert))
+        with _replacing(args.out) as fh:
+            fh.write(serialize_certificate(cert))
     return 0
 
 
@@ -379,10 +377,10 @@ def cmd_trace_tools(args) -> int:
 
 
 def cmd_perm_oracle(args) -> int:
-    X = matrix_from_text(_read(args.matrix))
-    if X.shape[0] != "square":
+    shape, flat = matrix_from_text(_read(args.matrix))
+    if shape[0] != SQUARE:
         raise UsageError("permanent needs a square matrix")
-    print(permanent([list(row) for row in X.entries]))
+    print(permanent(zip(*[iter(flat)] * shape[1])))  # the rows of flat
     return 0
 
 

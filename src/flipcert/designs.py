@@ -89,7 +89,6 @@ def verify_design(d: Design) -> DesignViolation | None:
             "row-count", detail=f"{len(d.rows)} rows, expected {p.m_prime}"
         )
     full = (1 << p.l) - 1
-    ones = [1 << e for e in range(p.l)]
     placed = _Placed(p)
     pair = None
     for j, row in enumerate(d.rows):
@@ -97,11 +96,14 @@ def verify_design(d: Design) -> DesignViolation | None:
             return DesignViolation(
                 "universe", index=j, detail="element outside the universe"
             )
-        bits = [one for one in ones if row & one]
-        if len(bits) != p.r:
+        if row.bit_count() != p.r:
             return DesignViolation(
-                "cardinality", index=j, detail=f"|T_{j}| = {len(bits)}, expected {p.r}"
+                "cardinality", index=j, detail=f"|T_{j}| = {row.bit_count()}, expected {p.r}"
             )
+        bits, rest = [], row  # its one-bit masks, lowest first: O(r), not O(l)
+        while rest:
+            bits.append(rest & -rest)
+            rest &= rest - 1
         i = placed.partner(bits, always=True)
         if i is not None and (pair is None or i < pair[0]):
             pair = (i, j)

@@ -63,7 +63,7 @@ from .errors import (
     UsageError,
 )
 from .matrices import BLOCK, SQUARE
-from .oracles import permanent
+from .oracles import ORDER_CAP, permanent
 from .symtests import (
     DET_MODE,
     MAX_NONZERO,
@@ -79,7 +79,7 @@ from .symtests import (
     serialize_point,
     serialize_query,
 )
-from .util import Stopwatch, derive_seed, sample_box
+from .util import Stopwatch, any_digits, derive_seed, sample_box
 
 F2_MIN_DISJOINT = 2  # mutually point-disjoint certificates F2 asks for
 MAX_F2_SAMPLES = 1024  # F2's sampled certificates, each a full derivation
@@ -87,6 +87,9 @@ MAX_F2_SAMPLES = 1024  # F2's sampled certificates, each a full derivation
 MAX_BUDGET_SECONDS = 86_400.0
 MAX_BUDGET_BITS = 1 << 32
 TARGET = Option("perm", "target", "--target", choices=("perm", "efun"))
+# an efun target's largest m and k: a diagonal law's factor has width*m*k^m
+# bits, and at width 1024 E(4,3) derived and serialized in 1.8 s, E(4,4) in 15 s
+MAX_EFUN_M, MAX_EFUN_K = 4, 3
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,10 @@ class CertConfig:
     """Everything besides the design label that derivation depends on."""
 
     target: str
-    n: int = Option(0, "dimension n", "--n")  # see cli._cert_values
-    m: int = Option(0, "dimension m", "--m")
-    k: int = Option(0, "dimension k", "--k")
+    # decode checks a perm target's points with the permanent oracle
+    n: int = Option(0, "dimension n", "--n", lo=0, hi=ORDER_CAP)  # see cli._cert_values
+    m: int = Option(0, "dimension m", "--m", lo=0, hi=MAX_EFUN_M)
+    k: int = Option(0, "dimension k", "--k", lo=0, hi=MAX_EFUN_K)
     regime: str = REGIME
     bound: int = BOUND
     seed_bits: int = Option(4, "seed bits", "--seed-bits", lo=0, hi=20)
@@ -261,7 +265,8 @@ def serialize_certificate(cert: ObstructionCertificate) -> str:
     ]
     cfg = cert.config
     shape = (SQUARE, cfg.n) if cfg.target == "perm" else (BLOCK, cfg.m, cfg.k)
-    out.extend(serialize_query(q, shape) for q in cert.queries)
+    with any_digits():  # the dimension caps bound a factor's digits
+        out.extend(serialize_query(q, shape) for q in cert.queries)
     out.append(f"points {len(cert.points)}")
     out.extend(serialize_point(shape, P) for P in cert.points)
     out.append("end")

@@ -4,19 +4,18 @@ The permanent is computed two independent ways (Ryser and, for n <= 6, the
 naive permutation expansion) and the two routes are compared at runtime; a
 disagreement is an internal error worth crashing on.  The E-function oracle
 multiplies the Bareiss determinants of all selected m x m submatrices of a
-block assignment, one per choice vector sigma in [k]^m.
+block matrix, one per choice vector sigma in [k]^m.
 
 Group elements are small frozen descriptors.  Left action means row
 operations (square or block, acting by an nrows-sized matrix); right action
 means column operations on squares, and the wreath-style column permutations
 (choice swaps/cycles per position, even position 3-cycles) on blocks.
 `var_map` is the one place that says how an element moves the row-major
-variables of an assignment: a destination permutation, a per-variable
-scale, or row-add pairs with their multiplier.  `act` applies that map to a
-point given as a flat row-major tuple, the one point format of the query
-suites and certificates; `apply_group` is its wrapper for a
-`MatrixAssignment`, the file and oracle form.  The exhaustive checks and the
-symmetry nullspace in `symtests` apply the same map to polynomials.
+variables of a matrix: a destination permutation, a per-variable scale,
+or row-add pairs with their multiplier.  `act` applies that map to a matrix
+given as a flat row-major tuple, the one matrix format (see `matrices`).
+The exhaustive checks and the symmetry nullspace in `symtests` apply the
+same map to polynomials.
 """
 
 from __future__ import annotations
@@ -29,20 +28,20 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
-from .matrices import BLOCK, MatrixAssignment, row_width
+from .matrices import BLOCK, row_width
 
 _NAIVE_CAP = 6
-_ORDER_CAP = 12  # largest matrix order permanent and determinant accept
+ORDER_CAP = 12  # largest matrix order permanent and determinant accept
 
 
 def _rows_of(M, what: str) -> tuple[tuple, ...]:
     """M's rows, a sequence of rows, once it is known square and within
-    _ORDER_CAP for `what`."""
+    ORDER_CAP for `what`."""
     rows = tuple(tuple(r) for r in M)
     if not rows or any(len(r) != len(rows) for r in rows):
         raise UsageError("need a nonempty square matrix")
-    if len(rows) > _ORDER_CAP:
-        raise SizeLimit(f"{what} of order {len(rows)} exceeds the cap {_ORDER_CAP}")
+    if len(rows) > ORDER_CAP:
+        raise SizeLimit(f"{what} of order {len(rows)} exceeds the cap {ORDER_CAP}")
     return rows
 
 
@@ -122,22 +121,25 @@ def determinant(M):
     return _bareiss_determinant(rows)
 
 
-def efun(X: MatrixAssignment, budget: int = 4096):
-    """Product of det(X_sigma) over all choice vectors sigma in [k]^m.
-
-    Early-exits on the first zero factor.  Refuses to run when k^m exceeds
-    the factor budget.
-    """
-    if not isinstance(X, MatrixAssignment) or X.shape[0] != BLOCK:
+def efun(shape: tuple, flat: Sequence, budget: int = 4096):
+    """Product of det(X_sigma) over all choice vectors sigma in [k]^m, X the
+    block matrix `flat` of `shape` and X_sigma's column i X's column
+    i*k + sigma[i].  Early-exits on the first zero factor; refuses to run
+    when k^m exceeds the factor budget."""
+    if shape[0] != BLOCK:
         raise UsageError("efun needs a block assignment")
     if budget < 1:
         raise UsageError(f"budget must be at least 1, got {budget}")
-    _, m, k = X.shape
+    _, m, k = shape
+    width = k * m
+    if len(flat) != m * width:
+        raise ShapeMismatch(f"block {m} x {width} needs {m * width} entries, got {len(flat)}")
     if k**m > budget:
         raise BudgetExceeded(f"{k}^{m} determinant factors exceed budget {budget}")
     acc = None
     for sigma in itertools.product(range(k), repeat=m):
-        d = determinant(X.selected_submatrix(sigma))
+        d = determinant([flat[r * width + i * k + s] for i, s in enumerate(sigma)]
+                        for r in range(m))
         if not d:
             return d
         acc = d if acc is None else acc * d
@@ -245,7 +247,7 @@ def column_permutation(g: GroupElement, m: int, k: int) -> tuple[int, ...]:
 
 
 def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
-    """How g moves the row-major variables x_v of an assignment of `shape`.
+    """How g moves the row-major variables x_v of a matrix of `shape`.
 
     Returns (dest, scale, add), exactly one of them set: the part g uses,
     the others None.  A permutation moves x_v to index dest[v]; a diagonal
@@ -355,11 +357,6 @@ def act(vmap: tuple, flat: Sequence) -> tuple:
     for d, s in pairs:
         vals[d] += y * vals[s]
     return tuple(vals)
-
-
-def apply_group(g: GroupElement, X: MatrixAssignment, side: str) -> MatrixAssignment:
-    """Act on an assignment; 'left' = rows, 'right' = columns."""
-    return MatrixAssignment.from_flat(X.shape, act(var_map(g, X.shape, side), X.flatten()))
 
 
 def k_generators(m: int, k: int) -> tuple[GroupElement, ...]:

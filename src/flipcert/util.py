@@ -1,10 +1,12 @@
 """Small shared helpers: stable seed derivation, input tokens and how errors
-quote them, the sample box, box draws and wall-clock timing."""
+quote them, the sample box, box draws, long decimals and wall-clock timing."""
 
 from __future__ import annotations
 
 import hashlib
+import sys
 import time
+from contextlib import contextmanager
 
 from .errors import ParseError, UsageError
 
@@ -70,6 +72,18 @@ def rand_point(rng, size: int, box: tuple[int, int]) -> tuple[int, ...]:
             r = draw(k)
         out.append(lo + r)
     return tuple(out)
+
+
+@contextmanager
+def any_digits():
+    """A block in which str() writes an int of any length, past the digit
+    limit that guards against slow conversion; the caller bounds the ints."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class Stopwatch:

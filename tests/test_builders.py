@@ -15,7 +15,7 @@ from flipcert.circuits import (
     serialize_circuit,
 )
 from flipcert.errors import UsageError
-from flipcert.matrices import MatrixAssignment
+from flipcert.matrices import BLOCK
 from flipcert.oracles import determinant, efun, permanent
 
 
@@ -80,9 +80,8 @@ def test_efun_circuit_matches_oracle():
     for m, k in ((1, 2), (2, 2), (1, 3), (2, 3)):
         c = efun_circuit(m, k)
         for _ in range(4):
-            rows = [[rng.randrange(-5, 6) for _ in range(m * k)] for _ in range(m)]
-            X = MatrixAssignment.block(m, k, rows)
-            assert evaluate(c, X.flatten()) == efun(X)
+            X = tuple(rng.randrange(-5, 6) for _ in range(m * k * m))
+            assert evaluate(c, X) == efun((BLOCK, m, k), X)
 
 
 def test_efun_expansion_degree_law():

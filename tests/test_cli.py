@@ -128,6 +128,24 @@ def test_pit_and_eval_refuse_a_value_past_the_print_budget(tmp_path, capsys):
         cli._decimal(1 << cli.MAX_PRINT_BITS)
 
 
+def test_pit_and_eval_refuse_a_step_past_the_evaluation_budget(tmp_path, capsys):
+    # x squared 25 times at 3 was still computing after 20 s; the static bit
+    # bound passes MAX_EVAL_BITS at step 22, so neither command evaluates
+    path = tmp_path / "sq25.ac"
+    path.write_text("ninputs 1\ng0 = input 0\n" + "".join(
+        f"g{t} = mul g{t - 1} g{t - 1}\n" for t in range(1, 26)) + "output g25\n")
+    for argv, width in ((["eval", "--point", "3"], 2), (["pit"], 63)):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, [*argv, "--circuit", str(path)])
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (3, "")
+        assert err == (f"budget: a step may pass the {cli.MAX_EVAL_BITS}-bit evaluation "
+                       f"budget at {width}-bit inputs\n")
+    # the arity is checked first: a point of the wrong length is a usage error
+    rc, _, err = run(capsys, ["eval", "--circuit", str(path), "--point", "3,3"])
+    assert rc == 2 and "circuit takes 1 inputs, point has 2" in err
+
+
 def test_pit_degree_hint_past_the_box_width_bounds_at_1(tmp_path, capsys):
     # a 401-digit hint overflowed a float division; a hint at or past the
     # box width caps each trial's factor at 1
@@ -244,6 +262,12 @@ BAD_FLAG_ARGV = {
     "build-hitting-set-width-cap": ["build-hitting-set", "--ninputs", "1", "--bound", "3",
                                     "--alphabet=-1,1", "--width", "1025"],
     "derive-cert-width-cap": ["derive-cert", "--design", "{design}", "--width", "1025"],
+    # 300 x 300 points were still being drawn after 10 s
+    "derive-cert-n-cap": ["derive-cert", "--design", "{design}", "--n", "300"],
+    "derive-cert-m-cap": ["derive-cert", "--design", "{design}", "--target", "efun",
+                          "--m", "5", "--k", "2"],
+    "derive-cert-k-cap": ["derive-cert", "--design", "{design}", "--target", "efun",
+                          "--m", "2", "--k", "4"],
     "eval-point": ["eval", "--circuit", "{det2}", "--point", "1,2,x,4"],
     # int() refuses a 5,000-digit literal, the guard against slow conversion
     "pit-huge-const": ["pit", "--circuit", "{huge}"],
@@ -278,6 +302,9 @@ NAMED_IN_ERROR = {
     "verify-efun-width-cap": "sample width must be 1..1024, got 1025",
     "build-hitting-set-width-cap": "sample width must be 1..1024, got 1025",
     "derive-cert-width-cap": "sample width must be 1..1024, got 1025",
+    "derive-cert-n-cap": "dimension n must be 0..12, got 300",
+    "derive-cert-m-cap": "dimension m must be 0..4, got 5",
+    "derive-cert-k-cap": "dimension k must be 0..3, got 4",
     "eval-point": "expected comma-separated integers, got '1,2,x,4'",
     "pit-huge-const": "line 2: expected an integer",
     "pit-huge-const-quoted": (
@@ -388,10 +415,13 @@ def test_prime_count_ceiling(perm2_path, capsys, count, want):
 # every declared range, read from its declaration: the floor and the cap
 # pass validation and one past either fails it (exit 2), so no test starts
 # the run a cap holds off
+# valid field values per class; a value in a declared range is valid over
+# some base, and a value out of it refused over each
 VALID_BASES = {
-    VerifyConfig: {"mode": "exhaustive"},  # sampled mode also needs rounds >= 1
-    CertConfig: {"target": "perm", "n": 2},
-    EnumeratedClass: {"num_inputs": 1, "bound": 3, "alphabet": (-1, 1)},
+    VerifyConfig: [{"mode": "exhaustive"}],  # sampled mode also needs rounds >= 1
+    # n = 0 goes with an efun target, m = 4 and k = 3 do not with a perm one
+    CertConfig: [{"target": "perm", "n": 2}, {"target": "efun", "m": 2, "k": 2}],
+    EnumeratedClass: [{"num_inputs": 1, "bound": 3, "alphabet": (-1, 1)}],
 }
 DECLARED_RANGES = [(cls, name, opt) for cls in VALID_BASES
                    for name, opt in cls.declared.items() if opt.lo is not None]
@@ -405,12 +435,14 @@ def test_declared_range_through_validation(cls, name, opt):
     if hi is not None:
         edges += [(hi, True), (hi + 1, False)]
     for value, valid in edges:
-        values = {**VALID_BASES[cls], name: value}
-        if valid:
-            assert getattr(cls(**values), name) == value
-        else:
-            with pytest.raises(UsageError, match=f"^{opt.label} must be .*, got {value}$"):
-                cls(**values)
+        made = []
+        for base in VALID_BASES[cls]:
+            try:
+                made.append(getattr(cls(**{**base, name: value}), name))
+            except UsageError as e:
+                if not valid:
+                    assert re.fullmatch(f"{opt.label} must be .*, got {value}", str(e))
+        assert (value in made) if valid else not made, (name, value)
 
 
 @pytest.mark.parametrize("key, message", (
@@ -510,11 +542,14 @@ def test_from_args_reads_the_declared_defaults_and_the_flags_set():
 def test_help_prints_each_declared_range():
     spans = {(opt.flag, opt.dest): opt.span() for cls in VALID_BASES
              for opt in cls.declared.values() if opt.flag and opt.lo is not None}
+    # the suites' own dimensions, bounded by the circuit's arity, share the
+    # flags and dests of a certificate's
+    undeclared = {("verify-perm", "--n"), ("verify-efun", "--m"), ("verify-efun", "--k")}
     seen = set()
-    for p in _subparsers().values():
+    for name, p in _subparsers().items():
         for action in p._actions:
             key = (action.option_strings[:1] or [None])[0], action.dest
-            if key in spans:
+            if key in spans and (name, key[0]) not in undeclared:
                 assert action.help == spans[key]
                 seen.add(key)
     assert seen == spans.keys()
@@ -882,8 +917,8 @@ TABLE_ARGV = ["trivial-table", "--ninputs", "4", "--bound", "2", "--alphabet=1",
 
 
 def test_output_files_that_cannot_be_written_exit_2(tmp_path, capsys):
-    # a missing directory, for a plain write and for a replacing one; a
-    # directory in place of the file
+    # a missing directory, for a design label and for a table; a directory
+    # in place of the file
     design = ["gen-design", "--l", "6", "--r", "3", "--kcap", "1", "--rows", "4"]
     for argv in (design + ["--out", str(tmp_path / "missing" / "d.hex")],
                  TABLE_ARGV + ["--out", str(tmp_path / "missing" / "t.txt")],
@@ -893,6 +928,22 @@ def test_output_files_that_cannot_be_written_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
     assert "not a regular file" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", (
+    ["gen-design", "--l", "6", "--r", "3", "--kcap", "1", "--rows", "4"],
+    ["derive-cert", "--design", "{design}"],
+    ["build-hitting-set", "--ninputs", "1", "--bound", "3", "--alphabet=-1,1"],
+), ids=("gen-design", "derive-cert", "build-hitting-set"))
+def test_out_naming_a_directory_exits_2_and_leaves_no_sibling(tmp_path, capsys, argv):
+    # every --out goes through cli._replacing: nothing is written in place
+    design = tmp_path / "design.hex"
+    design.write_text(DESIGN_HEX)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc, _, err = run(capsys, [a.format(design=design) for a in argv] + ["--out", str(out_dir)])
+    assert rc == 2 and err.endswith(f"error: cannot write {out_dir}: not a regular file\n")
+    assert sorted(f.name for f in tmp_path.rglob("*")) == ["design.hex", "out"]
 
 
 def test_replacing_write_failure_keeps_the_old_file(tmp_path, capsys, monkeypatch):

@@ -200,6 +200,19 @@ def test_serialize_parse_roundtrip():
     assert parse_certificate(serialize_certificate(cert)) == cert
 
 
+def test_a_factor_past_the_digit_limit_serializes_at_the_capped_dimensions():
+    # at width 1024, E(2,3)'s diagonal factors have more than 4,300 digits,
+    # Python's int-to-str limit: writing the certificate raised ValueError
+    cfg = CertConfig(target="efun", m=2, k=3, sample_width=1024, seed_bits=0,
+                     truth_table=TOY_TABLE)
+    cert = derive_certificate(toy_design(), cfg)
+    text = serialize_certificate(cert)
+    widest = max(len(f) for line in text.splitlines() if "coeffs=" in line
+                 for f in line.split("coeffs=")[1].split()[0].split(","))
+    assert widest > 4300
+    assert parse_certificate(text) == cert
+
+
 def test_parse_accepts_sectionless_prefix():
     cert = derive_certificate(toy_design(), toy_config())
     lines = serialize_certificate(cert).splitlines()

@@ -15,7 +15,7 @@ import pytest
 
 from flipcert.errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
 from flipcert.fields import PrimeField
-from flipcert.matrices import MatrixAssignment
+from flipcert.matrices import BLOCK, SQUARE
 from flipcert.oracles import (
     ColCycle,
     ColSwap,
@@ -24,8 +24,8 @@ from flipcert.oracles import (
     PermSwap,
     PosThreeCycle,
     RowCycle,
+    act,
     add_pairs,
-    apply_group,
     column_permutation,
     determinant,
     efun,
@@ -107,48 +107,57 @@ def test_determinant_refuses_other_entries():
 
 def test_efun_values_and_degree():
     # m=1, k=2: E(X) = x11 * x12 (two 1x1 determinants)
-    X = MatrixAssignment.block(1, 2, [[3, 5]])
-    assert efun(X) == 15
+    assert efun((BLOCK, 1, 2), (3, 5)) == 15
     # zero primary minor forces E = 0
-    Y = MatrixAssignment.block(1, 2, [[0, 5]])
-    assert efun(Y) == 0
+    assert efun((BLOCK, 1, 2), (0, 5)) == 0
+
+
+def test_efun_reads_each_selected_submatrix():
+    # X = [[1, 2, 3, 4], [5, 6, 7, 8]]: X_sigma takes column sigma[0] of
+    # position 1 (columns 0, 1) and 2 + sigma[1] of position 2 (columns 2, 3)
+    X = (1, 2, 3, 4, 5, 6, 7, 8)
+    factors = {(0, 0): determinant([[1, 3], [5, 7]]), (0, 1): determinant([[1, 4], [5, 8]]),
+               (1, 0): determinant([[2, 3], [6, 7]]), (1, 1): determinant([[2, 4], [6, 8]])}
+    assert list(factors.values()) == [-8, -12, -4, -8]
+    assert efun((BLOCK, 2, 2), X) == -8 * -12 * -4 * -8 == 3072
+    # m = 1, k = 3: the three 1 x 1 selections are the three entries
+    assert efun((BLOCK, 1, 3), (2, 3, 7)) == 42
 
 
 def test_efun_budget():
-    X = MatrixAssignment.block(3, 4, [[1] * 12] * 3)
     with pytest.raises(BudgetExceeded):
-        efun(X, budget=10)
+        efun((BLOCK, 3, 4), (1,) * 36, budget=10)
+
+
+SQ2, BL22 = (SQUARE, 2), (BLOCK, 2, 2)
+
+
+def apply(g, shape, flat, side):
+    """The matrix g X, flat like X."""
+    return act(var_map(g, shape, side), flat)
 
 
 def test_apply_permswap_left_swaps_rows():
-    X = MatrixAssignment.square([[1, 2], [3, 4]])
-    Y = apply_group(PermSwap(1), X, "left")
-    assert Y.entries == ((3, 4), (1, 2))
+    assert apply(PermSwap(1), SQ2, (1, 2, 3, 4), "left") == (3, 4, 1, 2)
 
 
 def test_apply_diagonal_right_scales_columns():
-    X = MatrixAssignment.square([[1, 2], [3, 4]])
-    Y = apply_group(Diagonal((2, 5)), X, "right")
-    assert Y.entries == ((2, 10), (6, 20))
+    assert apply(Diagonal((2, 5)), SQ2, (1, 2, 3, 4), "right") == (2, 10, 6, 20)
 
 
 def test_apply_elementary_right_on_square():
     # col_2 += 3 * col_1
-    X = MatrixAssignment.square([[1, 10], [2, 20]])
-    Y = apply_group(ElementaryAdd(1, 2, 3), X, "right")
-    assert Y.entries == ((1, 13), (2, 26))
+    assert apply(ElementaryAdd(1, 2, 3), SQ2, (1, 10, 2, 20), "right") == (1, 13, 2, 26)
 
 
 def test_right_gl_action_refused_on_block():
-    X = MatrixAssignment.block(1, 2, [[1, 10]])
     with pytest.raises(ShapeMismatch):
-        apply_group(ElementaryAdd(1, 2, 3), X, "right")
+        var_map(ElementaryAdd(1, 2, 3), (BLOCK, 1, 2), "right")
 
 
 def test_block_only_actions_refuse_square():
-    X = MatrixAssignment.square([[1, 2], [3, 4]])
     with pytest.raises(ShapeMismatch):
-        apply_group(ColSwap(1), X, "right")
+        var_map(ColSwap(1), SQ2, "right")
 
 
 def test_k_generator_group_orders():
@@ -177,59 +186,54 @@ def test_k_generator_group_orders():
 def test_efun_invariant_under_k_generators():
     rng = random.Random(5)
     for m, k in ((2, 2), (3, 2), (2, 3)):
-        X = MatrixAssignment.block(
-            m, k, [[rng.randrange(1, 50) for _ in range(m * k)] for _ in range(m)]
-        )
-        base = efun(X)
+        shape = (BLOCK, m, k)
+        X = tuple(rng.randrange(1, 50) for _ in range(m * k * m))
+        base = efun(shape, X)
         for g in k_generators(m, k):
-            assert efun(apply_group(g, X, "right")) == base
+            assert efun(shape, apply(g, shape, X, "right")) == base
 
 
 def test_efun_diagonal_and_swap_laws():
     rng = random.Random(6)
     m, k = 2, 2
     e = k**m
-    X = MatrixAssignment.block(
-        m, k, [[rng.randrange(1, 30) for _ in range(m * k)] for _ in range(m)]
-    )
+    shape = (BLOCK, m, k)
+    X = tuple(rng.randrange(1, 30) for _ in range(m * k * m))
     D = Diagonal((3, 5))
-    assert efun(apply_group(D, X, "left")) == (3 * 5) ** e * efun(X)
+    assert efun(shape, apply(D, shape, X, "left")) == (3 * 5) ** e * efun(shape, X)
     P = PermSwap(1)
-    assert efun(apply_group(P, X, "left")) == (-1) ** e * efun(X)
+    assert efun(shape, apply(P, shape, X, "left")) == (-1) ** e * efun(shape, X)
 
 
 def test_elementary_left_preserves_efun():
     rng = random.Random(7)
-    m, k = 2, 2
-    X = MatrixAssignment.block(
-        m, k, [[rng.randrange(1, 30) for _ in range(m * k)] for _ in range(m)]
-    )
+    shape = (BLOCK, 2, 2)
+    X = tuple(rng.randrange(1, 30) for _ in range(8))
     g = ElementaryAdd(1, 2, 4)
-    assert efun(apply_group(g, X, "left")) == efun(X)
+    assert efun(shape, apply(g, shape, X, "left")) == efun(shape, X)
 
 
 def test_perm_symmetry_laws_oracle_level():
     rng = random.Random(8)
     n = 3
-    M = MatrixAssignment.square(
-        [[rng.randrange(1, 40) for _ in range(n)] for _ in range(n)]
-    )
-    base = permanent([list(r) for r in M.entries])
-    swapped = apply_group(PermSwap(2), M, "left")
-    assert permanent([list(r) for r in swapped.entries]) == base
-    D = Diagonal((2, 3, 4))
-    scaled = apply_group(D, M, "right")
-    assert permanent([list(r) for r in scaled.entries]) == 24 * base
+    shape = (SQUARE, n)
+    M = tuple(rng.randrange(1, 40) for _ in range(n * n))
 
+    def perm(flat):
+        return permanent(zip(*[iter(flat)] * n))  # the rows of flat
 
-SQ2, BL22 = ("square", 2), ("block", 2, 2)
+    base = perm(M)
+    assert perm(apply(PermSwap(2), shape, M, "left")) == base
+    assert perm(apply(Diagonal((2, 3, 4)), shape, M, "right")) == 24 * base
+
 
 # every guard of the oracles and the group maps: its call, error and message
 ORACLE_GUARDS = {
     "permanent-empty": (lambda: permanent([]), UsageError, "nonempty square"),
     "permanent-ragged": (lambda: permanent([[1, 2]]), UsageError, "nonempty square"),
-    "efun-square": (lambda: efun(MatrixAssignment.square([[1]])), UsageError,
-                    "block assignment"),
+    "efun-square": (lambda: efun((SQUARE, 1), (1,)), UsageError, "block assignment"),
+    "efun-length": (lambda: efun(BL22, (1, 2, 3)), ShapeMismatch,
+                    "block 2 x 4 needs 8 entries, got 3"),
     "colswap-k-1": (lambda: column_permutation(ColSwap(1), 2, 1), ShapeMismatch,
                     "k >= 2"),
     "colswap-position": (lambda: column_permutation(ColSwap(3), 2, 2), ShapeMismatch,
