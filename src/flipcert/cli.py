@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 
 from .circuits import bound_fits, check_arity, evaluate, lower, parse_circuit, serialize_circuit
@@ -109,6 +109,14 @@ def _replacing(path: str):
         if isinstance(e, OSError):
             raise UsageError(f"cannot write {path}: {e}") from None
         raise
+
+
+def _out_file(path: str | None):
+    """_replacing(path) for an --out path, else a block with no file (None).
+
+    A command enters it before its work, so an unwritable --out is refused
+    first, and prints its report after it, so a failed write prints none."""
+    return _replacing(path) if path else nullcontext()
 
 
 # the widest value a report prints, about 158,000 digits: int-to-decimal
@@ -239,15 +247,16 @@ def cmd_efun_oracle(args) -> int:
 
 
 def cmd_gen_design(args) -> int:
-    d = build_design_greedy(_design_params(args), seed=args.seed)
-    label = encode_design(d)
+    params = _design_params(args)
+    with _out_file(args.out) as fh:
+        d = build_design_greedy(params, seed=args.seed)
+        label = encode_design(d)
+        if fh:
+            fh.write(label.hex() + "\n")
     print(f"design m'={args.rows} l={args.l} r={args.r} k_cap={args.kcap}")
     print(f"label {label.hex()}")
     for i, row in enumerate(d.row_sets()):
         print(f"T_{i + 1} = {{{','.join(str(e) for e in sorted(row))}}}")
-    if args.out:
-        with _replacing(args.out) as fh:
-            fh.write(label.hex() + "\n")
     return 0
 
 
@@ -268,19 +277,18 @@ def cmd_count_designs(args) -> int:
 
 def cmd_build_hitting_set(args) -> int:
     cls = _enumerated_class(args)
-    hs = build_hitting_set_greedy(
-        cls, seed=args.seed, pool_size=args.pool, box=sample_box(args.width)
-    )
-    report = hitting_set_axioms_report(hs)
+    box = sample_box(args.width)
+    with _out_file(args.out) as fh:
+        hs = build_hitting_set_greedy(cls, seed=args.seed, pool_size=args.pool, box=box)
+        report = hitting_set_axioms_report(hs)
+        if fh:
+            fh.write(serialize_hitting_set(hs))
     # wall-clock lines go to stderr so stdout stays byte-stable per argv
     for key in sorted(report):
         if key == "verify_seconds":
             print(f"{key}={report[key]}", file=sys.stderr)
         else:
             print(f"{key}={report[key]}")
-    if args.out:
-        with _replacing(args.out) as fh:
-            fh.write(serialize_hitting_set(hs))
     return 0
 
 
@@ -297,15 +305,15 @@ def cmd_verify_hitting_set(args) -> int:
 def cmd_derive_cert(args) -> int:
     d = decode_design(_read_label(args.design))
     config = _cert_config_from_file(args.config, args, d.params.r)
-    cert = derive_certificate(d, config)
+    with _out_file(args.out) as fh:
+        cert = derive_certificate(d, config)
+        if fh:
+            fh.write(serialize_certificate(cert))
     print(f"target {config.target_label()}")
     print(f"label bits {cert.label_bits()}")
     print(f"queries {len(cert.queries)}")
     print(f"points {len(cert.points)}")
     print(f"derive seconds {cert.derive_seconds:.3f}", file=sys.stderr)
-    if args.out:
-        with _replacing(args.out) as fh:
-            fh.write(serialize_certificate(cert))
     return 0
 
 
@@ -341,13 +349,10 @@ def cmd_trivial_table(args) -> int:
         if row.index < args.head:
             head.append(_table_line(row))
 
-    if args.out:  # every row, written as it comes
-        with _replacing(args.out) as fh:
-            count = trivial_obstruction_table(
-                cls, config, lambda row: fh.write(_table_line(row) + "\n")
-            )
-    else:
-        count = trivial_obstruction_table(cls, config, keep)
+    with _out_file(args.out) as fh:  # with --out, every row, written as it comes
+        count = trivial_obstruction_table(
+            cls, config, (lambda row: fh.write(_table_line(row) + "\n")) if fh else keep
+        )
     print(f"target {config.target_label()}")
     print(f"rows {count}")
     for line in head:
@@ -369,10 +374,10 @@ def cmd_trace_tools(args) -> int:
     gram = trace_form_gram(F)
     print("gram " + "; ".join(",".join(str(v) for v in row) for row in gram))
     dual = dual_basis(F)
-    print("dual " + "; ".join(",".join(str(c) for c in b.coeffs) for b in dual))
+    print("dual " + "; ".join(",".join(str(c) for c in b) for b in dual))
     x = F.gen()
-    print(f"trace(gen) {frobenius_trace(x).value}")
-    print(f"coeffs(gen) {','.join(str(c) for c in extract_coeffs(x))}")
+    print(f"trace(gen) {frobenius_trace(F, x)}")
+    print(f"coeffs(gen) {','.join(str(c) for c in extract_coeffs(F, x))}")
     return 0
 
 

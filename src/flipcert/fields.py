@@ -11,16 +11,16 @@ of the shared host), and most of the difference is drawing the three 31-bit
 primes, 24 to 39 us each: the gcd with the odd primes below 256 keeps four
 odd candidates in five from Miller-Rabin, and the three pow() calls that
 certify a 31-bit prime (bases 2, 7, 61) cost 7 to 8.5 us apiece at that
-width.  No circuit is evaluated over a field object.  The field classes
-exist for the trace machinery (the trace-tools command), and their elements
-combine only with elements of the same field: an element of another field
-raises UsageError, any other operand (an int among them) TypeError.
+width.  No circuit is evaluated over a field.
 
-Extension elements are kept as coefficient tuples over the prime field in the
-power basis of a monic irreducible modulus, the only basis a field has.  The
-module also provides the trace bilinear form, Gram matrices, dual bases, and
-coefficient extraction via trace products, plus the one-line field spec the
-CLI prints.
+The trace machinery (the trace-tools command) works in an extension
+F_{q^l} = F_q[t]/(f) for a monic irreducible f, and its elements are plain
+tuples: the l residues of an element over the power basis 1, t, ...,
+t^(l-1), the only basis a field has.  ExtField adds, multiplies and
+raises them to powers; PrimeField only checks q.  On these tuples the
+module provides the Frobenius trace, the trace form's Gram matrix, the dual
+basis as the rows of its inverse, and coefficient extraction via trace
+products, plus the one-line field spec the CLI prints.
 
 Everything is exact; there are no floats anywhere in this module.
 """
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -97,70 +96,16 @@ def int_bitlength(n: int) -> int:
     return max(1, abs(n).bit_length()) + (1 if n < 0 else 0)
 
 
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    """Residue in F_q; arithmetic stays inside the parent field."""
-
-    value: int
-    field: "PrimeField"
-
-    def _peer(self, other) -> "PrimeFieldElement":
-        if not isinstance(other, PrimeFieldElement):
-            raise TypeError(f"{self.field.name} element with {type(other).__name__}")
-        if other.field.q != self.field.q:
-            raise UsageError("mixed prime fields")
-        return other
-
-    def __add__(self, other):
-        o = self._peer(other)
-        return PrimeFieldElement((self.value + o.value) % self.field.q, self.field)
-
-    def __sub__(self, other):
-        o = self._peer(other)
-        return PrimeFieldElement((self.value - o.value) % self.field.q, self.field)
-
-    def __mul__(self, other):
-        o = self._peer(other)
-        return PrimeFieldElement(self.value * o.value % self.field.q, self.field)
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value % self.field.q, self.field)
-
-    def __pow__(self, e: int):
-        return PrimeFieldElement(pow(self.value, e, self.field.q), self.field)
-
-    def inverse(self) -> "PrimeFieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return PrimeFieldElement(pow(self.value, -1, self.field.q), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PrimeFieldElement)
-            and other.field.q == self.field.q
-            and other.value == self.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.value))
-
-
 class PrimeField:
-    """F_q for prime q."""
+    """F_q for prime q: the one place a field's q is checked for primality.
+
+    Its residues are plain ints; ExtField and find_irreducible build one to
+    refuse a composite q."""
 
     def __init__(self, q: int):
         if not is_prime(q):
             raise UsageError(f"{q} is not prime")
         self.q = q
-        self.name = f"F{q}"
-        self.zero = PrimeFieldElement(0, self)
-        self.one = PrimeFieldElement(1, self)
-
-    def element(self, v: int) -> PrimeFieldElement:
-        return PrimeFieldElement(v % self.q, self)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +232,7 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     coefficients (f_0, ..., f_{l-1}) in little-endian numeric order; a
     BudgetError after MAX_IRREDUCIBLE_SCAN candidates."""
     _check_degree(l)
-    if not is_prime(q):
-        raise UsageError(f"{q} is not prime")
+    PrimeField(q)  # refuses a composite q
     if l == 1:
         return (0, 1)
     for coeffs in islice(_digit_vectors(q, l), MAX_IRREDUCIBLE_SCAN):
@@ -304,71 +248,17 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtFieldElement:
-    """Element of F_{q^l}, stored as power-basis coordinates (len l)."""
-
-    coeffs: tuple[int, ...]
-    field: "ExtField"
-
-    def _peer(self, other) -> "ExtFieldElement":
-        if not isinstance(other, ExtFieldElement):
-            raise TypeError(f"{self.field.name} element with {type(other).__name__}")
-        if other.field is not self.field and other.field != self.field:
-            raise UsageError("mixed extension fields")
-        return other
-
-    def __add__(self, other):
-        o = self._peer(other)
-        q = self.field.q
-        return ExtFieldElement(
-            tuple((a + b) % q for a, b in zip(self.coeffs, o.coeffs)), self.field
-        )
-
-    def __sub__(self, other):
-        o = self._peer(other)
-        q = self.field.q
-        return ExtFieldElement(
-            tuple((a - b) % q for a, b in zip(self.coeffs, o.coeffs)), self.field
-        )
-
-    def __mul__(self, other):
-        o = self._peer(other)
-        F = self.field
-        prod = _poly_mod(_poly_mul(self.coeffs, o.coeffs, F.q), F.modulus, F.q)
-        return ExtFieldElement(F._pad(prod), F)
-
-    def __pow__(self, e: int):
-        F = self.field
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = _poly_powmod(self.coeffs, e, F.modulus, F.q)
-        return ExtFieldElement(F._pad(out), F)
-
-    def inverse(self) -> "ExtFieldElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        # valid because the modulus is irreducible: x^(q^l - 2) = x^-1
-        return self ** (self.field.q**self.field.l - 2)
-
-    def frobenius(self) -> "ExtFieldElement":
-        return self**self.field.q
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-
 class ExtField:
     """F_{q^l} presented as F_q[t] modulo a monic irreducible of degree l.
 
-    Coefficient extraction and the trace form Gram matrix are relative to
-    the power basis 1, t, ..., t^(l-1), held in `basis`.
+    An element is the l-tuple of its residues over the power basis 1, t,
+    ..., t^(l-1), whose unit tuples are held in `basis`; add, mul and pow
+    take and return such tuples.
     """
 
     def __init__(self, q: int, l: int, modulus: Sequence[int] | None = None):
         _check_degree(l)
-        self.base = PrimeField(q)
-        self.q = q
+        self.q = PrimeField(q).q
         self.l = l
         if modulus is None:
             modulus = find_irreducible(q, l)
@@ -378,61 +268,43 @@ class ExtField:
         if not poly_is_irreducible(modulus, q):
             raise UsageError(f"modulus {modulus} is reducible over F_{q}")
         self.modulus = modulus
-        self.name = f"F{q}^{l}"
-        self.basis = tuple(self.element((0,) * i + (1,)) for i in range(l))
-        self.zero = ExtFieldElement((0,) * l, self)
-        self.one = self.from_int(1)
+        self.basis = tuple(self._pad((0,) * i + (1,)) for i in range(l))
 
     def _pad(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         return tuple(coeffs) + (0,) * (self.l - len(coeffs))
 
-    def element(self, coeffs: Sequence[int]) -> ExtFieldElement:
-        """Element from power-basis coordinates."""
-        if len(coeffs) > self.l:
-            raise UsageError("too many coordinates")
-        return ExtFieldElement(self._pad([v % self.q for v in coeffs]), self)
+    def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        return tuple((a + b) % self.q for a, b in zip(x, y))
 
-    def from_int(self, n: int) -> ExtFieldElement:
-        return self.element([n % self.q])
+    def mul(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        return self._pad(_poly_mod(_poly_mul(x, y, self.q), self.modulus, self.q))
 
-    def gen(self) -> ExtFieldElement:
+    def pow(self, x: Sequence[int], e: int) -> tuple[int, ...]:
+        """x^e for e >= 0."""
+        return self._pad(_poly_powmod(x, e, self.modulus, self.q))
+
+    def gen(self) -> tuple[int, ...]:
         """The residue class of t: t itself, or -f_0 when l = 1."""
-        return ExtFieldElement(self._pad(_poly_mod((0, 1), self.modulus, self.q)), self)
+        return self._pad(_poly_mod((0, 1), self.modulus, self.q))
 
-    def elements(self) -> Iterator[ExtFieldElement]:
-        for coeffs in _digit_vectors(self.q, self.l):
-            yield ExtFieldElement(coeffs, self)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtField)
-            and other.q == self.q
-            and other.l == self.l
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ExtField", self.q, self.l, self.modulus))
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        return _digit_vectors(self.q, self.l)
 
 
-def frobenius_trace(x: ExtFieldElement) -> PrimeFieldElement:
-    """Trace to the prime field: x + x^q + ... + x^(q^(l-1))."""
-    F = x.field
-    acc = F.zero
-    y = x
-    for _ in range(F.l):
-        acc = acc + y
-        y = y.frobenius()
-    if any(acc.coeffs[1:]):
+def frobenius_trace(F: ExtField, x: Sequence[int]) -> int:
+    """Trace of x to the prime field, x + x^q + ... + x^(q^(l-1)), as a residue."""
+    acc = y = x
+    for _ in range(F.l - 1):
+        y = F.pow(y, F.q)
+        acc = F.add(acc, y)
+    if any(acc[1:]):
         raise SingularTraceForm("trace landed outside the prime field")  # unreachable: Frobenius fixes a trace
-    return F.base.element(acc.coeffs[0])
+    return acc[0]
 
 
 def trace_form_gram(F: ExtField) -> list[list[int]]:
     """Gram matrix G[i][j] = trace(b_i * b_j) as residues, over F's basis."""
-    return [
-        [frobenius_trace(bi * bj).value for bj in F.basis] for bi in F.basis
-    ]
+    return [[frobenius_trace(F, F.mul(bi, bj)) for bj in F.basis] for bi in F.basis]
 
 
 def _matrix_inverse_mod(rows: Sequence[Sequence[int]], q: int):
@@ -455,38 +327,21 @@ def _matrix_inverse_mod(rows: Sequence[Sequence[int]], q: int):
     return [row[n:] for row in a]
 
 
-def dual_basis(F: ExtField) -> tuple[ExtFieldElement, ...]:
-    """Basis (b_i*) with trace(b_i* b_j) = delta_ij.
+def dual_basis(F: ExtField) -> list[list[int]]:
+    """Basis (b_i*) with trace(b_i* b_j) = delta_ij, as power-basis
+    coordinates: b_i* = sum_j G^-1[i][j] t^j, so these are the rows of the
+    inverse Gram matrix.
 
     Raises SingularTraceForm when the Gram matrix is not invertible (cannot
     happen for a separable extension with a genuine basis, but the check is
     what makes the construction trustworthy).
     """
-    Ginv = _matrix_inverse_mod(trace_form_gram(F), F.q)
-    out = []
-    for i in range(F.l):
-        acc = F.zero
-        for j in range(F.l):
-            acc = acc + F.from_int(Ginv[i][j]) * F.basis[j]
-        out.append(acc)
-    return tuple(out)
+    return _matrix_inverse_mod(trace_form_gram(F), F.q)
 
 
-def extract_coeffs(x: ExtFieldElement) -> tuple[int, ...]:
-    """Coordinates of x over the field's basis, via trace against the dual."""
-    F = x.field
-    duals = dual_basis(F)
-    return tuple(frobenius_trace(d * x).value for d in duals)
-
-
-def element_from_coeffs(F: ExtField, coeffs: Sequence[int]) -> ExtFieldElement:
-    """Rebuild sum_i coeffs[i] * b_i over the power basis."""
-    if len(coeffs) != F.l:
-        raise UsageError(f"need exactly {F.l} coordinates")
-    acc = F.zero
-    for c, b in zip(coeffs, F.basis):
-        acc = acc + F.from_int(c) * b
-    return acc
+def extract_coeffs(F: ExtField, x: Sequence[int]) -> tuple[int, ...]:
+    """Coordinates of x over F's basis, via trace against the dual."""
+    return tuple(frobenius_trace(F, F.mul(d, x)) for d in dual_basis(F))
 
 
 def format_field_spec(F: ExtField) -> str:

@@ -8,6 +8,7 @@ the exception, its gate budgets are timed by design).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import re
 import sys
@@ -936,13 +937,15 @@ def test_output_files_that_cannot_be_written_exit_2(tmp_path, capsys):
     ["build-hitting-set", "--ninputs", "1", "--bound", "3", "--alphabet=-1,1"],
 ), ids=("gen-design", "derive-cert", "build-hitting-set"))
 def test_out_naming_a_directory_exits_2_and_leaves_no_sibling(tmp_path, capsys, argv):
-    # every --out goes through cli._replacing: nothing is written in place
+    # every --out goes through cli._replacing, entered before the work: the
+    # command is refused before it builds, derives or prints anything
     design = tmp_path / "design.hex"
     design.write_text(DESIGN_HEX)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    rc, _, err = run(capsys, [a.format(design=design) for a in argv] + ["--out", str(out_dir)])
-    assert rc == 2 and err.endswith(f"error: cannot write {out_dir}: not a regular file\n")
+    rc, out, err = run(capsys, [a.format(design=design) for a in argv] + ["--out", str(out_dir)])
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot write {out_dir}: not a regular file\n"
     assert sorted(f.name for f in tmp_path.rglob("*")) == ["design.hex", "out"]
 
 
@@ -998,6 +1001,27 @@ def test_trace_tools_frozen(capsys):
         "trace(gen) 1\n"
         "coeffs(gen) 0,1\n"
     )
+
+
+# sha256 prefix of trace-tools stdout, one per argv: prime and extension
+# degrees from 1 to 16, a 31-bit prime and a modulus given on the command line
+TRACE_TOOLS_STDOUT = {
+    "--q 2 --l 1": "665ecd1334339085",
+    "--q 3 --l 2": "60ba6754a2fb063a",
+    "--q 5 --l 3": "f08c49e695845c97",
+    "--q 2 --l 5": "6c8f76d700d8523e",
+    "--q 7 --l 1": "f78ab11217cfc64c",
+    "--q 13 --l 4": "19845b6ebecdc8c2",
+    "--q 2 --l 16": "e42fefbabd82faec",
+    "--q 2147483647 --l 2": "8bcc10f056b09e69",
+    "--q 3 --l 3 --modulus 1,2,0,1": "467d96623d0d95b6",
+}
+
+
+@pytest.mark.parametrize("argv, digest", TRACE_TOOLS_STDOUT.items(), ids=TRACE_TOOLS_STDOUT.keys())
+def test_trace_tools_stdout_frozen(capsys, argv, digest):
+    rc, out, _ = run(capsys, ["trace-tools", *argv.split()])
+    assert rc == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_trace_tools_degree_one(capsys):

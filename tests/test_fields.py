@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import operator
 import random
 
 import pytest
@@ -22,7 +21,6 @@ from flipcert.fields import (
     ExtField,
     PrimeField,
     dual_basis,
-    element_from_coeffs,
     extract_coeffs,
     find_irreducible,
     format_field_spec,
@@ -176,27 +174,6 @@ def test_int_bitlength():
     assert int_bitlength(-255) == 9
 
 
-def test_prime_field_arithmetic():
-    F = PrimeField(7)
-    a, b = F.element(3), F.element(5)
-    assert (a + b).value == 1
-    assert (a * b).value == 1
-    assert (a - b).value == 5
-    assert (a * b.inverse()).value == (3 * pow(5, -1, 7)) % 7
-    assert (-a).value == 4
-    assert a**6 == F.one
-
-
-def test_prime_field_element_edges():
-    F = PrimeField(7)
-    assert not F.zero and F.one
-    with pytest.raises(ZeroDivisionError):
-        F.zero.inverse()
-    # equal elements of two constructions of F_7 hash equal
-    a, b = F.element(3), PrimeField(7).element(10)
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-
-
 def test_prime_field_rejects_composite():
     with pytest.raises(UsageError):
         PrimeField(6)
@@ -222,30 +199,6 @@ def test_digit_vectors_little_endian_order(q, l):
     assert list(fields._digit_vectors(q, l)) == want
 
 
-def _two_fields():
-    """Two prime fields and two extension fields, an element of each."""
-    P, P2 = PrimeField(7), PrimeField(11)
-    E, E2 = ExtField(3, 2), ExtField(5, 2)
-    return (P.element(3), P2.element(3)), (E.gen(), E2.gen())
-
-
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
-def test_elements_refuse_int_operands(op):
-    # no operator falls back to int arithmetic, on either side
-    for x, _ in _two_fields():
-        with pytest.raises(TypeError):
-            op(x, 1)
-        with pytest.raises(TypeError):
-            op(1, x)
-
-
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
-def test_elements_refuse_another_fields_elements(op):
-    for x, y in _two_fields():
-        with pytest.raises(UsageError):
-            op(x, y)
-
-
 def test_find_irreducible_refuses_composite_q():
     with pytest.raises(UsageError, match="4 is not prime"):
         find_irreducible(4, 2)
@@ -253,9 +206,9 @@ def test_find_irreducible_refuses_composite_q():
 
 def test_gen_is_the_residue_of_t():
     # at l = 1 the modulus is t + f_0, so t is -f_0; above, t itself
-    assert ExtField(5, 1, (3, 1)).gen() == ExtField(5, 1, (3, 1)).from_int(2)
-    assert ExtField(2, 1).gen().coeffs == (0,)
-    assert ExtField(3, 2).gen().coeffs == (0, 1)
+    assert ExtField(5, 1, (3, 1)).gen() == (2,)
+    assert ExtField(2, 1).gen() == (0,)
+    assert ExtField(3, 2).gen() == (0, 1)
 
 
 def test_poly_is_irreducible_rejects_reducible():
@@ -310,9 +263,6 @@ EXT_FIELD_ERRORS = {
     "degree-0": (lambda: ExtField(2, 0), "extension degree must be >= 1, got 0"),
     "modulus-degree": (lambda: ExtField(2, 2, (1, 1)), "monic of degree l"),
     "modulus-monic": (lambda: ExtField(3, 2, (1, 0, 2)), "monic of degree l"),
-    "coordinates": (lambda: ExtField(3, 2).element((1, 2, 0)), "too many coordinates"),
-    "from-coeffs": (lambda: element_from_coeffs(ExtField(3, 2), (1,)),
-                    "need exactly 2 coordinates"),
 }
 
 
@@ -321,27 +271,6 @@ EXT_FIELD_ERRORS = {
 def test_ext_field_input_checks(call, message):
     with pytest.raises(UsageError, match=message):
         call()
-
-
-def test_ext_field_hash_and_equality_across_constructions():
-    # two constructions of F_9 are equal and hash equal, and so are their
-    # elements, whose generated hash hashes the field
-    F, G = ExtField(3, 2), ExtField(3, 2)
-    assert F is not G and F == G and hash(F) == hash(G)
-    assert F.gen() == G.gen() and hash(F.gen()) == hash(G.gen())
-    assert len({F.gen(), G.gen(), F.one}) == 2
-    assert ExtField(3, 2, (2, 2, 1)) != F  # another modulus
-
-
-def test_ext_field_negative_powers():
-    F = ExtField(5, 2)
-    for x in F.elements():
-        if not x:
-            with pytest.raises(ZeroDivisionError):
-                x.inverse()
-            continue
-        assert x ** -1 == x.inverse()
-        assert x ** -3 * x**3 == F.one
 
 
 def test_singular_gram_matrix_is_refused():
@@ -358,16 +287,15 @@ def test_ext_field_rejects_reducible_modulus():
 def test_f4_structure():
     F = ExtField(2, 2, find_irreducible(2, 2))
     t = F.gen()
-    assert (t * t).coeffs == (1, 1)  # t^2 = t + 1
-    assert frobenius_trace(t).value == 1
-    assert frobenius_trace(F.one).value == 0  # char 2: 1 + 1
+    assert F.mul(t, t) == (1, 1)  # t^2 = t + 1
+    assert frobenius_trace(F, t) == 1
+    assert frobenius_trace(F, (1, 0)) == 0  # char 2: 1 + 1
     assert trace_form_gram(F) == [[0, 1], [1, 1]]
 
 
 def test_f4_dual_basis_frozen():
     F = ExtField(2, 2, find_irreducible(2, 2))
-    dual = dual_basis(F)
-    assert [b.coeffs for b in dual] == [(1, 1), (1, 0)]
+    assert dual_basis(F) == [[1, 1], [1, 0]]
 
 
 def test_f9_gram_frozen():
@@ -378,11 +306,10 @@ def test_f9_gram_frozen():
 @pytest.mark.parametrize("q,l", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_dual_basis_delta_property(q, l):
     F = ExtField(q, l, find_irreducible(q, l))
-    basis = F.basis
     dual = dual_basis(F)
-    for i, b in enumerate(basis):
+    for i, b in enumerate(F.basis):
         for j, d in enumerate(dual):
-            assert frobenius_trace(b * d).value == (1 if i == j else 0)
+            assert frobenius_trace(F, F.mul(b, d)) == (1 if i == j else 0)
 
 
 @pytest.mark.parametrize("q,l", [(2, 2), (2, 3), (3, 2), (5, 2)])
@@ -390,26 +317,25 @@ def test_extract_roundtrip(q, l):
     F = ExtField(q, l, find_irreducible(q, l))
     rng = random.Random(derive := q * 100 + l)
     for _ in range(25):
-        x = F.element(tuple(rng.randrange(q) for _ in range(l)))
-        assert element_from_coeffs(F, extract_coeffs(x)) == x
+        x = tuple(rng.randrange(q) for _ in range(l))
+        assert extract_coeffs(F, x) == x
 
 
 def test_trace_is_additive_and_frobenius_invariant():
     F = ExtField(5, 2, find_irreducible(5, 2))
     rng = random.Random(9)
     for _ in range(30):
-        x = F.element((rng.randrange(5), rng.randrange(5)))
-        y = F.element((rng.randrange(5), rng.randrange(5)))
-        assert frobenius_trace(x + y) == frobenius_trace(x) + frobenius_trace(y)
-        assert frobenius_trace(x.frobenius()) == frobenius_trace(x)
+        x = (rng.randrange(5), rng.randrange(5))
+        y = (rng.randrange(5), rng.randrange(5))
+        assert frobenius_trace(F, F.add(x, y)) == (frobenius_trace(F, x) + frobenius_trace(F, y)) % 5
+        assert frobenius_trace(F, F.pow(x, 5)) == frobenius_trace(F, x)
 
 
 def test_inverse_on_all_nonzero_f8():
+    # x^6 is the inverse of a nonzero x of F_8: x^(q^l - 1) = x^7 = 1
     F = ExtField(2, 3, find_irreducible(2, 3))
-    for x in F.elements():
-        if x == F.zero:
-            continue
-        assert x * x.inverse() == F.one
+    for x in itertools.islice(F.elements(), 1, None):  # every code but 0
+        assert F.mul(x, F.pow(x, 6)) == F.pow(x, 7) == (1, 0, 0)
 
 
 def test_field_spec_roundtrip():
@@ -417,16 +343,16 @@ def test_field_spec_roundtrip():
     line = format_field_spec(F)
     assert line == "2 3 1 1 0 1"
     q, l, *modulus = map(int, line.split())
-    assert ExtField(q, l, modulus) == F
+    assert format_field_spec(ExtField(q, l, modulus)) == line
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 def test_f25_distributivity(a0, a1, b0, b1):
     F = ExtField(5, 2, find_irreducible(5, 2))
-    x = F.element((a0, a1))
-    y = F.element((b0, b1))
-    z = F.gen() + F.one
-    assert z * (x + y) == z * x + z * y
-    assert (x + y) * (x - y) == x * x - y * y
+    x, y = (a0, a1), (b0, b1)
+    z = F.add(F.gen(), (1, 0))
+    assert F.mul(z, F.add(x, y)) == F.add(F.mul(z, x), F.mul(z, y))
+    assert F.mul(F.add(x, y), F.add(x, y)) == F.add(F.add(F.mul(x, x), F.mul(y, y)),
+                                                  F.mul((2, 0), F.mul(x, y)))
 

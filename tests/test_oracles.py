@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from flipcert.errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
-from flipcert.fields import PrimeField
 from flipcert.matrices import BLOCK, SQUARE
 from flipcert.oracles import (
     ColCycle,
@@ -97,10 +96,9 @@ def test_determinant_matches_the_leibniz_sum(n):
 
 def test_determinant_refuses_other_entries():
     # elimination's floor division is exact on int and Fraction entries only,
-    # so field elements and floats are refused at every order
-    F = PrimeField(7)
+    # so complex numbers and floats are refused at every order
     with pytest.raises(UsageError, match="int or Fraction"):
-        determinant([[F.element(1), F.element(2)], [F.element(3), F.element(4)]])
+        determinant([[1j, 2j], [3j, 4j]])
     with pytest.raises(UsageError, match="int or Fraction"):
         determinant([[1.0, 2], [3, 4]])
 
