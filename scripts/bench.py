@@ -24,6 +24,15 @@ designs    milliseconds to build (seed 0), verify and decode a design, --runs
            does not verify, a label whose SHA-256 moved, a wrong decode, or a
            copy whose last row repeats the first not reported as pair
            (0, m' - 1) fails the section.
+import     milliseconds to import afresh the eleven flipcert modules that
+           perfbench imports in its set-up, --runs times (default 15), after
+           one untimed import that loads the standard library:
+           import_src_ms compiles every module from source (no bytecode
+           written or read, as with PYTHONDONTWRITEBYTECODE=1 and an empty
+           bytecode cache), import_pyc_ms loads bytecode from a cache the
+           untimed import wrote.  Its dataclasses row is a count, not
+           milliseconds: the dataclasses those modules define.  A module
+           that fails to import fails the section.
 
 --section picks sections (repeatable; default all).  Each --src names a
 source tree (the directory holding the flipcert package); the default is
@@ -47,7 +56,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import platform
@@ -72,6 +84,9 @@ TARGETS = (
     ("2perm2", "perm", (2,), lambda b: b.scale_circuit(b.perm_circuit(2), 2), False),
 )
 MEMBERS = 61_803  # the F1b class's size
+# the modules perfbench/run.py imports afresh in each set-up
+MODULES = ("builders", "circuits", "cli", "designs", "errors", "fields",
+           "matrices", "obstruction", "oracles", "pit", "symtests")
 # (m', l, r, k_cap): SHA-256 of the label build_design_greedy gives at seed 0
 DESIGNS = {
     (12000, 16, 8, 7): "4610182784d0abe258b6afb7aed266e12e15981ad3ff036843633bcc07c586d0",
@@ -166,12 +181,43 @@ def time_designs(runs: int, seed: int) -> dict[str, list[float]]:
     return samples
 
 
+def _import_modules() -> list:
+    """Import MODULES afresh, dropping every flipcert module imported before."""
+    for name in [n for n in sys.modules if n == "flipcert" or n.startswith("flipcert.")]:
+        del sys.modules[name]
+    try:
+        return [importlib.import_module("flipcert." + name) for name in MODULES]
+    except ImportError as exc:
+        raise SystemExit(f"import: {exc}") from None
+
+
+def time_import(runs: int, seed: int) -> dict[str, list[float]]:
+    samples: dict[str, list[float]] = {"import_src_ms": [], "import_pyc_ms": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for metric, from_bytecode in (("import_src_ms", False), ("import_pyc_ms", True)):
+            sys.dont_write_bytecode = not from_bytecode
+            sys.pycache_prefix = os.path.join(tmp, metric)  # empty until the next line
+            _import_modules()  # loads the standard library, and writes bytecode if asked
+            for _ in range(runs):
+                t0 = time.perf_counter()
+                modules = _import_modules()
+                samples[metric].append(round((time.perf_counter() - t0) * 1e3, 2))
+    samples["dataclasses"] = [sum(
+        1 for module in modules for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+        and dataclasses.is_dataclass(obj))]
+    return samples
+
+
 # name: (timer, default runs per child, unit, digits printed)
 SECTIONS = {
     "sampled": (time_sampled, 9, "us", 1),
     "enumerate": (time_enumerate, 2, "s", 3),
     "designs": (time_designs, 5, "ms", 3),
+    "import": (time_import, 15, "ms", 2),
 }
+# metrics printed in their own unit and digits, not their section's
+COUNTS = {"dataclasses": ("", 0)}
 
 
 def describe(src: str) -> str:
@@ -186,7 +232,7 @@ def describe(src: str) -> str:
 
 def print_row(label: str, values: list[float], unit: str, digits: int, ratio_digits: int) -> None:
     row = "".join(f"{v:>{21 - len(unit)}.{digits}f} {unit}" for v in values)
-    ratio = f"   x{values[-1] / values[0]:.{ratio_digits}f}" if len(values) > 1 else ""
+    ratio = f"   x{values[-1] / values[0]:.{ratio_digits}f}" if len(values) > 1 and values[0] else ""
     print(f"{label:20}{row}{ratio}")
 
 
@@ -252,7 +298,7 @@ def main() -> int:
 
         print(f"{name:20}" + "".join(f"{c:>22}" for c in commits))
         for metric in trees[0]["min"]:
-            print_row(metric, [t["min"][metric] for t in trees], unit, digits, 2)
+            print_row(metric, [t["min"][metric] for t in trees], *COUNTS.get(metric, (unit, digits)), 2)
         print_row("peak RSS", [max(t["peak_rss_mb"]) for t in trees], "MB", 2, 3)
         print()
     if args.out:

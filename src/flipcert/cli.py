@@ -373,11 +373,11 @@ def cmd_trace_tools(args) -> int:
     print(f"field {format_field_spec(F)}")
     gram = trace_form_gram(F)
     print("gram " + "; ".join(",".join(str(v) for v in row) for row in gram))
-    dual = dual_basis(F)
+    dual = dual_basis(F, gram)
     print("dual " + "; ".join(",".join(str(c) for c in b) for b in dual))
     x = F.gen()
     print(f"trace(gen) {frobenius_trace(F, x)}")
-    print(f"coeffs(gen) {','.join(str(c) for c in extract_coeffs(F, x))}")
+    print(f"coeffs(gen) {','.join(str(c) for c in extract_coeffs(F, x, dual))}")
     return 0
 
 

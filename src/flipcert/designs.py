@@ -21,6 +21,7 @@ import random
 import struct
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, ConstructionFailed, MalformedEncoding, UsageError
 from .util import derive_seed
@@ -58,8 +59,7 @@ class DesignParams:
         return DesignParams(m_prime=m**c, l=b * t, r=a * t, k_cap=c * t)
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(NamedTuple):
     params: DesignParams
     rows: tuple[int, ...]
 
@@ -71,8 +71,7 @@ class Design:
         )
 
 
-@dataclass(frozen=True)
-class DesignViolation:
+class DesignViolation(NamedTuple):
     kind: str  # "row-count" | "universe" | "cardinality" | "intersection"
     index: int | None = None
     pair: tuple[int, int] | None = None

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .circuits import (
     Circuit,
@@ -332,8 +332,7 @@ def parse_certificate(text: str) -> ObstructionCertificate:
 # ---------------------------------------------------------------------------
 # decoding
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     query_index: int
     query: Query
     # perm targets only: per-point exact check c(X) != perm(X)
@@ -378,16 +377,14 @@ def decode_counterexample(cert: ObstructionCertificate, c: Circuit) -> DecodeRes
 # ---------------------------------------------------------------------------
 # the F harness
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     name: str
     passed: bool
     seconds: float
     detail: str
 
 
-@dataclass(frozen=True)
-class FReport:
+class FReport(NamedTuple):
     properties: tuple[PropertyReport, ...]
     all_pass: bool  # F0, F1a, F1b, F3, F4 (F2 is an empirical count, not a gate)
     class_label: str
@@ -587,8 +584,7 @@ def harness_F(
 # ---------------------------------------------------------------------------
 # the trivial obstruction table
 
-@dataclass(frozen=True, slots=True)
-class TableRow:
+class TableRow(NamedTuple):
     """Class member `index` disagrees with the target at `point`."""
 
     index: int

@@ -21,11 +21,10 @@ same map to polynomials.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ShapeMismatch, SizeLimit, UsageError
 from .matrices import BLOCK, row_width
@@ -151,8 +150,7 @@ def efun(shape: tuple, flat: Sequence, budget: int = 4096):
 # 1-indexed to match the written notation; storage stays 0-indexed.
 
 
-@dataclass(frozen=True)
-class ElementaryAdd:
+class ElementaryAdd(NamedTuple):
     """Row (or column, on the right) i += y * row j; i != j, 1-indexed."""
 
     i: int
@@ -160,20 +158,17 @@ class ElementaryAdd:
     y: int
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(NamedTuple):
     entries: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PermSwap:
+class PermSwap(NamedTuple):
     """Transposition of adjacent rows/columns i, i+1 (1-indexed)."""
 
     i: int
 
 
-@dataclass(frozen=True)
-class RowCycle:
+class RowCycle(NamedTuple):
     """3-cycle a -> b -> c -> a on rows/columns; an even permutation."""
 
     a: int
@@ -181,22 +176,19 @@ class RowCycle:
     c: int
 
 
-@dataclass(frozen=True)
-class ColSwap:
+class ColSwap(NamedTuple):
     """Swap choice columns 1 and 2 at position i (block right action)."""
 
     i: int
 
 
-@dataclass(frozen=True)
-class ColCycle:
+class ColCycle(NamedTuple):
     """Cycle all k choice columns at position i (block right action)."""
 
     i: int
 
 
-@dataclass(frozen=True)
-class PosThreeCycle:
+class PosThreeCycle(NamedTuple):
     """3-cycle a -> b -> c -> a on positions, moving whole k-column groups."""
 
     a: int

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .circuits import (
     Circuit,
@@ -65,8 +65,7 @@ class EnumeratedClass:
         return enumerate_circuits(self)
 
 
-@dataclass(frozen=True)
-class ExplicitClass:
+class ExplicitClass(NamedTuple):
     circuits: tuple[Circuit, ...]
 
     @property
@@ -225,8 +224,7 @@ def class_size(cls: CircuitClass) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class PitResult:
+class PitResult(NamedTuple):
     verdict: str  # "nonzero" | "zero"
     witness_point: tuple | None
     witness_value: int | None
@@ -286,8 +284,7 @@ def pit_random(
 # hitting sets
 
 
-@dataclass(frozen=True)
-class HittingSet:
+class HittingSet(NamedTuple):
     points: tuple[tuple[int, ...], ...]
     cls: CircuitClass
 
@@ -296,8 +293,7 @@ class HittingSet:
         return sum(int_bitlength(v) for pt in self.points for v in pt)
 
 
-@dataclass(frozen=True)
-class HitReport:
+class HitReport(NamedTuple):
     valid: bool
     violator: Circuit | None
     members_checked: int

@@ -46,7 +46,7 @@ distinct monomials it has seen.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice, permutations
@@ -114,8 +114,8 @@ REL_LINEAR = "linear"  # v0 == sum_i coeffs[i] * v_{i+1}
 REL_CONST = "const"  # v0 == coeffs[0]
 
 
-# Query and Verdict are named tuples: a suite makes one of each per query,
-# and a tuple is built in C, several times faster than a frozen dataclass.
+# Query and Verdict are named tuples, as flipcert's package docstring says
+# records are; a suite makes one of each per query.
 class Query(NamedTuple):
     kind: str
     params: tuple
@@ -131,8 +131,6 @@ class Verdict(NamedTuple):
     witness: tuple = ()
 
 
-# RunReport and VerifyResult are named tuples for the same reason: a
-# verifier call builds one of each.
 class RunReport(NamedTuple):
     accept: bool
     verdicts: tuple[Verdict, ...]
@@ -302,7 +300,7 @@ def _efun_fixed_laws(m: int, k: int, corrected: bool) -> tuple:
     for g in k_generators(m, k):
         name = type(g).__name__
         vmap = var_map(g, shape, "right")
-        laws.append((E_KGEN, (name,) + astuple(g), (), (name,), vmap, None))
+        laws.append((E_KGEN, (name,) + tuple(g), (), (name,), vmap, None))
     return tuple(laws)
 
 
@@ -851,8 +849,7 @@ def _verify_claims(
 # coefficient-space uniqueness
 
 
-@dataclass
-class NullspaceResult:
+class NullspaceResult(NamedTuple):
     dim: int
     monomials: list[tuple[int, ...]]
     basis: list[dict]

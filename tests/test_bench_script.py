@@ -22,11 +22,15 @@ DESIGN_ROWS = [f"{fields} {metric}"
                for fields in ("12000/16/8/7", "800/20/6/4", "60/24/8/4", "4/6/3/1")
                for metric in ("build", "verify", "decode")]
 
+IMPORT_ROWS = ["import_src_ms", "import_pyc_ms", "dataclasses"]
+
 # A flipcert package with just what the sections call.  Circuits are tags;
 # det and scaled circuits are rejected, everything else accepted.  The
-# designs section gets the real designs module and what it imports.
+# designs section gets the real designs module and what it imports; the
+# import section imports every module, the empty ones too.
 STUB = {
     "__init__.py": "",
+    **dict.fromkeys(("circuits.py", "fields.py", "matrices.py", "oracles.py"), ""),
     "builders.py": """
         def perm_circuit(n): return ("perm", n)
         def efun_circuit(m, k): return ("efun", m, k)
@@ -88,7 +92,8 @@ def test_good_stub_writes_both_sections(tmp_path):
     labels = [line[:20].rstrip() for line in proc.stdout.splitlines() if line]
     assert labels == (["sampled"] + SAMPLED_ROWS + ["peak RSS"]
                       + ["enumerate", "enumerate_s", "f1b_s", "peak RSS"]
-                      + ["designs"] + DESIGN_ROWS + ["peak RSS"])
+                      + ["designs"] + DESIGN_ROWS + ["peak RSS"]
+                      + ["import"] + IMPORT_ROWS + ["peak RSS"])
     rows = {line[:20].rstrip(): line[20:].split() for line in proc.stdout.splitlines() if line}
     assert rows["perm2 exact"][1::2] == ["us", "us"] and rows["perm2 exact"][-1].startswith("x")
     assert rows["f1b_s"] == ["12.500", "s", "12.500", "s", "x1.00"]
@@ -97,14 +102,16 @@ def test_good_stub_writes_both_sections(tmp_path):
 
     report = json.loads(out.read_text())
     assert {k: report[k] for k in ("script", "runs", "rounds", "seed")} == {
-        "script": "scripts/bench.py", "runs": {"sampled": 1, "enumerate": 1, "designs": 1},
+        "script": "scripts/bench.py",
+        "runs": {"sampled": 1, "enumerate": 1, "designs": 1, "import": 1},
         "rounds": 2, "seed": 1,
     }
     assert {"python", "nproc", "machine"} <= set(report)
-    assert list(report["sections"]) == ["sampled", "enumerate", "designs"]
+    assert list(report["sections"]) == ["sampled", "enumerate", "designs", "import"]
     for name, unit, metrics in (("sampled", "us", SAMPLED_ROWS),
                                 ("enumerate", "s", ["enumerate_s", "f1b_s"]),
-                                ("designs", "ms", DESIGN_ROWS)):
+                                ("designs", "ms", DESIGN_ROWS),
+                                ("import", "ms", IMPORT_ROWS)):
         section = report["sections"][name]
         assert section["unit"] == unit
         assert len(section["trees"]) == 2
@@ -163,6 +170,27 @@ def test_each_designs_gate_exits_1(tmp_path, edit, message):
     proc = _bench("--src", str(_stub(tmp_path, designs=edit)), "--section", "designs")
     assert proc.returncode == 1
     assert message in proc.stderr
+
+
+def test_import_section_times_both_caches_and_counts_dataclasses(tmp_path):
+    extra = "from dataclasses import dataclass\n@dataclass\nclass Extra:\n    x: int = 0"
+    a, b = _stub(tmp_path / "a"), _stub(tmp_path / "b", oracles=extra)
+    proc = _bench("--src", str(a), "--src", str(b), "--section", "import", "--runs", "3")
+    assert proc.returncode == 0, proc.stderr
+    rows = {line[:20].rstrip(): line[20:].split() for line in proc.stdout.splitlines() if line}
+    assert list(rows) == ["import"] + IMPORT_ROWS + ["peak RSS"]
+    for metric in ("import_src_ms", "import_pyc_ms"):
+        assert rows[metric][1::2] == ["ms", "ms"] and all(float(v) > 0 for v in rows[metric][:4:2])
+    # the real designs module's DesignParams, then the extra one
+    assert rows["dataclasses"] == ["1", "2", "x2.00"]
+
+
+def test_missing_module_fails_the_import_section(tmp_path):
+    bad = _stub(tmp_path / "bad")
+    (bad / "flipcert" / "oracles.py").unlink()
+    proc = _bench("--src", str(_stub(tmp_path / "good")), "--src", str(bad), "--section", "import")
+    assert proc.returncode == 1
+    assert "import: No module named 'flipcert.oracles'" in proc.stderr
 
 
 @pytest.mark.parametrize("flag", ["--runs", "--rounds"])

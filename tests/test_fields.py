@@ -303,6 +303,14 @@ def test_f9_gram_frozen():
     assert trace_form_gram(F) == [[2, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("q,l", [(2, 3), (2, 16), (3, 4), (7, 5), (65519, 2)])
+def test_one_pass_gram_is_the_pairwise_definition(q, l):
+    # the 2l - 1 traces of t^k against all l^2 traces of b_i * b_j
+    F = ExtField(q, l, find_irreducible(q, l))
+    pairwise = [[frobenius_trace(F, F.mul(bi, bj)) for bj in F.basis] for bi in F.basis]
+    assert trace_form_gram(F) == pairwise
+
+
 @pytest.mark.parametrize("q,l", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_dual_basis_delta_property(q, l):
     F = ExtField(q, l, find_irreducible(q, l))
