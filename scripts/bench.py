@@ -30,9 +30,8 @@ import     milliseconds to import afresh the eleven flipcert modules that
            import_src_ms compiles every module from source (no bytecode
            written or read, as with PYTHONDONTWRITEBYTECODE=1 and an empty
            bytecode cache), import_pyc_ms loads bytecode from a cache the
-           untimed import wrote.  Its dataclasses row is a count, not
-           milliseconds: the dataclasses those modules define.  A module
-           that fails to import fails the section.
+           untimed import wrote.  A module that fails to import fails the
+           section.
 
 --section picks sections (repeatable; default all).  Each --src names a
 source tree (the directory holding the flipcert package); the default is
@@ -56,10 +55,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import importlib
-import inspect
 import json
 import os
 import platform
@@ -181,12 +178,13 @@ def time_designs(runs: int, seed: int) -> dict[str, list[float]]:
     return samples
 
 
-def _import_modules() -> list:
+def _import_modules() -> None:
     """Import MODULES afresh, dropping every flipcert module imported before."""
     for name in [n for n in sys.modules if n == "flipcert" or n.startswith("flipcert.")]:
         del sys.modules[name]
     try:
-        return [importlib.import_module("flipcert." + name) for name in MODULES]
+        for name in MODULES:
+            importlib.import_module("flipcert." + name)
     except ImportError as exc:
         raise SystemExit(f"import: {exc}") from None
 
@@ -200,12 +198,8 @@ def time_import(runs: int, seed: int) -> dict[str, list[float]]:
             _import_modules()  # loads the standard library, and writes bytecode if asked
             for _ in range(runs):
                 t0 = time.perf_counter()
-                modules = _import_modules()
+                _import_modules()
                 samples[metric].append(round((time.perf_counter() - t0) * 1e3, 2))
-    samples["dataclasses"] = [sum(
-        1 for module in modules for obj in vars(module).values()
-        if inspect.isclass(obj) and obj.__module__ == module.__name__
-        and dataclasses.is_dataclass(obj))]
     return samples
 
 
@@ -216,8 +210,6 @@ SECTIONS = {
     "designs": (time_designs, 5, "ms", 3),
     "import": (time_import, 15, "ms", 2),
 }
-# metrics printed in their own unit and digits, not their section's
-COUNTS = {"dataclasses": ("", 0)}
 
 
 def describe(src: str) -> str:
@@ -232,7 +224,7 @@ def describe(src: str) -> str:
 
 def print_row(label: str, values: list[float], unit: str, digits: int, ratio_digits: int) -> None:
     row = "".join(f"{v:>{21 - len(unit)}.{digits}f} {unit}" for v in values)
-    ratio = f"   x{values[-1] / values[0]:.{ratio_digits}f}" if len(values) > 1 and values[0] else ""
+    ratio = f"   x{values[-1] / values[0]:.{ratio_digits}f}" if len(values) > 1 else ""
     print(f"{label:20}{row}{ratio}")
 
 
@@ -298,7 +290,7 @@ def main() -> int:
 
         print(f"{name:20}" + "".join(f"{c:>22}" for c in commits))
         for metric in trees[0]["min"]:
-            print_row(metric, [t["min"][metric] for t in trees], *COUNTS.get(metric, (unit, digits)), 2)
+            print_row(metric, [t["min"][metric] for t in trees], unit, digits, 2)
         print_row("peak RSS", [max(t["peak_rss_mb"]) for t in trees], "MB", 2, 3)
         print()
     if args.out:

@@ -6,10 +6,9 @@ A record is a typing.NamedTuple.  It is a dataclass only where a
 constructor validates (DesignParams), a field is left out of equality
 (ObstructionCertificate), config.declare builds it (VerifyConfig, CertConfig,
 EnumeratedClass), or the enumerator builds one per node (Circuit and pit's
-candidates).  A frozen dataclass takes about 1 ms to create, a NamedTuple
-0.1 ms: with 18 records moved over, importing the eleven modules fell from
-78 to 65 ms compiled from source and from 27 to 21 ms from bytecode
-(scripts/bench.py --section import minima, Python 3.11.7, 2-core Xeon VM)."""
+candidates).  Each record class is built at import: a frozen dataclass
+took 0.95-1.08 ms to create, a NamedTuple with the same fields 0.135 ms
+(Python 3.11.7, 2-core Xeon VM)."""
 
 from .circuits import (
     Circuit,

@@ -333,24 +333,21 @@ def _matrix_inverse_mod(rows: Sequence[Sequence[int]], q: int):
     return [row[n:] for row in a]
 
 
-def dual_basis(F: ExtField, gram: Sequence[Sequence[int]] | None = None) -> list[list[int]]:
+def dual_basis(F: ExtField, gram: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis (b_i*) with trace(b_i* b_j) = delta_ij, as power-basis
     coordinates: b_i* = sum_j G^-1[i][j] t^j, so these are the rows of the
-    inverse Gram matrix.  A caller holding trace_form_gram(F) passes it.
+    inverse of gram = trace_form_gram(F).
 
     Raises SingularTraceForm when the Gram matrix is not invertible (cannot
     happen for a separable extension with a genuine basis, but the check is
     what makes the construction trustworthy).
     """
-    return _matrix_inverse_mod(gram or trace_form_gram(F), F.q)
+    return _matrix_inverse_mod(gram, F.q)
 
 
-def extract_coeffs(
-    F: ExtField, x: Sequence[int], dual: Sequence[Sequence[int]] | None = None
-) -> tuple[int, ...]:
-    """Coordinates of x over F's basis, via trace against the dual; a caller
-    holding dual_basis(F) passes it."""
-    return tuple(frobenius_trace(F, F.mul(d, x)) for d in dual or dual_basis(F))
+def extract_coeffs(F: ExtField, x: Sequence[int], dual: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Coordinates of x over F's basis, via trace against dual = dual_basis(F, gram)."""
+    return tuple(frobenius_trace(F, F.mul(d, x)) for d in dual)
 
 
 def format_field_spec(F: ExtField) -> str:

@@ -347,13 +347,13 @@ def test_criterion_10_trace_machinery():
         F = ExtField(q, l, find_irreducible(q, l))
         gram = trace_form_gram(F)
         failures += _det_mod(gram, q) == 0
-        dual = dual_basis(F)
+        dual = dual_basis(F, gram)
         for i, bi in enumerate(dual):
             for j, bj in enumerate(F.basis):
                 want = 1 if i == j else 0
                 failures += frobenius_trace(F, F.mul(bi, bj)) != want
         for x in F.elements():
-            failures += extract_coeffs(F, x) != x
+            failures += extract_coeffs(F, x, dual) != x
     assert failures == 0
     print(
         "criterion 10 (trace machinery): pass - gram invertible, dual basis "
