@@ -6,7 +6,9 @@ exactly (number of roots in the box)/|box| = 1/|box| scaled by d only when
 roots are counted with multiplicity at distinct points; the classical bound
 is d/|S|.  The sweep draws fresh single-trial tests on x - c circuits with
 c planted inside the box, where the miss rate is genuinely d/|S|-shaped,
-and prints measured rate vs bound per cell.
+and prints measured rate vs bound per cell.  The bound is the one pit
+itself computes from the circuit's formal degree, which each cell first
+checks equals the planted degree.
 
 A cell's false-zero count is binomial with mean b = d/|S| per trial, so
 the script exits 1 when any measured rate passes b + 4 * sqrt(b(1-b)/trials)
@@ -21,8 +23,8 @@ import argparse
 import math
 import random
 
-from flipcert.circuits import parse_circuit
-from flipcert.pit import pit_random
+from flipcert.circuits import formal_degree, lower, parse_circuit
+from flipcert.pit import pit_error_bound, pit_random
 from flipcert.util import derive_seed
 
 
@@ -61,6 +63,9 @@ def main() -> int:
             rng = random.Random(derive_seed("sweep", degree, width, args.seed))
             roots = rng.sample(range(1, size + 1), degree)
             c = planted_circuit(degree, roots)
+            formal = formal_degree(lower(c))
+            if formal != degree:
+                raise SystemExit(f"formal degree {formal}, planted degree {degree}")
             false_zero = 0
             for t in range(args.trials):
                 res = pit_random(
@@ -68,12 +73,11 @@ def main() -> int:
                     trials=1,
                     seed=derive_seed("trial", degree, width, t, args.seed),
                     box=(1, size),
-                    degree_hint=degree,
                 )
                 if res.verdict == "zero":
                     false_zero += 1
             rate = false_zero / args.trials
-            bound = degree / size
+            bound = pit_error_bound(formal, (1, size), 1)
             limit = bound + 4 * math.sqrt(bound * (1 - bound) / args.trials)
             over += rate > limit
             flag = "  OVER" if rate > limit else ""

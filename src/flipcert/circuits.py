@@ -240,6 +240,24 @@ def bound_fits(prog: Program, width: int, limit: int = EXACT_BITS) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def formal_degree(prog: Program) -> int:
+    """A bound on the total degree of prog's output (a sum may cancel), as
+    the Schwartz-Zippel error bounds take it: an input has degree 1, a
+    constant 0, a product the sum of its operands' degrees and a sum or
+    difference the larger.  Kept per program, as bound_fits is."""
+    degs: list[int] = []
+    push = degs.append
+    for op, a, b in prog:
+        if op == OP_MUL:
+            push(degs[a] + degs[b])
+        elif op < OP_ADD:
+            push(1 if op == OP_INPUT else 0)
+        else:
+            push(max(degs[a], degs[b]))
+    return degs[-1]
+
+
 def run_many(prog: Program, points: Sequence[Sequence[int]], q: int = 0) -> list[int]:
     """The program's value at each point, in one walk of the program; with
     q > 0 each value is the residue in [0, q).

@@ -221,8 +221,7 @@ def cmd_pit(args) -> int:
     c = _load_circuit(args.circuit)
     box = sample_box(args.width)
     _check_eval_budget(c, box[1].bit_length())
-    res = pit_random(c, trials=args.trials, seed=args.seed, box=box,
-                     degree_hint=args.degree_hint)
+    res = pit_random(c, trials=args.trials, seed=args.seed, box=box)
     if res.verdict == "nonzero":
         print(f"nonzero at {res.witness_point} (value {_decimal(res.witness_value)})")
         return 1
@@ -424,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width", type=int, default=62, help=SAMPLE_WIDTH.span())
-    p.add_argument("--degree-hint", type=int, default=None)
     p.set_defaults(func=cmd_pit)
 
     p = sub.add_parser("verify-perm", help="permanent symmetry suite")

@@ -2,7 +2,7 @@
 
 The randomized tester samples points from an integer box and reports either
 a certain nonzero witness or a zero verdict with the standard degree/box
-error bound (formal degree bound 2^size unless the caller asserts better).
+error bound, from the circuit's formal degree (circuits.formal_degree).
 
 The derandomized side works against finite circuit classes: either an
 enumerated class (all canonical-form circuits up to a size or bitsize bound
@@ -24,6 +24,7 @@ from .circuits import (
     check_arity,
     evaluate,  # noqa: F401  (perfbench's tracer test expects it bound here)
     expand_to_polynomial,
+    formal_degree,
     lower,
     run_many,
 )
@@ -176,12 +177,9 @@ def enumerate_circuits(cls: EnumeratedClass) -> Iterator[Circuit]:
 
     def walk(cost: int):
         t = len(keys)
-        if t > 0:
-            unused = sum(1 for r in refcount if r == 0)
-            if unused == 1:
-                yield Circuit(cls.num_inputs, tuple(keys), t - 1)
-        else:
-            unused = 0
+        unused = sum(1 for r in refcount if r == 0)
+        if unused == 1:
+            yield Circuit(cls.num_inputs, tuple(keys), t - 1)
         prev_key = keys[-1] if keys else None
         for node in candidates(t):
             if node in seen:
@@ -232,27 +230,13 @@ class PitResult(NamedTuple):
     trials_run: int
 
 
-def pit_error_bound(
-    size: int, box: tuple[int, int], trials: int, degree_hint: int | None = None
-) -> float:
+def pit_error_bound(degree: int, box: tuple[int, int], trials: int) -> float:
     """Miss probability bound for `trials` independent sampled identity
-    checks: (deg / |S|)^trials, each factor capped at 1.
-
-    The formal degree bound for a size-s circuit is 2^s; degree_hint
-    substitutes a caller-asserted tighter degree.  The sampled symmetry
-    suites use the same bound per identity, with rounds as trials."""
-    if degree_hint is not None and degree_hint < 0:
-        raise UsageError(f"degree hint must be >= 0, got {degree_hint}")
+    checks of a polynomial of total degree at most `degree` (Schwartz-Zippel):
+    (degree / |S|)^trials, and 1 once the degree reaches |S|.  The sampled
+    symmetry suites use the same bound per identity, with rounds as trials."""
     span = box[1] - box[0] + 1
-    if degree_hint is not None:
-        if degree_hint >= span:  # the per-trial factor caps at 1
-            return 1.0
-        rho = degree_hint / span
-    elif size >= span.bit_length():
-        rho = 1.0
-    else:
-        rho = min(1.0, 2.0 ** (size - (span.bit_length() - 1)))
-    return rho**trials
+    return 1.0 if degree >= span else (degree / span) ** trials
 
 
 def pit_random(
@@ -260,16 +244,14 @@ def pit_random(
     trials: int = 8,
     seed: int = 0,
     box: tuple[int, int] = (1, 1 << 62),
-    degree_hint: int | None = None,
 ) -> PitResult:
     """Randomized identity test over exact integers.
 
     A nonzero verdict is certain (the witness is returned); a zero verdict
-    carries the (degree/box)^trials false-zero bound.
+    carries the (degree/box)^trials false-zero bound, from c's formal degree.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise UsageError(f"trials must be 1..{MAX_TRIALS}, got {trials}")
-    bound = pit_error_bound(c.size, box, trials, degree_hint)  # checks the hint
     rng = random.Random(derive_seed("pit", seed, trials, box[0], box[1]))
     prog = lower(c)
     for t in range(trials):
@@ -277,6 +259,7 @@ def pit_random(
         [v] = run_many(prog, [point])
         if v != 0:
             return PitResult("nonzero", point, v, 0.0, t + 1)
+    bound = pit_error_bound(formal_degree(prog), box, trials)
     return PitResult("zero", None, None, bound, trials)
 
 

@@ -57,6 +57,7 @@ from .circuits import (
     Circuit,
     evaluate,  # noqa: F401  (perfbench's tracer test expects it bound here)
     expand_to_polynomial,
+    formal_degree,
     lower,
     poly_eval,
     poly_remap_vars,
@@ -841,7 +842,7 @@ def _verify_claims(
         report = run_queries(c, queries, cfg.ring, cfg.prime_bits, cfg.prime_count,
                              cfg.seed, columns, slots)
         accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
-        bound = sampled_error_bound(c.size, cfg.box(), cfg.rounds)
+        bound = sampled_error_bound(formal_degree(lower(c)), cfg.box(), cfg.rounds)
     return VerifyResult(accept, cfg.mode, queries, tuple(verdicts), bound, notes + more)
 
 

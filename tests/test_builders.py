@@ -11,6 +11,9 @@ from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_cir
 from flipcert.circuits import (
     evaluate,
     expand_to_polynomial,
+    formal_degree,
+    lower,
+    parse_circuit,
     poly_total_degree,
     serialize_circuit,
 )
@@ -88,6 +91,27 @@ def test_efun_expansion_degree_law():
     for m, k in ((1, 2), (2, 2), (1, 3)):
         poly = expand_to_polynomial(efun_circuit(m, k))
         assert poly_total_degree(poly) == m * k**m
+
+
+def test_formal_degree_is_the_builders_degree():
+    for n in (1, 2, 3, 4):
+        assert formal_degree(lower(perm_circuit(n))) == n
+        assert formal_degree(lower(det_circuit(n))) == n
+    for m, k in ((1, 2), (1, 3), (2, 2), (2, 3)):
+        assert formal_degree(lower(efun_circuit(m, k))) == m * k**m
+
+
+# n for perm(n) and det(n), m * k^m for E(m, k)
+SHIPPED_DEGREES = {"perm2.ac": 2, "perm3.ac": 3, "perm4.ac": 4, "det2.ac": 2, "det3.ac": 3,
+                   "efun_1_2.ac": 2, "efun_2_2.ac": 8, "efun_1_3.ac": 3,
+                   "perm2_scaled2.ac": 2}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BUILDS))
+def test_shipped_circuit_formal_degree(name):
+    c = parse_circuit((CIRCUITS / name).read_text())
+    degree = SHIPPED_DEGREES[name]
+    assert formal_degree(lower(c)) == degree == poly_total_degree(expand_to_polynomial(c))
 
 
 def test_efun_22_expansion_is_15_terms():

@@ -30,6 +30,7 @@ from flipcert.symtests import VerifyConfig
 from flipcert.util import MAX_SAMPLE_WIDTH, sample_box
 
 XY_TEXT = "ninputs 2\ng1 = input 0\ng2 = input 1\ng3 = mul g1 g2\noutput g3\n"
+ZERO_TEXT = "ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n"  # x - x
 SQUARE2 = "square 2\n1 2\n3 4\n"
 BLOCK22 = "block 2 2\n1 2 3 4\n5 6 7 8\n"
 DESIGN_HEX = encode_design(build_design_greedy(DesignParams(4, 6, 3, 1))).hex() + "\n"
@@ -87,7 +88,7 @@ def test_pit_nonzero_exits_1(tmp_path, capsys):
 
 def test_pit_zero_exits_0(tmp_path, capsys):
     path = tmp_path / "zero.ac"
-    path.write_text("ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n")
+    path.write_text(ZERO_TEXT)
     rc, out, _ = run(capsys, ["pit", "--circuit", str(path)])
     assert rc == 0 and out.startswith("zero (false-zero bound")
 
@@ -147,14 +148,49 @@ def test_pit_and_eval_refuse_a_step_past_the_evaluation_budget(tmp_path, capsys)
     assert rc == 2 and "circuit takes 1 inputs, point has 2" in err
 
 
-def test_pit_degree_hint_past_the_box_width_bounds_at_1(tmp_path, capsys):
-    # a 401-digit hint overflowed a float division; a hint at or past the
-    # box width caps each trial's factor at 1
-    path = tmp_path / "zero.ac"
-    path.write_text("ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n")
-    for hint in ("9" * 401, str(1 << 62)):
-        rc, out, err = run(capsys, ["pit", "--circuit", str(path), "--degree-hint", hint])
-        assert (rc, out, err) == (0, "zero (false-zero bound 1, 8 trials)\n", "")
+def test_pit_degree_past_the_box_width_bounds_at_1(tmp_path, capsys):
+    # x - x squared k times has formal degree 2^k; at the width-16 box's 2^16
+    # points, k = 16 caps each trial's factor at 1 and k = 15 halves it
+    path = tmp_path / "zero_sq.ac"
+    for k, bound in ((16, "1"), (15, "0.00391")):
+        path.write_text("ninputs 1\ng0 = input 0\ng1 = sub g0 g0\n" + "".join(
+            f"g{t} = mul g{t - 1} g{t - 1}\n" for t in range(2, k + 2)) + f"output g{k + 1}\n")
+        rc, out, err = run(capsys, ["pit", "--circuit", str(path), "--width", "16"])
+        assert (rc, out, err) == (0, f"zero (false-zero bound {bound}, 8 trials)\n", "")
+
+
+# each printed bound is (formal degree / box)^rounds, or ^trials, over the
+# default 2^62-point box: perm(4) has degree 4 and E(2,2) degree 8, two
+# rounds each; x - x has degree 1 and a constant degree 0, eight trials
+PRINTED_BOUNDS = {
+    "verify-perm-exact": (["verify-perm", "--n", "4", "--circuit", "{circuits}/perm4.ac"],
+                          "false-accept bound 7.52e-37\n"),
+    "verify-perm-modular": (["verify-perm", "--n", "4", "--circuit", "{circuits}/perm4.ac",
+                             "--ring", "modular"], "false-accept bound 7.52e-37\n"),
+    "verify-efun": (["verify-efun", "--m", "2", "--k", "2",
+                     "--circuit", "{circuits}/efun_2_2.ac"], "false-accept bound 3.01e-36\n"),
+    "pit-x-minus-x": (["pit", "--circuit", "{zero}"],
+                      "zero (false-zero bound 4.89e-150, 8 trials)\n"),
+    "pit-const-0": (["pit", "--circuit", "{const0}"], "zero (false-zero bound 0, 8 trials)\n"),
+}
+
+
+@pytest.mark.parametrize("label", PRINTED_BOUNDS)
+def test_printed_bounds_come_from_the_formal_degree(tmp_path, capsys, label):
+    argv, line = PRINTED_BOUNDS[label]
+    paths = {"circuits": CIRCUITS, "zero": tmp_path / "zero.ac", "const0": tmp_path / "c0.ac"}
+    paths["zero"].write_text(ZERO_TEXT)
+    paths["const0"].write_text("ninputs 1\ng1 = const 0\noutput g1\n")
+    rc, out, _ = run(capsys, [arg.format(**paths) for arg in argv])
+    assert rc == 0 and line in out.splitlines(keepends=True)
+
+
+def test_pit_takes_no_degree_hint(capsys):
+    # the degree is the circuit's own; argparse refuses the old flag
+    with pytest.raises(SystemExit) as exc:
+        main(["pit", "--circuit", "zero.ac", "--degree-hint", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree-hint 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +269,6 @@ BAD_FLAG_ARGV = {
     "trace-tools-l": ["trace-tools", "--q", "2", "--l", "-1"],
     # a composite q once reached "no irreducible of degree 2 over F_4"
     "trace-tools-q": ["trace-tools", "--q", "4", "--l", "2"],
-    # zero.ac computes x - x, so a negative hint would reach the printed bound
-    "pit-degree-hint": ["pit", "--circuit", "{zero}", "--degree-hint", "-5",
-                        "--trials", "3"],
     "trivial-table-head": ["trivial-table", "--ninputs", "4", "--bound", "2",
                            "--alphabet=1", "--n", "2", "--head", "-1"],
     # an empty pool is a usage error, not a budget failure (exit 3)
@@ -327,8 +360,6 @@ def test_bad_count_or_width_exits_2(tmp_path, capsys, label, argv):
                     ("efun22", efun_circuit(2, 2))):
         paths[name] = tmp_path / f"{name}.ac"
         paths[name].write_text(serialize_circuit(c))
-    paths["zero"] = tmp_path / "zero.ac"
-    paths["zero"].write_text("ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n")
     paths["xm1"] = tmp_path / "xm1.ac"
     paths["xm1"].write_text("ninputs 1\ng1 = input 0\ng2 = const 1\ng3 = sub g1 g2\noutput g3\n")
     paths["block22"] = tmp_path / "block22.mat"
@@ -478,8 +509,8 @@ def test_loop_counts_past_their_caps_through_validation(cert_path):
 # fields once adds and drops no flag
 FLAGS = {
     "eval": [("--circuit", "circuit"), ("--point", "point")],
-    "pit": [("--circuit", "circuit"), ("--degree-hint", "degree_hint"), ("--seed", "seed"),
-            ("--trials", "trials"), ("--width", "width")],
+    "pit": [("--circuit", "circuit"), ("--seed", "seed"), ("--trials", "trials"),
+            ("--width", "width")],
     "verify-perm": [("--circuit", "circuit"), ("--mode", "mode"), ("--n", "n"),
                     ("--no-normalize", "no_normalize"), ("--nonzero", "nonzero"),
                     ("--prime-bits", "prime_bits"), ("--prime-count", "prime_count"),

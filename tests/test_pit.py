@@ -25,8 +25,10 @@ from flipcert.circuits import (
     Circuit,
     evaluate,
     expand_to_polynomial,
+    formal_degree,
     lower,
     parse_circuit,
+    poly_total_degree,
     serialize_circuit,
 )
 from flipcert.errors import ArityMismatch, ParseError, PoolExhausted, UsageError
@@ -171,26 +173,32 @@ def test_pit_nonzero_with_witness():
 
 
 def test_pit_zero_circuit():
+    # x - x has formal degree 1, so each trial misses with chance 1/2^62
     c = parse_circuit("ninputs 1\ng1 = input 0\ng2 = sub g1 g1\noutput g2\n")
-    res = pit_random(c, trials=6, seed=0, degree_hint=2)
+    res = pit_random(c, trials=6, seed=0)
     assert res.verdict == "zero"
-    assert res.error_bound == pit_error_bound(2, (1, 1 << 62), 6, degree_hint=2)
-    assert res.error_bound < 1e-90
+    assert res.error_bound == pit_error_bound(1, (1, 1 << 62), 6) == 2.0 ** -372
 
 
 def test_pit_error_bound_formula():
-    # without a degree hint the bound uses degree <= 2^size
-    assert pit_error_bound(2, (1, 16), 3) == (4 / 16) ** 3
-    assert pit_error_bound(2, (1, 16), 3, degree_hint=2) == (2 / 16) ** 3
-    assert pit_error_bound(100, (1, 16), 2) == 1.0  # capped at 1 per trial
+    assert pit_error_bound(2, (1, 16), 3) == (2 / 16) ** 3
+    assert pit_error_bound(15, (1, 16), 2) == (15 / 16) ** 2
+    assert pit_error_bound(0, (1, 16), 2) == 0.0  # a constant is never missed
+    assert pit_error_bound(16, (1, 16), 2) == 1.0  # capped at 1 per trial
+    # a degree far past the float range caps before any division
+    assert pit_error_bound(10**401, (1, 1 << 62), 8) == 1.0
 
 
-def test_negative_degree_hint_is_a_usage_error():
-    # refused up front, also where a nonzero point would end the run first
-    with pytest.raises(UsageError):
-        pit_error_bound(2, (1, 16), 3, degree_hint=-1)
-    with pytest.raises(UsageError):
-        pit_random(perm_circuit(2), trials=4, seed=0, degree_hint=-5)
+@pytest.mark.parametrize("ninputs,bound,alphabet", [(2, 4, (-1, 0, 1)), (1, 5, (-1, 1))])
+def test_formal_degree_bounds_the_expanded_degree(ninputs, bound, alphabet):
+    # cancellation can only lower the degree the expansion reaches
+    for c in EnumeratedClass(ninputs, bound, alphabet).members():
+        assert formal_degree(lower(c)) >= poly_total_degree(expand_to_polynomial(c))
+
+
+def test_a_pool_of_one_point_is_accepted():
+    hs = build_hitting_set_greedy(EnumeratedClass(1, 2, (-1, 1)), seed=0, pool_size=1)
+    assert len(hs.points) == 1
 
 
 def test_univariate_hitting_set_frozen():
