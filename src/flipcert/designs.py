@@ -17,14 +17,13 @@ intersection) are the verifier's business, not the decoder's.
 from __future__ import annotations
 
 import math
-import random
 import struct
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ConstructionFailed, MalformedEncoding, UsageError
-from .util import derive_seed
+from .util import seeded
 
 
 @dataclass(frozen=True)
@@ -199,9 +198,7 @@ def build_design_greedy(params: DesignParams, seed: int = 0) -> Design:
     if params.k_cap < params.r and params.m_prime > universe:
         raise ConstructionFailed(
             f"{params.m_prime} distinct rows exceed C({params.l}, {params.r}) = {universe}")
-    rng = random.Random(
-        derive_seed("design", seed, params.m_prime, params.l, params.r, params.k_cap)
-    )
+    rng = seeded("design", seed, params.m_prime, params.l, params.r, params.k_cap)
 
     best = 0
     for _ in range(_ATTEMPTS):

@@ -4,14 +4,14 @@ is_prime and random_prime serve the modular query runs, which reduce plain
 integers mod the product of the distinct drawn primes in circuits.run_many:
 once per output after an exact run, or at every step when the program's bit
 bound passes circuits.EXACT_BITS.  With the run exact and each query
-decided once modulo that product, modular perm(4) costs about 0.41 ms a
-suite against 0.30 ms in the exact ring (scripts/bench.py --section sampled
-minima, Python 3.11 on a 2-core Xeon VM; 0.46 and 0.35 ms in a slow spell
-of the shared host), and most of the difference is drawing the three 31-bit
-primes, 24 to 39 us each: the gcd with the odd primes below 256 keeps four
-odd candidates in five from Miller-Rabin, and the three pow() calls that
-certify a 31-bit prime (bases 2, 7, 61) cost 7 to 8.5 us apiece at that
-width.  No circuit is evaluated over a field.
+decided once modulo that product, modular perm(4) costs about 0.39 ms a
+suite against 0.31 ms in the exact ring (BENCH_32.json: scripts/bench.py
+--section sampled minima, Python 3.11 on a 2-core x86-64 VM), and most of
+the difference is drawing the three 31-bit primes, 24 to 31 us each: the
+gcd with the odd primes below 256 keeps four odd candidates in five from
+Miller-Rabin, and the three pow() calls that certify a 31-bit prime (bases
+2, 7, 61) cost 4 to 6 us apiece at that width, with the host's speed.  No
+circuit is evaluated over a field.
 
 The trace machinery (the trace-tools command) works in an extension
 F_{q^l} = F_q[t]/(f) for a monic irreducible f, and its elements are plain

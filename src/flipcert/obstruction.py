@@ -20,7 +20,6 @@ table is random, not derived from a hard function.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import product
@@ -79,7 +78,7 @@ from .symtests import (
     serialize_point,
     serialize_query,
 )
-from .util import Stopwatch, any_digits, derive_seed, sample_box
+from .util import Stopwatch, any_digits, derive_seed, sample_box, seeded
 
 F2_MIN_DISJOINT = 2  # mutually point-disjoint certificates F2 asks for
 MAX_F2_SAMPLES = 1024  # F2's sampled certificates, each a full derivation
@@ -168,7 +167,7 @@ _DECODERS = {bool: parse_bool, tuple: lambda text: tuple(int(ch) for ch in text)
 def random_truth_table(r: int, seed: int = 0) -> tuple[int, ...]:
     if not 0 <= r <= 20:
         raise UsageError("table arity outside [0, 20]")
-    rng = random.Random(derive_seed("truth-table", r, seed))
+    rng = seeded("truth-table", r, seed)
     return tuple(rng.getrandbits(1) for _ in range(1 << r))
 
 

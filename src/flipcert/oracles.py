@@ -249,9 +249,9 @@ def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
 
     No map is cached here.  A permutation's dest is built once per shape by
     the suites' cached laws (symtests._perm_swaps and _efun_fixed_laws) and
-    read by act through _mover's cache; Diagonal and ElementaryAdd carry
-    drawn entries, so their maps are built per call from cached per-shape
-    parts, scale_reader's index and add_pairs.
+    read through mover's cache, by act or a suite template; Diagonal and
+    ElementaryAdd carry drawn entries, so their maps are built per call
+    from cached per-shape parts, scale_reader's index and add_pairs.
     """
     if side not in ("left", "right"):
         raise UsageError(f"side must be 'left' or 'right', got {side!r}")
@@ -297,16 +297,16 @@ def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     raise ShapeMismatch(f"unsupported action {type(g).__name__} on side {side!r}")
 
 
-def _reader(index: Sequence[int]):
+def reader(index: Sequence[int]):
     """A function returning a sequence's entries at `index`, as a tuple even for one."""
     get = itemgetter(*index)
     return get if len(index) > 1 else lambda seq: (get(seq),)
 
 
 @lru_cache(maxsize=1024)
-def _mover(dest: tuple):
+def mover(dest: tuple):
     """The reader that moves entry v of a point to index dest[v]."""
-    return _reader(sorted(range(len(dest)), key=dest.__getitem__))
+    return reader(sorted(range(len(dest)), key=dest.__getitem__))
 
 
 @lru_cache(maxsize=64)
@@ -316,7 +316,7 @@ def scale_reader(shape: tuple, side: str):
     right.  It and add_pairs are the parts of a drawn element's map that do
     not depend on its draws; the sampled suites build their laws on them."""
     ncols = row_width(shape)
-    return _reader([v // ncols if side == "left" else v % ncols for v in range(shape[1] * ncols)])
+    return reader([v // ncols if side == "left" else v % ncols for v in range(shape[1] * ncols)])
 
 
 @lru_cache(maxsize=256)
@@ -339,7 +339,7 @@ def act(vmap: tuple, flat: Sequence) -> tuple:
     direct path."""
     dest, scale, add = vmap
     if dest is not None:  # x_v moves to dest[v]
-        return _mover(dest)(flat)
+        return mover(dest)(flat)
     if scale is not None:  # x_v times scale[v]
         # through a list: tuple(map(...)) grows its tuple by resizing, and
         # that raised a sampled suite run's peak RSS by 1 MB

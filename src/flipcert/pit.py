@@ -15,7 +15,6 @@ give pairwise disjoint hitting sets.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -31,7 +30,7 @@ from .circuits import (
 from .config import BOUND, REGIME, declare
 from .errors import ArityMismatch, ParseError, PoolExhausted, UsageError
 from .fields import int_bitlength
-from .util import Stopwatch, derive_seed, int_token, quoted, rand_point, sample_box
+from .util import Stopwatch, derive_seed, int_token, quoted, rand_point, sample_box, seeded
 
 MAX_TERMS = 10_000  # expansion budget of the zero test on class members
 MAX_TRIALS = 10_000  # pit_random's trials, each one circuit evaluation
@@ -252,7 +251,7 @@ def pit_random(
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise UsageError(f"trials must be 1..{MAX_TRIALS}, got {trials}")
-    rng = random.Random(derive_seed("pit", seed, trials, box[0], box[1]))
+    rng = seeded("pit", seed, trials, box[0], box[1])
     prog = lower(c)
     for t in range(trials):
         point = rand_point(rng, c.num_inputs, box)
@@ -326,7 +325,7 @@ def build_hitting_set_greedy(
         raise UsageError(f"pool size must be 1..{MAX_POOL}, got {pool_size}")
     if cls.num_inputs == 0:
         raise UsageError("hitting sets need at least one variable")
-    rng = random.Random(derive_seed("pool", seed, cls.label(), box[0], box[1]))
+    rng = seeded("pool", seed, cls.label(), box[0], box[1])
     pool: list[tuple[int, ...]] = []
     taken = set()
     attempts = 0

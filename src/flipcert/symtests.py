@@ -16,8 +16,9 @@ p(g X) == factor * p(X), or invariance for a factor of None; the var map is
 `oracles.var_map`'s, which `oracles.act` applies to a point.  Sampled mode
 queries it at each round's random X (params head + (round,) + tail),
 exhaustive mode checks (kind, note, var map, factor) on the circuit's
-expansion, and the nullspace solves the permanent's.  Laws without drawn
-entries are built once per shape and det mode.  A suite also asks for
+expansion, and the nullspace solves the permanent's.  A sampled suite's
+seed-free part is one cached template per shape, so a call pays for its
+seeds, draws and acted points.  A suite also asks for
 nonzero values, for E vanishing on a singular primary submatrix, and
 optionally the normalization C(I) = 1 or E(X0) = 1 at the all-unit-columns
 point.  The self-reduction suite C_i(Y) = sum_j y_1j C_{i-1}(Y_j) is kept
@@ -74,14 +75,15 @@ from .matrices import BLOCK, SQUARE
 from .oracles import (
     PermSwap,
     RowCycle,
-    act,
     add_pairs,
     k_generators,
+    mover,
+    reader,
     scale_reader,
     var_map,
 )
 from .pit import pit_error_bound as sampled_error_bound
-from .util import MAX_SAMPLE_WIDTH, derive_seed, rand_point, sample_box
+from .util import MAX_SAMPLE_WIDTH, rand_point, sample_box, seeded
 
 # query kinds
 P_NONZERO = "PNonZero"
@@ -229,16 +231,13 @@ def _first_row_minor(Y: Sequence[tuple], j: int) -> list[tuple]:
     return [row[:j] + row[j + 1 :] for row in Y[1:]]
 
 
-def _query_sort_key(q: Query):
-    # one (kind, params) has one point count, each point the suite's size, so
-    # the points compare as their concatenation would
-    return (q.kind, tuple(map(str, q.params)), q.relation, q.points)
-
-
 def canonicalize_queries(queries: Sequence[Query]) -> tuple[Query, ...]:
-    """Stable canonical order with exact duplicates removed."""
+    """Stable canonical order with exact duplicates removed.  One (kind,
+    params) has one point count, each point the suite's size, so the points
+    compare as their concatenation would."""
     out: list[Query] = []
-    for q in sorted(queries, key=_query_sort_key):
+    for q in sorted(queries, key=lambda q: (q.kind, tuple(map(str, q.params)),
+                                            q.relation, q.points)):
         if not out or out[-1] != q:
             out.append(q)
     return tuple(out)
@@ -334,28 +333,85 @@ def require_row_law(m: int, det_factor_mode: str) -> None:
         raise UsageError("det mode literal has no row law at m = 1; use det-corrected")
 
 
-def _law_queries(suite: tuple, laws: Sequence[tuple], X: tuple, r: int) -> None:
-    """Append each law as a query at round r's point X to the suite
-    (queries, columns, slots), X and each acted point as a new column."""
-    queries, columns, slots = suite
-    x = len(columns)
-    columns.append(X)
-    new = tuple.__new__  # as Query._make builds, without its length check
-    for kind, head, tail, _, vmap, factor in laws:
-        rel, coeffs = (REL_EQUAL, ()) if factor is None else (REL_SCALED, (factor,))
-        slots.append((x, len(columns)))
-        Y = act(vmap, X)
-        columns.append(Y)
-        queries.append(new(Query, (kind, head + (r,) + tail, rel, coeffs, (X, Y))))
-
-
 # ---------------------------------------------------------------------------
 # sampled suites
 #
-# A suite is drawn in generation order and returned in canonical order,
-# canonicalize_queries' order, which is one permutation per shape (held by
-# _suite_plan) but for the row additions of one (i, j): their params put
-# the drawn y before the round.
+# A suite's shape, (target, dims, det mode, rounds, nonzero count, normalize),
+# fixes all but its draws: _template holds that part.  A call seeds its
+# streams, draws, computes the acted points as columns and puts the queries
+# together in canonical order, canonicalize_queries'; it orders only each
+# tie, one (i, j)'s row additions, whose params put the drawn y first.
+
+
+class _Template(NamedTuple):
+    dims: tuple
+    rounds: int
+    label: str  # of the round streams; the nonzero streams' adds "nz"
+    draws: int  # entries a round draws from the box: X, its ys, its mus
+    movers: tuple  # the static laws', in order
+    adds: tuple  # (i, j, add_pairs) per row addition law
+    diags: tuple  # (scale reader, head, power of prod mu or 0) per diagonal law
+    params: tuple  # the seed-free queries'; a call appends the drawn laws'
+    coeffs: tuple  # the same
+    rows: tuple  # (kind, relation, params index, pick, slots), canonical order
+    slots: tuple  # each row's
+    ties: tuple  # (lo, hi) slices of rows, one (i, j)'s row additions
+    nonzero: int  # the nonzero count
+    one: tuple  # (the normalization point,), or () without normalization
+    passes: tuple  # each row's verdict when it passes
+
+
+@lru_cache(maxsize=32)
+def _template(target: str, dims: tuple, det_mode: str, rounds: int,
+              nonzero_count: int, normalize: bool) -> _Template:
+    """A round's columns are X, the static laws' points, the drawn laws'
+    points and, for E, the vanish point; the one-point queries' follow."""
+    if target == "efun" and det_mode not in DET_MODE.choices:
+        raise DET_MODE.refuse(det_mode)
+    m, size, efun = dims[0], dims[0] * prod(dims), target == "efun"
+    corrected = not efun or det_mode == "det-corrected"
+    if not efun:
+        label, nonzero, one, static, adds = "P", P_NONZERO, identity_point(m), _perm_swaps(m), ()
+        diags = tuple((scale_reader((SQUARE, m), side), (), 1) for side in ("left", "right"))
+        drawn = [(P_DIAG_LEFT, (), REL_SCALED), (P_DIAG_RIGHT, (), REL_SCALED)]
+    else:
+        label, nonzero, one, shape = "E", E_NONZERO, unit_columns_point(*dims), (BLOCK, *dims)
+        static = _efun_fixed_laws(*dims, corrected)
+        adds = tuple((i, j, add_pairs(i, j, shape, "left"))
+                     for i, j in permutations(range(1, m + 1), 2))
+        head, rel = (("diag",), REL_SCALED) if corrected else (("diag1",), REL_EQUAL)
+        diags = ((scale_reader(shape, "left"), head, dims[1] ** m * corrected),)
+        drawn = [(E_ELEM, ("add", i, j), REL_EQUAL) for i, j, _ in adds] + [(E_ELEM, head, rel)]
+    width = 1 + len(static) + len(drawn) + efun  # a round's columns
+    fixed, late = [], []  # (kind, params, relation, coeffs, slots) without and with draws
+    for r in range(rounds):
+        x = r * width
+        for at, (kind, head, tail, _, _, factor) in enumerate(static, x + 1):
+            rel, coeffs = (REL_EQUAL, ()) if factor is None else (REL_SCALED, (factor,))
+            fixed.append((kind, head + (r,) + tail, rel, coeffs, (x, at)))
+        # a drawn law sorts by its params before the draws, head + (r,)
+        late += [(kind, head + (r,), rel, (), (x, at))
+                 for at, (kind, head, rel) in enumerate(drawn, x + 1 + len(static))]
+        if efun:
+            fixed.append((E_PRIMARY_VANISH, (r,), REL_CONST, (0,), (x + width - 1,)))
+    x = rounds * width
+    fixed += [(nonzero, (t,), REL_NONZERO, (), (x + t,)) for t in range(nonzero_count)]
+    if normalize:
+        fixed.append((NORMALIZE, (), REL_CONST, (1,), (x + nonzero_count,)))
+    keyed = sorted(((kind, tuple(map(str, params)), rel), kind, rel, at, reader(slots), slots)
+                   for at, (kind, params, rel, _, slots) in enumerate(fixed + late))
+    assert len({row[0] for row in keyed}) == len(keyed), "two queries share kind and params"
+    rows = tuple(row[1:] for row in keyed)
+    # one (i, j)'s row additions, one per round, sit together in that order
+    adds_at = [at for at, row in enumerate(keyed) if row[0][1][:1] == ("add",)]
+    return _Template(
+        dims, rounds, label, size + len(adds) + len(diags) * m * corrected,
+        tuple(mover(law[4][0]) for law in static), adds, diags,
+        tuple(q[1] for q in fixed), tuple(q[3] for q in fixed), rows,
+        tuple(row[-1] for row in rows),
+        tuple((lo, lo + rounds) for lo in adds_at[::rounds]) if rounds > 1 else (),
+        nonzero_count, (one,) * normalize,
+        tuple(Verdict(i, row[0], True) for i, row in enumerate(rows)))
 
 
 def _literal_diag_entries(rng: random.Random, m: int) -> tuple[int, ...]:
@@ -366,67 +422,50 @@ def _literal_diag_entries(rng: random.Random, m: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def _draws(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) -> tuple:
-    """A suite (queries, columns, slots) in generation order: each round's
-    laws, then the one-point queries, each point a new column."""
-    if target == "efun" and det_mode not in DET_MODE.choices:
-        raise DET_MODE.refuse(det_mode)
-    label, nonzero = ("P", P_NONZERO) if target == "perm" else ("E", E_NONZERO)
-    m, size, corrected = dims[0], dims[0] * prod(dims), det_mode == "det-corrected"
-    queries, columns, slots = suite = ([], [], [])
-    singles: list[Query] = []
-    for r in range(rounds):
-        rng = random.Random(derive_seed(label, *dims, seed, r))
-        X = rand_point(rng, size, box)
-        if target == "perm":
-            diagonals = [(rand_point(rng, m, box), rand_point(rng, m, box))]
-            _law_queries(suite, _perm_laws(m, diagonals), X, r)
-            continue
-        ys = rand_point(rng, m * (m - 1), box)  # one y per ordered row pair
-        adds = [(i, j, y) for (i, j), y in zip(permutations(range(1, m + 1), 2), ys)]
-        mu = rand_point(rng, m, box) if corrected else _literal_diag_entries(rng, m)
-        _law_queries(suite, _efun_laws(*dims, adds, [mu], corrected), X, r)
-        vanish = _primary_vanish_point(rng, *dims, box)
-        singles.append(Query(E_PRIMARY_VANISH, (r,), REL_CONST, (0,), (vanish,)))
-    for t in range(nonzero_count):
-        rng = random.Random(derive_seed(label + "nz", *dims, seed, t))
-        singles.append(Query(nonzero, (t,), REL_NONZERO, (), (rand_point(rng, size, box),)))
-    if normalize:
-        one = identity_point(m) if target == "perm" else unit_columns_point(*dims)
-        singles.append(Query(NORMALIZE, (), REL_CONST, (1,), (one,)))
-    slots += [(len(columns) + t,) for t in range(len(singles))]
-    columns += [q.points[0] for q in singles]
-    queries += singles
-    return suite
-
-
-@lru_cache(maxsize=32)
-def _suite_plan(target: str, dims: tuple, det_mode: str, rounds: int,
-                nonzero_count: int, normalize: bool) -> tuple:
-    """(order, ties): a suite shape's generation positions in canonical order,
-    and the (lo, hi) slices of it holding one (i, j)'s row additions.  Any
-    other query's place is set by the parts of its key before its draws, so
-    the suite drawn in a box of ones shows it; the ties are sorted per call."""
-    queries = _draws(target, dims, det_mode, 0, rounds, (1, 1), nonzero_count, normalize)[0]
-    keys = [_query_sort_key(q) for q in queries]
-    assert len(set(keys)) == len(keys), "a suite's queries differ in kind or params"
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    # one (i, j)'s row additions, one per round, sit together in that order
-    adds = [at for at, i in enumerate(order) if queries[i].params[:1] == ("add",)]
-    return tuple(order), tuple((lo, lo + rounds) for lo in adds[::rounds]) if rounds > 1 else ()
+def _suite(t: _Template, seed: int, box: tuple[int, int]) -> tuple:
+    """(queries, columns, slots): the queries in canonical order, each drawn
+    or acted point once as a column, and each query's columns."""
+    dims, m, size = t.dims, t.dims[0], t.dims[0] * prod(t.dims)
+    columns, params, coeffs = [], list(t.params), list(t.coeffs)
+    for r in range(t.rounds):
+        rng = seeded(t.label, *dims, seed, r)
+        vals = rand_point(rng, t.draws, box)
+        X, at = vals[:size], size + len(t.adds)
+        columns.append(X)
+        columns += [move(X) for move in t.movers]
+        for (i, j, pairs), y in zip(t.adds, vals[size:at]):
+            Y = list(X)
+            for d, s in pairs:
+                Y[d] += y * Y[s]
+            columns.append(tuple(Y))
+            params.append(("add", i, j, y, r))
+            coeffs.append(())
+        for read, head, power in t.diags:
+            # the entries left, or literal mode's +-1, drawn past the box
+            mu = vals[at:at + m] if at < len(vals) else _literal_diag_entries(rng, m)
+            at += m
+            columns.append(tuple([f * v for f, v in zip(read(mu), X)]))
+            params.append(head + (r,) + mu)
+            coeffs.append((prod(mu) ** power,) if power else ())
+        if t.label == "E":
+            columns.append(_primary_vanish_point(rng, *dims, box))
+    columns += [rand_point(seeded(t.label + "nz", *dims, seed, i), size, box)
+                for i in range(t.nonzero)]
+    columns += t.one
+    rows, slots = t.rows, t.slots
+    if t.ties:  # each in its rounds' text order, which decides between equal ys
+        rows = list(rows)
+        for lo, hi in t.ties:
+            rows[lo:hi] = sorted(rows[lo:hi], key=lambda row: str(params[row[2]][3]))
+        slots = [row[-1] for row in rows]
+    new = tuple.__new__  # as Query._make builds, without its length check
+    return tuple([new(Query, (kind, params[at], rel, coeffs[at], pick(columns)))
+                  for kind, rel, at, pick, _ in rows]), columns, slots
 
 
 def _sampled_suite(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) -> tuple:
-    """(queries, columns, slots): the queries in canonical order, each drawn
-    or acted point once as a column, and each query's columns."""
-    queries, columns, slots = _draws(
-        target, dims, det_mode, seed, rounds, box, nonzero_count, normalize)
-    order, ties = _suite_plan(target, dims, det_mode, rounds, nonzero_count, normalize)
-    if ties:
-        order = list(order)
-        for lo, hi in ties:
-            order[lo:hi] = sorted(order[lo:hi], key=lambda i: _query_sort_key(queries[i]))
-    return tuple([queries[i] for i in order]), columns, [slots[i] for i in order]
+    """_suite of the shape's template."""
+    return _suite(_template(target, dims, det_mode, rounds, nonzero_count, normalize), seed, box)
 
 
 def gen_queries_perm(
@@ -446,25 +485,15 @@ def gen_queries_selfreduce(n: int, seed: int, rounds: int = 1) -> tuple[Query, .
     box = (1, 1 << 62)
     queries: list[Query] = []
     for r in range(rounds):
-        rng = random.Random(derive_seed("SR", n, seed, r))
+        rng = seeded("SR", n, seed, r)
         for i in range(2, n + 1):
             Y = [rand_point(rng, i, box) for _ in range(i)]
             points = [embed_principal(Y, n)]
             for j in range(i):
                 points.append(embed_principal(_first_row_minor(Y, j), n))
-            queries.append(
-                Query(SELF_REDUCE, (i, r), REL_LINEAR, Y[0], tuple(points))
-            )
+            queries.append(Query(SELF_REDUCE, (i, r), REL_LINEAR, Y[0], tuple(points)))
         y = rand_point(rng, 1, box)[0]
-        queries.append(
-            Query(
-                SELF_REDUCE_BASE,
-                (r,),
-                REL_CONST,
-                (y,),
-                (embed_principal([[y]], n),),
-            )
-        )
+        queries.append(Query(SELF_REDUCE_BASE, (r,), REL_CONST, (y,), (embed_principal([[y]], n),)))
     return canonicalize_queries(queries)
 
 
@@ -477,12 +506,13 @@ def gen_queries_efun(
     return _sampled_suite("efun", (m, k), det_factor_mode, *args)[0]
 
 
+@lru_cache(maxsize=16)
 def _primary_vanish_bindings(m: int, k: int) -> dict[int, int]:
     """Row-major positions and values that make the primary submatrix
 
     visibly singular: choice-1 columns at positions below m are unit
     vectors, and the m-th entry of the choice-1 column at position m is
-    zero."""
+    zero.  Cached, so every caller shares it: read it only."""
     w = k * m
     out = {r * w + pos * k: int(r == pos) for pos in range(m - 1) for r in range(m)}
     out[(m - 1) * w + (m - 1) * k] = 0
@@ -552,6 +582,7 @@ def run_queries(
     seed: int = 0,
     columns: list | None = None,
     slots: Sequence[Sequence[int]] = (),
+    passes: tuple[Verdict, ...] = (),
 ) -> RunReport:
     """Evaluate a query list against a circuit.
 
@@ -570,14 +601,15 @@ def run_queries(
     values at the query's slots; only a failed query gathers its values and
     walks its primes, through query_verdict, for the settling prime's
     residues, which are those of the exact values, since Z/rad -> Z/p is a
-    ring map.
+    ring map.  `passes`, from a suite's template, holds each query's verdict
+    should it pass, shared between calls; any other list's are made here.
     """
     if ring not in RING.choices:
         raise UsageError(f"unknown ring mode {ring!r}")
     moduli: tuple[int, ...] = (0,)
     primes: tuple[int, ...] = ()
     if ring == "modular":
-        rng = random.Random(derive_seed("queryprimes", seed, prime_bits))
+        rng = seeded("queryprimes", seed, prime_bits)
         # random_prime returns only numbers is_prime accepts
         moduli = primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
     rad = prod(set(moduli))
@@ -591,18 +623,16 @@ def run_queries(
                 )
         columns = list(column)
     values = run_many(lower(c), columns, rad)
-    verdicts = []
-    push, new, holds = verdicts.append, tuple.__new__, _relation_holds
-    accept = True
-    for idx, (q, cols) in enumerate(zip(queries, slots)):
-        kind, _, rel, coeffs, _ = q
-        if holds(rel, coeffs, values, cols, rad):
-            push(new(Verdict, (idx, kind, True, ())))
-        else:
-            res = query_verdict(q, [values[i] for i in cols], moduli)[1]
-            push(new(Verdict, (idx, kind, False, tuple(res))))
-            accept = False
-    return RunReport(accept, tuple(verdicts), ring, primes)
+    holds, new = _relation_holds, tuple.__new__  # as Verdict._make builds
+    failed = [i for i, (q, cols) in enumerate(zip(queries, slots))
+              if not holds(q.relation, q.coeffs, values, cols, rad)]
+    verdicts = passes or tuple([new(Verdict, (i, q.kind, True, ())) for i, q in enumerate(queries)])
+    if failed:
+        verdicts = list(verdicts)
+        for i in failed:
+            res = query_verdict(queries[i], [values[j] for j in slots[i]], moduli)[1]
+            verdicts[i] = new(Verdict, (i, queries[i].kind, False, tuple(res)))
+    return RunReport(not failed, tuple(verdicts), ring, primes)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +779,7 @@ class _Table:
 @lru_cache(maxsize=8)
 def _perm_table(n: int, cfg: VerifyConfig) -> _Table:
     """The permanent's laws, each diagonal on both sides."""
-    rng = random.Random(derive_seed("Pexh", n, cfg.seed))
+    rng = seeded("Pexh", n, cfg.seed)
     suite = _checks(_perm_laws(n, [(mu, mu) for mu in _diagonals(n, rng, cfg.box())]))
     return _Table(suite, P_NONZERO, (NORMALIZE,) * cfg.normalize)
 
@@ -758,7 +788,7 @@ def _perm_table(n: int, cfg: VerifyConfig) -> _Table:
 def _efun_table(m: int, k: int, cfg: VerifyConfig) -> _Table:
     """The E-function's laws: row additions at y = 1 and at a drawn y; the
     prime and drawn diagonals, or in literal mode -1 on rows 1 and 2."""
-    rng = random.Random(derive_seed("Eexh", m, k, cfg.seed))
+    rng = seeded("Eexh", m, k, cfg.seed)
     box = cfg.box()
     adds = [(i, j, y) for i, j in permutations(range(1, m + 1), 2)
             for y in (1, rand_point(rng, 1, box)[0])]
@@ -836,11 +866,11 @@ def _verify_claims(
         accept, verdicts, more = exhaustive(c, *dims, cfg)
         queries = ()
     else:
-        queries, columns, slots = _sampled_suite(
-            target, dims, cfg.det_factor_mode, cfg.seed, cfg.rounds, cfg.box(),
-            cfg.nonzero_count, cfg.normalize)
+        t = _template(target, dims, cfg.det_factor_mode, cfg.rounds, cfg.nonzero_count,
+                      cfg.normalize)
+        queries, columns, slots = _suite(t, cfg.seed, cfg.box())
         report = run_queries(c, queries, cfg.ring, cfg.prime_bits, cfg.prime_count,
-                             cfg.seed, columns, slots)
+                             cfg.seed, columns, slots, t.passes)
         accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
         bound = sampled_error_bound(formal_degree(lower(c)), cfg.box(), cfg.rounds)
     return VerifyResult(accept, cfg.mode, queries, tuple(verdicts), bound, notes + more)

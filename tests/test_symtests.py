@@ -68,7 +68,7 @@ from flipcert.symtests import (
     verify_claims_efun,
     verify_claims_perm,
 )
-from flipcert.util import derive_seed, rand_point
+from flipcert.util import derive_seed, rand_point, sample_box, seeded
 
 
 def _failing_kinds(result) -> set[str]:
@@ -533,6 +533,14 @@ def test_rand_point_is_randrange_draw_for_draw(seed, box, size):
     assert ours.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("parts", [(0,), (2**64 - 1,), ("queryprimes",), ("P", 3, 2**63 - 1, 1),
+                                   ("pool", 7, "n2-b5-a-1,0,1", 1, 1 << 16)])
+def test_seeded_is_the_random_stream_of_the_derived_seed(parts):
+    ours, ref = seeded(*parts), random.Random(derive_seed(*parts))
+    assert ours.getstate() == ref.getstate()
+    assert ours.getrandbits(63) == ref.getrandbits(63) and ours.random() == ref.random()
+
+
 def test_rand_point_refuses_an_empty_box():
     with pytest.raises(UsageError):
         rand_point(random.Random(0), 3, (5, 4))
@@ -775,10 +783,12 @@ PLAN_CASES = [("perm", (n,), "det-corrected") for n in (1, 2, 3, 4)] + [
 
 @pytest.mark.parametrize("target, dims, mode", PLAN_CASES)
 def test_planned_suites_match_the_sorted_reference(target, dims, mode):
-    # 20 seeds per (rounds, width); the seed walks nonzero counts 0, 1, 3
-    # and normalize on and off through all six pairs
-    for rounds, width, seed in itertools.product((0, 1, 2, 3, 10, 11), (1, 2, 62), range(20)):
-        args = (seed, rounds, (1, 1 << width), (0, 1, 3)[seed % 3], seed % 2 == 0)
+    # 20 seeds per (rounds, box); the seed walks nonzero counts 0, 1, 3
+    # and normalize on and off through all six pairs.  The boxes are 1, 2,
+    # 62 and 1024 bits wide, and band 1 of the 62-bit box, as certificates draw.
+    boxes = [sample_box(width) for width in (1, 2, 62, 1024)] + [sample_box(62, 1)]
+    for rounds, box, seed in itertools.product((0, 1, 2, 3, 10, 11), boxes, range(20)):
+        args = (seed, rounds, box, (0, 1, 3)[seed % 3], seed % 2 == 0)
         if target == "perm":
             got, want = gen_queries_perm(*dims, *args), _reference_perm(*dims, *args)
         else:
