@@ -186,22 +186,21 @@ class ObstructionCertificate:
         return 8 * len(self.label())
 
 
-def _expand_tape(
-    design: Design, table: tuple[int, ...], seed_val: int, seed_bits: int
-) -> tuple[int, ...]:
-    """Seed occupies universe positions 0..seed_bits-1, the rest are 0;
+def _tapes(design: Design, table: tuple[int, ...], seed_bits: int) -> set[int]:
+    """Every seed value's tape, as the integer whose bit i is tape bit i.
 
-    tape bit i indexes the table by the seed restricted to row i."""
-    p = design.params
-    bits = [(seed_val >> pos) & 1 if pos < seed_bits else 0 for pos in range(p.l)]
-    tape = []
-    for row in design.rows:
-        positions = [pos for pos in range(p.l) if row >> pos & 1]
-        idx = 0
-        for j, pos in enumerate(positions):
-            idx |= bits[pos] << j
-        tape.append(table[idx])
-    return tuple(tape)
+    The seed occupies universe positions 0..seed_bits-1, the rest read 0,
+    and tape bit i indexes the table by the seed restricted to row i.  Only
+    the seed positions some row reads move a tape, so the seeds run over
+    those alone."""
+    rows = [[pos for pos in range(design.params.l) if row >> pos & 1] for row in design.rows]
+    used = sorted({pos for row in rows for pos in row if pos < seed_bits})
+    tapes = set()
+    for bits in range(1 << len(used)):
+        seed = sum((bits >> t & 1) << pos for t, pos in enumerate(used))
+        tapes.add(sum(table[sum((seed >> pos & 1) << j for j, pos in enumerate(row))] << i
+                      for i, row in enumerate(rows)))
+    return tapes
 
 
 def derive_certificate(design: Design, config: CertConfig) -> ObstructionCertificate:
@@ -226,18 +225,13 @@ def derive_certificate(design: Design, config: CertConfig) -> ObstructionCertifi
     gen = partial(gen, rounds=config.rounds_per_tape, box=config.box(),
                   nonzero_count=config.nonzero_count, normalize=config.normalize)
     with Stopwatch() as sw:
-        collected: list[Query] = []
-        per_tape_max = 0
-        for seed_val in range(1 << config.seed_bits):
-            tape = _expand_tape(design, config.truth_table, seed_val, config.seed_bits)
-            qs = gen(seed=derive_seed("tape", sum(b << i for i, b in enumerate(tape))))
-            per_tape_max = max(per_tape_max, len(qs))
-            collected.extend(qs)
-        queries = canonicalize_queries(collected)
+        tapes = sorted(_tapes(design, config.truth_table, config.seed_bits))
+        suites = [gen(seed=derive_seed("tape", tape)) for tape in tapes]
+        queries = canonicalize_queries([q for qs in suites for q in qs])
         points = tuple(sorted({P for q in queries for P in q.points}))
-    nseeds = 1 << config.seed_bits
-    assert len(queries) <= nseeds * per_tape_max
-    assert len(points) <= nseeds * per_tape_max * 2
+    per_tape_max = max(map(len, suites))
+    assert len(queries) <= len(tapes) * per_tape_max
+    assert len(points) <= len(tapes) * per_tape_max * 2
     return ObstructionCertificate(design, config, queries, points, sw.seconds)
 
 

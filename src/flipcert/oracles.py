@@ -248,10 +248,10 @@ def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     'right' on columns.
 
     No map is cached here.  A permutation's dest is built once per shape by
-    the suites' cached laws (symtests._perm_swaps and _efun_fixed_laws) and
-    read through mover's cache, by act or a suite template; Diagonal and
-    ElementaryAdd carry drawn entries, so their maps are built per call
-    from cached per-shape parts, scale_reader's index and add_pairs.
+    the suites' cached law table, symtests._laws, and read through mover's
+    cache, by act or a suite template; Diagonal and ElementaryAdd carry
+    drawn entries, so their maps are built per call from cached per-shape
+    parts, scale_reader's index and add_pairs, which _laws' drawn rows hold.
     """
     if side not in ("left", "right"):
         raise UsageError(f"side must be 'left' or 'right', got {side!r}")
@@ -314,7 +314,7 @@ def scale_reader(shape: tuple, side: str):
     """The reader taking a diagonal's entries, as many as the side needs, to
     its scale: each variable's row entry on the left, column entry on the
     right.  It and add_pairs are the parts of a drawn element's map that do
-    not depend on its draws; the sampled suites build their laws on them."""
+    not depend on its draws; symtests._laws builds the drawn laws on them."""
     ncols = row_width(shape)
     return reader([v // ncols if side == "left" else v % ncols for v in range(shape[1] * ncols)])
 

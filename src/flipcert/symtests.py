@@ -2,23 +2,26 @@
 
 E-function, plus the exact coefficient-space uniqueness computation.
 
-Each target's characterizing symmetries are written once, as a list of laws:
+Each target's characterizing symmetries are written once, in `_laws`:
 
   permanent   adjacent row/column transpositions; the diagonal law
               C(mu X) = (prod mu) C(X) on both sides.
-  E-function  row additions; the diagonal law with factor (prod mu)^(k^m)
-              and the row swaps with (-1)^(k^m) (literal mode: det-1
-              elements only, +-1 diagonals and row 3-cycles); the column
-              wreath generators.
+  E-function  the row swaps with (-1)^(k^m) (literal mode: det-1
+              elements only, row 3-cycles and +-1 diagonals); the column
+              wreath generators; row additions; the diagonal law with
+              factor (prod mu)^(k^m).
 
-A law is a row (kind, head, tail, note, var map, factor) asserting
-p(g X) == factor * p(X), or invariance for a factor of None; the var map is
-`oracles.var_map`'s, which `oracles.act` applies to a point.  Sampled mode
-queries it at each round's random X (params head + (round,) + tail),
-exhaustive mode checks (kind, note, var map, factor) on the circuit's
-expansion, and the nullspace solves the permanent's.  A sampled suite's
-seed-free part is one cached template per shape, so a call pays for its
-seeds, draws and acted points.  A suite also asks for
+Each law asserts p(g X) == factor * p(X).  A static law (kind, head, note,
+dest, factor) permutes the variables by dest, `oracles.var_map`'s, with a
+factor of None for invariance.  A drawn law (kind, head, part, power) reads
+its draw through part: `add_pairs` for a row addition's y, or a
+`scale_reader` for a diagonal's mu, with factor prod(mu)^power, 0 meaning
+invariance.  Sampled mode queries every law at each round's random X, its
+params the head, the round and any draw; its seed-free part is one cached
+template per shape, read from these rows, so a call pays for its seeds,
+draws and acted points.  Exhaustive mode makes each law, at fixed draws, a
+check (kind, note, var map, factor) on the circuit's expansion (`_check`),
+and the nullspace solves the permanent's checks.  A suite also asks for
 nonzero values, for E vanishing on a singular primary submatrix, and
 optionally the normalization C(I) = 1 or E(X0) = 1 at the all-unit-columns
 point.  The self-reduction suite C_i(Y) = sum_j y_1j C_{i-1}(Y_j) is kept
@@ -262,68 +265,55 @@ def serialize_query(q: Query, shape: tuple) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the symmetry laws, as (kind, head, tail, note, var map, factor) rows
+# the symmetry laws: each target's, once, as static and drawn rows
 
 
 @lru_cache(maxsize=16)
-def _perm_swaps(n: int) -> tuple:
-    shape = (SQUARE, n)
-    return tuple(
-        (kind, (i,), (), (), var_map(PermSwap(i), shape, side), None)
-        for i in range(1, n)
-        for kind, side in ((P_PERM_LEFT, "left"), (P_PERM_RIGHT, "right"))
-    )
-
-
-def _perm_laws(n: int, diagonals: Sequence[tuple]) -> list:
-    """Swap invariance, then the diagonal laws per (left mu, right mu)."""
-    shape = (SQUARE, n)
-    laws = list(_perm_swaps(n))
-    for left, right in diagonals:
-        for kind, side, mu in ((P_DIAG_LEFT, "left", left), (P_DIAG_RIGHT, "right", right)):
-            laws.append((kind, (), mu, (), (None, scale_reader(shape, side)(mu), None), prod(mu)))
-    return laws
-
-
-@lru_cache(maxsize=16)
-def _efun_fixed_laws(m: int, k: int, corrected: bool) -> tuple:
-    """The row swaps, or in literal mode the row 3-cycles, then the column
-    wreath generators."""
-    shape = (BLOCK, m, k)
+def _laws(target: str, dims: tuple, corrected: bool) -> tuple[tuple, tuple]:
+    """(static, drawn), the rows of the module docstring.  The permanent's
+    static laws are its swaps, its drawn laws the left and right diagonals;
+    E's are the row swaps (literal mode: 3-cycles) and column generators,
+    then the row additions and the diagonal."""
+    m, shape = dims[0], ((SQUARE,) if target == "perm" else (BLOCK,)) + dims
+    if target == "perm":
+        static = tuple((kind, (i,), (), var_map(PermSwap(i), shape, side)[0], None)
+                       for i in range(1, m)
+                       for kind, side in ((P_PERM_LEFT, "left"), (P_PERM_RIGHT, "right")))
+        return static, ((P_DIAG_LEFT, (), scale_reader(shape, "left"), 1),
+                        (P_DIAG_RIGHT, (), scale_reader(shape, "right"), 1))
+    power = dims[1] ** m * corrected  # k^m, or 0 in literal mode
     if corrected:
-        rows = [(("swap", i), f"swap {i}", PermSwap(i), (-1) ** k**m) for i in range(1, m)]
+        rows = [(("swap", i), f"swap {i}", PermSwap(i), (-1) ** power) for i in range(1, m)]
     else:
         rows = [(("cycle", 1, 2, j), f"cycle 1,2,{j}", RowCycle(1, 2, j), None)
                 for j in range(3, m + 1)]
-    laws = [(E_ELEM, head, (), (note,), var_map(g, shape, "left"), factor)
-            for head, note, g, factor in rows]
-    for g in k_generators(m, k):
-        name = type(g).__name__
-        vmap = var_map(g, shape, "right")
-        laws.append((E_KGEN, (name,) + tuple(g), (), (name,), vmap, None))
-    return tuple(laws)
+    static = [(E_ELEM, head, (note,), var_map(g, shape, "left")[0], factor)
+              for head, note, g, factor in rows]
+    static += [(E_KGEN, (type(g).__name__,) + tuple(g), (type(g).__name__,),
+                var_map(g, shape, "right")[0], None) for g in k_generators(*dims)]
+    drawn = [(E_ELEM, ("add", i, j), add_pairs(i, j, shape, "left"), 0)
+             for i, j in permutations(range(1, m + 1), 2)]
+    drawn.append((E_ELEM, ("diag",) if corrected else ("diag1",), scale_reader(shape, "left"),
+                  power))
+    return tuple(static), tuple(drawn)
 
 
-def _efun_laws(
-    m: int, k: int, adds: Sequence[tuple], diagonals: Sequence[tuple], corrected: bool
-) -> list:
-    """The row addition laws per (i, j, y), the diagonal laws per mu, then
-    the fixed laws."""
-    shape = (BLOCK, m, k)
-    laws = [
-        (E_ELEM, ("add", i, j, y), (), (f"add {i},{j} y={y}",),
-         (None, None, (add_pairs(i, j, shape, "left"), y)), None)
-        for i, j, y in adds
-    ]
-    for mu in diagonals:
-        dmap = (None, scale_reader(shape, "left")(mu), None)
-        if corrected:
-            laws.append((E_ELEM, ("diag",), mu, (f"diag {mu}",), dmap, prod(mu) ** k**m))
-        else:  # det mu = 1; the note lists its -1 entries
-            note = "diag1 " + ",".join(str(v) for v in mu if v != 1)
-            laws.append((E_ELEM, ("diag1",), mu, (note,), dmap, None))
-    laws.extend(_efun_fixed_laws(m, k, corrected))
-    return laws
+def _check(law: tuple, draw=None) -> tuple:
+    """A static law, or a drawn law at its draw, as the exhaustive check
+    (kind, note, var map, factor)."""
+    if draw is None:
+        kind, _, note, dest, factor = law
+        return kind, note, (dest, None, None), 1 if factor is None else factor
+    kind, head, part, power = law
+    if not callable(part):  # add_pairs, at y = draw
+        return kind, (f"add {head[1]},{head[2]} y={draw}",), (None, None, (part, draw)), 1
+    if not head:  # the permanent's
+        note = ()
+    elif power:
+        note = (f"diag {draw}",)
+    else:  # det mu = 1; the note lists its -1 entries
+        note = ("diag1 " + ",".join(str(v) for v in draw if v != 1),)
+    return kind, note, (None, part(draw), None), prod(draw) ** power
 
 
 def require_row_law(m: int, det_factor_mode: str) -> None:
@@ -349,8 +339,8 @@ class _Template(NamedTuple):
     label: str  # of the round streams; the nonzero streams' adds "nz"
     draws: int  # entries a round draws from the box: X, its ys, its mus
     movers: tuple  # the static laws', in order
-    adds: tuple  # (i, j, add_pairs) per row addition law
-    diags: tuple  # (scale reader, head, power of prod mu or 0) per diagonal law
+    adds: tuple  # _laws' drawn rows whose part is add_pairs, in order
+    diags: tuple  # and those whose part is a scale reader
     params: tuple  # the seed-free queries'; a call appends the drawn laws'
     coeffs: tuple  # the same
     rows: tuple  # (kind, relation, params index, pick, slots), canonical order
@@ -370,28 +360,21 @@ def _template(target: str, dims: tuple, det_mode: str, rounds: int,
         raise DET_MODE.refuse(det_mode)
     m, size, efun = dims[0], dims[0] * prod(dims), target == "efun"
     corrected = not efun or det_mode == "det-corrected"
-    if not efun:
-        label, nonzero, one, static, adds = "P", P_NONZERO, identity_point(m), _perm_swaps(m), ()
-        diags = tuple((scale_reader((SQUARE, m), side), (), 1) for side in ("left", "right"))
-        drawn = [(P_DIAG_LEFT, (), REL_SCALED), (P_DIAG_RIGHT, (), REL_SCALED)]
-    else:
-        label, nonzero, one, shape = "E", E_NONZERO, unit_columns_point(*dims), (BLOCK, *dims)
-        static = _efun_fixed_laws(*dims, corrected)
-        adds = tuple((i, j, add_pairs(i, j, shape, "left"))
-                     for i, j in permutations(range(1, m + 1), 2))
-        head, rel = (("diag",), REL_SCALED) if corrected else (("diag1",), REL_EQUAL)
-        diags = ((scale_reader(shape, "left"), head, dims[1] ** m * corrected),)
-        drawn = [(E_ELEM, ("add", i, j), REL_EQUAL) for i, j, _ in adds] + [(E_ELEM, head, rel)]
+    static, drawn = _laws(target, dims, corrected)
+    adds = tuple(law for law in drawn if not callable(law[2]))
+    diags = tuple(law for law in drawn if callable(law[2]))
+    label, nonzero = ("E", E_NONZERO) if efun else ("P", P_NONZERO)
+    one = unit_columns_point(*dims) if efun else identity_point(m)
     width = 1 + len(static) + len(drawn) + efun  # a round's columns
     fixed, late = [], []  # (kind, params, relation, coeffs, slots) without and with draws
     for r in range(rounds):
         x = r * width
-        for at, (kind, head, tail, _, _, factor) in enumerate(static, x + 1):
+        for at, (kind, head, _, _, factor) in enumerate(static, x + 1):
             rel, coeffs = (REL_EQUAL, ()) if factor is None else (REL_SCALED, (factor,))
-            fixed.append((kind, head + (r,) + tail, rel, coeffs, (x, at)))
+            fixed.append((kind, head + (r,), rel, coeffs, (x, at)))
         # a drawn law sorts by its params before the draws, head + (r,)
-        late += [(kind, head + (r,), rel, (), (x, at))
-                 for at, (kind, head, rel) in enumerate(drawn, x + 1 + len(static))]
+        late += [(kind, head + (r,), REL_SCALED if power else REL_EQUAL, (), (x, at))
+                 for at, (kind, head, _, power) in enumerate(drawn, x + 1 + len(static))]
         if efun:
             fixed.append((E_PRIMARY_VANISH, (r,), REL_CONST, (0,), (x + width - 1,)))
     x = rounds * width
@@ -406,7 +389,7 @@ def _template(target: str, dims: tuple, det_mode: str, rounds: int,
     adds_at = [at for at, row in enumerate(keyed) if row[0][1][:1] == ("add",)]
     return _Template(
         dims, rounds, label, size + len(adds) + len(diags) * m * corrected,
-        tuple(mover(law[4][0]) for law in static), adds, diags,
+        tuple(mover(law[3]) for law in static), adds, diags,
         tuple(q[1] for q in fixed), tuple(q[3] for q in fixed), rows,
         tuple(row[-1] for row in rows),
         tuple((lo, lo + rounds) for lo in adds_at[::rounds]) if rounds > 1 else (),
@@ -433,14 +416,14 @@ def _suite(t: _Template, seed: int, box: tuple[int, int]) -> tuple:
         X, at = vals[:size], size + len(t.adds)
         columns.append(X)
         columns += [move(X) for move in t.movers]
-        for (i, j, pairs), y in zip(t.adds, vals[size:at]):
+        for (_, head, pairs, _), y in zip(t.adds, vals[size:at]):
             Y = list(X)
             for d, s in pairs:
                 Y[d] += y * Y[s]
             columns.append(tuple(Y))
-            params.append(("add", i, j, y, r))
+            params.append(head + (y, r))
             coeffs.append(())
-        for read, head, power in t.diags:
+        for _, head, read, power in t.diags:
             # the entries left, or literal mode's +-1, drawn past the box
             mu = vals[at:at + m] if at < len(vals) else _literal_diag_entries(rng, m)
             at += m
@@ -690,14 +673,6 @@ def acted(p: dict, vmap: tuple) -> dict:
     return p
 
 
-def _checks(laws: Sequence[tuple]) -> tuple:
-    """The laws as exhaustive checks (kind, note, var map, factor)."""
-    return tuple(
-        (kind, note, vmap, 1 if factor is None else factor)
-        for kind, _, _, note, vmap, factor in laws
-    )
-
-
 class _Table:
     """A suite's checks, each distinct monomial's row and each outcome's
     verdicts.  Check i owns bit 1 << i of a failure mask.  `first` and
@@ -779,26 +754,27 @@ class _Table:
 @lru_cache(maxsize=8)
 def _perm_table(n: int, cfg: VerifyConfig) -> _Table:
     """The permanent's laws, each diagonal on both sides."""
+    static, drawn = _laws("perm", (n,), True)
     rng = seeded("Pexh", n, cfg.seed)
-    suite = _checks(_perm_laws(n, [(mu, mu) for mu in _diagonals(n, rng, cfg.box())]))
-    return _Table(suite, P_NONZERO, (NORMALIZE,) * cfg.normalize)
+    suite = [_check(law) for law in static]
+    suite += [_check(law, mu) for mu in _diagonals(n, rng, cfg.box()) for law in drawn]
+    return _Table(tuple(suite), P_NONZERO, (NORMALIZE,) * cfg.normalize)
 
 
 @lru_cache(maxsize=8)
 def _efun_table(m: int, k: int, cfg: VerifyConfig) -> _Table:
     """The E-function's laws: row additions at y = 1 and at a drawn y; the
     prime and drawn diagonals, or in literal mode -1 on rows 1 and 2."""
-    rng = seeded("Eexh", m, k, cfg.seed)
-    box = cfg.box()
-    adds = [(i, j, y) for i, j in permutations(range(1, m + 1), 2)
-            for y in (1, rand_point(rng, 1, box)[0])]
     corrected = cfg.det_factor_mode == "det-corrected"
+    static, (*adds, diag) = _laws("efun", (m, k), corrected)
+    rng, box = seeded("Eexh", m, k, cfg.seed), cfg.box()
+    suite = [_check(law, y) for law in adds for y in (1, rand_point(rng, 1, box)[0])]
     if corrected:
-        diagonals = _diagonals(m, rng, box)
-    else:
-        diagonals = [(-1, -1) + (1,) * (m - 2)] if m >= 2 else []
-    suite = _checks(_efun_laws(m, k, adds, diagonals, corrected))
-    return _Table(suite, E_NONZERO, (E_PRIMARY_VANISH,) + (NORMALIZE,) * cfg.normalize)
+        suite += [_check(diag, mu) for mu in _diagonals(m, rng, box)]
+    elif m >= 2:
+        suite.append(_check(diag, (-1, -1) + (1,) * (m - 2)))
+    suite += [_check(law) for law in static]
+    return _Table(tuple(suite), E_NONZERO, (E_PRIMARY_VANISH,) + (NORMALIZE,) * cfg.normalize)
 
 
 # Each returns (accept, verdicts, notes).

@@ -7,6 +7,7 @@ deterministic so they must reproduce exactly.
 """
 from __future__ import annotations
 
+import hashlib
 import weakref
 from dataclasses import replace
 from itertools import product
@@ -34,6 +35,7 @@ from flipcert.errors import (
     TargetComputable,
     UsageError,
 )
+from flipcert import obstruction
 from flipcert.obstruction import (
     CertConfig,
     ObstructionCertificate,
@@ -46,7 +48,8 @@ from flipcert.obstruction import (
     trivial_obstruction_table,
 )
 from flipcert.pit import EnumeratedClass, ExplicitClass
-from flipcert.symtests import MAX_TERMS, query_verdict
+from flipcert.symtests import MAX_TERMS, gen_queries_perm, query_verdict
+from flipcert.util import derive_seed
 
 TOY_PARAMS = DesignParams(4, 6, 3, 1)
 TOY_TABLE = random_truth_table(3, 0)
@@ -190,6 +193,41 @@ def test_derive_rejects_oversized_seed():
 def test_derive_rejects_wrong_table_length():
     with pytest.raises(UsageError):
         derive_certificate(toy_design(), toy_config(truth_table=(0, 1, 1, 0)))
+
+
+# the design `gen-design --l 24 --r 3 --kcap 1 --rows 4` writes: 4,096 seeds
+# at 12 seed bits, and at most 2^4 tapes
+WIDE_DESIGN = build_design_greedy(DesignParams(4, 24, 3, 1))
+
+
+def _tape_by_seed(design: Design, table: tuple, seed_bits: int, seed: int) -> int:
+    """One seed's tape as an integer, bit i from row i, read seed by seed."""
+    tape = 0
+    for i, row in enumerate(design.rows):
+        positions = [pos for pos in range(design.params.l) if row >> pos & 1]
+        idx = sum((seed >> pos & 1) << j for j, pos in enumerate(positions) if pos < seed_bits)
+        tape |= table[idx] << i
+    return tape
+
+
+def test_derive_runs_the_generator_once_per_distinct_tape(monkeypatch):
+    seeds = []
+
+    def counted(*args, seed, **kwargs):
+        seeds.append(seed)
+        return gen_queries_perm(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(obstruction, "gen_queries_perm", counted)
+    derive_certificate(WIDE_DESIGN, toy_config(seed_bits=12))
+    tapes = {_tape_by_seed(WIDE_DESIGN, TOY_TABLE, 12, s) for s in range(1 << 12)}
+    assert seeds == [derive_seed("tape", t) for t in sorted(tapes)]
+
+
+def test_derive_wide_design_bytes_frozen():
+    # frozen from the derivation that ran the generator once per seed value
+    text = serialize_certificate(derive_certificate(WIDE_DESIGN, toy_config(seed_bits=12)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8a53dbf2b7332e758d07cc0d6244fed68b0726c3c58a7ef7b5e7b13a25afc633")
 
 
 # ---------------------------------------------------------------------------

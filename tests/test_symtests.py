@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from flipcert.oracles import (
     PosThreeCycle,
     RowCycle,
     act,
+    k_generators,
     var_map,
 )
 from flipcert import symtests
@@ -724,22 +726,27 @@ def test_nullspace_frozen_at_seed_1(n, frozen):
 
 # ---------------------------------------------------------------------------
 # sampled suites from their per-shape plan, against the generation path they
-# replace: the law rows made into queries, then canonicalize_queries' sort
+# replace, with each law spelled from its group element: the queries at a
+# round's X and g X through var_map and act, then canonicalize_queries' sort
 
 
-def _reference_law_queries(queries: list, laws, X: tuple, r: int) -> None:
-    for kind, head, tail, _, vmap, factor in laws:
-        rel, coeffs = (REL_EQUAL, ()) if factor is None else (REL_SCALED, (factor,))
-        queries.append(Query(kind, head + (r,) + tail, rel, coeffs, (X, act(vmap, X))))
+def _law_query(kind, params, X, g, shape, side, factor=None) -> Query:
+    rel, coeffs = (REL_EQUAL, ()) if factor is None else (REL_SCALED, (factor,))
+    return Query(kind, params, rel, coeffs, (X, act(var_map(g, shape, side), X)))
 
 
 def _reference_perm(n, seed, rounds, box, nonzero_count, normalize):
-    queries = []
+    shape, queries = (SQUARE, n), []
     for r in range(rounds):
         rng = random.Random(derive_seed("P", n, seed, r))
         X = rand_point(rng, n * n, box)
-        diagonals = [(rand_point(rng, n, box), rand_point(rng, n, box))]
-        _reference_law_queries(queries, symtests._perm_laws(n, diagonals), X, r)
+        left, right = rand_point(rng, n, box), rand_point(rng, n, box)
+        for i in range(1, n):
+            queries.append(_law_query("PPermLeft", (i, r), X, PermSwap(i), shape, "left"))
+            queries.append(_law_query("PPermRight", (i, r), X, PermSwap(i), shape, "right"))
+        for kind, side, mu in (("PDiagLeft", "left", left), ("PDiagRight", "right", right)):
+            factor = math.prod(mu)
+            queries.append(_law_query(kind, (r,) + mu, X, Diagonal(mu), shape, side, factor))
     for t in range(nonzero_count):
         rng = random.Random(derive_seed("Pnz", n, seed, t))
         queries.append(Query(P_NONZERO, (t,), REL_NONZERO, (), (rand_point(rng, n * n, box),)))
@@ -750,15 +757,30 @@ def _reference_perm(n, seed, rounds, box, nonzero_count, normalize):
 
 def _reference_efun(m, k, seed, rounds, box, nonzero_count, normalize, det_factor_mode):
     corrected = det_factor_mode == "det-corrected"
-    size = k * m * m
-    queries = []
+    shape, size, queries = (BLOCK, m, k), k * m * m, []
     for r in range(rounds):
         rng = random.Random(derive_seed("E", m, k, seed, r))
         X = rand_point(rng, size, box)
-        adds = [(i, j, rand_point(rng, 1, box)[0])
-                for i, j in itertools.permutations(range(1, m + 1), 2)]
-        mu = rand_point(rng, m, box) if corrected else symtests._literal_diag_entries(rng, m)
-        _reference_law_queries(queries, symtests._efun_laws(m, k, adds, [mu], corrected), X, r)
+        for i, j in itertools.permutations(range(1, m + 1), 2):
+            y = rand_point(rng, 1, box)[0]
+            queries.append(_law_query("EElem", ("add", i, j, y, r), X, ElementaryAdd(i, j, y),
+                                      shape, "left"))
+        if corrected:
+            mu = rand_point(rng, m, box)
+            queries.append(_law_query("EElem", ("diag", r) + mu, X, Diagonal(mu), shape, "left",
+                                      math.prod(mu) ** k**m))
+            for i in range(1, m):
+                queries.append(_law_query("EElem", ("swap", i, r), X, PermSwap(i), shape, "left",
+                                          (-1) ** k**m))
+        else:
+            mu = symtests._literal_diag_entries(rng, m)
+            queries.append(_law_query("EElem", ("diag1", r) + mu, X, Diagonal(mu), shape, "left"))
+            for j in range(3, m + 1):
+                queries.append(_law_query("EElem", ("cycle", 1, 2, j, r), X, RowCycle(1, 2, j),
+                                          shape, "left"))
+        for g in k_generators(m, k):
+            params = (type(g).__name__,) + tuple(g) + (r,)
+            queries.append(_law_query("EKGen", params, X, g, shape, "right"))
         vanish = symtests._primary_vanish_point(rng, m, k, box)
         queries.append(Query(E_PRIMARY_VANISH, (r,), REL_CONST, (0,), (vanish,)))
     for t in range(nonzero_count):
