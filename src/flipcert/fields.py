@@ -4,14 +4,14 @@ is_prime and random_prime serve the modular query runs, which reduce plain
 integers mod the product of the distinct drawn primes in circuits.run_many:
 once per output after an exact run, or at every step when the program's bit
 bound passes circuits.EXACT_BITS.  With the run exact and each query
-decided once modulo that product, modular perm(4) costs about 0.39 ms a
-suite against 0.31 ms in the exact ring (BENCH_32.json: scripts/bench.py
+decided once modulo that product, modular perm(4) costs about 0.42 ms a
+suite against 0.34 ms in the exact ring (BENCH_34.json: scripts/bench.py
 --section sampled minima, Python 3.11 on a 2-core x86-64 VM), and most of
-the difference is drawing the three 31-bit primes, 24 to 31 us each: the
+the difference is drawing the three 31-bit primes, about 25 us each: the
 gcd with the odd primes below 256 keeps four odd candidates in five from
 Miller-Rabin, and the three pow() calls that certify a 31-bit prime (bases
-2, 7, 61) cost 4 to 6 us apiece at that width, with the host's speed.  No
-circuit is evaluated over a field.
+2, 7, 61) cost about 4.5 us apiece at that width, with the host's speed.
+No circuit is evaluated over a field.
 
 The trace machinery (the trace-tools command) works in an extension
 F_{q^l} = F_q[t]/(f) for a monic irreducible f, and its elements are plain
@@ -61,17 +61,16 @@ def is_prime(n: int) -> bool:
 def _miller_rabin(n: int) -> bool:
     """Miller-Rabin for odd n >= 256, with the bases _MR_SMALL below
     _MR_SMALL_BOUND and _MR_WITNESSES above it."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    m = n - 1
+    s = (m & -m).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = m >> s
     for a in _MR_SMALL if n < _MR_SMALL_BOUND else _MR_WITNESSES:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == m:
             continue
         for _ in range(s - 1):
             x = x * x % n
-            if x == n - 1:
+            if x == m:
                 break
         else:
             return False
@@ -85,9 +84,10 @@ def random_prime(rng: random.Random, bits: int) -> int:
     below 256 and Miller-Rabin decide it as is_prime would."""
     if bits < 16:
         raise UsageError(f"prime width {bits} below the 16-bit floor")
+    draw, k, top, gcd = rng.getrandbits, bits - 1, 1 << (bits - 1) | 1, math.gcd
     while True:
-        cand = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
-        if math.gcd(cand, _ODD_PRODUCT) == 1 and _miller_rabin(cand):
+        cand = draw(k) | top
+        if gcd(cand, _ODD_PRODUCT) == 1 and _miller_rabin(cand):
             return cand
 
 

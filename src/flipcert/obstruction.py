@@ -54,6 +54,7 @@ from .designs import (
     verify_design,
 )
 from .errors import (
+    BudgetExceeded,
     InvalidDesign,
     MalformedEncoding,
     NoFailingQuery,
@@ -86,6 +87,12 @@ MAX_F2_SAMPLES = 1024  # F2's sampled certificates, each a full derivation
 MAX_BUDGET_SECONDS = 86_400.0
 MAX_BUDGET_BITS = 1 << 32
 TARGET = Option("perm", "target", "--target", choices=("perm", "efun"))
+# the most seed-row steps a derivation's tape scan takes, 2^(seed bits some
+# row reads) seeds times the rows.  At the budget a 16-row design at 14 seed
+# bits derives in 0.6 s at 40 MB peak RSS; a 20-row design at 20 bits,
+# 2^20 x 20 steps, took 33 s and 1.1 GB with no budget.
+# Tier-1, the README and the benchmark derive at 128 steps at most.
+MAX_TAPE_STEPS = 1 << 18
 # an efun target's largest m and k: a diagonal law's factor has width*m*k^m
 # bits, and at width 1024 E(4,3) derived and serialized in 1.8 s, E(4,4) in 15 s
 MAX_EFUN_M, MAX_EFUN_K = 4, 3
@@ -192,9 +199,15 @@ def _tapes(design: Design, table: tuple[int, ...], seed_bits: int) -> set[int]:
     The seed occupies universe positions 0..seed_bits-1, the rest read 0,
     and tape bit i indexes the table by the seed restricted to row i.  Only
     the seed positions some row reads move a tape, so the seeds run over
-    those alone."""
+    those alone.  Past MAX_TAPE_STEPS seed-row steps it raises
+    BudgetExceeded before the scan."""
     rows = [[pos for pos in range(design.params.l) if row >> pos & 1] for row in design.rows]
     used = sorted({pos for row in rows for pos in row if pos < seed_bits})
+    steps = (1 << len(used)) * len(rows)
+    if steps > MAX_TAPE_STEPS:
+        raise BudgetExceeded(
+            f"deriving scans 2^{len(used)} seeds x {len(rows)} rows = {steps} steps,"
+            f" past the budget of {MAX_TAPE_STEPS}")
     tapes = set()
     for bits in range(1 << len(used)):
         seed = sum((bits >> t & 1) << pos for t, pos in enumerate(used))

@@ -55,6 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice, permutations
 from math import prod
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .circuits import (
@@ -86,7 +87,7 @@ from .oracles import (
     var_map,
 )
 from .pit import pit_error_bound as sampled_error_bound
-from .util import MAX_SAMPLE_WIDTH, rand_point, sample_box, seeded
+from .util import MAX_SAMPLE_WIDTH, rand_point, sample_box, seeded, streams
 
 # query kinds
 P_NONZERO = "PNonZero"
@@ -335,12 +336,14 @@ def require_row_law(m: int, det_factor_mode: str) -> None:
 
 class _Template(NamedTuple):
     dims: tuple
+    size: int  # entries of a point
     rounds: int
     label: str  # of the round streams; the nonzero streams' adds "nz"
     draws: int  # entries a round draws from the box: X, its ys, its mus
     movers: tuple  # the static laws', in order
-    adds: tuple  # _laws' drawn rows whose part is add_pairs, in order
-    diags: tuple  # and those whose part is a scale reader
+    adds: tuple  # (head, pairs) of _laws' drawn rows whose part is add_pairs, in order
+    diags: tuple  # (reader, power, heads) of those whose part is a scale reader;
+    #               heads[r] is the head and round r, the params before the mu
     params: tuple  # the seed-free queries'; a call appends the drawn laws'
     coeffs: tuple  # the same
     rows: tuple  # (kind, relation, params index, pick, slots), canonical order
@@ -361,8 +364,9 @@ def _template(target: str, dims: tuple, det_mode: str, rounds: int,
     m, size, efun = dims[0], dims[0] * prod(dims), target == "efun"
     corrected = not efun or det_mode == "det-corrected"
     static, drawn = _laws(target, dims, corrected)
-    adds = tuple(law for law in drawn if not callable(law[2]))
-    diags = tuple(law for law in drawn if callable(law[2]))
+    adds = tuple((head, part) for _, head, part, _ in drawn if not callable(part))
+    diags = tuple((part, power, tuple(head + (r,) for r in range(rounds)))
+                  for _, head, part, power in drawn if callable(part))
     label, nonzero = ("E", E_NONZERO) if efun else ("P", P_NONZERO)
     one = unit_columns_point(*dims) if efun else identity_point(m)
     width = 1 + len(static) + len(drawn) + efun  # a round's columns
@@ -388,7 +392,7 @@ def _template(target: str, dims: tuple, det_mode: str, rounds: int,
     # one (i, j)'s row additions, one per round, sit together in that order
     adds_at = [at for at, row in enumerate(keyed) if row[0][1][:1] == ("add",)]
     return _Template(
-        dims, rounds, label, size + len(adds) + len(diags) * m * corrected,
+        dims, size, rounds, label, size + len(adds) + len(diags) * m * corrected,
         tuple(mover(law[3]) for law in static), adds, diags,
         tuple(q[1] for q in fixed), tuple(q[3] for q in fixed), rows,
         tuple(row[-1] for row in rows),
@@ -408,32 +412,36 @@ def _literal_diag_entries(rng: random.Random, m: int) -> tuple[int, ...]:
 def _suite(t: _Template, seed: int, box: tuple[int, int]) -> tuple:
     """(queries, columns, slots): the queries in canonical order, each drawn
     or acted point once as a column, and each query's columns."""
-    dims, m, size = t.dims, t.dims[0], t.dims[0] * prod(t.dims)
+    dims, m, size, movers = t.dims, t.dims[0], t.size, t.movers
     columns, params, coeffs = [], list(t.params), list(t.coeffs)
-    for r in range(t.rounds):
-        rng = seeded(t.label, *dims, seed, r)
+    column, param, coeff = columns.append, params.append, coeffs.append
+    for r, rng in enumerate(streams(t.rounds, t.label, *dims, seed)):
         vals = rand_point(rng, t.draws, box)
-        X, at = vals[:size], size + len(t.adds)
-        columns.append(X)
-        columns += [move(X) for move in t.movers]
-        for (_, head, pairs, _), y in zip(t.adds, vals[size:at]):
+        X = vals[:size]
+        column(X)
+        for move in movers:
+            column(move(X))
+        for (head, pairs), y in zip(t.adds, vals[size:]):
             Y = list(X)
             for d, s in pairs:
                 Y[d] += y * Y[s]
-            columns.append(tuple(Y))
-            params.append(head + (y, r))
-            coeffs.append(())
-        for _, head, read, power in t.diags:
+            column(tuple(Y))
+            param(head + (y, r))
+            coeff(())
+        at = size + len(t.adds)
+        for read, power, heads in t.diags:
             # the entries left, or literal mode's +-1, drawn past the box
             mu = vals[at:at + m] if at < len(vals) else _literal_diag_entries(rng, m)
             at += m
-            columns.append(tuple([f * v for f, v in zip(read(mu), X)]))
-            params.append(head + (r,) + mu)
-            coeffs.append((prod(mu) ** power,) if power else ())
+            # built as a list first: a tuple filled from a bare map is resized
+            # as it grows, which left the process's peak RSS 1.2 MB higher
+            column(tuple([*map(mul, read(mu), X)]))
+            param(heads[r] + mu)
+            coeff((prod(mu) ** power,) if power else ())
         if t.label == "E":
-            columns.append(_primary_vanish_point(rng, *dims, box))
-    columns += [rand_point(seeded(t.label + "nz", *dims, seed, i), size, box)
-                for i in range(t.nonzero)]
+            column(_primary_vanish_point(rng, *dims, box))
+    columns += [rand_point(rng, size, box)
+                for rng in streams(t.nonzero, t.label + "nz", *dims, seed)]
     columns += t.one
     rows, slots = t.rows, t.slots
     if t.ties:  # each in its rounds' text order, which decides between equal ys
@@ -514,24 +522,32 @@ def _primary_vanish_point(rng, m, k, box) -> tuple:
 # query execution
 
 
-def _relation_holds(rel: str, coeffs: tuple, values: Sequence[int],
-                    slots: Sequence[int], p: int = 0) -> bool:
-    """Whether the relation holds on v_i = values[slots[i]], exactly, or on
-    residues mod p if p > 0.  The relations are tested in the order of how
-    often a suite asks for them."""
-    if rel == REL_EQUAL:
-        diff = values[slots[1]] - values[slots[0]]
-    elif rel == REL_SCALED:
-        diff = values[slots[1]] - coeffs[0] * values[slots[0]]
-    elif rel == REL_NONZERO:
-        return bool(values[slots[0]] % p if p else values[slots[0]])
-    elif rel == REL_CONST:
-        diff = values[slots[0]] - coeffs[0]
-    elif rel == REL_LINEAR:
-        diff = values[slots[0]] - sum(c * values[s] for c, s in zip(coeffs, slots[1:]))
-    else:
-        raise UsageError(f"unknown relation {rel!r}")
-    return not (diff % p if p else diff)
+def _failures(queries: Sequence[Query], values: Sequence[int],
+              slots: Sequence[Sequence[int]], p: int = 0) -> list[int]:
+    """The indices of the queries whose relation fails on v_j =
+    values[slots[i][j]], query i's values, exactly, or on residues mod p if
+    p > 0: the one relation rule, run over a whole list in one loop.  The
+    relations are tested in the order of how often a suite asks for them."""
+    out = []
+    for i, (q, s) in enumerate(zip(queries, slots)):
+        rel = q.relation
+        if rel == REL_EQUAL:
+            diff = values[s[1]] - values[s[0]]
+        elif rel == REL_SCALED:
+            diff = values[s[1]] - q.coeffs[0] * values[s[0]]
+        elif rel == REL_NONZERO:
+            if not (values[s[0]] % p if p else values[s[0]]):
+                out.append(i)
+            continue
+        elif rel == REL_CONST:
+            diff = values[s[0]] - q.coeffs[0]
+        elif rel == REL_LINEAR:
+            diff = values[s[0]] - sum(c * values[t] for c, t in zip(q.coeffs, s[1:]))
+        else:
+            raise UsageError(f"unknown relation {rel!r}")
+        if diff % p if p else diff:
+            out.append(i)
+    return out
 
 
 def query_verdict(
@@ -550,7 +566,7 @@ def query_verdict(
     slots = range(len(vals))
     for p in moduli:
         res = [v % p for v in vals] if p else vals
-        ok = _relation_holds(q.relation, q.coeffs, res, slots, p)
+        ok = not _failures((q,), res, (slots,), p)
         if ok == settles:
             break
     return ok, res
@@ -606,16 +622,17 @@ def run_queries(
                 )
         columns = list(column)
     values = run_many(lower(c), columns, rad)
-    holds, new = _relation_holds, tuple.__new__  # as Verdict._make builds
-    failed = [i for i, (q, cols) in enumerate(zip(queries, slots))
-              if not holds(q.relation, q.coeffs, values, cols, rad)]
+    failed = _failures(queries, values, slots, rad)
+    new = tuple.__new__  # as RunReport._make and Verdict._make build
     verdicts = passes or tuple([new(Verdict, (i, q.kind, True, ())) for i, q in enumerate(queries)])
     if failed:
         verdicts = list(verdicts)
         for i in failed:
-            res = query_verdict(queries[i], [values[j] for j in slots[i]], moduli)[1]
+            res = [values[j] for j in slots[i]]
+            if rad:  # the residues at the prime that settles it
+                res = query_verdict(queries[i], res, moduli)[1]
             verdicts[i] = new(Verdict, (i, queries[i].kind, False, tuple(res)))
-    return RunReport(not failed, tuple(verdicts), ring, primes)
+    return new(RunReport, (not failed, tuple(verdicts), ring, primes))
 
 
 # ---------------------------------------------------------------------------
@@ -844,12 +861,15 @@ def _verify_claims(
     else:
         t = _template(target, dims, cfg.det_factor_mode, cfg.rounds, cfg.nonzero_count,
                       cfg.normalize)
-        queries, columns, slots = _suite(t, cfg.seed, cfg.box())
+        box = cfg.box()
+        queries, columns, slots = _suite(t, cfg.seed, box)
         report = run_queries(c, queries, cfg.ring, cfg.prime_bits, cfg.prime_count,
                              cfg.seed, columns, slots, t.passes)
         accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
-        bound = sampled_error_bound(formal_degree(lower(c)), cfg.box(), cfg.rounds)
-    return VerifyResult(accept, cfg.mode, queries, tuple(verdicts), bound, notes + more)
+        bound = sampled_error_bound(formal_degree(lower(c)), box, cfg.rounds)
+    # as VerifyResult._make builds
+    return tuple.__new__(VerifyResult, (accept, cfg.mode, queries, tuple(verdicts), bound,
+                                        notes + more))
 
 
 # ---------------------------------------------------------------------------

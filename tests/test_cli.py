@@ -148,6 +148,22 @@ def test_pit_and_eval_refuse_a_step_past_the_evaluation_budget(tmp_path, capsys)
     assert rc == 2 and "circuit takes 1 inputs, point has 2" in err
 
 
+def test_derive_cert_refuses_a_tape_scan_past_the_budget(tmp_path, capsys):
+    # `gen-design --l 20 --r 3 --kcap 1 --rows 20` at 20 seed bits took 33 s
+    # and 1.1 GB; the scan's 2^20 seeds x 20 rows are checked before it runs
+    label = tmp_path / "design.hex"
+    label.write_text(encode_design(build_design_greedy(DesignParams(20, 20, 3, 1))).hex())
+    cfg = tmp_path / "seed20.cfg"
+    cfg.write_text("seed_bits=20\n")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["derive-cert", "--design", str(label), "--config", str(cfg),
+                                "--n", "2"])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (3, "")
+    assert err == ("budget: deriving scans 2^20 seeds x 20 rows = 20971520 steps, past the "
+                   f"budget of {obstruction.MAX_TAPE_STEPS}\n")
+
+
 def test_pit_degree_past_the_box_width_bounds_at_1(tmp_path, capsys):
     # x - x squared k times has formal degree 2^k; at the width-16 box's 2^16
     # points, k = 16 caps each trial's factor at 1 and k = 15 halves it

@@ -50,7 +50,7 @@ from flipcert.symtests import (
     REL_SCALED,
     RunReport,
     Verdict,
-    _relation_holds,
+    _failures,
     gen_queries_efun,
     gen_queries_perm,
     query_verdict,
@@ -333,6 +333,23 @@ def test_bit_bound_crossover_is_exact_bits():
     half = EXACT_BITS // 2
     assert _fits_exactly(square, [(2**half - 1, -1)])
     assert not _fits_exactly(square, [(1, -(2**half))])
+    # the width read from the columns is the widest entry's bit length, as
+    # map(int.bit_length) over every entry gives it, on negative, zero and
+    # mixed-sign columns: c * x0 with c of b bits bounds at width + b bits,
+    # so it fits at b = EXACT_BITS - width and not at one bit more
+    for columns in (
+        [(-1, -(2**40), -7), (-(2**39), -2, -3)],
+        [(0, 0, 0), (0, 0, 0)],
+        [(5, -(2**70), 0), (2**69, -1, 3)],
+        [(2**80, -3, 0), (-(2**79), 1, 0)],
+        [(-(2**50),), (2**50 - 1,)],
+        [(-(2**50) + 1,), (2**50,)],
+    ):
+        width = max(map(int.bit_length, itertools.chain.from_iterable(columns)))
+        for bits, fits in ((EXACT_BITS - width, True), (EXACT_BITS - width + 1, False)):
+            prog = lower(circuit_from_ops(2, [("const", 2 ** (bits - 1)), ("input", 0),
+                                              ("mul", 0, 1)]))
+            assert _fits_exactly(prog, columns) is fits, (columns, bits)
 
 
 @settings(max_examples=150, deadline=None)
@@ -527,7 +544,7 @@ def test_relation_rule_agrees_with_query_verdict(case, vals, primes, spread):
     moduli = primes or (0,)  # no prime: the exact ring
     rad = prod(set(moduli))
     want = _oracle_verdict(q, vals, primes)
-    assert _relation_holds(rel, coeffs, values, slots, rad) == want[0]
+    assert _failures([q], values, [slots], rad) == ([] if want[0] else [0])
     assert query_verdict(q, vals, moduli) == want
     if not primes:  # in the exact ring a failed query reports its values
         got = run_queries(circuit_from_ops(1, [("input", 0)]), [q])

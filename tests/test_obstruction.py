@@ -28,6 +28,7 @@ from flipcert.circuits import (
 from flipcert.config import format_config, parse_config
 from flipcert.designs import Design, DesignParams, build_design_greedy
 from flipcert.errors import (
+    BudgetExceeded,
     InvalidDesign,
     MalformedEncoding,
     NoFailingQuery,
@@ -228,6 +229,31 @@ def test_derive_wide_design_bytes_frozen():
     text = serialize_certificate(derive_certificate(WIDE_DESIGN, toy_config(seed_bits=12)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8a53dbf2b7332e758d07cc0d6244fed68b0726c3c58a7ef7b5e7b13a25afc633")
+
+
+# the design `gen-design --l 20 --r 3 --kcap 1 --rows 16` writes: its rows
+# read every seed position, so 14 seed bits scan 2^14 seeds x 16 rows, the
+# budget's steps exactly
+BUDGET_DESIGN = build_design_greedy(DesignParams(16, 20, 3, 1))
+
+
+def test_derive_tape_budget_edge():
+    assert obstruction.MAX_TAPE_STEPS == (1 << 14) * 16
+    assert derive_certificate(BUDGET_DESIGN, toy_config(seed_bits=14)).queries
+    # one seed bit more doubles the scan, refused before it starts
+    with pytest.raises(BudgetExceeded, match=r"2\^15 seeds x 16 rows = 524288 steps"):
+        derive_certificate(BUDGET_DESIGN, toy_config(seed_bits=15))
+
+
+def test_parse_rederives_within_the_budget(monkeypatch):
+    # a certificate is re-derived from its design and config, so reading one
+    # past the budget stops at the budget too; the toy scans 2^4 x 4 steps
+    text = serialize_certificate(derive_certificate(toy_design(), toy_config()))
+    monkeypatch.setattr(obstruction, "MAX_TAPE_STEPS", 64)
+    assert parse_certificate(text).config == toy_config()
+    monkeypatch.setattr(obstruction, "MAX_TAPE_STEPS", 63)
+    with pytest.raises(BudgetExceeded):
+        parse_certificate(text)
 
 
 # ---------------------------------------------------------------------------

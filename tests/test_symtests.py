@@ -70,7 +70,7 @@ from flipcert.symtests import (
     verify_claims_efun,
     verify_claims_perm,
 )
-from flipcert.util import derive_seed, rand_point, sample_box, seeded
+from flipcert.util import derive_seed, rand_point, sample_box, seeded, streams
 
 
 def _failing_kinds(result) -> set[str]:
@@ -541,6 +541,44 @@ def test_seeded_is_the_random_stream_of_the_derived_seed(parts):
     ours, ref = seeded(*parts), random.Random(derive_seed(*parts))
     assert ours.getstate() == ref.getstate()
     assert ours.getrandbits(63) == ref.getrandbits(63) and ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("prefix", [(), ("queryprimes",), ("P", 3, 2**63 - 1), ("Enz", 2, 2, 0),
+                                    ("pool", 7, "n2-b5-a-1,0,1", 1, 1 << 16)])
+def test_streams_are_the_seeded_streams_of_their_index(prefix):
+    # the prefix is hashed once and each copy finished with str(i), as if
+    # derive_seed had hashed (*prefix, i) whole
+    got = streams(12, *prefix)
+    assert [rng.getstate() for rng in got] == [seeded(*prefix, i).getstate() for i in range(12)]
+    assert streams(0, *prefix) == []
+
+
+@pytest.mark.parametrize("target, dims, mode", [("perm", (n,), "det-corrected") for n in (2, 3, 4)]
+                         + [("efun", dims, "det-corrected") for dims in ((1, 2), (2, 2), (1, 3))]
+                         + [("efun", (2, 2), "literal")])
+def test_suite_streams_are_the_derived_seeds(monkeypatch, target, dims, mode):
+    # each shape the sampled-verify benchmark runs, and literal mode: a
+    # verification seeds its round streams and its nonzero streams each at
+    # derive_seed(label, *dims, seed, i)
+    seen = []
+
+    def recorded(count, *prefix):
+        out = streams(count, *prefix)
+        seen.append((prefix, [rng.getstate() for rng in out]))
+        return out
+
+    monkeypatch.setattr(symtests, "streams", recorded)
+    cfg = VerifyConfig(seed=2**63 - 25, rounds=3, nonzero_count=2, det_factor_mode=mode)
+    if target == "perm":
+        assert verify_claims_perm(perm_circuit(*dims), *dims, cfg).accept
+    else:
+        assert verify_claims_efun(efun_circuit(*dims), *dims, cfg).accept
+    label = "P" if target == "perm" else "E"
+    assert [prefix for prefix, _ in seen] == [(label, *dims, cfg.seed), (label + "nz", *dims, cfg.seed)]
+    assert [len(states) for _, states in seen] == [3, 2]
+    for prefix, states in seen:
+        want = [random.Random(derive_seed(*prefix, i)).getstate() for i in range(len(states))]
+        assert states == want
 
 
 def test_rand_point_refuses_an_empty_box():
