@@ -14,14 +14,17 @@ sampled suites, the decoder and the hitting-set code run a query's or a
 set's points together.  Programs are not kept per circuit: a class sweep
 holds tens of thousands of circuits at once.
 
-With a modulus q, for the modular query runs, one pass over the program
-bounds each step's bit length from the widest point entry (a product adds
-its operands' bounds, a sum or difference adds one bit to the larger).
-When no bound passes EXACT_BITS = 1024, the exact loop runs and each output
-is reduced mod q once; otherwise every step is reduced mod q.  The answer
-depends only on the program and the widest entry's bit length, so the last
-64 such pairs keep theirs; each call still scans its entries.  Z -> Z/q is
-a ring map, so both give the same residues; the rule only picks the faster
+One static walk per program, kept for the last 64 programs, bounds each
+step's bits at w-bit inputs by D * w + H and gives the output's formal
+degree.  bound_fits compares that bound with a limit in O(1), and
+check_eval_budget refuses a run that may pass MAX_EVAL_BITS = 2^22 bits
+before it starts, at the width of the widest entry the run can meet.
+
+With a modulus q, for the modular query runs, run_many reads the bound at
+the widest point entry.  When it stays within EXACT_BITS = 1024, the exact
+loop runs and each output is reduced mod q once; otherwise every step is
+reduced mod q.  Each call still scans its entries for the width.  Z -> Z/q
+is a ring map, so both give the same residues; the rule only picks the faster
 kernel.  Exact-then-reduce time over reduce-every-step time, with q the
 product of three 31-bit primes and 22 points (Python 3.11 on a 2-core Xeon
 VM, minimum of 7 runs):
@@ -56,12 +59,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
 from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
     BadArity,
+    BudgetExceeded,
     DagViolation,
     IndexOutOfRange,
     ParseError,
@@ -205,83 +208,80 @@ def lower(c: Circuit) -> Program:
 # The bit bound up to which run_many mod q runs exactly; see the module
 # docstring for the crossover it was set from.
 EXACT_BITS = 1024
+# the widest step a budgeted run computes: squaring a 2^21-bit value took
+# 0.27 s, and each further doubling of the width about 3 times as long
+MAX_EVAL_BITS = 1 << 22
+# where a walk's d and h stop growing: past the widest sample box, 2^1024,
+# so a saturated bound passes every limit and its degree every box's size
+_SATURATED = 1 << 1025
 
 
 def _fits_exactly(prog: Program, inputs: Sequence[Sequence[int]]) -> bool:
     """Whether every step of prog stays within EXACT_BITS bits at these
-    input columns, by a static bound from the widest entry (bound_fits).
+    input columns, by the static bound from the widest entry (bound_fits).
     The widest entry is the largest or the smallest, since bit_length
     grows with the absolute value, so the columns' max and min give it."""
     return bound_fits(prog, max(max(map(max, inputs), default=0).bit_length(),
                                 min(map(min, inputs), default=0).bit_length()))
 
 
-def _per_program(fn):
-    """fn(prog, *rest) kept for the last 64 (program, rest) pairs, a program
-    known by its identity: a verifier's calls pass the one program object
-    its circuit lowers to, and an lru_cache hashed every step of it on
-    every lookup, 1.9 us for perm(4)'s 111 steps against 0.2 us by
-    identity.  An entry holds its program, so no other program can take
-    its id while the entry lasts."""
-    memo: dict[tuple, tuple] = {}
-
-    @wraps(fn)
-    def kept(prog: Program, *rest):
-        key = (id(prog),) + rest
-        hit = memo.get(key)
-        if hit is not None and hit[0] is prog:
-            return hit[1]
-        out = fn(prog, *rest)
-        if len(memo) >= 64:
-            memo.pop(next(iter(memo)), None)
-        memo[key] = (prog, out)
-        return out
-
-    return kept
+_walks: dict[int, tuple] = {}  # the last 64 programs' walks, each with its program
 
 
-@_per_program
-def bound_fits(prog: Program, width: int, limit: int = EXACT_BITS) -> bool:
-    """Whether every step of prog stays within `limit` bits when each
-    input has `width` bits: a constant has its own bit length, a product
-    the sum of its operands' bounds and a sum or difference the larger
-    bound plus one.  Stops at the first step past the limit.  The answer
-    depends on nothing else, so it is kept per (program, width, limit): a
-    modular suite runs the same program at the same widths call after
-    call."""
-    bits: list[int] = []
-    push = bits.append
+def _walk(prog: Program) -> tuple[int, int, int]:
+    """(the output's d, D, H), D and H the largest d_t and h_t: an input has
+    d 1 and h 0, a constant d 0 and h its bit length, a product the sums of
+    its operands' and a sum or difference the larger d and the larger h
+    plus one, each saturating at _SATURATED.  By induction step t's value
+    at w-bit inputs has at most d_t * w + h_t bits.  A program is known by
+    its identity: hashing its steps cost 1.9 us per lookup for perm(4)'s
+    111 steps, against 0.2 us.  An entry holds its program, so no other
+    program can take its id while the entry lasts."""
+    hit = _walks.get(id(prog))
+    if hit is not None and hit[0] is prog:
+        return hit[1]
+    # no min() or max() call per step: a class sweep walks every member, and
+    # its 5 steps take about 1.7 us this way, 2.5 us with them (Python 3.11)
+    degs, offs = [], []
     for op, a, b in prog:
         if op == OP_MUL:
-            n = bits[a] + bits[b]
+            d, h = degs[a] + degs[b], offs[a] + offs[b]
         elif op == OP_INPUT:
-            n = width
+            d, h = 1, 0
         elif op == OP_CONST:
-            n = a.bit_length()
+            d, h = 0, a.bit_length()
         else:
-            n = max(bits[a], bits[b]) + 1
-        if n > limit:
-            return False
-        push(n)
-    return True
+            d = degs[a] if degs[a] > degs[b] else degs[b]
+            h = (offs[a] if offs[a] > offs[b] else offs[b]) + 1
+        if h > _SATURATED or d > _SATURATED:
+            d, h = min(d, _SATURATED), min(h, _SATURATED)
+        degs.append(d)
+        offs.append(h)
+    out = (degs[-1], max(degs), max(offs))
+    if len(_walks) >= 64:
+        _walks.pop(next(iter(_walks)))
+    _walks[id(prog)] = (prog, out)
+    return out
 
 
-@_per_program
 def formal_degree(prog: Program) -> int:
     """A bound on the total degree of prog's output (a sum may cancel), as
-    the Schwartz-Zippel error bounds take it: an input has degree 1, a
-    constant 0, a product the sum of its operands' degrees and a sum or
-    difference the larger.  Kept per program, as bound_fits is."""
-    degs: list[int] = []
-    push = degs.append
-    for op, a, b in prog:
-        if op == OP_MUL:
-            push(degs[a] + degs[b])
-        elif op < OP_ADD:
-            push(1 if op == OP_INPUT else 0)
-        else:
-            push(max(degs[a], degs[b]))
-    return degs[-1]
+    the Schwartz-Zippel error bounds take it (_walk)."""
+    return _walk(prog)[0]
+
+
+def bound_fits(prog: Program, width: int, limit: int = EXACT_BITS) -> bool:
+    """Whether every step of prog stays within `limit` bits when each
+    input has `width` bits, by _walk's bound D * width + H."""
+    _, top, offset = _walk(prog)
+    return top * width + offset <= limit
+
+
+def check_eval_budget(prog: Program, width: int) -> None:
+    """Refuses prog unrun if a step may pass MAX_EVAL_BITS at `width`-bit inputs."""
+    if not bound_fits(prog, width, MAX_EVAL_BITS):
+        raise BudgetExceeded(f"a step may pass the {MAX_EVAL_BITS}-bit evaluation "
+                             f"budget at {width}-bit inputs")
 
 
 def run_many(prog: Program, points: Sequence[Sequence[int]], q: int = 0) -> list[int]:

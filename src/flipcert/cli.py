@@ -14,7 +14,8 @@ import sys
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 
-from .circuits import bound_fits, check_arity, evaluate, lower, parse_circuit, serialize_circuit
+from .circuits import (check_arity, check_eval_budget, evaluate, lower, parse_circuit,
+                       serialize_circuit)
 from .config import (
     BOUND,
     REGIME,
@@ -122,9 +123,6 @@ def _out_file(path: str | None):
 # the widest value a report prints, about 158,000 digits: int-to-decimal
 # takes quadratic time, 27.5 s for 1.2 million digits (CPython 3.11)
 MAX_PRINT_BITS = 1 << 19
-# the widest step eval and pit compute: squaring a 2^21-bit value took
-# 0.27 s, and each further doubling of the width about 3 times as long
-MAX_EVAL_BITS = 1 << 22
 
 
 def _decimal(value: int) -> str:
@@ -136,13 +134,6 @@ def _decimal(value: int) -> str:
                              f"{MAX_PRINT_BITS}-bit print budget")
     with any_digits():
         return str(value)
-
-
-def _check_eval_budget(c, width: int) -> None:
-    """Refuses c unrun if a step's static bit bound at `width`-bit inputs passes MAX_EVAL_BITS."""
-    if not bound_fits(lower(c), width, MAX_EVAL_BITS):
-        raise BudgetExceeded(f"a step may pass the {MAX_EVAL_BITS}-bit evaluation "
-                             f"budget at {width}-bit inputs")
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -212,7 +203,7 @@ def cmd_eval(args) -> int:
     c = _load_circuit(args.circuit)
     point = _ints(args.point)
     check_arity(c, point)
-    _check_eval_budget(c, max(map(int.bit_length, point), default=0))
+    check_eval_budget(lower(c), max(map(int.bit_length, point), default=0))
     print(_decimal(evaluate(c, point)))
     return 0
 
@@ -220,7 +211,7 @@ def cmd_eval(args) -> int:
 def cmd_pit(args) -> int:
     c = _load_circuit(args.circuit)
     box = sample_box(args.width)
-    _check_eval_budget(c, box[1].bit_length())
+    check_eval_budget(lower(c), box[1].bit_length())
     res = pit_random(c, trials=args.trials, seed=args.seed, box=box)
     if res.verdict == "nonzero":
         print(f"nonzero at {res.witness_point} (value {_decimal(res.witness_value)})")

@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 
 from .circuits import (
     Circuit,
+    check_eval_budget,
     evaluate,
     expand_to_polynomial,
     lower,
@@ -366,6 +367,7 @@ def decode_counterexample(cert: ObstructionCertificate, c: Circuit) -> DecodeRes
     # membership pins c's arity to the target's, which every query point has
     _class_membership(cert.config, c)
     prog = lower(c)
+    check_eval_budget(prog, 2 * cert.config.box()[1].bit_length())  # as a sampled suite's
     for idx, q in enumerate(cert.queries):
         passed, vals = query_verdict(q, run_many(prog, q.points))
         if passed:

@@ -2,7 +2,8 @@
 
 The randomized tester samples points from an integer box and reports either
 a certain nonzero witness or a zero verdict with the standard degree/box
-error bound, from the circuit's formal degree (circuits.formal_degree).
+error bound, from the circuit's formal degree: circuits.formal_degree, read
+off the cached walk whose bit bound the `pit` command checks first.
 
 The derandomized side works against finite circuit classes: either an
 enumerated class (all canonical-form circuits up to a size or bitsize bound

@@ -60,6 +60,7 @@ from typing import NamedTuple, Sequence
 
 from .circuits import (
     Circuit,
+    check_eval_budget,
     evaluate,  # noqa: F401  (perfbench's tracer test expects it bound here)
     expand_to_polynomial,
     formal_degree,
@@ -854,19 +855,22 @@ def _verify_claims(
     want = dims[0] * prod(dims)  # n x n, or m x (k * m)
     if c.num_inputs != want:
         raise ArityMismatch(f"circuit takes {c.num_inputs} inputs, want {want}")
-    bound = 0.0
+    bound, prog = 0.0, lower(c)
     if cfg.mode == "exhaustive":
+        check_eval_budget(prog, cfg.sample_width + 1)  # 2^w, the box's widest entry
         accept, verdicts, more = exhaustive(c, *dims, cfg)
         queries = ()
     else:
+        box = cfg.box()
+        if cfg.ring == "exact":  # a suite's widest entry: a box entry times a drawn factor
+            check_eval_budget(prog, 2 * box[1].bit_length())
         t = _template(target, dims, cfg.det_factor_mode, cfg.rounds, cfg.nonzero_count,
                       cfg.normalize)
-        box = cfg.box()
         queries, columns, slots = _suite(t, cfg.seed, box)
         report = run_queries(c, queries, cfg.ring, cfg.prime_bits, cfg.prime_count,
                              cfg.seed, columns, slots, t.passes)
         accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
-        bound = sampled_error_bound(formal_degree(lower(c)), box, cfg.rounds)
+        bound = sampled_error_bound(formal_degree(prog), box, cfg.rounds)
     # as VerifyResult._make builds
     return tuple.__new__(VerifyResult, (accept, cfg.mode, queries, tuple(verdicts), bound,
                                         notes + more))

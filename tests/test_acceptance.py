@@ -10,9 +10,12 @@ import random
 import time
 from math import comb, sqrt
 
+from circuit_ops import step_bits, walk_bits
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
 from flipcert.circuits import (
+    EXACT_BITS,
     expand_to_polynomial,
+    lower,
     parse_circuit,
     poly_constant_ratio,
     poly_total_degree,
@@ -94,7 +97,7 @@ def test_criterion_02_soundness_vs_brute_force():
     cfg_scale = VerifyConfig(mode="exhaustive", normalize=False)
     cfg_norm = VerifyConfig(mode="exhaustive")
     members = 0
-    disagreements = 0
+    disagreements = kernel_flips = 0
     accepted_scale = accepted_norm = multiples = 0
     for c in cls.members():
         members += 1
@@ -108,8 +111,15 @@ def test_criterion_02_soundness_vs_brute_force():
         accepted_norm += acc_norm
         disagreements += acc_scale != is_multiple
         disagreements += acc_norm != (poly == perm_poly)
+        # the one-walk bit bound against the per-step one it replaced: never
+        # below it, at most 8 bits above, and the same 1024-bit kernel choice
+        prog = lower(c)
+        for w in (62, 124):
+            walked, stepped = walk_bits(prog, w), step_bits(prog, w)
+            assert stepped <= walked <= stepped + 8
+            kernel_flips += (walked <= EXACT_BITS) != (stepped <= EXACT_BITS)
     elapsed = time.monotonic() - t0
-    assert disagreements == 0
+    assert disagreements == 0 and kernel_flips == 0
     assert accepted_scale == multiples
     assert elapsed < 600.0
     # the class bound keeps the target itself out (it needs 7 nodes), so

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from flipcert import cli, fields, obstruction, pit
+from flipcert import circuits, cli, fields, obstruction, pit
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit
 from flipcert.circuits import serialize_circuit
 from flipcert.cli import build_parser, main
@@ -131,8 +131,8 @@ def test_pit_and_eval_refuse_a_value_past_the_print_budget(tmp_path, capsys):
 
 
 def test_pit_and_eval_refuse_a_step_past_the_evaluation_budget(tmp_path, capsys):
-    # x squared 25 times at 3 was still computing after 20 s; the static bit
-    # bound passes MAX_EVAL_BITS at step 22, so neither command evaluates
+    # x squared 25 times at 3 was still computing after 20 s; its static bit
+    # bound passes circuits.MAX_EVAL_BITS, so neither command evaluates
     path = tmp_path / "sq25.ac"
     path.write_text("ninputs 1\ng0 = input 0\n" + "".join(
         f"g{t} = mul g{t - 1} g{t - 1}\n" for t in range(1, 26)) + "output g25\n")
@@ -141,11 +141,52 @@ def test_pit_and_eval_refuse_a_step_past_the_evaluation_budget(tmp_path, capsys)
         rc, out, err = run(capsys, [*argv, "--circuit", str(path)])
         assert time.perf_counter() - start < 1
         assert (rc, out) == (3, "")
-        assert err == (f"budget: a step may pass the {cli.MAX_EVAL_BITS}-bit evaluation "
+        assert err == (f"budget: a step may pass the {circuits.MAX_EVAL_BITS}-bit evaluation "
                        f"budget at {width}-bit inputs\n")
     # the arity is checked first: a point of the wrong length is a usage error
     rc, _, err = run(capsys, ["eval", "--circuit", str(path), "--point", "3,3"])
     assert rc == 2 and "circuit takes 1 inputs, point has 2" in err
+
+
+def _squaring_chain(ninputs: int, squarings: int, base: str = "input 0") -> str:
+    """g0 = base squared `squarings` times, times x0 when base is a constant."""
+    lines = [f"ninputs {ninputs}", f"g0 = {base}"]
+    lines += [f"g{t} = mul g{t - 1} g{t - 1}" for t in range(1, squarings + 1)]
+    out = squarings
+    if base != "input 0":
+        lines += [f"g{out + 1} = input 0", f"g{out + 2} = mul g{out} g{out + 1}"]
+        out += 2
+    return "\n".join(lines) + f"\noutput g{out}\n"
+
+
+def test_exact_runs_refuse_a_step_past_the_evaluation_budget(tmp_path, capsys):
+    # each ran until killed: x0 squared 40 times in the sampled exact ring
+    # and in decode, and 2 squared 40 times, times x0, in exhaustive mode.
+    # The sampled suites and decode check at twice the box's widest entry,
+    # exhaustive mode at the box's
+    sq40 = tmp_path / "sq40.ac"
+    sq40.write_text(_squaring_chain(4, 40))
+    const40 = tmp_path / "const40.ac"
+    const40.write_text(_squaring_chain(4, 40, "const 2"))
+    design, cert = tmp_path / "design.hex", tmp_path / "cert.txt"
+    design.write_text(DESIGN_HEX)
+    assert run(capsys, ["derive-cert", "--design", str(design), "--n", "2", "--bound", "41",
+                        "--out", str(cert)])[0] == 0
+    for argv, width in (
+        (["verify-perm", "--n", "2", "--circuit", str(sq40)], 126),
+        (["decode", "--cert", str(cert), "--circuit", str(sq40)], 126),
+        (["verify-perm", "--n", "2", "--mode", "exhaustive", "--circuit", str(const40)], 63),
+    ):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (3, "")
+        assert err == (f"budget: a step may pass the {circuits.MAX_EVAL_BITS}-bit evaluation "
+                       f"budget at {width}-bit inputs\n")
+    # the modular ring reduces every step of this chain, so it runs
+    rc, out, _ = run(capsys, ["verify-perm", "--n", "2", "--ring", "modular",
+                              "--circuit", str(sq40)])
+    assert rc == 1 and out.endswith("ring=modular\n")
 
 
 def test_derive_cert_refuses_a_tape_scan_past_the_budget(tmp_path, capsys):

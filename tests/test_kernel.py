@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from functools import lru_cache
 from math import prod
 from pathlib import Path
@@ -20,26 +21,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuit_ops import circuit_from_ops
+from circuit_ops import circuit_from_ops, step_bits, walk_bits
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
 from flipcert.circuits import (
     EXACT_BITS,
     OP_ADD,
     OP_CONST,
     OP_INPUT,
+    OP_MUL,
     OP_SUB,
     Circuit,
+    bound_fits,
     evaluate,
     expand_to_polynomial,
+    formal_degree,
     lower,
     parse_circuit,
     poly_eval,
     run_many,
     _fits_exactly,
+    _walk,
+    _walks,
+    serialize_circuit,
 )
 from flipcert.errors import ArityMismatch, TermBudgetExceeded, UsageError
 from flipcert.fields import random_prime
-from flipcert.pit import EnumeratedClass
+from flipcert.pit import EnumeratedClass, pit_error_bound
 from flipcert.symtests import (
     P_NONZERO,
     Query,
@@ -56,7 +63,7 @@ from flipcert.symtests import (
     query_verdict,
     run_queries,
 )
-from flipcert.util import derive_seed
+from flipcert.util import derive_seed, sample_box
 
 REFERENCE_FILES = sorted((Path(__file__).resolve().parents[1] / "circuits").glob("*.ac"))
 PRIMES = (2, 3, 7, 65537, 2**31 - 1, 2**61 - 1)
@@ -350,6 +357,79 @@ def test_bit_bound_crossover_is_exact_bits():
             prog = lower(circuit_from_ops(2, [("const", 2 ** (bits - 1)), ("input", 0),
                                               ("mul", 0, 1)]))
             assert _fits_exactly(prog, columns) is fits, (columns, bits)
+
+
+# The one cached walk bounds every step at w-bit inputs by D * w + H, which
+# is never below the per-step walk it replaced (step_bits).
+WIDTHS = (0, 1, 2, 62, 63, 124, 125, 126, 1024, 2050)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_dags())
+def test_walk_bound_is_at_least_the_per_step_bound(c):
+    prog = lower(c)
+    for w in WIDTHS:
+        assert walk_bits(prog, w) >= step_bits(prog, w)
+
+
+# every class the tier-1 tests enumerate; criterion 2 checks its own
+# (n=4, bound 5, {-1,0,1,2}) member by member, and test_pit's formal-degree
+# test (n=2, bound 4, {-1,0,1}) and (n=1, bound 5, {-1,1})
+TIER1_CLASSES = (
+    (1, 1, (1,)), (1, 2, (-1, 1)), (1, 3, (-1, 1)), (1, 3, (-1, 0, 1)), (1, 3, (2,)),
+    (1, 4, (-2, -1, 1, 2)), (2, 2, (1,)), (2, 2, (0, 1)), (2, 2, (-1, 0, 1)), (2, 3, (0, 1)),
+    (2, 3, (-1, 1)), (2, 3, (-1, 0, 1)), (2, 4, (-1, 0, 1, 2)), (3, 4, (-1, 0, 1, 2)),
+    (4, 2, (1,)), (4, 3, (-1, 0, 1)), (4, 4, (-1, 0, 1)), (4, 4, (-1, 0, 1, 2)),
+    (8, 3, (-1, 0, 1)), (8, 4, (-1, 0, 1)),
+)
+
+
+def test_walk_bound_is_at_least_the_per_step_bound_on_every_tier1_class():
+    classes = [EnumeratedClass(*spec) for spec in TIER1_CLASSES]
+    classes.append(EnumeratedClass(1, 2, (3,), regime="bitsize"))
+    for cls in classes:
+        for c in cls.members():
+            prog = lower(c)
+            for w in (1, 62, 124, 126):
+                assert walk_bits(prog, w) >= step_bits(prog, w), (serialize_circuit(c), w)
+
+
+# the reference circuits: perm 2-4, det 3, E(1,2), E(2,2), E(1,3), E(2,3), 2 perm(2)
+REFERENCE_CIRCUITS = {
+    "perm2": perm_circuit(2), "perm3": perm_circuit(3), "perm4": perm_circuit(4),
+    "det3": det_circuit(3), "E(1,2)": efun_circuit(1, 2), "E(2,2)": efun_circuit(2, 2),
+    "E(1,3)": efun_circuit(1, 3), "E(2,3)": efun_circuit(2, 3),
+    "2perm2": scale_circuit(perm_circuit(2), 2),
+}
+
+
+@pytest.mark.parametrize("label", REFERENCE_CIRCUITS)
+def test_walk_bound_equals_the_per_step_bound_on_the_reference_circuits(label):
+    prog = lower(REFERENCE_CIRCUITS[label])
+    for w in (62, 124, 125, 126):
+        assert walk_bits(prog, w) == step_bits(prog, w)
+
+
+def test_walk_of_a_long_squaring_chain_is_linear():
+    # the degree doubles at each step; saturation keeps every step's
+    # numbers small, so 100,000 steps walk in well under a second
+    prog = ((OP_INPUT, 0, 0),) + tuple((OP_MUL, t, t) for t in range(100_000))
+    start = time.perf_counter()
+    degree, top, offset = _walk(prog)
+    assert time.perf_counter() - start < 1
+    assert degree == top > 1 << 1024 and offset == 0
+    assert not bound_fits(prog, 1, 1 << 30)
+    assert pit_error_bound(degree, sample_box(1024), 1) == 1.0
+
+
+def test_walk_is_kept_once_per_program():
+    # one entry per program, whatever the widths and limits asked of it
+    prog = lower(perm_circuit(3))
+    first = _walk(prog)
+    for w, limit in ((1, EXACT_BITS), (62, EXACT_BITS), (62, 100), (500, 1 << 22)):
+        bound_fits(prog, w, limit)
+    assert formal_degree(prog) == 3 and _walk(prog) is first
+    assert [entry[0] is prog for entry in _walks.values()].count(True) == 1
 
 
 @settings(max_examples=150, deadline=None)

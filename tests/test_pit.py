@@ -14,7 +14,7 @@ import itertools
 
 import pytest
 
-from circuit_ops import circuit_from_ops
+from circuit_ops import circuit_from_ops, step_bits, walk_bits
 from flipcert import pit
 from flipcert.builders import perm_circuit
 from flipcert.circuits import (
@@ -191,9 +191,12 @@ def test_pit_error_bound_formula():
 
 @pytest.mark.parametrize("ninputs,bound,alphabet", [(2, 4, (-1, 0, 1)), (1, 5, (-1, 1))])
 def test_formal_degree_bounds_the_expanded_degree(ninputs, bound, alphabet):
-    # cancellation can only lower the degree the expansion reaches
+    # cancellation can only lower the degree the expansion reaches; the same
+    # walk's bit bound is never below the per-step one (test_kernel)
     for c in EnumeratedClass(ninputs, bound, alphabet).members():
-        assert formal_degree(lower(c)) >= poly_total_degree(expand_to_polynomial(c))
+        prog = lower(c)
+        assert formal_degree(prog) >= poly_total_degree(expand_to_polynomial(c))
+        assert all(walk_bits(prog, w) >= step_bits(prog, w) for w in (1, 62, 124, 126))
 
 
 def test_a_pool_of_one_point_is_accepted():
