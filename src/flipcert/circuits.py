@@ -356,13 +356,17 @@ Poly = dict
 # slot, not one per circuit: a class sweep holds tens of thousands of
 # circuits, and a member is expanded again right after its first expansion.
 _last_expansion: tuple = (None, 0, {})
+# term products one expansion may form, about 1.5 us each: exhaustive E(3,2)
+# forms 407,598; (x0 + x1) squared 16 times stops after 351,581, in 0.5 s
+MAX_TERM_PRODUCTS = 1_000_000
 
 
 def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
     """Exact expansion of the output as a sparse integer polynomial.
 
     Raises TermBudgetExceeded as soon as any intermediate node's expansion
-    holds more than max_terms monomials, nodes after the output included.
+    holds more than max_terms monomials, or before a product would take the
+    products formed past MAX_TERM_PRODUCTS, nodes after the output included.
     Every coefficient is nonzero, so a sum that cancels was stored before
     and is deleted; the exhaustive checks in symtests rely on it.
 
@@ -380,9 +384,13 @@ def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
     zero_exp = (0,) * c.num_inputs
     add = operator.add
     polys: list[Poly] = []
-    push = polys.append
+    push, products = polys.append, 0
     for t, (op, a, b) in enumerate(c.nodes):
         if op == OP_MUL:
+            products += len(polys[a]) * len(polys[b])
+            if products > MAX_TERM_PRODUCTS:
+                raise TermBudgetExceeded(
+                    f"node {t} expansion would pass {MAX_TERM_PRODUCTS} term products")
             p: Poly = {}
             get = p.get
             pb = polys[b].items()

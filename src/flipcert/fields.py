@@ -4,8 +4,8 @@ is_prime and random_prime serve the modular query runs, which reduce plain
 integers mod the product of the distinct drawn primes in circuits.run_many:
 once per output after an exact run, or at every step when the program's bit
 bound passes circuits.EXACT_BITS.  With the run exact and each query
-decided once modulo that product, modular perm(4) costs about 0.42 ms a
-suite against 0.34 ms in the exact ring (BENCH_34.json: scripts/bench.py
+decided once modulo that product, modular perm(4) costs about 0.37 ms a
+suite against 0.29 ms in the exact ring (BENCH_36.json: scripts/bench.py
 --section sampled minima, Python 3.11 on a 2-core x86-64 VM), and most of
 the difference is drawing the three 31-bit primes, about 25 us each: the
 gcd with the odd primes below 256 keeps four odd candidates in five from

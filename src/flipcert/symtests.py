@@ -13,27 +13,27 @@ Each target's characterizing symmetries are written once, in `_laws`:
 
 Each law asserts p(g X) == factor * p(X).  A static law (kind, head, note,
 dest, factor) permutes the variables by dest, `oracles.var_map`'s, with a
-factor of None for invariance.  A drawn law (kind, head, part, power) reads
-its draw through part: `add_pairs` for a row addition's y, or a
+factor of None for invariance.  A drawn law (kind, head, part, power)
+reads its draw through part: `add_pairs` for a row addition's y, or a
 `scale_reader` for a diagonal's mu, with factor prod(mu)^power, 0 meaning
 invariance.  Sampled mode queries every law at each round's random X, its
 params the head, the round and any draw; its seed-free part is one cached
 template per shape, read from these rows, so a call pays for its seeds,
-draws and acted points.  Exhaustive mode makes each law, at fixed draws, a
-check (kind, note, var map, factor) on the circuit's expansion (`_check`),
-and the nullspace solves the permanent's checks.  A suite also asks for
-nonzero values, for E vanishing on a singular primary submatrix, and
-optionally the normalization C(I) = 1 or E(X0) = 1 at the all-unit-columns
-point.  The self-reduction suite C_i(Y) = sum_j y_1j C_{i-1}(Y_j) is kept
-for contrast: its queries touch i+1 points, a law's 2.
+draws, acted points and one run; the verifiers build no Query.  Exhaustive
+mode makes each law, at fixed draws, a check (kind, note, var map, factor)
+on the circuit's expansion (`_check`), and the nullspace solves the
+permanent's checks.  A suite also asks for nonzero values, for E vanishing
+on a singular primary submatrix, and optionally the normalization C(I) = 1
+or E(X0) = 1 at the all-unit-columns point.  The self-reduction suite
+C_i(Y) = sum_j y_1j C_{i-1}(Y_j) is kept for contrast: its queries touch
+i+1 points, a law's 2.
 
-A query point is a flat row-major tuple of ints, from generation through
-`run_queries` to the certificate text; its shape, (SQUARE, n) or
-(BLOCK, m, k), belongs to the suite and comes from the target dimensions,
-so a `Query` does not carry it.  Every drawn entry, of a point or of a
-group element, comes from `util.rand_point`: CPython's randrange rule
-inlined, so the draws, and with them the query text and certificate bytes,
-are those `rng.randrange(lo, hi + 1)` gives.
+A query point is a flat row-major tuple of ints, from generation to the
+certificate text; its shape, (SQUARE, n) or (BLOCK, m, k), belongs to the
+suite and comes from the target dimensions, so a `Query` does not carry it.
+Every drawn entry, of a point or a group element, is `util.rand_point`'s:
+CPython's randrange rule inlined, so the draws, the query text and the
+certificate bytes are those `rng.randrange(lo, hi + 1)` gives.
 
 Queries evaluate either over exact integers or modulo a few fresh random
 primes.  Exhaustive mode replaces sampling with exact identity checks on
@@ -123,7 +123,7 @@ REL_CONST = "const"  # v0 == coeffs[0]
 
 
 # Query and Verdict are named tuples, as flipcert's package docstring says
-# records are; a suite makes one of each per query.
+# records are; a verifier makes one Verdict per query and no Query.
 class Query(NamedTuple):
     kind: str
     params: tuple
@@ -185,7 +185,6 @@ class VerifyConfig:
 class VerifyResult(NamedTuple):
     accept: bool
     mode: str
-    queries: tuple[Query, ...]
     verdicts: tuple[Verdict, ...]
     error_bound: float
     notes: tuple[str, ...] = ()
@@ -329,10 +328,11 @@ def require_row_law(m: int, det_factor_mode: str) -> None:
 # sampled suites
 #
 # A suite's shape, (target, dims, det mode, rounds, nonzero count, normalize),
-# fixes all but its draws: _template holds that part.  A call seeds its
-# streams, draws, computes the acted points as columns and puts the queries
-# together in canonical order, canonicalize_queries'; it orders only each
-# tie, one (i, j)'s row additions, whose params put the drawn y first.
+# fixes all but its draws: _template holds that part, its rows in canonical
+# order, canonicalize_queries'.  A call seeds its streams, draws, computes
+# the acted points as columns and orders only each tie, one (i, j)'s row
+# additions, whose params put the drawn y first.  A verifier decides the
+# rows on the columns; only gen_queries_* makes them Query tuples.
 
 
 class _Template(NamedTuple):
@@ -348,7 +348,6 @@ class _Template(NamedTuple):
     params: tuple  # the seed-free queries'; a call appends the drawn laws'
     coeffs: tuple  # the same
     rows: tuple  # (kind, relation, params index, pick, slots), canonical order
-    slots: tuple  # each row's
     ties: tuple  # (lo, hi) slices of rows, one (i, j)'s row additions
     nonzero: int  # the nonzero count
     one: tuple  # (the normalization point,), or () without normalization
@@ -396,7 +395,6 @@ def _template(target: str, dims: tuple, det_mode: str, rounds: int,
         dims, size, rounds, label, size + len(adds) + len(diags) * m * corrected,
         tuple(mover(law[3]) for law in static), adds, diags,
         tuple(q[1] for q in fixed), tuple(q[3] for q in fixed), rows,
-        tuple(row[-1] for row in rows),
         tuple((lo, lo + rounds) for lo in adds_at[::rounds]) if rounds > 1 else (),
         nonzero_count, (one,) * normalize,
         tuple(Verdict(i, row[0], True) for i, row in enumerate(rows)))
@@ -411,8 +409,9 @@ def _literal_diag_entries(rng: random.Random, m: int) -> tuple[int, ...]:
 
 
 def _suite(t: _Template, seed: int, box: tuple[int, int]) -> tuple:
-    """(queries, columns, slots): the queries in canonical order, each drawn
-    or acted point once as a column, and each query's columns."""
+    """(columns, params, coeffs, rows): each drawn or acted point once as a
+    column, each query's params and coeffs, and the template's rows in
+    canonical order, each tie in its draws' order."""
     dims, m, size, movers = t.dims, t.dims[0], t.size, t.movers
     columns, params, coeffs = [], list(t.params), list(t.coeffs)
     column, param, coeff = columns.append, params.append, coeffs.append
@@ -444,20 +443,21 @@ def _suite(t: _Template, seed: int, box: tuple[int, int]) -> tuple:
     columns += [rand_point(rng, size, box)
                 for rng in streams(t.nonzero, t.label + "nz", *dims, seed)]
     columns += t.one
-    rows, slots = t.rows, t.slots
+    rows = t.rows
     if t.ties:  # each in its rounds' text order, which decides between equal ys
         rows = list(rows)
         for lo, hi in t.ties:
             rows[lo:hi] = sorted(rows[lo:hi], key=lambda row: str(params[row[2]][3]))
-        slots = [row[-1] for row in rows]
-    new = tuple.__new__  # as Query._make builds, without its length check
-    return tuple([new(Query, (kind, params[at], rel, coeffs[at], pick(columns)))
-                  for kind, rel, at, pick, _ in rows]), columns, slots
+    return columns, params, coeffs, rows
 
 
 def _sampled_suite(target, dims, det_mode, seed, rounds, box, nonzero_count, normalize) -> tuple:
-    """_suite of the shape's template."""
-    return _suite(_template(target, dims, det_mode, rounds, nonzero_count, normalize), seed, box)
+    """The queries of _suite on the shape's template, in canonical order."""
+    t = _template(target, dims, det_mode, rounds, nonzero_count, normalize)
+    columns, params, coeffs, rows = _suite(t, seed, box)
+    new = tuple.__new__  # as Query._make builds, without its length check
+    return tuple([new(Query, (kind, params[at], rel, coeffs[at], pick(columns)))
+                  for kind, rel, at, pick, _ in rows])
 
 
 def gen_queries_perm(
@@ -466,7 +466,7 @@ def gen_queries_perm(
 ) -> tuple[Query, ...]:
     """The permanent symmetry suite; deterministic in (n, seed, config)."""
     args = (seed, rounds, box, nonzero_count, normalize)
-    return _sampled_suite("perm", (n,), "det-corrected", *args)[0]
+    return _sampled_suite("perm", (n,), "det-corrected", *args)
 
 
 def gen_queries_selfreduce(n: int, seed: int, rounds: int = 1) -> tuple[Query, ...]:
@@ -495,7 +495,7 @@ def gen_queries_efun(
 ) -> tuple[Query, ...]:
     """The E-function suite; deterministic in (m, k, seed, config)."""
     args = (seed, rounds, box, nonzero_count, normalize)
-    return _sampled_suite("efun", (m, k), det_factor_mode, *args)[0]
+    return _sampled_suite("efun", (m, k), det_factor_mode, *args)
 
 
 @lru_cache(maxsize=16)
@@ -523,27 +523,26 @@ def _primary_vanish_point(rng, m, k, box) -> tuple:
 # query execution
 
 
-def _failures(queries: Sequence[Query], values: Sequence[int],
-              slots: Sequence[Sequence[int]], p: int = 0) -> list[int]:
-    """The indices of the queries whose relation fails on v_j =
-    values[slots[i][j]], query i's values, exactly, or on residues mod p if
-    p > 0: the one relation rule, run over a whole list in one loop.  The
-    relations are tested in the order of how often a suite asks for them."""
+def _failures(rows: Sequence[tuple], coeffs: Sequence[tuple], values: Sequence[int],
+              p: int = 0) -> list[int]:
+    """The indices of the rows (kind, relation, at, pick, slots) whose
+    relation fails on coeffs[at] and v_j = values[slots[j]], exactly, or on
+    residues mod p if p > 0: the one relation rule, over a whole list in
+    one loop, testing the relations by how often a suite asks for them."""
     out = []
-    for i, (q, s) in enumerate(zip(queries, slots)):
-        rel = q.relation
+    for i, (_, rel, at, _, s) in enumerate(rows):
         if rel == REL_EQUAL:
             diff = values[s[1]] - values[s[0]]
         elif rel == REL_SCALED:
-            diff = values[s[1]] - q.coeffs[0] * values[s[0]]
+            diff = values[s[1]] - coeffs[at][0] * values[s[0]]
         elif rel == REL_NONZERO:
             if not (values[s[0]] % p if p else values[s[0]]):
                 out.append(i)
             continue
         elif rel == REL_CONST:
-            diff = values[s[0]] - q.coeffs[0]
+            diff = values[s[0]] - coeffs[at][0]
         elif rel == REL_LINEAR:
-            diff = values[s[0]] - sum(c * values[t] for c, t in zip(q.coeffs, s[1:]))
+            diff = values[s[0]] - sum(c * values[t] for c, t in zip(coeffs[at], s[1:]))
         else:
             raise UsageError(f"unknown relation {rel!r}")
         if diff % p if p else diff:
@@ -551,9 +550,7 @@ def _failures(queries: Sequence[Query], values: Sequence[int],
     return out
 
 
-def query_verdict(
-    q: Query, vals: Sequence[int], moduli: Sequence[int] = (0,)
-) -> tuple[bool, list]:
+def query_verdict(q: Query, vals: Sequence[int], moduli: Sequence[int] = (0,)) -> tuple[bool, list]:
     """(passed, values) for one query, given the circuit's values at its points.
 
     The modulus 0 compares `vals` exactly.  Over primes, `vals` may be exact
@@ -562,78 +559,75 @@ def query_verdict(
     hold at every prime.  The values returned are the residues at the prime
     that settled the verdict (the last one tried).
     """
-    settles = q.relation == REL_NONZERO  # the verdict that stops the loop
+    return _settle(q.relation, q.coeffs, vals, moduli)
+
+
+def _settle(rel: str, coeffs: tuple, vals: Sequence[int], moduli: Sequence[int]) -> tuple:
+    """query_verdict of a query with this relation and these coeffs."""
+    settles = rel == REL_NONZERO  # the verdict that stops the loop
     ok, res = not settles, []
-    slots = range(len(vals))
+    row = ((None, rel, 0, None, range(len(vals))),)
     for p in moduli:
         res = [v % p for v in vals] if p else vals
-        ok = not _failures((q,), res, (slots,), p)
+        ok = not _failures(row, (coeffs,), res, p)
         if ok == settles:
             break
     return ok, res
 
 
-def run_queries(
-    c: Circuit,
-    queries: Sequence[Query],
-    ring: str = "exact",
-    prime_bits: int = 31,
-    prime_count: int = 3,
-    seed: int = 0,
-    columns: list | None = None,
-    slots: Sequence[Sequence[int]] = (),
-    passes: tuple[Verdict, ...] = (),
-) -> RunReport:
-    """Evaluate a query list against a circuit.
-
-    Exact mode compares BigInt values.  Modular mode draws prime_count fresh
-    random primes; equality-style relations must hold at every prime, the
-    nonzero relation is satisfied by a nonzero residue at any prime.
-
-    The circuit runs once, by run_many, over the columns: a verifier's suite
-    passes its own, each drawn or acted point once, query i reading columns[j]
-    for j in slots[i]; any other list's are its distinct points, checked
-    against c's arity.  The run is modulo rad, the product of the distinct
-    primes (0 in the exact ring, 1 with no prime).  A relation holds modulo
-    every prime iff it holds modulo rad, so each query is decided once; with
-    p drawn twice, a difference divisible by p but not p^2 would fail modulo
-    the product of all the primes.  The relation is read off the run's
-    values at the query's slots; only a failed query gathers its values and
-    walks its primes, through query_verdict, for the settling prime's
-    residues, which are those of the exact values, since Z/rad -> Z/p is a
-    ring map.  `passes`, from a suite's template, holds each query's verdict
-    should it pass, shared between calls; any other list's are made here.
-    """
+def _decide(prog: list, columns: list, rows: Sequence[tuple], coeffs: Sequence[tuple],
+            ring: str, prime_bits: int, prime_count: int, seed: int,
+            passes: tuple[Verdict, ...] = ()) -> RunReport:
+    """Run prog once over the columns and decide each row, a suite's or
+    run_queries', once modulo rad, the product of the distinct primes (0 in
+    the exact ring, 1 with no prime): a relation holds modulo every prime
+    iff modulo rad, and with p drawn twice a difference divisible by p but
+    not p^2 would fail modulo the product of all the primes.  Only a failed
+    row gathers its values; a failed modular one walks its primes, as
+    query_verdict does, for the settling prime's residues, the exact values'
+    as Z/rad -> Z/p is a ring map.  `passes`: each row's verdict if it passes."""
     if ring not in RING.choices:
         raise UsageError(f"unknown ring mode {ring!r}")
-    moduli: tuple[int, ...] = (0,)
-    primes: tuple[int, ...] = ()
+    moduli, primes = (0,), ()  # the exact ring's
     if ring == "modular":
         rng = seeded("queryprimes", seed, prime_bits)
         # random_prime returns only numbers is_prime accepts
         moduli = primes = tuple(random_prime(rng, prime_bits) for _ in range(prime_count))
     rad = prod(set(moduli))
-    if columns is None:
-        column: dict[tuple, int] = {}  # distinct flat point -> its batch column
-        slots = [[column.setdefault(P, len(column)) for P in q.points] for q in queries]
-        for P in column:
-            if len(P) != c.num_inputs:
-                raise ArityMismatch(
-                    f"query point has {len(P)} entries, circuit takes {c.num_inputs}"
-                )
-        columns = list(column)
-    values = run_many(lower(c), columns, rad)
-    failed = _failures(queries, values, slots, rad)
+    values = run_many(prog, columns, rad)
+    failed = _failures(rows, coeffs, values, rad)
     new = tuple.__new__  # as RunReport._make and Verdict._make build
-    verdicts = passes or tuple([new(Verdict, (i, q.kind, True, ())) for i, q in enumerate(queries)])
+    verdicts = passes or tuple([new(Verdict, (i, row[0], True, ())) for i, row in enumerate(rows)])
     if failed:
         verdicts = list(verdicts)
         for i in failed:
-            res = [values[j] for j in slots[i]]
-            if rad:  # the residues at the prime that settles it
-                res = query_verdict(queries[i], res, moduli)[1]
-            verdicts[i] = new(Verdict, (i, queries[i].kind, False, tuple(res)))
+            kind, rel, at, _, s = rows[i]
+            res = [values[j] for j in s]
+            if rad:
+                res = _settle(rel, coeffs[at], res, moduli)[1]
+            verdicts[i] = new(Verdict, (i, kind, False, tuple(res)))
     return new(RunReport, (not failed, tuple(verdicts), ring, primes))
+
+
+def run_queries(c: Circuit, queries: Sequence[Query], ring: str = "exact", prime_bits: int = 31,
+                prime_count: int = 3, seed: int = 0) -> RunReport:
+    """Evaluate an explicit query list against a circuit.
+
+    Exact mode compares BigInt values.  Modular mode draws prime_count fresh
+    random primes; equality-style relations must hold at every prime, the
+    nonzero relation is satisfied by a nonzero residue at any prime.  The
+    list's distinct points, checked against c's arity, are the columns of
+    one run, and each query is a row whose slots are its points' columns,
+    decided as a verifier decides its suite's rows (_decide).
+    """
+    column: dict[tuple, int] = {}  # distinct flat point -> its batch column
+    rows = [(q.kind, q.relation, i, None, [column.setdefault(P, len(column)) for P in q.points])
+            for i, q in enumerate(queries)]
+    for P in column:
+        if len(P) != c.num_inputs:
+            raise ArityMismatch(f"query point has {len(P)} entries, circuit takes {c.num_inputs}")
+    return _decide(lower(c), list(column), rows, [q.coeffs for q in queries], ring, prime_bits,
+                   prime_count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -859,21 +853,19 @@ def _verify_claims(
     if cfg.mode == "exhaustive":
         check_eval_budget(prog, cfg.sample_width + 1)  # 2^w, the box's widest entry
         accept, verdicts, more = exhaustive(c, *dims, cfg)
-        queries = ()
     else:
         box = cfg.box()
         if cfg.ring == "exact":  # a suite's widest entry: a box entry times a drawn factor
             check_eval_budget(prog, 2 * box[1].bit_length())
         t = _template(target, dims, cfg.det_factor_mode, cfg.rounds, cfg.nonzero_count,
                       cfg.normalize)
-        queries, columns, slots = _suite(t, cfg.seed, box)
-        report = run_queries(c, queries, cfg.ring, cfg.prime_bits, cfg.prime_count,
-                             cfg.seed, columns, slots, t.passes)
+        columns, _, coeffs, rows = _suite(t, cfg.seed, box)
+        report = _decide(prog, columns, rows, coeffs, cfg.ring, cfg.prime_bits, cfg.prime_count,
+                         cfg.seed, t.passes)
         accept, verdicts, more = report.accept, report.verdicts, (f"ring={report.mode}",)
         bound = sampled_error_bound(formal_degree(prog), box, cfg.rounds)
     # as VerifyResult._make builds
-    return tuple.__new__(VerifyResult, (accept, cfg.mode, queries, tuple(verdicts), bound,
-                                        notes + more))
+    return tuple.__new__(VerifyResult, (accept, cfg.mode, tuple(verdicts), bound, notes + more))
 
 
 # ---------------------------------------------------------------------------

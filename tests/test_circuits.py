@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuit_ops import circuit_from_ops
+from flipcert import circuits
 from flipcert.circuits import (
     OP_ADD,
     OP_CONST,
@@ -207,6 +208,17 @@ def test_expansion_memo_reexpands_under_a_smaller_budget():
     assert _budget_message(c, 10) == fresh == "node 6 expansion passed 10 terms"
     assert len(expand_to_polynomial(c, max_terms=33)) == 33
     assert _budget_message(c, 32) == "node 7 expansion passed 32 terms"
+
+
+def test_product_budget_is_checked_before_each_product(monkeypatch):
+    # the squarings of (x + 1)^32 form 4, 9, 25, 81 and 289 term products,
+    # 408 in all; the check before node 7's squaring sees 119 + 289
+    monkeypatch.setattr(circuits, "MAX_TERM_PRODUCTS", 407)
+    with pytest.raises(TermBudgetExceeded,
+                       match="^node 7 expansion would pass 407 term products$"):
+        expand_to_polynomial(_binomial_power_circuit())
+    monkeypatch.setattr(circuits, "MAX_TERM_PRODUCTS", 408)
+    assert len(expand_to_polynomial(_binomial_power_circuit())) == 33
 
 
 def test_expansion_memo_hands_out_copies():

@@ -189,6 +189,22 @@ def test_exact_runs_refuse_a_step_past_the_evaluation_budget(tmp_path, capsys):
     assert rc == 1 and out.endswith("ring=modular\n")
 
 
+def test_exhaustive_mode_stops_an_expansion_past_its_term_products(tmp_path, capsys):
+    # (x0 + x1) squared 16 times ran until killed: its bit bound is exactly
+    # the evaluation budget, and no node passes the term budget until the
+    # last squaring, but the squarings form about 1.4e9 term products
+    path = tmp_path / "sum16.ac"
+    path.write_text("ninputs 4\ng0 = input 0\ng1 = input 1\ng2 = add g0 g1\n" + "".join(
+        f"g{t} = mul g{t - 1} g{t - 1}\n" for t in range(3, 19)) + "output g18\n")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["verify-perm", "--n", "2", "--mode", "exhaustive",
+                                "--circuit", str(path)])
+    assert time.perf_counter() - start < 5
+    assert (rc, out) == (3, "")
+    assert err == (f"budget: node 13 expansion would pass {circuits.MAX_TERM_PRODUCTS} term "
+                   "products\n")
+
+
 def test_derive_cert_refuses_a_tape_scan_past_the_budget(tmp_path, capsys):
     # `gen-design --l 20 --r 3 --kcap 1 --rows 20` at 20 seed bits took 33 s
     # and 1.1 GB; the scan's 2^20 seeds x 20 rows are checked before it runs

@@ -610,9 +610,10 @@ RELATION_CASES = (
     spread=st.permutations(range(6)),
 )
 def test_relation_rule_agrees_with_query_verdict(case, vals, primes, spread):
-    # the rule reads the query's values where run_queries keeps them, in one
-    # value list at the query's slots, and decides modulo the product of
-    # the distinct primes; small values make every relation hold sometimes
+    # the rule reads a row (kind, relation, at, pick, slots): its coeffs at
+    # `at` in a coeffs list, its values in one value list at its slots, as a
+    # run keeps them, and decides modulo the product of the distinct primes;
+    # small values make every relation hold sometimes
     rel, coeffs = case
     n = len(coeffs) + 1 if rel == REL_LINEAR else 1 + (rel in (REL_EQUAL, REL_SCALED))
     vals = vals[:n]
@@ -624,7 +625,8 @@ def test_relation_rule_agrees_with_query_verdict(case, vals, primes, spread):
     moduli = primes or (0,)  # no prime: the exact ring
     rad = prod(set(moduli))
     want = _oracle_verdict(q, vals, primes)
-    assert _failures([q], values, [slots], rad) == ([] if want[0] else [0])
+    row = ("k", rel, 1, None, slots)
+    assert _failures([row], [(), coeffs], values, rad) == ([] if want[0] else [0])
     assert query_verdict(q, vals, moduli) == want
     if not primes:  # in the exact ring a failed query reports its values
         got = run_queries(circuit_from_ops(1, [("input", 0)]), [q])
