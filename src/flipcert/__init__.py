@@ -3,10 +3,9 @@
 certificates for arithmetic circuits over exact integer arithmetic.
 
 A record is a typing.NamedTuple.  It is a dataclass only where a
-constructor validates (DesignParams), a field is left out of equality
-(ObstructionCertificate), config.declare builds it (VerifyConfig, CertConfig,
-EnumeratedClass), or the enumerator builds one per node (Circuit and pit's
-candidates).  Each record class is built at import: a frozen dataclass
+constructor validates (DesignParams), config.declare builds it (VerifyConfig,
+CertConfig, EnumeratedClass), or the enumerator builds one per node (Circuit
+and pit's candidates).  Each record class is built at import: a frozen dataclass
 took 0.95-1.08 ms to create, a NamedTuple with the same fields 0.135 ms
 (Python 3.11.7, 2-core Xeon VM)."""
 

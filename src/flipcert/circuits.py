@@ -352,35 +352,34 @@ def evaluate(c: Circuit, point: Sequence[int]) -> int:
 
 Poly = dict
 
-# expand_to_polynomial's last success: (circuit, budget, expansion).  One
-# slot, not one per circuit: a class sweep holds tens of thousands of
-# circuits, and a member is expanded again right after its first expansion.
-_last_expansion: tuple = (None, 0, {})
+# expand_to_polynomial's last success: (circuit, expansion).  One slot, not
+# one per circuit: a class sweep holds tens of thousands of circuits, and a
+# member is expanded again right after its first expansion.
+_last_expansion: tuple = (None, {})
+MAX_TERMS = 200_000  # monomials one node's expansion may hold, for every caller
 # term products one expansion may form, about 1.5 us each: exhaustive E(3,2)
 # forms 407,598; (x0 + x1) squared 16 times stops after 351,581, in 0.5 s
 MAX_TERM_PRODUCTS = 1_000_000
 
 
-def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
+def expand_to_polynomial(c: Circuit) -> Poly:
     """Exact expansion of the output as a sparse integer polynomial.
 
     Raises TermBudgetExceeded as soon as any intermediate node's expansion
-    holds more than max_terms monomials, or before a product would take the
+    holds more than MAX_TERMS monomials, or before a product would take the
     products formed past MAX_TERM_PRODUCTS, nodes after the output included.
     Every coefficient is nonzero, so a sum that cancels was stored before
     and is deleted; the exhaustive checks in symtests rely on it.
 
-    The last successful expansion is remembered with its circuit object
-    and budget.  A call on that same object with a budget at least as large
-    would pass every node's check again, so it returns a copy of the
-    remembered result; a smaller budget expands again, so it raises at the
-    same node with the same message as it would have.  Every call returns a
+    The last successful expansion is remembered with its circuit object; a
+    call on that same object returns a copy of it.  Every call returns a
     dict the caller owns.
     """
     global _last_expansion
-    last, budget, poly = _last_expansion
-    if last is c and max_terms >= budget:
+    last, poly = _last_expansion
+    if last is c:
         return dict(poly)
+    max_terms = MAX_TERMS
     zero_exp = (0,) * c.num_inputs
     add = operator.add
     polys: list[Poly] = []
@@ -425,7 +424,7 @@ def expand_to_polynomial(c: Circuit, max_terms: int = 100_000) -> Poly:
             raise TermBudgetExceeded(f"node {t} expansion passed {max_terms} terms")
         push(p)
     poly = polys[c.output]
-    _last_expansion = (c, max_terms, poly)
+    _last_expansion = (c, poly)
     return dict(poly)
 
 

@@ -20,7 +20,7 @@ table is random, not derived from a hard function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import product
 from typing import Callable, NamedTuple
@@ -69,7 +69,6 @@ from .symtests import (
     DET_MODE,
     MAX_NONZERO,
     MAX_ROUNDS,
-    MAX_TERMS,
     SAMPLE_WIDTH,
     Query,
     canonicalize_queries,
@@ -179,13 +178,11 @@ def random_truth_table(r: int, seed: int = 0) -> tuple[int, ...]:
     return tuple(rng.getrandbits(1) for _ in range(1 << r))
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(NamedTuple):
     design: Design
     config: CertConfig
     queries: tuple[Query, ...]
     points: tuple[tuple[int, ...], ...]  # flat row-major, in the target's shape
-    derive_seconds: float = field(compare=False, default=0.0)
 
     def label(self) -> bytes:
         return encode_design(self.design)
@@ -238,15 +235,14 @@ def derive_certificate(design: Design, config: CertConfig) -> ObstructionCertifi
                       det_factor_mode=config.det_factor_mode)
     gen = partial(gen, rounds=config.rounds_per_tape, box=config.box(),
                   nonzero_count=config.nonzero_count, normalize=config.normalize)
-    with Stopwatch() as sw:
-        tapes = sorted(_tapes(design, config.truth_table, config.seed_bits))
-        suites = [gen(seed=derive_seed("tape", tape)) for tape in tapes]
-        queries = canonicalize_queries([q for qs in suites for q in qs])
-        points = tuple(sorted({P for q in queries for P in q.points}))
+    tapes = sorted(_tapes(design, config.truth_table, config.seed_bits))
+    suites = [gen(seed=derive_seed("tape", tape)) for tape in tapes]
+    queries = canonicalize_queries([q for qs in suites for q in qs])
+    points = tuple(sorted({P for q in queries for P in q.points}))
     per_tape_max = max(map(len, suites))
     assert len(queries) <= len(tapes) * per_tape_max
     assert len(points) <= len(tapes) * per_tape_max * 2
-    return ObstructionCertificate(design, config, queries, points, sw.seconds)
+    return ObstructionCertificate(design, config, queries, points)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +365,7 @@ def decode_counterexample(cert: ObstructionCertificate, c: Circuit) -> DecodeRes
     prog = lower(c)
     check_eval_budget(prog, 2 * cert.config.box()[1].bit_length())  # as a sampled suite's
     for idx, q in enumerate(cert.queries):
-        passed, vals = query_verdict(q, run_many(prog, q.points))
+        passed, vals = query_verdict(q.relation, q.coeffs, run_many(prog, q.points))
         if passed:
             continue
         direct = None
@@ -422,8 +418,8 @@ class FReport(NamedTuple):
 
 def _target_polynomial(config: CertConfig) -> dict:
     if config.target == "perm":
-        return expand_to_polynomial(perm_circuit(config.n), MAX_TERMS)
-    return expand_to_polynomial(efun_circuit(config.m, config.k), MAX_TERMS)
+        return expand_to_polynomial(perm_circuit(config.n))
+    return expand_to_polynomial(efun_circuit(config.m, config.k))
 
 
 def harness_F(
@@ -497,7 +493,7 @@ def harness_F(
         members = failures = max_set = 0
         for c in cls.members():
             members += 1
-            poly = expand_to_polynomial(c, MAX_TERMS)
+            poly = expand_to_polynomial(c)
             if poly == target_poly:
                 raise TargetComputable(
                     "a class member computes the target exactly", circuit=c
@@ -624,7 +620,7 @@ def trivial_obstruction_table(
             raise UsageError(
                 f"class member reads {c.num_inputs} inputs, target has {nvars}"
             )
-        poly = expand_to_polynomial(c, MAX_TERMS)
+        poly = expand_to_polynomial(c)
         key = tuple(sorted(poly.items()))
         if key not in row_of:
             diff = poly_sub(poly, target_poly)

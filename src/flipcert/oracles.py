@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -247,11 +246,9 @@ def var_map(g: GroupElement, shape: tuple, side: str) -> tuple:
     every (d, s) in pairs, where add = (pairs, y).  'left' acts on rows,
     'right' on columns.
 
-    No map is cached here.  A permutation's dest is built once per shape by
-    the suites' cached law table, symtests._laws, and read through mover's
-    cache, by act or a suite template; Diagonal and ElementaryAdd carry
-    drawn entries, so their maps are built per call from cached per-shape
-    parts, scale_reader's index and add_pairs, which _laws' drawn rows hold.
+    Nothing is cached here: symtests._laws builds each shape's permutation
+    dests and drawn parts, scale_reader's index and add_pairs, under its
+    cached callers, a suite template and the exhaustive tables.
     """
     if side not in ("left", "right"):
         raise UsageError(f"side must be 'left' or 'right', got {side!r}")
@@ -303,13 +300,11 @@ def reader(index: Sequence[int]):
     return get if len(index) > 1 else lambda seq: (get(seq),)
 
 
-@lru_cache(maxsize=1024)
 def mover(dest: tuple):
     """The reader that moves entry v of a point to index dest[v]."""
     return reader(sorted(range(len(dest)), key=dest.__getitem__))
 
 
-@lru_cache(maxsize=64)
 def scale_reader(shape: tuple, side: str):
     """The reader taking a diagonal's entries, as many as the side needs, to
     its scale: each variable's row entry on the left, column entry on the
@@ -319,7 +314,6 @@ def scale_reader(shape: tuple, side: str):
     return reader([v // ncols if side == "left" else v % ncols for v in range(shape[1] * ncols)])
 
 
-@lru_cache(maxsize=256)
 def add_pairs(i: int, j: int, shape: tuple, side: str) -> tuple:
     """The (d, s) pairs of ElementaryAdd(i, j, y)'s map, for every y."""
     nrows, ncols = shape[1], row_width(shape)

@@ -29,11 +29,13 @@ from .circuits import (
     run_many,
 )
 from .config import BOUND, REGIME, declare
-from .errors import ArityMismatch, ParseError, PoolExhausted, UsageError
+from .errors import ArityMismatch, BudgetExceeded, ParseError, PoolExhausted, UsageError
 from .fields import int_bitlength
 from .util import Stopwatch, derive_seed, int_token, quoted, rand_point, sample_box, seeded
 
-MAX_TERMS = 10_000  # expansion budget of the zero test on class members
+# a class's size estimate that members() enumerates at: the bound-6
+# F1b-shaped class (4 inputs, alphabet -1,0,1) reads 1.27e8, bound 7 1.1e10
+MAX_CLASS_ESTIMATE = 1 << 30
 MAX_TRIALS = 10_000  # pit_random's trials, each one circuit evaluation
 MAX_POOL = 4096  # a hitting-set pool's points, each run on every member
 
@@ -62,7 +64,21 @@ class EnumeratedClass:
             f" regime={self.regime} alphabet={alpha}"
         )
 
+    def size_estimate(self) -> int:
+        """At least the member count: step t < bound places one of at most
+        n + |A| + 2t^2 + t candidates or stops, as every node costs at least
+        1.  The product stops once past MAX_CLASS_ESTIMATE."""
+        est, base = 1, self.num_inputs + len(self.alphabet) + 1
+        for t in range(self.bound):
+            est *= base + 2 * t * t + t
+            if est > MAX_CLASS_ESTIMATE:
+                break
+        return est
+
     def members(self) -> Iterator[Circuit]:
+        if self.size_estimate() > MAX_CLASS_ESTIMATE:
+            raise BudgetExceeded(f"class {self.label()} may hold more than "
+                                 f"{MAX_CLASS_ESTIMATE} members, the enumeration budget")
         return enumerate_circuits(self)
 
 
@@ -282,32 +298,28 @@ class HitReport(NamedTuple):
     members_checked: int
     nonzero_members: int
     evaluations: int
-    seconds: float
 
 
 def verify_hitting_set(hs: HittingSet) -> HitReport:
     """Exhaustive check: every nonzero member must be nonzero somewhere on
 
     the point list.  Returns the first violator in enumeration order."""
-    evals = 0
-    checked = 0
-    nonzero = 0
+    evals = checked = nonzero = 0
     violator = None
-    with Stopwatch() as sw:
-        for c in hs.cls.members():
-            checked += 1
-            if not expand_to_polynomial(c, max_terms=MAX_TERMS):
-                continue
-            nonzero += 1
-            for pt in hs.points:
-                check_arity(c, pt)
-            vals = run_many(lower(c), hs.points)
-            # a point-by-point check would stop at the first nonzero value
-            hit = next((i for i, v in enumerate(vals) if v), None)
-            evals += len(vals) if hit is None else hit + 1
-            if hit is None and violator is None:
-                violator = c
-    return HitReport(violator is None, violator, checked, nonzero, evals, sw.seconds)
+    for c in hs.cls.members():
+        checked += 1
+        if not expand_to_polynomial(c):
+            continue
+        nonzero += 1
+        for pt in hs.points:
+            check_arity(c, pt)
+        vals = run_many(lower(c), hs.points)
+        # a point-by-point check would stop at the first nonzero value
+        hit = next((i for i, v in enumerate(vals) if v), None)
+        evals += len(vals) if hit is None else hit + 1
+        if hit is None and violator is None:
+            violator = c
+    return HitReport(violator is None, violator, checked, nonzero, evals)
 
 
 def build_hitting_set_greedy(
@@ -341,7 +353,7 @@ def build_hitting_set_greedy(
     hits = [0] * len(pool)
     mi = 0
     for c in cls.members():
-        if not expand_to_polynomial(c, max_terms=MAX_TERMS):
+        if not expand_to_polynomial(c):
             continue
         if c.num_inputs != cls.num_inputs:
             raise ArityMismatch(
@@ -395,7 +407,8 @@ def hitting_set_axioms_report(hs: HittingSet) -> dict:
     """The four desk-scale axioms: short, rich, easy to verify, easy to
 
     construct (construction time is reported by the builder's caller)."""
-    rep = verify_hitting_set(hs)
+    with Stopwatch() as sw:
+        rep = verify_hitting_set(hs)
     return {
         "points": len(hs.points),
         "total_bits": hs.total_bits,
@@ -403,7 +416,7 @@ def hitting_set_axioms_report(hs: HittingSet) -> dict:
         "nonzero_members": rep.nonzero_members,
         "members": rep.members_checked,
         "verify_evaluations": rep.evaluations,
-        "verify_seconds": rep.seconds,
+        "verify_seconds": sw.seconds,
     }
 
 

@@ -104,7 +104,6 @@ E_KGEN = "EKGen"
 E_PRIMARY_VANISH = "EPrimaryVanish"
 NORMALIZE = "Normalize"
 
-MAX_TERMS = 200_000  # expansion budget of the exhaustive checks
 EXTRA_DIAGONALS = 2  # sampled diagonals beyond the prime one, per check set
 # the most primes a modular run draws; a count of 10^8 was still drawing
 # after 15 s
@@ -269,7 +268,6 @@ def serialize_query(q: Query, shape: tuple) -> str:
 # the symmetry laws: each target's, once, as static and drawn rows
 
 
-@lru_cache(maxsize=16)
 def _laws(target: str, dims: tuple, corrected: bool) -> tuple[tuple, tuple]:
     """(static, drawn), the rows of the module docstring.  The permanent's
     static laws are its swaps, its drawn laws the left and right diagonals;
@@ -550,8 +548,8 @@ def _failures(rows: Sequence[tuple], coeffs: Sequence[tuple], values: Sequence[i
     return out
 
 
-def query_verdict(q: Query, vals: Sequence[int], moduli: Sequence[int] = (0,)) -> tuple[bool, list]:
-    """(passed, values) for one query, given the circuit's values at its points.
+def query_verdict(rel: str, coeffs: tuple, vals: Sequence, moduli: Sequence = (0,)) -> tuple:
+    """(passed, values) for one query's relation and coeffs, given the values at its points.
 
     The modulus 0 compares `vals` exactly.  Over primes, `vals` may be exact
     or reduced mod any multiple of every prime; the nonzero relation passes
@@ -559,11 +557,6 @@ def query_verdict(q: Query, vals: Sequence[int], moduli: Sequence[int] = (0,)) -
     hold at every prime.  The values returned are the residues at the prime
     that settled the verdict (the last one tried).
     """
-    return _settle(q.relation, q.coeffs, vals, moduli)
-
-
-def _settle(rel: str, coeffs: tuple, vals: Sequence[int], moduli: Sequence[int]) -> tuple:
-    """query_verdict of a query with this relation and these coeffs."""
     settles = rel == REL_NONZERO  # the verdict that stops the loop
     ok, res = not settles, []
     row = ((None, rel, 0, None, range(len(vals))),)
@@ -583,9 +576,9 @@ def _decide(prog: list, columns: list, rows: Sequence[tuple], coeffs: Sequence[t
     the exact ring, 1 with no prime): a relation holds modulo every prime
     iff modulo rad, and with p drawn twice a difference divisible by p but
     not p^2 would fail modulo the product of all the primes.  Only a failed
-    row gathers its values; a failed modular one walks its primes, as
-    query_verdict does, for the settling prime's residues, the exact values'
-    as Z/rad -> Z/p is a ring map.  `passes`: each row's verdict if it passes."""
+    row gathers its values; a failed modular one walks its primes through
+    query_verdict for the settling prime's residues, the exact values' as
+    Z/rad -> Z/p is a ring map.  `passes`: each row's verdict if it passes."""
     if ring not in RING.choices:
         raise UsageError(f"unknown ring mode {ring!r}")
     moduli, primes = (0,), ()  # the exact ring's
@@ -604,7 +597,7 @@ def _decide(prog: list, columns: list, rows: Sequence[tuple], coeffs: Sequence[t
             kind, rel, at, _, s = rows[i]
             res = [values[j] for j in s]
             if rad:
-                res = _settle(rel, coeffs[at], res, moduli)[1]
+                res = query_verdict(rel, coeffs[at], res, moduli)[1]
             verdicts[i] = new(Verdict, (i, kind, False, tuple(res)))
     return new(RunReport, (not failed, tuple(verdicts), ring, primes))
 
@@ -793,14 +786,14 @@ def _efun_table(m: int, k: int, cfg: VerifyConfig) -> _Table:
 
 
 def _exhaustive_perm(c: Circuit, n: int, cfg: VerifyConfig) -> tuple:
-    poly = expand_to_polynomial(c, max_terms=MAX_TERMS)
+    poly = expand_to_polynomial(c)
     last = (poly_eval(poly, identity_point(n)) == 1,) if cfg.normalize else ()
     accept, verdicts = _perm_table(n, cfg).outcome(poly, bool(poly), *last)
     return accept, verdicts, (f"expansion terms={len(poly)}",)
 
 
 def _exhaustive_efun(c: Circuit, m: int, k: int, cfg: VerifyConfig) -> tuple:
-    poly = expand_to_polynomial(c, max_terms=MAX_TERMS)
+    poly = expand_to_polynomial(c)
     last = (not poly_subst_consts(poly, _primary_vanish_bindings(m, k)),)
     if cfg.normalize:
         last += (poly_eval(poly, unit_columns_point(m, k)) == 1,)

@@ -167,7 +167,7 @@ def test_expand_zero_polynomial_is_empty():
     assert poly_total_degree({}) == -1
 
 
-def test_expand_term_budget():
+def test_expand_term_budget(monkeypatch):
     # (x+1)^32 has 33 terms
     lines = ["ninputs 1", "g1 = input 0", "g2 = const 1", "g3 = add g1 g2"]
     prev = 3
@@ -176,16 +176,19 @@ def test_expand_term_budget():
         prev += 1
     lines.append(f"output g{prev}")
     c = parse_circuit("\n".join(lines) + "\n")
+    monkeypatch.setattr(circuits, "MAX_TERMS", 10)
     with pytest.raises(TermBudgetExceeded):
-        expand_to_polynomial(c, max_terms=10)
-    assert len(expand_to_polynomial(c, max_terms=100)) == 33
+        expand_to_polynomial(c)
+    monkeypatch.setattr(circuits, "MAX_TERMS", 100)
+    assert len(expand_to_polynomial(c)) == 33
 
 
-def test_term_budget_checked_after_a_sum():
+def test_term_budget_checked_after_a_sum(monkeypatch):
     # x0 + x1 has two terms: the budget check after an ADD node fires
     c = parse_circuit("ninputs 2\ng1 = input 0\ng2 = input 1\ng3 = add g1 g2\noutput g3\n")
+    monkeypatch.setattr(circuits, "MAX_TERMS", 1)
     with pytest.raises(TermBudgetExceeded, match="node 2 expansion passed 1 terms"):
-        expand_to_polynomial(c, max_terms=1)
+        expand_to_polynomial(c)
 
 
 def _binomial_power_circuit() -> Circuit:
@@ -195,19 +198,21 @@ def _binomial_power_circuit() -> Circuit:
     return parse_circuit("\n".join(lines + ["output g8"]) + "\n")
 
 
-def _budget_message(c: Circuit, budget: int) -> str:
+def _budget_message(c: Circuit) -> str:
     with pytest.raises(TermBudgetExceeded) as ei:
-        expand_to_polynomial(c, max_terms=budget)
+        expand_to_polynomial(c)
     return str(ei.value)
 
 
-def test_expansion_memo_reexpands_under_a_smaller_budget():
+def test_a_failed_expansion_fails_again_at_the_same_node(monkeypatch):
+    # only a success is remembered, so the same circuit object raises at
+    # the same node with the same message as a fresh one
+    monkeypatch.setattr(circuits, "MAX_TERMS", 10)
     c = _binomial_power_circuit()
-    fresh = _budget_message(_binomial_power_circuit(), 10)
-    assert len(expand_to_polynomial(c, max_terms=100)) == 33  # remembered
-    assert _budget_message(c, 10) == fresh == "node 6 expansion passed 10 terms"
-    assert len(expand_to_polynomial(c, max_terms=33)) == 33
-    assert _budget_message(c, 32) == "node 7 expansion passed 32 terms"
+    fresh = _budget_message(_binomial_power_circuit())
+    assert _budget_message(c) == _budget_message(c) == fresh == "node 6 expansion passed 10 terms"
+    monkeypatch.setattr(circuits, "MAX_TERMS", 32)
+    assert _budget_message(c) == "node 7 expansion passed 32 terms"
 
 
 def test_product_budget_is_checked_before_each_product(monkeypatch):
@@ -226,7 +231,7 @@ def test_expansion_memo_hands_out_copies():
     first = expand_to_polynomial(c)
     want = dict(first)
     first.clear()
-    second = expand_to_polynomial(c, max_terms=200_000)  # a larger budget hits
+    second = expand_to_polynomial(c)
     assert second == want
     second[(99,)] = 1
     del second[(0,)]
@@ -299,7 +304,7 @@ def _random_circuit(rng: random.Random, num_inputs: int, extra: int) -> Circuit:
 def test_expansion_agrees_with_evaluation_on_random_circuits(seed, ninp, extra):
     rng = random.Random(seed)
     c = _random_circuit(rng, ninp, extra)
-    poly = expand_to_polynomial(c, max_terms=5000)
+    poly = expand_to_polynomial(c)
     for _ in range(5):
         pt = tuple(rng.randrange(-5, 6) for _ in range(ninp))
         assert poly_eval(poly, pt) == evaluate(c, pt)

@@ -189,6 +189,30 @@ def test_exact_runs_refuse_a_step_past_the_evaluation_budget(tmp_path, capsys):
     assert rc == 1 and out.endswith("ring=modular\n")
 
 
+def test_class_commands_stop_at_the_class_budget(tmp_path, capsys):
+    # these ran until killed: a bound-40 class is refused before the first
+    # member, whatever reads it
+    design, cert, hs = tmp_path / "design.hex", tmp_path / "cert.txt", tmp_path / "hs.txt"
+    design.write_text(DESIGN_HEX)
+    assert run(capsys, ["derive-cert", "--design", str(design), "--n", "2", "--bound", "41",
+                        "--out", str(cert)])[0] == 0
+    hs.write_text("hitting-set v1\nclass enumerated n=1 bound=40 regime=size alphabet=1\n"
+                  "points 1\n1\n")
+    for argv, n in (
+        (["trivial-table", "--ninputs", "4", "--bound", "40", "--alphabet=1", "--n", "2"], 4),
+        (["harness-f", "--cert", str(cert), "--ninputs", "4", "--bound", "40",
+          "--alphabet=1"], 4),
+        (["verify-hitting-set", "--file", str(hs)], 1),
+    ):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (3, "")
+        assert err == (f"budget: class enumerated n={n} bound=40 regime=size alphabet=1 may "
+                       f"hold more than {pit.MAX_CLASS_ESTIMATE} members, the enumeration "
+                       "budget\n")
+
+
 def test_exhaustive_mode_stops_an_expansion_past_its_term_products(tmp_path, capsys):
     # (x0 + x1) squared 16 times ran until killed: its bit bound is exactly
     # the evaluation budget, and no node passes the term budget until the

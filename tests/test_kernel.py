@@ -16,12 +16,14 @@ import time
 from functools import lru_cache
 from math import prod
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuit_ops import circuit_from_ops, step_bits, walk_bits
+from flipcert import circuits
 from flipcert.builders import det_circuit, efun_circuit, perm_circuit, scale_circuit
 from flipcert.circuits import (
     EXACT_BITS,
@@ -220,12 +222,19 @@ def points(n: int, bound: int = 2**64):
     return st.lists(st.integers(-bound, bound), min_size=n, max_size=n).map(tuple)
 
 
+def _expand_within(c: Circuit, budget: int) -> dict:
+    """c's expansion with at most `budget` terms per node, so a random
+    member's expansion stays small."""
+    with mock.patch.object(circuits, "MAX_TERMS", budget):
+        return expand_to_polynomial(c)
+
+
 def _check_against_oracles(c: Circuit, pt: tuple) -> None:
     prog = lower(c)
     exact = oracle_evaluate(c, pt)
     assert run_many(prog, [pt]) == [exact] == [evaluate(c, pt)]
     try:
-        poly = expand_to_polynomial(c, max_terms=2000)
+        poly = _expand_within(c, 2000)
     except TermBudgetExceeded:
         poly = None
     if poly is not None:
@@ -437,7 +446,7 @@ def test_walk_is_kept_once_per_program():
 def test_expansion_matches_sympy(c):
     sympy = pytest.importorskip("sympy")
     try:
-        poly = expand_to_polynomial(c, max_terms=500)
+        poly = _expand_within(c, 500)
     except TermBudgetExceeded:
         return
     xs = sympy.symbols(f"x:{c.num_inputs}")
@@ -627,7 +636,7 @@ def test_relation_rule_agrees_with_query_verdict(case, vals, primes, spread):
     want = _oracle_verdict(q, vals, primes)
     row = ("k", rel, 1, None, slots)
     assert _failures([row], [(), coeffs], values, rad) == ([] if want[0] else [0])
-    assert query_verdict(q, vals, moduli) == want
+    assert query_verdict(q.relation, q.coeffs, vals, moduli) == want
     if not primes:  # in the exact ring a failed query reports its values
         got = run_queries(circuit_from_ops(1, [("input", 0)]), [q])
         assert got.verdicts == (Verdict(0, "k", want[0], () if want[0] else tuple(vals)),)
@@ -653,7 +662,7 @@ def test_failed_modular_queries_report_the_settling_residues():
         vals = [P[0] for P in q.points]
         settle = s if q.relation == REL_NONZERO else r
         assert v.witness == tuple(x % settle for x in vals)
-        assert (False, list(v.witness)) == query_verdict(q, vals, (p, r, s))
+        assert (False, list(v.witness)) == query_verdict(q.relation, q.coeffs, vals, (p, r, s))
 
 
 def test_run_queries_checks_arity_before_evaluating(monkeypatch):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -49,7 +48,7 @@ from flipcert.obstruction import (
     trivial_obstruction_table,
 )
 from flipcert.pit import EnumeratedClass, ExplicitClass
-from flipcert.symtests import MAX_TERMS, gen_queries_perm, query_verdict
+from flipcert.symtests import gen_queries_perm, query_verdict
 from flipcert.util import derive_seed
 
 TOY_PARAMS = DesignParams(4, 6, 3, 1)
@@ -475,9 +474,9 @@ def test_harness_counts_failures_per_member():
     prog = lower(xy)
     kept = tuple(
         q for q in cert.queries
-        if query_verdict(q, run_many(prog, q.points))[0]
+        if query_verdict(q.relation, q.coeffs, run_many(prog, q.points))[0]
     )
-    cert = replace(cert, queries=kept)
+    cert = cert._replace(queries=kept)
     assert decode_counterexample(cert, xw) and decode_counterexample(cert, det_circuit(2))
     cls = ExplicitClass((xy, xw, det_circuit(2), yx))
     rep = harness_F(cert, cls, f2_samples=0)
@@ -488,10 +487,10 @@ def test_harness_counts_failures_per_member():
 
 def _per_member_rows(cls, config):
     """The table's rows built member by member, with nothing shared."""
-    target = expand_to_polynomial(perm_circuit(config.n), MAX_TERMS)
+    target = expand_to_polynomial(perm_circuit(config.n))
     rows = []
     for idx, c in enumerate(cls.members()):
-        diff = poly_sub(expand_to_polynomial(c, MAX_TERMS), target)
+        diff = poly_sub(expand_to_polynomial(c), target)
         d = poly_max_var_degree(diff)
         pt = next(pt for pt in product(range(d + 1), repeat=config.num_vars())
                   if poly_eval(diff, pt) != 0)

@@ -31,8 +31,15 @@ from flipcert.circuits import (
     poly_total_degree,
     serialize_circuit,
 )
-from flipcert.errors import ArityMismatch, ParseError, PoolExhausted, UsageError
+from flipcert.errors import (
+    ArityMismatch,
+    BudgetExceeded,
+    ParseError,
+    PoolExhausted,
+    UsageError,
+)
 from flipcert.pit import (
+    MAX_CLASS_ESTIMATE,
     EnumeratedClass,
     ExplicitClass,
     build_hitting_set_greedy,
@@ -153,6 +160,44 @@ def test_enumeration_members_are_valid_and_distinct():
         assert c.output == len(c.nodes) - 1
         texts.add(serialize_circuit(c))
     assert len(texts) == class_size(cls)
+
+
+# member counts of classes the benchmark, the F harness and the sweeps
+# enumerate, against the size estimate members() checks before enumerating
+FROZEN_CLASS_COUNTS = {
+    (4, 5, (-1, 0, 1)): 61_803,  # F1b
+    (4, 5, (-1, 0, 1, 2)): 77_064,  # criterion 2's sweep
+    (8, 4, (-1, 0, 1)): 6_908,
+    (1, 5, (-1, 1)): 17_319,
+    (2, 5, (0, 1)): 26_052,
+    (18, 2, (-1, 1)): 80,
+}
+
+
+@pytest.mark.parametrize("key", FROZEN_CLASS_COUNTS, ids=str)
+def test_size_estimate_bounds_the_frozen_counts(key):
+    assert FROZEN_CLASS_COUNTS[key] <= EnumeratedClass(*key).size_estimate() <= MAX_CLASS_ESTIMATE
+
+
+@pytest.mark.parametrize("key", [
+    (1, 1, (1,), "size"), (1, 2, (-1, 1), "size"), (4, 3, (-1, 0, 1), "size"),
+    (2, 3, (-1, 1), "size"), (1, 3, (2,), "bitsize"), (1, 4, (3,), "bitsize"),
+    (18, 2, (-1, 1), "size"), (8, 4, (-1, 0, 1), "size"),
+], ids=str)
+def test_size_estimate_bounds_the_enumerated_count(key):
+    cls = EnumeratedClass(*key)
+    assert class_size(cls) <= cls.size_estimate()
+
+
+def test_members_refuses_a_class_past_the_estimate_budget():
+    # the bound-6 F1b-shaped class is admitted, bound 7 is not; the refusal
+    # comes before the generator starts, and a huge bound costs a few steps
+    assert EnumeratedClass(4, 6, (-1, 0, 1)).size_estimate() == 127_334_592
+    for bound in (7, 40, 10**9):
+        cls = EnumeratedClass(4, bound, (-1, 0, 1))
+        assert cls.size_estimate() > MAX_CLASS_ESTIMATE
+        with pytest.raises(BudgetExceeded, match=f"bound={bound} .* more than 1073741824 members"):
+            cls.members()
 
 
 def test_bitsize_regime_counts_constant_bits():

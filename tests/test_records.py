@@ -15,7 +15,14 @@ import pytest
 
 import flipcert
 from flipcert.designs import Design, DesignParams, DesignViolation
-from flipcert.obstruction import DecodeResult, FReport, PropertyReport, TableRow
+from flipcert.obstruction import (
+    CertConfig,
+    DecodeResult,
+    FReport,
+    ObstructionCertificate,
+    PropertyReport,
+    TableRow,
+)
 from flipcert.oracles import (
     ColCycle,
     ColSwap,
@@ -39,8 +46,6 @@ KEPT_DATACLASSES = {
     "flipcert.pit._Mul",
     # its constructor validates, in __post_init__
     "flipcert.designs.DesignParams",
-    # derive_seconds is left out of equality
-    "flipcert.obstruction.ObstructionCertificate",
     # built through config.declare
     "flipcert.symtests.VerifyConfig",
     "flipcert.obstruction.CertConfig",
@@ -48,10 +53,16 @@ KEPT_DATACLASSES = {
 }
 
 F1B = ("F1b", True, 1.5, "decoded 3/3 members")
+TOY_DESIGN = Design(DesignParams(4, 6, 3, 1), (7, 56))
+TOY_CONFIG = CertConfig("perm", n=2, truth_table=(0, 1))
 # (record kind, every field's value, repr the frozen dataclass gave)
 RECORDS = [
     (Design, (DesignParams(4, 6, 3, 1), (7, 56)),
      "Design(params=DesignParams(m_prime=4, l=6, r=3, k_cap=1), rows=(7, 56))"),
+    # its frozen dataclass's repr also showed derive_seconds, now gone
+    (ObstructionCertificate, (TOY_DESIGN, TOY_CONFIG, (), ((1, 0, 0, 1),)),
+     f"ObstructionCertificate(design={TOY_DESIGN!r}, config={TOY_CONFIG!r}, queries=(), "
+     "points=((1, 0, 0, 1),))"),
     (DesignViolation, ("universe", None, None, ""),
      "DesignViolation(kind='universe', index=None, pair=None, detail='')"),
     (DecodeResult, (2, Query("swap", (1,), "equal", (), ((1, 2), (2, 1))), (True, False)),
@@ -78,9 +89,9 @@ RECORDS = [
      "error_bound=0.0, trials_run=1)"),
     (HittingSet, (((1, 2),), ExplicitClass(())),
      "HittingSet(points=((1, 2),), cls=ExplicitClass(circuits=()))"),
-    (HitReport, (True, None, 3, 2, 6, 0.25),
+    (HitReport, (True, None, 3, 2, 6),
      "HitReport(valid=True, violator=None, members_checked=3, nonzero_members=2, "
-     "evaluations=6, seconds=0.25)"),
+     "evaluations=6)"),
     (NullspaceResult, (1, [(1,)], [{(1,): Fraction(1)}], 0),
      "NullspaceResult(dim=1, monomials=[(1,)], basis=[{(1,): Fraction(1, 1)}], forced_zero=0)"),
 ]

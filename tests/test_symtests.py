@@ -43,7 +43,7 @@ from flipcert.oracles import (
     k_generators,
     var_map,
 )
-from flipcert import symtests
+from flipcert import oracles, symtests
 from flipcert.pit import EnumeratedClass
 from flipcert.symtests import (
     E_NONZERO,
@@ -501,7 +501,7 @@ SUITE_GUARDS = {
     "embed": (lambda: embed_principal([[1, 2], [3, 4]], 1), "cannot embed 2x2 into 1x1"),
     "det-mode": (lambda: gen_queries_efun(2, 2, seed=0, det_factor_mode="magic"),
                  "unknown det_factor_mode 'magic'"),
-    "relation": (lambda: query_verdict(Query("K", (), "bogus", (), ((1,),)), [1]),
+    "relation": (lambda: query_verdict("bogus", (), [1]),
                  "unknown relation 'bogus'"),
     "ring": (lambda: run_queries(perm_circuit(2), (), ring="p-adic"),
              "unknown ring mode 'p-adic'"),
@@ -658,6 +658,40 @@ def test_exhaustive_tables_do_not_leak_between_suites():
     finally:
         symtests._perm_table, symtests._efun_table = cached
     assert calls == 2 * 4 * (4160 + 495)
+
+
+def test_the_law_rows_are_built_only_under_the_cached_callers(monkeypatch):
+    # _laws and the per-shape parts carry no cache of their own: after one
+    # warm-up call per suite, sampled verifies at any seed and exhaustive
+    # verifies at a fixed config reach them only through _template,
+    # _perm_table and _efun_table, which hold what they build
+    calls = []
+    for module, name in ((symtests, "_laws"), (symtests, "mover"), (symtests, "scale_reader"),
+                         (symtests, "add_pairs"), (oracles, "mover"),
+                         (oracles, "scale_reader"), (oracles, "add_pairs")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+    perm3, efun22 = perm_circuit(3), efun_circuit(2, 2)
+
+    def verify(i, mode, ring="exact"):
+        cfg = VerifyConfig(mode=mode, ring=ring, seed=i)
+        if i % 2:
+            return verify_claims_efun(efun22, 2, 2, cfg)
+        return verify_claims_perm(perm3, 3, cfg)
+
+    for i in range(2):
+        verify(i, "sampled")
+        verify(i, "exhaustive")
+    calls.clear()
+    for i in range(50):
+        assert verify(i, "sampled", ("exact", "modular")[i // 2 % 2]).accept
+    for i in range(50):  # one config per target, as a class sweep holds
+        assert verify(i % 2, "exhaustive").accept
+    assert calls == []
+    symtests._template.cache_clear()  # the counters see a rebuilt template
+    verify(0, "sampled")
+    assert {"_laws", "mover", "scale_reader"} <= set(calls)
 
 
 # (checks, digest of every check's kind, note, factor and var map), frozen
